@@ -16,9 +16,14 @@ periodic, anti, anti, periodic, periodic, anti, anti, ...
 Closed gaps (the trace only touching +-2) are reported as two
 coincident edges flagged degenerate, so lists keep uniform length.
 
-The ODE integrations use an adaptive Dormand-Prince 5(4) stepper
-vectorized over a whole batch of energies at once; the potential is
-evaluated once per stage for the entire batch.
+The monodromy matrix is a product of sixth-order Magnus steps
+(Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009): V is sampled
+once per step count at the three Gauss nodes of every step, each
+step's 2x2 exponential is formed in closed form for a whole batch of
+energies at once, and the steps are multiplied together by pairwise
+tree reduction.  The step count is settled once per potential,
+tolerance and energy range, from the difference between the n-step and
+2n-step products at fixed probe energies.
 """
 
 from __future__ import annotations
@@ -37,16 +42,17 @@ from .errors import (
 )
 from .grid import GridFunction
 
-RTOL = 1e-10
-ATOL = 1e-11
-TIGHT_RTOL = 1e-12  # for resolving nearly-closed gaps
-TIGHT_ATOL = 1e-13
+TOL = 1e-11         # bound on each monodromy entry, relative to the largest partial product
+SCAN_TOL = 1e-7     # the same bound for the sign-only discriminant scan
 BISECT_TOL = 1e-9
-TOUCH_TOL = 1e-6      # overshoot beyond +-2 above which a gap is surely open
-OVERSHOOT_FLOOR = 1e-9  # overshoot below the trace noise floor: call it closed
-OPEN_GAP_MIN = 1e-6   # implied gap width above which the flanks are bisected
 DEFAULT_SCAN = 2048
-_FAST_EVAL_SAMPLES = 1024
+MIN_STEPS = 64
+MAX_STEPS = 2 ** 14  # largest step count the engine accepts
+CHUNK = 2 ** 15      # steps x energies held in memory at once
+_PROBES = 17         # probe energies per range at which a step count is settled
+_RANGE_WAVES = 16    # free half-waves per period above max V in the lowest range
+_BOUNDARY = {2.0: "periodic", -2.0: "antiperiodic"}  # trace value at each edge type
+_GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
 
 def expected_boundary(n: int) -> str:
@@ -62,6 +68,8 @@ class PeriodicPotential:
     evaluator: Callable
     smoothness_hint: str = "analytic"
     _validated: bool = field(default=False, repr=False)
+    # node samples and settled step counts of the Magnus engine
+    _magnus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.period > 0) or not math.isfinite(self.period):
@@ -96,43 +104,6 @@ class PeriodicPotential:
             raise DomainError("evaluator is not periodic with the declared period")
         self._validated = True
 
-    def fast_scalar(self) -> "_FastEval":
-        """Cached truncated trig series of the potential for hot loops.
-
-        Smooth periodic data makes this spectrally exact (truncation at
-        1e-15 of the largest Fourier mode), so integrators may use it
-        in place of the raw evaluator.
-        """
-        cached = getattr(self, "_fast", None)
-        if cached is None:
-            cached = _FastEval(self)
-            self._fast = cached
-        return cached
-
-
-class _FastEval:
-    """Scalar-callable truncated Fourier series of a periodic potential."""
-
-    def __init__(self, V: "PeriodicPotential", n: int = _FAST_EVAL_SAMPLES):
-        vals = V.sample(n)
-        c = np.fft.rfft(vals) / n
-        mags = np.abs(c)
-        keep = mags >= 1e-15 * mags.max()
-        keep[0] = True
-        idx = np.nonzero(keep)[0]
-        idx = idx[idx > 0]
-        w = np.where((n % 2 == 0) & (idx == n // 2), 1.0, 2.0)
-        self.c0 = float(c[0].real)
-        self.omega = idx * (2.0 * np.pi / V.period)
-        self.a = w * c[idx].real
-        self.b = w * c[idx].imag
-
-    def __call__(self, x: float) -> float:
-        if self.omega.size == 0:
-            return self.c0
-        th = self.omega * x
-        return self.c0 + float(np.cos(th) @ self.a - np.sin(th) @ self.b)
-
 
 @dataclass(frozen=True)
 class BandEdge:
@@ -153,132 +124,216 @@ class Discriminant:
 
 
 # ---------------------------------------------------------------------------
-# adaptive Dormand-Prince 5(4), vectorized over a batch of energies
+# sixth-order Magnus product, vectorised over steps and energies
 # ---------------------------------------------------------------------------
+#
+# y'' = (V - E) y is Y' = A Y with A = [[0, 1], [V - E, 0]].  With the
+# Gauss-node values V1, V2, V3 of a step of length h, the sixth-order
+# exponent is (Blanes, Casas, Oteo & Ros 2009)
+#   Omega = B1 + B3/12 + [-20 B1 - B3 + [B1, B2], B2 - [B1, 2 B3 + [B1, B2]]/60]/240
+# with B1 = h A(x2), B2 = (sqrt(15) h/3)(A(x3) - A(x1)) and
+# B3 = (10 h/3)(A(x3) - 2 A(x2) + A(x1)).  Only B1 depends on E, and for
+# this A the commutators reduce Omega = [[a, b], [c, -a]] to
+#   a = a0 + a1 u,  b = b0,  c = c0 + c1 u,  u = h (V2 - E).
 
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
-
-
-def _rk45(fun, x0: float, x1: float, y0: np.ndarray, rtol: float, atol: float,
-          max_steps: int = 500000) -> np.ndarray:
-    """Integrate y' = fun(x, y) from x0 to x1 (x1 > x0), returning y(x1)."""
-    y = np.array(y0, dtype=float)
-    x = x0
-    span = x1 - x0
-    if span <= 0:
-        return y
-    h = span / 128.0
-    k1 = fun(x, y)
-    steps = 0
-    hmin = 64.0 * np.finfo(float).eps * max(abs(x0), abs(x1), span)
-    while x < x1:
-        if x1 - x <= hmin:
-            break  # within roundoff of the endpoint
-        h = min(h, x1 - x)
-        if h < hmin:
-            raise NumericalError(
-                f"integrator step underflow at x={x!r} (h={h!r}); "
-                "the potential may be too rough for the Floquet route"
-            )
-        ks = [k1]
-        for i in range(1, 7):
-            yi = y
-            for a, k in zip(_DP_A[i], ks):
-                if a != 0.0:
-                    yi = yi + (h * a) * k
-            ks.append(fun(x + _DP_C[i] * h, yi))
-        y5 = y
-        for b, k in zip(_DP_B5, ks):
-            if b != 0.0:
-                y5 = y5 + (h * b) * k
-        err_vec = np.zeros_like(y)
-        for e, k in zip(_DP_ERR, ks):
-            if e != 0.0:
-                err_vec = err_vec + (h * e) * k
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(err_vec) / scale))
-        if err <= 1.0:
-            x = x + h
-            y = y5
-            k1 = ks[6]  # FSAL: stage 7 was evaluated at (x + h, y5)
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        else:
-            factor = max(0.2, 0.9 * err ** -0.2)
-        h = h * factor
-        steps += 1
-        if steps > max_steps:
-            raise NumericalError("integrator exceeded the step budget")
-    return y
+def _step_coefficients(V: PeriodicPotential, n: int) -> tuple:
+    """(h, h V2, a0, a1, b0, c0, c1) of n equal steps; columns of shape (n, 1)."""
+    key = ("steps", n)
+    if key not in V._magnus:
+        h = V.period / n
+        v = V._eval_vec(((np.arange(n)[:, None] + _GAUSS) * h).ravel()).reshape(n, 3)
+        d2 = (math.sqrt(15.0) * h / 3.0) * (v[:, 2] - v[:, 0])
+        d3 = (10.0 * h / 3.0) * (v[:, 2] - 2.0 * v[:, 1] + v[:, 0])
+        k = h * d2  # [B1, B2] = [[k, 0], [0, -k]]
+        cols = (h * v[:, 1],
+                k * (h * d3 / 7200.0 - 1.0 / 12.0),
+                k * (h / 180.0),
+                h + h * (k * k - 20.0 * h * d3) / 3600.0,
+                d3 / 12.0 + h * d3 * d3 / 3600.0 - k * d2 / 120.0,
+                1.0 + h * d3 / 180.0 + k * k / 3600.0)
+        V._magnus[key] = (h,) + tuple(c[:, None] for c in cols)
+    return V._magnus[key]
 
 
-def _monodromy_batch(V: PeriodicPotential, energies, rtol: float = RTOL,
-                     atol: float = ATOL) -> tuple:
-    """Monodromy matrix entries (m11, m12, m21, m22) for a batch of E."""
+def _step_propagators(coef: tuple, E: np.ndarray) -> np.ndarray:
+    """exp(Omega) of every step at every energy, shape (4, steps, energies).
+
+    Omega is traceless, so Omega^2 = z I with z = a^2 + b c, and
+    exp(Omega) = C I + S Omega with C = cosh(s), S = sinh(s)/s, s = sqrt(z)
+    (cos and sin of sqrt(-z) when z < 0).
+    """
+    h, hv, a0, a1, b0, c0, c1 = coef
+    u = hv - h * E
+    a = a0 + a1 * u
+    c = c0 + c1 * u
+    z = a * a + b0 * c
+    s = np.sqrt(np.abs(z))
+    grows = z > 0
+    C = np.cos(s)
+    S = np.sin(s)
+    if grows.any():
+        np.cosh(s, out=C, where=grows)
+        np.sinh(s, out=S, where=grows)
+    S = np.divide(S, s, out=np.ones_like(s), where=s > 0)
+    return np.stack([C + S * a, S * b0, S * c, C - S * a])
+
+
+def _tree_product(P: np.ndarray) -> tuple:
+    """Ordered products P[:, -1] @ ... @ P[:, 0] along axis 1, by pairs.
+
+    Returns the products, shape (4, columns), and per column the largest
+    entry of any partial product formed (at least 1, the initial data).
+    """
+    scale = np.ones(P.shape[2])
+    while P.shape[1] > 1:
+        half = P.shape[1] // 2
+        A = P[:, 1 : 2 * half : 2]  # later steps multiply from the left
+        B = P[:, 0 : 2 * half : 2]
+        Q = np.stack([A[0] * B[0] + A[1] * B[2], A[0] * B[1] + A[1] * B[3],
+                      A[2] * B[0] + A[3] * B[2], A[2] * B[1] + A[3] * B[3]])
+        P = np.concatenate([Q, P[:, 2 * half :]], axis=1) if P.shape[1] % 2 else Q
+        np.maximum(scale, np.abs(P).max(axis=(0, 1)), out=scale)
+    return P[:, 0], scale
+
+
+def _product(V: PeriodicPotential, n: int, E: np.ndarray) -> tuple:
+    """Monodromy entries (m11, m12, m21, m22) over n steps, and their scale,
+    in chunks of at most CHUNK steps x energies that no result depends on."""
+    coef = _step_coefficients(V, n)
+    M = np.empty((4, E.size))
+    scale = np.empty(E.size)
+    per = max(1, CHUNK // n)
+    for lo in range(0, E.size, per):
+        part = slice(lo, lo + per)
+        M[:, part], scale[part] = _tree_product(_step_propagators(coef, E[part]))
+    return M, scale
+
+
+def _span(V: PeriodicPotential) -> tuple:
+    """(min V, max V) on 1024 samples, cached."""
+    if "span" not in V._magnus:
+        s = V.sample(1024)
+        V._magnus["span"] = (float(s.min()), float(s.max()))
+    return V._magnus["span"]
+
+
+def _energy_range(V: PeriodicPotential, E: np.ndarray) -> np.ndarray:
+    """Index r >= 0 of the energy range holding each E.
+
+    Range r ends 2^r (16 pi / L)^2 above max V: the Magnus error grows
+    once a step spans a sizable part of a wavelength, so each range
+    settles its own step count.  Range 0 covers every E below max V.
+    """
+    waves = np.sqrt(np.maximum(E - _span(V)[1], 0.0)) * V.period / (math.pi * _RANGE_WAVES)
+    return np.ceil(np.log2(np.maximum(waves, 1.0))).astype(int)
+
+
+def _step_count(V: PeriodicPotential, tol: float, r: int) -> int:
+    """Smallest power-of-two step count meeting ``tol`` on energy range r.
+
+    The error of the n-step product is estimated by its distance to the
+    2n-step product at _PROBES energies spread over the range, entry by
+    entry, relative to the largest partial product along the way (a
+    final-matrix norm would demand accuracy below roundoff where the
+    entries cancel).  The count depends on V, tol and r only.
+    """
+    key = ("count", tol, r)
+    if key not in V._magnus:
+        n = MIN_STEPS if r == 0 else _step_count(V, tol, r - 1)
+        vmin, vmax = _span(V)
+        top = vmax + (2.0 ** r * math.pi * _RANGE_WAVES / V.period) ** 2
+        probes = np.linspace(vmin - 1.0, top, _PROBES)
+        coarse, scale = _product(V, n, probes)
+        while True:
+            fine, fine_scale = _product(V, 2 * n, probes)
+            err = np.max(np.abs(fine - coarse) / np.maximum(scale, fine_scale))
+            if err <= tol:
+                break
+            if 2 * n > MAX_STEPS:
+                raise NumericalError(f"monodromy error {err:.2g} exceeds {tol:g} at {MAX_STEPS} "
+                                     "steps; the potential is too rough for the Floquet route")
+            n, coarse, scale = 2 * n, fine, fine_scale
+        V._magnus[key] = n
+    return V._magnus[key]
+
+
+def _monodromy(V: PeriodicPotential, energies, tol: float = TOL,
+               refined: bool = False) -> tuple:
+    """Monodromy entries and scales for a batch of E; ``refined`` doubles
+    the settled step count, for error estimates."""
     E = np.atleast_1d(np.asarray(energies, dtype=float))
     if not np.all(np.isfinite(E)):
         raise DomainError("energies must be finite")
-    y0 = np.zeros((4, E.size))
-    y0[0] = 1.0  # first solution: y(0)=1, y'(0)=0
-    y0[3] = 1.0  # second solution: y(0)=0, y'(0)=1
-    veval = V.fast_scalar()
-
-    def fun(x, y):
-        q = veval(x) - E
-        out = np.empty_like(y)
-        out[0] = y[1]
-        out[1] = q * y[0]
-        out[2] = y[3]
-        out[3] = q * y[2]
-        return out
-
-    yL = _rk45(fun, 0.0, V.period, y0, rtol, atol)
-    return yL[0], yL[2], yL[1], yL[3]
+    M = np.empty((4, E.size))
+    scale = np.empty(E.size)
+    ranges = _energy_range(V, E)
+    for r in np.unique(ranges):
+        sel = ranges == r
+        n = _step_count(V, tol, int(r)) * (2 if refined else 1)
+        M[:, sel], scale[sel] = _product(V, n, E[sel])
+    return M, scale
 
 
 def monodromy_trace(V: PeriodicPotential, E: float) -> float:
     """Trace of the one-period monodromy matrix of -y'' + V y = E y."""
     V.validate()
-    m11, _, _, m22 = _monodromy_batch(V, [float(E)])
-    return float(m11[0] + m22[0])
+    return float(_trace_batch(V, [float(E)])[0])
 
 
-def _trace_batch(V: PeriodicPotential, energies, rtol: float = RTOL,
-                 atol: float = ATOL) -> np.ndarray:
-    m11, _, _, m22 = _monodromy_batch(V, energies, rtol, atol)
-    return m11 + m22
+def _trace_batch(V: PeriodicPotential, energies) -> np.ndarray:
+    M, _ = _monodromy(V, energies)
+    return M[0] + M[3]
 
 
 def discriminant(V: PeriodicPotential, E: float) -> Discriminant:
     return Discriminant(energy=float(E), value=monodromy_trace(V, E))
 
 
+def _edge_residual(M: np.ndarray, target) -> tuple:
+    """trace - target, accurate also where the trace only grazes +-2.
+
+    Near a narrow gap M is close to +-I and 2 - |trace| cancels to far
+    below the entries' error, while Delta^2 - 4 = (m11 - m22)^2 +
+    4 m12 m21 is a sum of products of the small entries that measure the
+    gap's width.  So the residual is taken as (Delta^2 - 4) / (trace +
+    target) whenever that form is the better conditioned.  Also returns
+    the residual's error per unit error of the trace (at most 1).
+    """
+    tr = M[0] + M[3]
+    near = np.abs(tr + target)
+    small = np.abs(M[0] - M[3]) + 2.0 * (np.abs(M[1]) + np.abs(M[2]))
+    squared = (M[0] - M[3]) ** 2 + 4.0 * M[1] * M[2]
+    stable = small < near
+    residual = np.where(stable, squared / np.where(stable, tr + target, 1.0), tr - target)
+    return residual, np.where(stable, small / np.where(stable, near, 1.0), 1.0)
+
+
+def _overshoot(V: PeriodicPotential, energies, targets) -> tuple:
+    """How far the trace passes each +-2 target (positive in a gap), from
+    the 2n-step product, and the error of that value: its distance to the
+    n-step value plus a roundoff allowance for the tree of products."""
+    coarse, _ = _monodromy(V, energies)
+    fine, scale = _monodromy(V, energies, refined=True)
+    over, gain = _edge_residual(fine, targets)
+    noise = np.abs(over - _edge_residual(coarse, targets)[0])
+    return np.sign(targets) * over, noise + 64.0 * np.finfo(float).eps * scale * gain
+
+
 # ---------------------------------------------------------------------------
 # edge location
 # ---------------------------------------------------------------------------
 
-def _bisect_batch(V, lo, hi, target, tol=BISECT_TOL, rtol=RTOL, atol=ATOL):
+def _bisect_batch(V, lo, hi, target, tol=BISECT_TOL):
     """Vectorized bisection of trace(E) = target on brackets [lo, hi]."""
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     target = np.array(target, dtype=float)
-    g_lo = _trace_batch(V, lo, rtol, atol) - target
+    g_lo = _edge_residual(_monodromy(V, lo)[0], target)[0]
     width = float(np.max(hi - lo))
     iters = max(1, int(math.ceil(math.log2(max(width / tol, 2.0)))))
     for _ in range(min(iters, 80)):
         mid = 0.5 * (lo + hi)
-        g_mid = _trace_batch(V, mid, rtol, atol) - target
+        g_mid = _edge_residual(_monodromy(V, mid)[0], target)[0]
         take_lo = np.sign(g_mid) == np.sign(g_lo)
         lo = np.where(take_lo, mid, lo)
         g_lo = np.where(take_lo, g_mid, g_lo)
@@ -310,58 +365,54 @@ def _refine_extrema_batch(V, lo, hi, maximize, golden_iters=22, newton_iters=3):
         lo = np.where(keep_low, lo, x1)
     xe = 0.5 * (lo + hi)
     h = 1e-4 * (1.0 + np.abs(xe))
-    d2 = np.zeros(n)
     for _ in range(newton_iters):
-        f = _trace_batch(V, np.concatenate([xe - h, xe, xe + h]), TIGHT_RTOL, TIGHT_ATOL)
+        f = _trace_batch(V, np.concatenate([xe - h, xe, xe + h]))
         fm, f0, fp = f[:n], f[n : 2 * n], f[2 * n :]
         d1 = (fp - fm) / (2.0 * h)
         d2 = (fp - 2.0 * f0 + fm) / (h * h)
         safe = np.abs(d2) > 1e-30
         step = np.where(safe, -d1 / np.where(safe, d2, 1.0), 0.0)
         xe = np.clip(xe + step, lo, hi)
-    return xe, _trace_batch(V, xe, TIGHT_RTOL, TIGHT_ATOL), np.abs(d2)
+    return xe
 
 
 def _transversal_roots(V, Es, tr):
     """Bisect every sign change of (trace -+ 2) on the scan grid."""
-    lo_list, hi_list, tgt_list, bnd_list = [], [], [], []
-    for target, boundary in ((2.0, "periodic"), (-2.0, "antiperiodic")):
-        g = tr - target
-        s = np.where(np.sign(g) == 0.0, 1.0, np.sign(g))
-        for i in np.nonzero(s[:-1] * s[1:] < 0)[0]:
-            lo_list.append(Es[i])
-            hi_list.append(Es[i + 1])
-            tgt_list.append(target)
-            bnd_list.append(boundary)
-    if not lo_list:
+    lo, hi, tgt = [], [], []
+    for target in _BOUNDARY:
+        above = tr >= target
+        cross = np.nonzero(above[:-1] != above[1:])[0]
+        lo += Es[cross].tolist()
+        hi += Es[cross + 1].tolist()
+        tgt += [target] * cross.size
+    if not lo:
         return []
-    roots = _bisect_batch(V, lo_list, hi_list, tgt_list)
-    return sorted(zip((float(r) for r in roots), bnd_list))
+    return sorted((float(r), _BOUNDARY[t]) for r, t in zip(_bisect_batch(V, lo, hi, tgt), tgt))
 
 
 def _extremum_brackets(Es, tr, margin=1.2):
     """Interior extrema of the sampled trace that approach +-2.
 
-    Returns (index, maximize) pairs, ascending in energy.  These mark
+    Returns (index, +-2) pairs, ascending in energy.  These mark
     either closed gaps (trace touches +-2) or open gaps narrower than
-    the grid (the dip was not sampled beyond +-2).  Extrema sampled
-    clearly beyond +-2 are excluded: such dips contain grid points in
-    the |trace| > 2 region, so both flanks were already caught as
-    transversal sign changes.
+    the grid (the dip was not sampled beyond +-2).
     """
-    beyond = 10.0 * TOUCH_TOL
     interior = np.arange(1, len(Es) - 1)
     is_max = (tr[interior] >= tr[interior - 1]) & (tr[interior] >= tr[interior + 1])
     is_min = (tr[interior] <= tr[interior - 1]) & (tr[interior] <= tr[interior + 1])
-    band_max = (tr[interior] > 2.0 - margin) & (tr[interior] < 2.0 + beyond)
-    band_min = (tr[interior] < -2.0 + margin) & (tr[interior] > -2.0 - beyond)
-    out = []
-    for i in interior[is_max & band_max]:
-        out.append((int(i), True))
-    for i in interior[is_min & band_min]:
-        out.append((int(i), False))
-    out.sort()
-    return out
+    out = [(int(i), 2.0) for i in interior[is_max & (tr[interior] > 2.0 - margin)]]
+    out += [(int(i), -2.0) for i in interior[is_min & (tr[interior] < -2.0 + margin)]]
+    return sorted(out)
+
+
+def _dip(tr, left, right, target):
+    """Widen [left, right] to the nearest samples outside the gap at target."""
+    sgn = math.copysign(1.0, target)
+    while left > 0 and sgn * (tr[left] - target) > 0:
+        left -= 1
+    while right < len(tr) - 1 and sgn * (tr[right] - target) > 0:
+        right += 1
+    return left, right
 
 
 def _scan_edges(V, e_min, e_max, n_cells, count):
@@ -372,97 +423,71 @@ def _scan_edges(V, e_min, e_max, n_cells, count):
     coincident pair.
     """
     Es = np.linspace(e_min, e_max, n_cells + 1)
-    tr = _trace_batch(V, Es)
+    cell = Es[1] - Es[0]
+    M, scale = _monodromy(V, Es, SCAN_TOL)
+    tr = M[0] + M[3]
+    # the scan decides signs only; samples within its error of +-2 are
+    # recomputed at full accuracy so that no sign is misread
+    unsure = np.minimum(np.abs(tr - 2.0), np.abs(tr + 2.0)) <= 4.0 * SCAN_TOL * scale
+    if unsure.any():
+        tr[unsure] = _trace_batch(V, Es[unsure])
     roots = _transversal_roots(V, Es, tr)
 
     # Extrema above the energy where `count` simple roots already exist
     # cannot enter the result; skip them.  An extremum whose surrounding
     # |trace| > 2 excursion already contributed both transversal roots is
     # redundant too: walk the dip extent before deciding to refine.
-    if len(roots) >= count:
-        cutoff = roots[count - 1][0] + 2.0 * (Es[1] - Es[0])
-    else:
-        cutoff = math.inf
-    cell = Es[1] - Es[0]
+    cutoff = roots[count - 1][0] + 2.0 * cell if len(roots) >= count else math.inf
     cands = []
-    for i, maximize in _extremum_brackets(Es, tr):
-        if Es[i] > cutoff:
-            continue
-        target = 2.0 if maximize else -2.0
-        sgn = 1.0 if maximize else -1.0
-        bnd = "periodic" if maximize else "antiperiodic"
-        left = i
-        while left > 0 and sgn * (tr[left] - target) > 0:
-            left -= 1
-        right = i
-        while right < len(Es) - 1 and sgn * (tr[right] - target) > 0:
-            right += 1
-        near = [r for r, b in roots
-                if b == bnd and Es[left] - cell <= r <= Es[right] + cell]
-        if len(near) >= 2:
-            continue  # the gap here was already resolved transversally
-        cands.append((i, maximize))
+    for i, target in _extremum_brackets(Es, tr):
+        left, right = _dip(tr, i, i, target)
+        near = [r for r, b in roots if b == _BOUNDARY[target]
+                and Es[left] - cell <= r <= Es[right] + cell]
+        if Es[i] <= cutoff and len(near) < 2:
+            cands.append((i, target))
+    if not cands:
+        return roots, []
 
-    touches = []
-    if cands:
-        lo = np.array([Es[i - 1] for i, _ in cands])
-        hi = np.array([Es[i + 1] for i, _ in cands])
-        mx = np.array([mx for _, mx in cands])
-        xe, te, curv = _refine_extrema_batch(V, lo, hi, mx)
-        flank_lo, flank_hi, flank_tgt, flank_bnd = [], [], [], []
-        for (i, maximize), e_star, t_star, c2 in zip(cands, xe, te, curv):
-            target = 2.0 if maximize else -2.0
-            sgn = 1.0 if maximize else -1.0
-            overshoot = sgn * (t_star - target)
-            bnd = "periodic" if maximize else "antiperiodic"
-            # overshoot alone misclassifies: a gap of width g only pushes
-            # the trace ~ |trace''| g^2 / 8 beyond the boundary value, so
-            # judge openness by the implied width instead
-            if c2 > 1e-12 and overshoot > OVERSHOOT_FLOOR:
-                implied_gap = 2.0 * math.sqrt(2.0 * overshoot / c2)
-            else:
-                implied_gap = 0.0
-            if overshoot > TOUCH_TOL or implied_gap >= OPEN_GAP_MIN:
-                # a real gap hides between grid points: bisect both flanks,
-                # walking outward from the polished extremum to grid points
-                # that are back inside the band
-                left = max(0, int(np.searchsorted(Es, e_star)) - 1)
-                right = min(len(Es) - 1, left + 1)
-                while left > 0 and sgn * (tr[left] - target) > 0:
-                    left -= 1
-                while right < len(Es) - 1 and sgn * (tr[right] - target) > 0:
-                    right += 1
-                flank_lo += [Es[left], float(e_star)]
-                flank_hi += [float(e_star), Es[right]]
-                flank_tgt += [target, target]
-                flank_bnd += [bnd, bnd]
-            elif overshoot > -TOUCH_TOL:
-                # unresolvably narrow or exactly closed: a coincident pair
-                touches.append((float(e_star), bnd))
-        if flank_lo:
-            extra = _bisect_batch(V, flank_lo, flank_hi, flank_tgt,
-                                  rtol=TIGHT_RTOL, atol=TIGHT_ATOL)
-            roots = sorted(roots + list(zip((float(r) for r in extra), flank_bnd)))
+    targets = np.array([t for _, t in cands])
+    xe = _refine_extrema_batch(V, [Es[i - 1] for i, _ in cands],
+                               [Es[i + 1] for i, _ in cands], targets > 0)
+    overshoot, noise = _overshoot(V, xe, targets)
+    touches, flanks = [], []
+    for e_star, target, over, nz in zip(xe.tolist(), targets, overshoot, noise):
+        if over > nz:
+            # the trace measurably passes +-2: an open gap between grid
+            # points; bisect both flanks, out to the nearest grid points
+            # back inside the band
+            j = min(max(0, int(np.searchsorted(Es, e_star)) - 1), len(Es) - 2)
+            left, right = _dip(tr, j, j + 1, target)
+            flanks += [(Es[left], e_star, target), (e_star, Es[right], target)]
+        else:
+            # every extremum of the trace reaches +-2, so this one touches
+            # it: a closed gap (M = +-I), or one narrower than the product
+            # resolves.  No lower bound applies: the polished point misses
+            # a closed gap's touch, which puts the overshoot below zero by
+            # the square of that miss.
+            touches.append((e_star, _BOUNDARY[target]))
+    if flanks:
+        lo, hi, tgt = zip(*flanks)
+        extra = _bisect_batch(V, lo, hi, tgt)
+        roots = sorted(roots + [(float(r), _BOUNDARY[t]) for r, t in zip(extra, tgt)])
     return roots, touches
 
 
 def _assemble(roots, touches, span):
     """Merge simple roots and degenerate pairs into one sorted edge list."""
     tol = max(1e-8, 1e-9 * span)
-    merged_roots = []
-    for e, bnd in roots:
-        if merged_roots and merged_roots[-1][1] == bnd and abs(merged_roots[-1][0] - e) <= tol:
-            continue
-        merged_roots.append((e, bnd))
-    merged_touches = []
-    for e, bnd in sorted(touches):
-        if merged_touches and merged_touches[-1][1] == bnd and abs(merged_touches[-1][0] - e) <= tol:
-            continue
-        merged_touches.append((e, bnd))
-    out = [(e, bnd, False) for e, bnd in merged_roots]
-    for e, bnd in merged_touches:
-        out.append((e, bnd, True))
-        out.append((e, bnd, True))
+
+    def dedupe(pairs):
+        kept = []
+        for e, bnd in pairs:
+            if not (kept and kept[-1][1] == bnd and abs(kept[-1][0] - e) <= tol):
+                kept.append((e, bnd))
+        return kept
+
+    out = [(e, bnd, False) for e, bnd in dedupe(roots)]
+    out += [(e, bnd, True) for e, bnd in dedupe(sorted(touches)) for _ in range(2)]
     out.sort()
     return out
 
@@ -480,14 +505,13 @@ def band_edges(V: PeriodicPotential, count: int, e_max: Optional[float] = None,
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
     V.validate()
-    samples = V.sample(4096)
-    e_min = float(samples.min()) - 1.0
+    v_min, v_max = _span(V)
+    e_min = v_min - 1.0
     auto = e_max is None
     if auto:
         # generous first window: top edge sits at most O(((count+1) pi / 2L)^2)
         # above the potential maximum for smooth potentials
-        free_top = (math.pi * (count + 1) / (2.0 * V.period)) ** 2
-        e_max = float(samples.max()) + 2.0 + free_top
+        e_max = v_max + 2.0 + (math.pi * (count + 1) / (2.0 * V.period)) ** 2
     if not (e_max > e_min):
         raise DomainError("e_max must exceed inf V - 1")
 
@@ -495,30 +519,22 @@ def band_edges(V: PeriodicPotential, count: int, e_max: Optional[float] = None,
     n_cells = scan_points
     while True:
         roots, touches = _scan_edges(V, e_min, e_max, n_cells, count)
-        merged = _assemble(roots, touches, e_max - e_min)
-        if len(merged) >= count and _pattern_ok(merged[:count]):
-            return [
-                BandEdge(n=i, energy=e, boundary=bnd, degenerate=deg)
-                for i, (e, bnd, deg) in enumerate(merged[:count])
-            ]
-        if len(merged) < count and auto and expansions < 12:
+        found = [BandEdge(n=i, energy=e, boundary=b, degenerate=d)
+                 for i, (e, b, d) in enumerate(_assemble(roots, touches, e_max - e_min))]
+        if len(found) >= count and all(e.boundary == expected_boundary(e.n) for e in found[:count]):
+            return found[:count]
+        if len(found) < count and auto and expansions < 12:
             e_max = e_min + 1.7 * (e_max - e_min)
             expansions += 1
             continue
         if n_cells < 4 * DEFAULT_SCAN:
             n_cells *= 2  # halve the scan step and try again
             continue
-        found = [BandEdge(n=i, energy=e, boundary=b, degenerate=d)
-                 for i, (e, b, d) in enumerate(merged)]
         raise IncompleteSpectrumError(
-            f"found {len(merged)} band edges below E={e_max!r}, needed {count}: "
+            f"found {len(found)} band edges below E={e_max!r}, needed {count}: "
             + ", ".join(f"{e.energy:.6g}({e.boundary[0]})" for e in found),
             found=found,
         )
-
-
-def _pattern_ok(triples) -> bool:
-    return all(bnd == expected_boundary(i) for i, (_, bnd, _) in enumerate(triples))
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +552,15 @@ def bloch_edge_state(V: PeriodicPotential, edge: BandEdge, grid_n: int = 512) ->
     V.validate()
     if grid_n < 64:
         raise DomainError("grid_n must be at least 64")
-    m11, m12, m21, m22 = (float(a[0]) for a in _monodromy_batch(V, [edge.energy]))
+    E = float(edge.energy)
+    n = _step_count(V, TOL, int(_energy_range(V, np.array([E]))[0]))
+    per_cell = -(-n // grid_n)
+    # steps grouped by grid cell: axis 1 runs over a cell's steps, axis 2
+    # over the cells, so one tree product yields every cell's propagator
+    steps = _step_propagators(_step_coefficients(V, per_cell * grid_n), np.array([E]))
+    cells, _ = _tree_product(steps.reshape(4, grid_n, per_cell).transpose(0, 2, 1))
+    M, _ = _tree_product(cells[:, :, None])
+    m11, m12, m21, m22 = (float(x) for x in M[:, 0])
     rho = 1.0 if edge.boundary == "periodic" else -1.0
     a00, a01 = m11 - rho, m12
     a10, a11 = m21, m22 - rho
@@ -544,33 +568,24 @@ def bloch_edge_state(V: PeriodicPotential, edge: BandEdge, grid_n: int = 512) ->
     r2 = math.hypot(a10, a11)
     scale = max(abs(m11), abs(m12), abs(m21), abs(m22), 1.0)
     if max(r1, r2) <= 1e-8 * scale:
-        v = np.array([1.0, 0.0])  # fully degenerate: every solution matches
+        y, dy = 1.0, 0.0  # fully degenerate: every solution matches
     elif r1 >= r2:
-        v = np.array([a01, -a00]) / r1
+        y, dy = a01 / r1, -a00 / r1
     else:
-        v = np.array([a11, -a10]) / r2
+        y, dy = a11 / r2, -a10 / r2
 
-    E = float(edge.energy)
-    veval = V.fast_scalar()
-
-    def fun(x, y):
-        q = veval(x) - E
-        return np.array([y[1], q * y[0]])
-
-    xs = np.arange(grid_n) * (V.period / grid_n)
+    # the state on the grid: the Floquet vector through the prefix products
     values = np.empty(grid_n)
-    y = v.copy()
-    values[0] = y[0]
-    for i in range(1, grid_n):
-        y = _rk45(fun, xs[i - 1], xs[i], y, 1e-12, 1e-13)
-        values[i] = y[0]
+    for i, (p11, p12, p21, p22) in enumerate(cells.T.tolist()):
+        values[i] = y
+        y, dy = p11 * y + p12 * dy, p21 * y + p22 * dy
     peak = np.max(np.abs(values))
     if peak == 0.0:
         raise NumericalError("edge state vanished identically; bad edge data")
     values = values / peak
     if values[int(np.argmax(np.abs(values)))] < 0:
         values = -values
-    # strip integrator noise above the state's analytic bandwidth; an
+    # strip propagation noise above the state's analytic bandwidth; an
     # antiperiodic state is periodic over the doubled cell
     if edge.boundary == "periodic":
         smoothed = GridFunction(V.period, values).spectral_filter(1e-9).samples
@@ -592,6 +607,11 @@ def _fourier_coeffs(V: PeriodicPotential, n_modes: int) -> np.ndarray:
     return np.fft.fft(vals) / m_samp  # index q (mod m_samp) = mode e^{2pi i q x / L}
 
 
+def _plane_wave_matrix(vhat: np.ndarray, k: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """H = k^2 + V in the basis e^{i k x}; vhat supplies V_0 on the diagonal."""
+    return vhat[np.mod(modes[:, None] - modes[None, :], vhat.size)] + np.diag(k**2)
+
+
 def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = 64) -> list:
     """Band edges from the periodic and antiperiodic plane-wave problems.
 
@@ -609,21 +629,14 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = 64) -> list:
     V.validate()
     L = V.period
     vhat = _fourier_coeffs(V, basis_n)
-    msamp = vhat.size
-
-    def build(wavenumbers, mode_index):
-        diff = mode_index[:, None] - mode_index[None, :]
-        # vhat already supplies the constant V_0 on the diagonal
-        return vhat[np.mod(diff, msamp)] + np.diag(wavenumbers**2)
-
     n_per = np.arange(-basis_n, basis_n + 1)
     k_per = (2.0 * np.pi / L) * n_per
     n_anti = np.arange(-basis_n, basis_n)
     k_anti = (np.pi / L) * (2 * n_anti + 1)
 
     try:
-        ev_per = np.linalg.eigvalsh(build(k_per, n_per))
-        ev_anti = np.linalg.eigvalsh(build(k_anti, n_anti))
+        ev_per = np.linalg.eigvalsh(_plane_wave_matrix(vhat, k_per, n_per))
+        ev_anti = np.linalg.eigvalsh(_plane_wave_matrix(vhat, k_anti, n_anti))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Galerkin eigenproblem failed: {exc}") from exc
 
@@ -665,13 +678,8 @@ def ground_energy(V: PeriodicPotential, basis_n: int = 64) -> float:
 
 def _ground_pair(V: PeriodicPotential, basis_n: int):
     """Ground energy and real-valued Fourier-accurate ground state samples."""
-    L = V.period
-    vhat = _fourier_coeffs(V, basis_n)
-    msamp = vhat.size
     n_per = np.arange(-basis_n, basis_n + 1)
-    diff = n_per[:, None] - n_per[None, :]
-    k = (2.0 * np.pi / L) * n_per
-    H = vhat[np.mod(diff, msamp)] + np.diag(k**2)
+    H = _plane_wave_matrix(_fourier_coeffs(V, basis_n), (2.0 * np.pi / V.period) * n_per, n_per)
     try:
         w, U = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:

@@ -357,21 +357,9 @@ def run_limit_suite() -> list:
 # ---------------------------------------------------------------------------
 
 def _solver_agreement(floquet_edges, galerkin_edges) -> float:
-    """Worst disagreement between the two solvers, degeneracy-aware.
-
-    Resolved edges must agree to the claim tolerance as-is; a closed
-    (or below-resolution) gap is located from a tangency of the trace,
-    which carries a sqrt-of-noise error, so discrepancies on edges
-    either solver flags degenerate are held to a 100x looser standard
-    by down-weighting them here.
-    """
-    worst = 0.0
-    for a, b in zip(floquet_edges, galerkin_edges):
-        diff = abs(a.energy - b.energy)
-        if a.degenerate or b.degenerate:
-            diff /= 100.0
-        worst = max(worst, diff)
-    return worst
+    """Worst disagreement between the two solvers, edge by edge."""
+    return max((abs(a.energy - b.energy) for a, b in zip(floquet_edges, galerkin_edges)),
+               default=0.0)
 
 
 def _partner_pair(j: int, m: float):

@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from lamesusy import bandsolver as bs
+from lamesusy import verify
 from lamesusy.elliptic import complete_k
-from lamesusy.errors import DomainError, IncompleteSpectrumError, InvalidGroundStateError
+from lamesusy.errors import (
+    DomainError,
+    IncompleteSpectrumError,
+    InvalidGroundStateError,
+    NumericalError,
+)
 from lamesusy.grid import GridFunction
 from lamesusy.susy import (
     Family,
@@ -94,13 +100,53 @@ class TestMonodromyTrace:
         assert np.all(np.abs(tr_band) <= 2.0 + 1e-8)
         assert np.all(np.abs(tr_gap) >= 2.0 - 1e-8)
 
+    @pytest.mark.parametrize("make", [
+        lambda: lame_pot(Family.V_PLUS, 2, 0.5),
+        lambda: verify._partner_pair(5, 0.5)[1],
+    ], ids=["closed_form_vplus", "numeric_j5_vplus"])
+    def test_trace_independent_of_batch_and_history(self, make):
+        # the step count is settled per potential and energy range, and the
+        # energies are chunked; neither may leak into the value at one E
+        used = make()
+        bs.band_edges(used, 5)
+        bs.monodromy_trace(used, 100.0)  # settles a higher energy range first
+        s = used.sample(256)
+        Es = np.linspace(s.min() - 1.0, s.max() + 20.0, 2049)
+        batch = bs._trace_batch(used, Es)
+        for k in (0, 700, 1500, 2048):
+            fresh = bs.monodromy_trace(make(), Es[k])
+            assert abs(fresh - batch[k]) <= 1e-12 * max(1.0, abs(fresh))
+
+    def test_unresolvable_potential_raises(self):
+        # jumps off the step grid: the product cannot reach its tolerance
+        # within the step cap, and the engine must say so rather than guess
+        rough = bs.PeriodicPotential(
+            period=1.0,
+            evaluator=lambda x: 50.0 * np.sign(np.sin(2 * np.pi * (np.asarray(x) - 0.1234))))
+        with pytest.raises(NumericalError, match="too rough"):
+            bs.monodromy_trace(rough, 3.0)
+
+    def test_overshoot_separates_closed_from_narrow_open_gap(self):
+        # the free particle's gaps at E = 1, 4 are closed (M = -I, +I); the
+        # upper j=2 gap at m = 0.01 is open but only 7.5e-5 wide, so at its
+        # middle the trace passes +2 by just ~9e-10
+        over, noise = bs._overshoot(free_particle(), [1.0, 4.0], [-2.0, 2.0])
+        assert np.all(np.abs(over) <= noise)
+        e = band_edge_energies(2, 0.01)
+        over, noise = bs._overshoot(lame_pot(Family.V_MINUS, 2, 0.01),
+                                    [0.5 * (e[3] + e[4])], [2.0])
+        assert over[0] == pytest.approx(8.8e-10, rel=0.05)
+        assert over[0] > 1e3 * noise[0]
+
 
 class TestBandEdges:
-    @pytest.mark.parametrize("m", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("m", [0.1, 0.5, 0.9, 0.01, 0.02, 0.05])
     def test_j2_energies(self, m):
+        # both j=2 gaps are open; at m = 0.01 the upper one is 7.5e-5 wide
         edges = bs.band_edges(lame_pot(Family.V_MINUS, 2, m), 5)
         for got, want in zip(edges, band_edge_energies(2, m)):
             assert got.energy == pytest.approx(want, abs=1e-6)
+        assert not any(e.degenerate for e in edges)
 
     def test_j2_partner_same_edges(self):
         e_minus = bs.band_edges(lame_pot(Family.V_MINUS, 2, 0.5), 5)
@@ -176,6 +222,14 @@ class TestBlochEdgeState:
         v = pot._eval_vec(state.x)
         res = np.abs(-second + (v - edges[n].energy) * state.samples)
         assert res.max() <= 1e-6 * np.abs(state.samples).max()
+
+    def test_grid_not_dividing_step_count(self):
+        pot = lame_pot(Family.V_MINUS, 2, 0.5)
+        edges = bs.band_edges(pot, 5)
+        state = bs.bloch_edge_state(pot, edges[0], 96)
+        closed = psi_minus(2, 0, 0.5, state.x)
+        r = state.samples / closed
+        assert (r.max() - r.min()) / abs(np.median(r)) <= 1e-6
 
     def test_normalization(self):
         pot = lame_pot(Family.V_MINUS, 2, 0.3)

@@ -144,6 +144,14 @@ class TestEdgeStateSuite:
         reports = verify.run_edge_state_suite(0.99)
         assert all(r.passed for r in reports), [r.claim_id for r in reports if not r.passed]
 
+    @pytest.mark.parametrize("m", [0.01, 0.02, 0.05])
+    def test_all_pass_with_narrow_gap(self, m):
+        # the upper j=2 gap is 7.5e-5 wide at m = 0.01: the Floquet route
+        # must find it open, not report a coincident pair at its middle
+        reports = verify.run_edge_state_suite(m)
+        assert not any(r.context["degenerate_regime"] for r in reports)
+        assert all(r.passed for r in reports), [r.claim_id for r in reports if not r.passed]
+
     def test_degenerate_regime_flagged_and_passing(self):
         reports = verify.run_edge_state_suite(1e-9)
         assert all(r.context.get("degenerate_regime") for r in reports)
