@@ -11,14 +11,13 @@ Run:  python scripts/selfiso_scan.py [shifts]
 
 import sys
 
-import numpy as np
-
 from lamesusy import verify
 from lamesusy.elliptic import complete_k
 
 
-def main():
-    shifts = int(sys.argv[1]) if len(sys.argv) > 1 else 4096
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    shifts = int(argv[0]) if argv else 4096
     print(f"# transform-group distances, {shifts}-shift scan + refinement")
     print(f"{'j':>2} {'m':>4} {'coarse':>16} {'refined':>16} {'shift':>12} "
           f"{'refl':>5} verdict")
@@ -26,9 +25,8 @@ def main():
         for m in (0.1, 0.5, 0.9):
             grid_plus, grid_minus = (verify._grid_of(p, 1024)
                                      for p in reversed(verify._partner_pair(j, m)))
-            a = np.arange(shifts) * (grid_minus.period / shifts)
             coarse = min(
-                float(verify._scan_distance(grid_plus, grid_minus, a, r).min())
+                float(verify._scan_distance(grid_plus, grid_minus, shifts, r).min())
                 for r in (False, True))
             res = verify.selfiso_distance(grid_plus, grid_minus)
             shift_note = res.best_shift

@@ -74,97 +74,99 @@ class SelfIsoResult:
 # ---------------------------------------------------------------------------
 
 _SUP_OVERSAMPLE = 8
+_SCAN_ROWS = 32          # shifts per block of the coarse scan (~1 MB at n = 512)
 
 
-def _series_eval(coef, weights, omega, x, order=0):
-    """Real trig series (and derivatives) from half-spectrum ``coef`` at x."""
-    k = np.arange(coef.size)
-    kx = np.outer(np.atleast_1d(x), k) * omega
-    a = weights * coef.real
-    b = weights * coef.imag
-    if order == 0:
-        return np.cos(kx) @ a - np.sin(kx) @ b
-    if order == 1:
-        return (-np.sin(kx) @ (a * k) - np.cos(kx) @ (b * k)) * omega
-    return (-np.cos(kx) @ (a * k * k) + np.sin(kx) @ (b * k * k)) * omega**2
+def _on_fine_grid(coef: np.ndarray, n: int, fine: int) -> np.ndarray:
+    """Values on ``fine`` points of the n-sample interpolant with normalised rfft ``coef``."""
+    if n % 2 == 0:  # the Nyquist cosine splits over the modes +-n/2 of the fine grid
+        coef = np.concatenate([coef[:-1], 0.5 * coef[-1:]])
+    return np.fft.irfft(coef, n=fine) * fine  # irfft zero-pads to the fine grid
 
 
-def _sup_of_difference(dcoef, weights, period) -> float:
-    """Continuum sup of |series(dcoef)|: grid argmax plus Newton polish.
-
-    Every local maximum of the oversampled |difference| within 1e-4 of
-    the top is refined, so competing peaks cannot be misranked.
-    """
-    fine = _SUP_OVERSAMPLE * 2 * (dcoef.size - 1)
-    pad = np.zeros(fine // 2 + 1, dtype=complex)
-    pad[: dcoef.size] = dcoef * weights / 2.0
-    pad[0] = dcoef[0]
-    vals = np.fft.irfft(pad, n=fine) * fine
-    avals = np.abs(vals)
-    top = avals.max()
-    if top == 0.0:
-        return 0.0
-    prev = np.roll(avals, 1)
-    nxt = np.roll(avals, -1)
-    cand = np.nonzero((avals >= prev) & (avals >= nxt) & (avals >= top - 1e-4 * max(top, 1.0)))[0]
-    omega = 2.0 * np.pi / period
-    xs = cand * (period / fine)
-    for _ in range(4):
-        d1 = _series_eval(dcoef, weights, omega, xs, 1)
-        d2 = _series_eval(dcoef, weights, omega, xs, 2)
-        step = np.where(np.abs(d2) > 1e-300, -d1 / np.where(d2 != 0, d2, 1.0), 0.0)
-        step = np.clip(step, -period / fine, period / fine)
-        xs = xs + step
-    refined = np.abs(_series_eval(dcoef, weights, omega, xs, 0))
-    return float(max(top, refined.max()))
+def _spectra(vp: GridFunction, vm: GridFunction, reflect: bool):
+    """rffts of vp and of vm, the latter conjugated (x -> -x) when ``reflect``."""
+    c = np.fft.rfft(vm.samples)
+    return np.fft.rfft(vp.samples), (np.conj(c) if reflect else c)
 
 
-def _scan_distance(vp: GridFunction, vm: GridFunction, shifts: np.ndarray,
-                   reflect: bool, exact: bool = False) -> np.ndarray:
-    """sup_x |vp(x) - vm(r(x - a))| for every shift a, one FFT batch.
+def _scan_distance(vp: GridFunction, vm: GridFunction, count: int,
+                   reflect: bool) -> np.ndarray:
+    """max_i |vp(x_i) - vm(r(x_i - a))| for the shifts a = s*L/count.
 
-    Both interpolants are band-limited; the difference is evaluated on
-    an 8x oversampled grid (exact zero-padded resampling).  With
-    ``exact`` the peaks are Newton-polished to the continuum sup
-    (~1e-11); otherwise a parabolic fit is used, good to ~1e-7 and
-    plenty for ranking candidate shifts.
+    The fine grid has F points, the least multiple of ``count`` that is
+    >= 8n, so shift s rolls the upsampled vm by s*F/count points and one
+    grid serves every shift.  An even n's shifted Nyquist cosine keeps
+    only its cosine part, so the sine part the roll carries is taken back
+    out unless count divides n*s.  A parabolic fit refines each max to
+    ~1e-7, plenty for ranking candidate shifts.
     """
     n = vm.n
-    fine = _SUP_OVERSAMPLE * n
-    c = np.fft.rfft(vm.samples)
-    if reflect:
-        c = np.conj(c)
-    k = np.arange(c.size)
-    phases = np.exp(-2j * np.pi * np.outer(shifts / vm.period, k))
-    rows = c[None, :] * phases
-    if n % 2 == 0:
-        rows[:, -1] = rows[:, -1].real
-    cp = np.fft.rfft(vp.samples)
-    dcoefs = (cp[None, :] - rows) / n
-    weights = np.full(c.size, 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
-
-    if exact:
-        return np.array([
-            _sup_of_difference(dcoefs[i], weights, vm.period)
-            for i in range(shifts.size)
-        ])
-
-    pad = np.zeros((shifts.size, fine // 2 + 1), dtype=complex)
-    pad[:, : c.size] = dcoefs * weights[None, :] / 2.0
-    pad[:, 0] = dcoefs[:, 0]
-    diff = np.abs(np.fft.irfft(pad, n=fine, axis=1) * fine)
-    imax = np.argmax(diff, axis=1)
-    rows_idx = np.arange(shifts.size)
-    y0 = diff[rows_idx, imax]
-    ym = diff[rows_idx, (imax - 1) % fine]
-    yp = diff[rows_idx, (imax + 1) % fine]
+    fine = count * -(-_SUP_OVERSAMPLE * n // count)
+    cp, c = _spectra(vp, vm, reflect)
+    a_vals = _on_fine_grid(cp / n, n, fine)
+    b_vals = _on_fine_grid(c / n, n, fine)
+    # row s is the window of [B, B] that starts at F - s*F/count
+    rolled = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([b_vals, b_vals]), fine)[fine:0:-(fine // count)]
+    turns = n * np.arange(count) % (2 * count)  # Nyquist phase of each shift, in pi/count
+    nyquist = np.where(turns % count != 0, np.sin(np.pi * turns / count), 0.0)
+    nyquist *= c[-1].real / n if n % 2 == 0 else 0.0
+    nyquist_grid = np.sin(np.pi * n * np.arange(fine) / fine)
+    peaks = np.empty((3, count))  # |D| at the argmax and at its two neighbours
+    buf = np.empty((_SCAN_ROWS, fine))
+    for lo in range(0, count, _SCAN_ROWS):
+        rows = slice(lo, min(lo + _SCAN_ROWS, count))
+        diff = np.subtract(a_vals, rolled[rows], out=buf[: rows.stop - lo])
+        if nyquist[rows].any():
+            diff += nyquist[rows, None] * nyquist_grid
+        np.abs(diff, out=diff)
+        imax = np.argmax(diff, axis=1)
+        r = np.arange(diff.shape[0])
+        peaks[:, rows] = diff[r, imax], diff[r, imax - 1], diff[r, (imax + 1) % fine]
+    y0, ym, yp = peaks
     den = 2.0 * y0 - ym - yp
     bump = np.where(den > 1e-12 * np.maximum(y0, 1e-300),
                     (yp - ym) ** 2 / (8.0 * np.where(den > 0, den, 1.0)), 0.0)
     return y0 + bump
+
+
+def _exact_distance(vp: GridFunction, vm: GridFunction, reflect: bool):
+    """a -> sup_x |vp(x) - vm(r(x - a))|, the continuum sup to ~1e-11.
+
+    Every local maximum of the 8x oversampled |difference| within 1e-4
+    of the top is Newton-polished, so competing peaks cannot be misranked.
+    """
+    n, L = vm.n, vm.period
+    fine = _SUP_OVERSAMPLE * n
+    cp, c = _spectra(vp, vm, reflect)
+    k = np.arange(c.size)
+    weights = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+    ik = 2j * np.pi / L * k  # d/dx of exp(i k omega x) brings down i k omega, omega = 2 pi / L
+    ik_powers = np.stack([ik, ik * ik], axis=1)
+    h = L / fine
+
+    def distance(a: float) -> float:
+        shifted = c * np.exp(-2j * np.pi * ((a / L) * k))
+        if n % 2 == 0:
+            shifted[-1] = shifted[-1].real
+        dcoef = (cp - shifted) / n
+        vals = np.abs(_on_fine_grid(dcoef, n, fine))
+        top = vals.max()
+        if top == 0.0:
+            return 0.0
+        near = np.nonzero(vals >= top - 1e-4 * max(top, 1.0))[0]
+        xs = h * near[(vals[near] >= vals[near - 1]) & (vals[near] >= vals[(near + 1) % fine])]
+        series = weights * dcoef  # difference(x) = Re sum_k series_k exp(i k omega x)
+        derivs = series[:, None] * ik_powers
+        for _ in range(4):
+            d1, d2 = (np.exp(xs[:, None] * ik) @ derivs).real.T
+            step = -d1 / np.where(np.abs(d2) > 1e-300, d2, np.inf)
+            xs = xs + np.clip(step, -h, h)
+        polished = np.abs((np.exp(xs[:, None] * ik) @ series).real)
+        return float(max(top, polished.max()))
+
+    return distance
 
 
 def selfiso_distance(vp: GridFunction, vm: GridFunction,
@@ -174,7 +176,9 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction,
 
     A coarse scan over ``shift_samples`` translations of both
     orientations feeds a golden-section refinement of the best
-    translation to |da| <= 1e-8.
+    translation to |da| <= 1e-8.  The reflected orientation is taken
+    only if its coarse minimum is strictly smaller, so on a tie (two
+    even potentials tie to rounding) the unreflected one wins.
     """
     if shift_samples < 256:
         raise DomainError("shift_samples must be at least 256")
@@ -183,21 +187,17 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction,
     if abs(vp.period - vm.period) > 1e-12 * max(vp.period, vm.period):
         raise DomainError("grids must share the period")
     L = vm.period
-    shifts = np.arange(shift_samples) * (L / shift_samples)
+    step = L / shift_samples
 
     best = None
     for reflect in (False, True):
-        d = _scan_distance(vp, vm, shifts, reflect)
+        d = _scan_distance(vp, vm, shift_samples, reflect)
         i = int(np.argmin(d))
         if best is None or d[i] < best[0]:
-            best = (float(d[i]), float(shifts[i]), reflect)
+            best = (float(d[i]), i * step, reflect)
 
     _, a0, reflect = best
-
-    def d_exact(a):
-        return float(_scan_distance(vp, vm, np.array([a]), reflect, exact=True)[0])
-
-    step = L / shift_samples
+    d_exact = _exact_distance(vp, vm, reflect)
     lo, hi = a0 - step, a0 + step
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
@@ -218,9 +218,8 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction,
     if coarse_dist < dist:
         # a grid shift (e.g. a half-period match) beat the refined point
         dist, a_best = coarse_dist, a0
-    a_best = a_best % L
     return SelfIsoResult(
-        best_shift=float(a_best),
+        best_shift=float(a_best % L),
         reflected=bool(reflect),
         distance=dist,
         verdict="self_isospectral" if dist <= TOL_SELF else "distinct",

@@ -2,6 +2,9 @@
 
 import json
 import math
+import runpy
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +109,82 @@ class TestSelfIsoDistance:
             verify.selfiso_distance(g1, g3)
         with pytest.raises(DomainError):
             verify.selfiso_distance(g1, g1, shift_samples=64)
+
+
+def scan_reference(vp, vm, count, reflect):
+    """The coarse scan computed the direct way: one phase-shifted
+    spectrum and one inverse FFT onto the fine grid per shift."""
+    n, L = vm.n, vm.period
+    fine = count * -(-8 * n // count)
+    c = np.fft.rfft(vm.samples)
+    if reflect:
+        c = np.conj(c)
+    k = np.arange(c.size)
+    weights = np.full(c.size, 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    out = np.empty(count)
+    for s in range(count):
+        row = c * np.exp(-2j * np.pi * (s / count) * k)
+        if n % 2 == 0:
+            row[-1] = row[-1].real
+        dcoef = (np.fft.rfft(vp.samples) - row) / n
+        pad = np.zeros(fine // 2 + 1, dtype=complex)
+        pad[: c.size] = dcoef * weights / 2.0
+        pad[0] = dcoef[0]
+        diff = np.abs(np.fft.irfft(pad, n=fine) * fine)
+        i = int(np.argmax(diff))
+        y0, ym, yp = diff[i], diff[i - 1], diff[(i + 1) % fine]
+        den = 2.0 * y0 - ym - yp
+        bump = (yp - ym) ** 2 / (8.0 * den) if den > 1e-12 * max(y0, 1e-300) else 0.0
+        out[s] = y0 + bump
+    return out
+
+
+class TestCoarseScan:
+    @pytest.mark.parametrize("reflect", [False, True])
+    @pytest.mark.parametrize("count", [256, 512, 4096, 300])
+    @pytest.mark.parametrize("n", [256, 512, 1024])
+    def test_matches_per_shift_reference(self, n, count, reflect):
+        # white-noise samples carry a full-size Nyquist mode, the one term
+        # a cyclic roll of the fine grid does not reproduce by itself
+        rng = np.random.default_rng(n + count)
+        vp = GridFunction(2.7, rng.standard_normal(n))
+        vm = GridFunction(2.7, rng.standard_normal(n))
+        got = verify._scan_distance(vp, vm, count, reflect)
+        want = scan_reference(vp, vm, count, reflect)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_orientations_tie_for_even_partners(self):
+        # V+ and V- are even, so reflection is a symmetry of the whole
+        # scan; the unreflected orientation wins the tie
+        vp, vm = pair_grids(2, 0.5)
+        plain = verify._scan_distance(vp, vm, 512, False).min()
+        mirrored = verify._scan_distance(vp, vm, 512, True).min()
+        assert abs(plain - mirrored) <= 1e-12
+
+    def test_repeated_calls_identical(self):
+        vp, vm = pair_grids(3, 0.5)
+        assert verify.selfiso_distance(vp, vm) == verify.selfiso_distance(vp, vm)
+
+    def test_memory_peak(self):
+        vp, vm = pair_grids(3, 0.5)
+        tracemalloc.start()
+        try:
+            verify.selfiso_distance(vp, vm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    def test_selfiso_scan_script_runs(self, capsys):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "selfiso_scan.py"
+        runpy.run_path(str(script))["main"](["256"])
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split() for line in lines if not line.startswith(("#", " j"))]
+        assert len(rows) == 9
+        assert [row[-1] for row in rows] == ["self_isospectral"] * 3 + ["distinct"] * 6
 
 
 class TestClaimReport:
