@@ -17,8 +17,9 @@ from lamesusy import bandsolver, verify
 from lamesusy.susy import Family, PotentialSpec, v_plus_closed
 
 
-def main():
-    m = float(sys.argv[1]) if len(sys.argv) > 1 else 0.5
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    m = float(argv[0]) if argv else 0.5
     for j in (2, 3):
         pot = PotentialSpec(Family.V_MINUS, j, m).as_periodic_potential()
         partner = bandsolver.numeric_partner(pot, grid_n=512)

@@ -4,9 +4,9 @@ Two independent spectral methods are provided on purpose, so that one
 can arbitrate the other's bugs:
 
   * a Floquet route: the trace of the monodromy matrix of
-    -y'' + V y = E y over one period, scanned and bisected to locate
-    the energies where it equals +2 (periodic edge) or -2
-    (antiperiodic edge);
+    -y'' + V y = E y over one period, scanned for the energies where it
+    equals +2 (periodic edge) or -2 (antiperiodic edge), each of which is
+    then solved to float resolution by bracketed false position;
   * a plane-wave Galerkin route: the periodic and antiperiodic
     eigenproblems assembled from Fourier coefficients of V, whose
     sorted union of eigenvalues is exactly the edge sequence.
@@ -44,7 +44,6 @@ from .grid import GridFunction
 
 TOL = 1e-11         # bound on each monodromy entry, relative to the largest partial product
 SCAN_TOL = 1e-7     # the same bound for the sign-only discriminant scan
-BISECT_TOL = 1e-9
 DEFAULT_SCAN = 2048
 MIN_STEPS = 64
 MAX_STEPS = 2 ** 14  # largest step count the engine accepts
@@ -52,6 +51,8 @@ CHUNK = 2 ** 15      # steps x energies held in memory at once
 _PROBES = 17         # probe energies per range at which a step count is settled
 _RANGE_WAVES = 16    # free half-waves per period above max V in the lowest range
 _BOUNDARY = {2.0: "periodic", -2.0: "antiperiodic"}  # trace value at each edge type
+_STALL = 3           # steps a bracket may go without halving before a safeguard step
+_ROOT_STEPS = 64 * (2 * _STALL + 1)  # enough for 64 halvings of every bracket
 _GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
 
@@ -80,9 +81,11 @@ class PeriodicPotential:
     def __call__(self, x):
         return self.evaluator(x)
 
-    def sample(self, n: int) -> np.ndarray:
-        x = np.arange(n) * (self.period / n)
-        return self._eval_vec(x)
+    def sample(self, n: int, shift: float = 0.0) -> np.ndarray:
+        """V at (i + shift) * period / n, i = 0..n-1; by FFT when V is a grid."""
+        if isinstance(self.evaluator, GridFunction) and self.evaluator.period == self.period:
+            return self.evaluator.resample(n, shift)
+        return self._eval_vec((np.arange(n) + shift) * (self.period / n))
 
     def _eval_vec(self, xs: np.ndarray) -> np.ndarray:
         try:
@@ -141,7 +144,7 @@ def _step_coefficients(V: PeriodicPotential, n: int) -> tuple:
     key = ("steps", n)
     if key not in V._magnus:
         h = V.period / n
-        v = V._eval_vec(((np.arange(n)[:, None] + _GAUSS) * h).ravel()).reshape(n, 3)
+        v = np.stack([V.sample(n, g) for g in _GAUSS], axis=1)
         d2 = (math.sqrt(15.0) * h / 3.0) * (v[:, 2] - v[:, 0])
         d3 = (10.0 * h / 3.0) * (v[:, 2] - 2.0 * v[:, 1] + v[:, 0])
         k = h * d2  # [B1, B2] = [[k, 0], [0, -k]]
@@ -323,22 +326,58 @@ def _overshoot(V: PeriodicPotential, energies, targets) -> tuple:
 # edge location
 # ---------------------------------------------------------------------------
 
-def _bisect_batch(V, lo, hi, target, tol=BISECT_TOL):
-    """Vectorized bisection of trace(E) = target on brackets [lo, hi]."""
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    target = np.array(target, dtype=float)
-    g_lo = _edge_residual(_monodromy(V, lo)[0], target)[0]
-    width = float(np.max(hi - lo))
-    iters = max(1, int(math.ceil(math.log2(max(width / tol, 2.0)))))
-    for _ in range(min(iters, 80)):
-        mid = 0.5 * (lo + hi)
-        g_mid = _edge_residual(_monodromy(V, mid)[0], target)[0]
-        take_lo = np.sign(g_mid) == np.sign(g_lo)
-        lo = np.where(take_lo, mid, lo)
-        g_lo = np.where(take_lo, g_mid, g_lo)
-        hi = np.where(take_lo, hi, mid)
-    return 0.5 * (lo + hi)
+def _root_batch(V, lo, hi, target, f_lo, f_hi):
+    """Roots of trace(E) = target on brackets [lo, hi], to float resolution.
+
+    ``f_lo`` and ``f_hi`` are the residuals trace - target at the ends.
+    Their signs must be those _edge_residual gives; their values only
+    weight the first interpolation, so the scan's serve.
+
+    Illinois false position (Dowell & Jarratt 1971) on _edge_residual:
+    every step evaluates the false-position point of each open bracket
+    in one batched product, kept half the stopping width inside the
+    bracket, and keeps the sign change; an end kept twice in a row has
+    its residual halved, which makes the convergence superlinear.  The
+    safeguards: a bracket that has not halved in _STALL steps steps at
+    least 1/64 of its width away from both ends (false position creeps
+    along a flat end, e.g. next to a narrow gap's extremum), and one that
+    has not halved in 2 _STALL steps is bisected.  A bracket closes at a
+    width of 4 eps max(1, |E|) or on a residual of exactly 0, so every
+    root lies inside its bracket; brackets never interact.  Raises
+    NumericalError if an end pair has no sign change or a bracket never
+    closes.
+    """
+    a, b, fa, fb, target = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi, target))
+    if np.any(fa * fb > 0):
+        raise NumericalError("edge bracket without a sign change")
+    root = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
+    kept = np.zeros(a.size, dtype=int)  # end kept by the last step: -1 low, +1 high
+    halved = b - a                      # width at the last halving
+    stall = np.zeros(a.size, dtype=int)
+    for _ in range(_ROOT_STEPS):
+        stop = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+        closed = np.isnan(root) & (b - a <= stop)
+        root[closed] = 0.5 * (a[closed] + b[closed])
+        i = np.nonzero(np.isnan(root))[0]
+        if i.size == 0:
+            return root
+        ai, bi, w = a[i], b[i], b[i] - a[i]
+        margin = np.where(stall[i] >= _STALL, w / 64.0, 0.5 * stop[i])
+        x = np.clip(ai + w * (fa[i] / (fa[i] - fb[i])), ai + margin, bi - margin)
+        x = np.where(stall[i] >= 2 * _STALL, 0.5 * (ai + bi), x)
+        fx = _edge_residual(_monodromy(V, x)[0], target[i])[0]
+        root[i[fx == 0.0]] = x[fx == 0.0]
+        up = np.sign(fx) == np.sign(fa[i])  # the root lies in [x, b]
+        lo_i, hi_i = i[up], i[~up]
+        fb[lo_i[kept[lo_i] == 1]] *= 0.5
+        fa[hi_i[kept[hi_i] == -1]] *= 0.5
+        a[lo_i], fa[lo_i], kept[lo_i] = x[up], fx[up], 1
+        b[hi_i], fb[hi_i], kept[hi_i] = x[~up], fx[~up], -1
+        shrunk = b[i] - a[i] <= 0.5 * halved[i]
+        halved[i] = np.where(shrunk, b[i] - a[i], halved[i])
+        stall[i] = np.where(shrunk, 0, stall[i] + 1)
+    raise NumericalError(f"{int(np.isnan(root).sum())} edge brackets did not close "
+                         f"in {_ROOT_STEPS} steps")
 
 
 def _refine_extrema_batch(V, lo, hi, maximize, golden_iters=22, newton_iters=3):
@@ -377,17 +416,19 @@ def _refine_extrema_batch(V, lo, hi, maximize, golden_iters=22, newton_iters=3):
 
 
 def _transversal_roots(V, Es, tr):
-    """Bisect every sign change of (trace -+ 2) on the scan grid."""
+    """Solve every sign change of (trace -+ 2) on the scan grid."""
     lo, hi, tgt = [], [], []
     for target in _BOUNDARY:
         above = tr >= target
         cross = np.nonzero(above[:-1] != above[1:])[0]
-        lo += Es[cross].tolist()
-        hi += Es[cross + 1].tolist()
+        lo += cross.tolist()
+        hi += (cross + 1).tolist()
         tgt += [target] * cross.size
     if not lo:
         return []
-    return sorted((float(r), _BOUNDARY[t]) for r, t in zip(_bisect_batch(V, lo, hi, tgt), tgt))
+    tgt = np.array(tgt)
+    roots = _root_batch(V, Es[lo], Es[hi], tgt, tr[lo] - tgt, tr[hi] - tgt)
+    return sorted((float(r), _BOUNDARY[t]) for r, t in zip(roots, tgt))
 
 
 def _extremum_brackets(Es, tr, margin=1.2):
@@ -427,10 +468,15 @@ def _scan_edges(V, e_min, e_max, n_cells, count):
     M, scale = _monodromy(V, Es, SCAN_TOL)
     tr = M[0] + M[3]
     # the scan decides signs only; samples within its error of +-2 are
-    # recomputed at full accuracy so that no sign is misread
+    # recomputed at full accuracy, as the edge residual that _root_batch
+    # reads, so that no sign is misread and both agree on every sign
     unsure = np.minimum(np.abs(tr - 2.0), np.abs(tr + 2.0)) <= 4.0 * SCAN_TOL * scale
     if unsure.any():
-        tr[unsure] = _trace_batch(V, Es[unsure])
+        near = np.where(tr[unsure] > 0.0, 2.0, -2.0)
+        res = _edge_residual(_monodromy(V, Es[unsure])[0], near)[0]
+        # a residual below the spacing of floats at +-2 keeps its sign
+        tr[unsure] = np.where(near + res == near, np.nextafter(near, near + np.sign(res)),
+                              near + res)
     roots = _transversal_roots(V, Es, tr)
 
     # Extrema above the energy where `count` simple roots already exist
@@ -456,11 +502,17 @@ def _scan_edges(V, e_min, e_max, n_cells, count):
     for e_star, target, over, nz in zip(xe.tolist(), targets, overshoot, noise):
         if over > nz:
             # the trace measurably passes +-2: an open gap between grid
-            # points; bisect both flanks, out to the nearest grid points
-            # back inside the band
+            # points; solve both flanks, out to the nearest grid points
+            # back inside the band.  A flank the window cuts off while
+            # still in the gap brackets no edge.
             j = min(max(0, int(np.searchsorted(Es, e_star)) - 1), len(Es) - 2)
             left, right = _dip(tr, j, j + 1, target)
-            flanks += [(Es[left], e_star, target), (e_star, Es[right], target)]
+            sgn = math.copysign(1.0, target)
+            f_star, f_left, f_right = sgn * over, tr[left] - target, tr[right] - target
+            if sgn * f_left <= 0:
+                flanks.append((Es[left], e_star, f_left, f_star, target))
+            if sgn * f_right <= 0:
+                flanks.append((e_star, Es[right], f_star, f_right, target))
         else:
             # every extremum of the trace reaches +-2, so this one touches
             # it: a closed gap (M = +-I), or one narrower than the product
@@ -469,8 +521,8 @@ def _scan_edges(V, e_min, e_max, n_cells, count):
             # the square of that miss.
             touches.append((e_star, _BOUNDARY[target]))
     if flanks:
-        lo, hi, tgt = zip(*flanks)
-        extra = _bisect_batch(V, lo, hi, tgt)
+        lo, hi, f_lo, f_hi, tgt = zip(*flanks)
+        extra = _root_batch(V, lo, hi, tgt, f_lo, f_hi)
         roots = sorted(roots + [(float(r), _BOUNDARY[t]) for r, t in zip(extra, tgt)])
     return roots, touches
 
@@ -497,10 +549,11 @@ def band_edges(V: PeriodicPotential, count: int, e_max: Optional[float] = None,
     """First ``count`` band edges of -y'' + V y = E y, sorted by energy.
 
     Scans the Floquet discriminant from just below inf V up to
-    ``e_max`` (auto-extended when omitted), bisects every crossing of
-    +-2 to 1e-9, and recovers closed or under-resolved gaps from
-    interior extrema of the trace.  Raises IncompleteSpectrumError if
-    the window cannot supply ``count`` edges.
+    ``e_max`` (auto-extended when omitted), solves every crossing of
+    +-2 down to a bracket a few ulps wide (_root_batch), and recovers
+    closed or under-resolved gaps from interior extrema of the trace.
+    Raises IncompleteSpectrumError if the window cannot supply ``count``
+    edges.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
@@ -602,9 +655,14 @@ def bloch_edge_state(V: PeriodicPotential, edge: BandEdge, grid_n: int = 512) ->
 # ---------------------------------------------------------------------------
 
 def _fourier_coeffs(V: PeriodicPotential, n_modes: int) -> np.ndarray:
+    """Coefficients of the modes e^{2pi i q x / L}, |q| <= 2 n_modes, at index
+    q mod (4 n_modes + 1), from an FFT on 4 n_modes samples.  A grid-backed V
+    is sampled on at least its own grid, so that its higher modes do not alias
+    onto these and the modes +-2 n_modes come out apart."""
     m_samp = 4 * n_modes
-    vals = V.sample(m_samp)
-    return np.fft.fft(vals) / m_samp  # index q (mod m_samp) = mode e^{2pi i q x / L}
+    fine = max(m_samp, V.evaluator.n if isinstance(V.evaluator, GridFunction) else 0)
+    c = np.fft.fft(V.sample(fine)) / fine
+    return np.concatenate([c[: m_samp // 2 + 1], c[fine - m_samp // 2 :]])
 
 
 def _plane_wave_matrix(vhat: np.ndarray, k: np.ndarray, modes: np.ndarray) -> np.ndarray:
@@ -723,4 +781,4 @@ def numeric_partner(V: PeriodicPotential, grid_n: int = 512, basis_n: int = 64) 
     partner_samples = V._eval_vec(xs) - 2.0 * u2
 
     interp = GridFunction(period=L, samples=partner_samples)
-    return PeriodicPotential(period=L, evaluator=interp.eval, smoothness_hint="sampled")
+    return PeriodicPotential(period=L, evaluator=interp, smoothness_hint="sampled")

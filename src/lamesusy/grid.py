@@ -75,26 +75,31 @@ class GridFunction:
             return float(out[0])
         return out
 
+    def __call__(self, pts):
+        return self.eval(pts)
+
+    def resample(self, count: int, shift: float = 0.0) -> np.ndarray:
+        """The interpolant at (i + shift) * period / count, i = 0..count-1.
+
+        One phase-shifted rfft, zero-padded onto the least multiple of
+        ``count`` that is >= n and read at every (fine/count)-th point.
+        """
+        n = self.n
+        fine = count * -(-n // count)
+        c = np.fft.rfft(self.samples) * np.exp(2j * np.pi * np.arange(n // 2 + 1) * (shift / count))
+        if n % 2 == 0 and fine > n:
+            c[-1] *= 0.5  # the Nyquist cosine splits over the modes +-n/2 of the fine grid
+        return np.fft.irfft(c, n=fine)[:: fine // count] * (fine / n)
+
     def shifted(self, a: float, reflect: bool = False) -> np.ndarray:
         """Samples of f(r*(x - a)) on this grid, r = -1 when ``reflect``.
 
-        Exact for the interpolant: translation is a phase factor in
-        Fourier space, reflection conjugates the coefficients.
+        Exact for the interpolant: f(-x) has the samples f(-x_i), and the
+        translation resamples on the same grid (an even n's Nyquist cosine
+        keeps its cosine part, the symmetric interpolant convention).
         """
-        c = np.fft.rfft(self.samples)
-        n = self.n
-        k = np.arange(c.size)
-        if reflect:
-            # g(x) = f(-x) has coefficients conj(c_k); the (real) Nyquist
-            # term cos(pi*n*x/L) is even, so it is untouched.
-            c = np.conj(c)
-        c = c * np.exp(-2j * np.pi * k * (a / self.period))
-        if n % 2 == 0:
-            # after a non-grid shift the Nyquist cosine picks up a sine
-            # component the rfft basis cannot carry; keep its cosine part,
-            # which is the symmetric interpolant convention
-            c[-1] = c[-1].real
-        return np.fft.irfft(c, n=n)
+        f = GridFunction(self.period, np.roll(self.samples[::-1], 1)) if reflect else self
+        return f.resample(self.n, -a * self.n / self.period)
 
     def derivative(self, order: int = 1) -> "GridFunction":
         """Spectral derivative of the interpolant, as a new GridFunction."""

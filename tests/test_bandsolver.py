@@ -1,6 +1,8 @@
 """Tests for the Floquet and Galerkin band-structure engines."""
 
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +59,21 @@ class TestPeriodicPotential:
         pot = bs.PeriodicPotential(period=2.0, evaluator=lambda x: math.cos(math.pi * x))
         pot.validate()
         assert pot.sample(64).shape == (64,)
+
+    def test_shifted_sample_of_closed_form_is_exact(self):
+        # the Magnus nodes of a closed form are the abscissae (i + g) h themselves
+        pot = lame_pot(Family.V_MINUS, 3, 0.5)
+        n = 256
+        nodes = (np.arange(n)[:, None] + bs._GAUSS) * (pot.period / n)
+        for k, g in enumerate(bs._GAUSS):
+            assert np.array_equal(pot.sample(n, g), pot._eval_vec(nodes[:, k]))
+
+    def test_grid_backed_sample_resamples_the_interpolant(self):
+        partner = bs.numeric_partner(lame_pot(Family.V_MINUS, 2, 0.5), grid_n=512)
+        assert isinstance(partner.evaluator, GridFunction)
+        for n, g in ((512, 0.0), (256, 0.5), (96, 0.1127), (2048, 0.8873)):
+            pts = (np.arange(n) + g) * (partner.period / n)
+            assert np.max(np.abs(partner.sample(n, g) - partner(pts))) <= 1e-11
 
 
 class TestMonodromyTrace:
@@ -184,6 +201,62 @@ class TestBandEdges:
         with pytest.raises(DomainError):
             bs.band_edges(free_particle(), 0)
 
+    @pytest.mark.parametrize("j,make", [
+        (3, lambda: lame_pot(Family.V_MINUS, 3, 0.999)),
+        (5, lambda: verify._partner_pair(5, 0.99)[0]),
+    ], ids=["closed_form_j3_m0.999", "pipeline_j5_m0.99"])
+    def test_narrow_lowest_band_near_m1(self, j, make):
+        # the lowest band is 3.5e-10 (j=3) and 5e-12 (j=5) wide here
+        pot = make()
+        count = 2 * j + 1
+        edges = bs.band_edges(pot, count)
+        assert [e.boundary for e in edges] == [bs.expected_boundary(i) for i in range(count)]
+        assert edges[0].energy < edges[1].energy
+        for a, b in zip(edges, bs.galerkin_edges(pot, count)):
+            assert a.energy == pytest.approx(b.energy, abs=1e-6)
+
+
+class TestRootBatch:
+    @pytest.mark.parametrize("m", [0.01, 0.1, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_edges_to_float_resolution(self, j, m):
+        edges = bs.band_edges(lame_pot(Family.V_MINUS, j, m), 2 * j + 1)
+        for got, want in zip(edges, band_edge_energies(j, m)):
+            assert got.energy == pytest.approx(want, abs=1e-11)
+
+    @staticmethod
+    def brackets(pot):
+        # asymmetric brackets of unequal widths around the j=3, m=0.5 edges,
+        # so that the brackets close after different numbers of steps
+        e = np.array(band_edge_energies(3, 0.5))
+        w = 0.004 * (1.0 + np.arange(e.size))
+        lo, hi = e - w, e + 0.03 - w
+        target = np.array([2.0 if bs.expected_boundary(i) == "periodic" else -2.0
+                           for i in range(e.size)])
+        f_lo, f_hi = (bs._trace_batch(pot, x) - target for x in (lo, hi))
+        return lo, hi, target, f_lo, f_hi
+
+    def test_batch_equals_one_at_a_time(self):
+        pot = lame_pot(Family.V_MINUS, 3, 0.5)
+        brackets = self.brackets(pot)
+        batch = bs._root_batch(pot, *brackets)
+        single = [bs._root_batch(pot, *([v] for v in one))[0] for one in zip(*brackets)]
+        assert batch.tolist() == single
+
+    def test_roots_inside_their_brackets(self):
+        pot = lame_pot(Family.V_MINUS, 3, 0.5)
+        lo, hi, target, f_lo, f_hi = self.brackets(pot)
+        roots = bs._root_batch(pot, lo, hi, target, f_lo, f_hi)
+        assert np.all((lo <= roots) & (roots <= hi))
+        assert np.max(np.abs(roots - np.array(band_edge_energies(3, 0.5)))) <= 1e-11
+
+    def test_bracket_without_sign_change_raises(self):
+        # both ends inside the lowest band: no edge between them
+        pot = lame_pot(Family.V_MINUS, 3, 0.5)
+        f = bs._trace_batch(pot, [0.01, 0.05]) - 2.0
+        with pytest.raises(NumericalError, match="sign change"):
+            bs._root_batch(pot, [0.01], [0.05], [2.0], f[:1], f[1:])
+
 
 class TestBlochEdgeState:
     def test_ground_state_matches_closed_form(self):
@@ -259,6 +332,15 @@ class TestGalerkinEdges:
         ge = bs.galerkin_edges(pot, 7)
         assert max(abs(a.energy - b.energy) for a, b in zip(fe, ge)) <= 1e-6
 
+    def test_agrees_with_floquet_on_numeric_j5_partner(self):
+        # the partner's 512-sample interpolant has modes the 256-point
+        # Fourier sampling would alias onto the basis's; on its own grid
+        # the two routes agree far below the 1.5e-8 that aliasing left
+        pot = verify._partner_pair(5, 0.9)[1]
+        fe = bs.band_edges(pot, 11)
+        ge = bs.galerkin_edges(pot, 11)
+        assert max(abs(a.energy - b.energy) for a, b in zip(fe, ge)) <= 1e-10
+
     def test_basis_size_validation(self):
         with pytest.raises(DomainError, match="basis_n"):
             bs.galerkin_edges(free_particle(), 40, basis_n=64)
@@ -319,6 +401,15 @@ class TestNumericPartner:
     def test_grid_requirements(self):
         with pytest.raises(DomainError):
             bs.numeric_partner(free_particle(), grid_n=32)
+
+    def test_partner_pipeline_script_runs(self, capsys):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "partner_pipeline.py"
+        runpy.run_path(str(script))["main"](["0.5"])
+        lines = capsys.readouterr().out.splitlines()
+        closed = [float(s.split("=")[-1]) for s in lines if "closed-form partner" in s]
+        defects = [float(s.split(":")[-1]) for s in lines if "isospectrality defect" in s]
+        assert len(closed) == 2 and max(closed) <= 1e-6
+        assert len(defects) == 2 and max(defects) <= 1e-6
 
     def test_ground_energy_helper(self):
         pot = lame_pot(Family.V_MINUS, 2, 0.5)

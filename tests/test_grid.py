@@ -46,6 +46,20 @@ class TestGridFunction:
         assert isinstance(g.eval(0.3), float)
         assert g.eval(0.3) == pytest.approx(math.cos(0.3), abs=1e-12)
 
+    def test_callable_is_eval(self):
+        g = GridFunction.from_function(trig_poly, 2 * math.pi, 128)
+        pts = np.linspace(0.05, 6.0, 77)
+        assert np.array_equal(g(pts), g.eval(pts))
+
+    @pytest.mark.parametrize("n", [64, 65, 256, 512])
+    @pytest.mark.parametrize("count", [96, 256, 300, 1024])
+    def test_resample_matches_eval(self, n, count):
+        # white noise fills every mode, the Nyquist cosine of an even n too
+        g = GridFunction(2.7, np.random.default_rng(n + count).standard_normal(n))
+        for shift in (0.0, 0.1127, 0.5, 0.8873, -0.3):
+            pts = (np.arange(count) + shift) * (2.7 / count)
+            assert np.max(np.abs(g.resample(count, shift) - g.eval(pts))) <= 1e-12
+
     @given(st.floats(0, 2 * math.pi))
     @settings(max_examples=60, deadline=None)
     def test_shifted_matches_direct_evaluation(self, a):
