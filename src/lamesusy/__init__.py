@@ -2,7 +2,6 @@
 
 from .bandsolver import (
     BandEdge,
-    Discriminant,
     PeriodicPotential,
     band_edges,
     bloch_edge_state,
@@ -23,7 +22,6 @@ from .grid import GridFunction
 from .susy import (
     BandEdgeState,
     Family,
-    LameConstants,
     PotentialSpec,
     band_edge_energies,
     band_edge_energy,

@@ -67,7 +67,6 @@ class PeriodicPotential:
 
     period: float
     evaluator: Callable
-    smoothness_hint: str = "analytic"
     _validated: bool = field(default=False, repr=False)
     # node samples and settled step counts of the Magnus engine
     _magnus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -75,8 +74,6 @@ class PeriodicPotential:
     def __post_init__(self):
         if not (self.period > 0) or not math.isfinite(self.period):
             raise DomainError(f"period must be positive and finite, got {self.period!r}")
-        if self.smoothness_hint not in ("analytic", "sampled"):
-            raise DomainError(f"unknown smoothness hint {self.smoothness_hint!r}")
 
     def __call__(self, x):
         return self.evaluator(x)
@@ -116,14 +113,6 @@ class BandEdge:
     energy: float
     boundary: str  # "periodic" | "antiperiodic"
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class Discriminant:
-    """Floquet discriminant sample: trace of the monodromy matrix at E."""
-
-    energy: float
-    value: float
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +275,6 @@ def monodromy_trace(V: PeriodicPotential, E: float) -> float:
 def _trace_batch(V: PeriodicPotential, energies) -> np.ndarray:
     M, _ = _monodromy(V, energies)
     return M[0] + M[3]
-
-
-def discriminant(V: PeriodicPotential, E: float) -> Discriminant:
-    return Discriminant(energy=float(E), value=monodromy_trace(V, E))
 
 
 def _edge_residual(M: np.ndarray, target) -> tuple:
@@ -781,4 +766,4 @@ def numeric_partner(V: PeriodicPotential, grid_n: int = 512, basis_n: int = 64) 
     partner_samples = V._eval_vec(xs) - 2.0 * u2
 
     interp = GridFunction(period=L, samples=partner_samples)
-    return PeriodicPotential(period=L, evaluator=interp, smoothness_hint="sampled")
+    return PeriodicPotential(period=L, evaluator=interp)

@@ -92,36 +92,24 @@ def cmd_elliptic(args) -> int:
     return EXIT_OK
 
 
-def _potential_callable(j, m, family, numeric):
-    if family is susy.Family.RAW_LAME:
-        return susy.PotentialSpec(family, j, m), None
-    if j <= 3 and not numeric:
-        return susy.PotentialSpec(family, j, m), None
-    if not numeric:
+def _potential(j, m, family, numeric):
+    """The family as a PeriodicPotential: closed form, or with ``numeric`` the pipeline."""
+    if numeric and family is not susy.Family.RAW_LAME:
+        if family not in (susy.Family.V_MINUS, susy.Family.V_PLUS):
+            raise DomainError("the numeric route provides vminus and vplus families only")
+        return verify._pipeline_pair(j, m)[family is susy.Family.V_PLUS]
+    if j > 3 and family is not susy.Family.RAW_LAME:
         raise DomainError(
             f"no closed form for j={j}; rerun with --numeric for the pipeline route"
         )
-    # numeric pipeline: shift the bare potential to zero ground energy,
-    # then build the partner or superpotential from its ground state
-    raw = susy.PotentialSpec(susy.Family.RAW_LAME, j, m).as_periodic_potential()
-    ground = bandsolver.band_edges(raw, 1)[0].energy
-    pot_minus = bandsolver.PeriodicPotential(
-        period=raw.period, evaluator=lambda x: susy.raw_lame(j, m, x) - ground)
-    if family is susy.Family.V_MINUS:
-        return pot_minus.evaluator, pot_minus.period
-    if family is susy.Family.V_PLUS:
-        partner = bandsolver.numeric_partner(pot_minus)
-        return partner.evaluator, partner.period
-    raise DomainError("the numeric route provides vminus and vplus families only")
+    return susy.PotentialSpec(family, j, m).as_periodic_potential()
 
 
 def cmd_potential(args) -> int:
     p = _check_precision(args.precision)
     family = _FAMILIES[args.family]
-    f, period = _potential_callable(args.j, args.m, family, args.numeric)
-    if period is None:
-        period = 2.0 * complete_k(args.m)
-    xs = np.arange(args.grid_n) * (period / args.grid_n)
+    f = _potential(args.j, args.m, family, args.numeric)
+    xs = np.arange(args.grid_n) * (f.period / args.grid_n)
     try:
         values = np.asarray(f(xs), dtype=float)
     except TypeError:
@@ -148,16 +136,7 @@ def cmd_states(args) -> int:
 
 def _edges_for(args, family):
     """Solver-computed edges of one potential family."""
-    if args.j <= 3 or family is susy.Family.RAW_LAME:
-        pot = susy.PotentialSpec(family, args.j, args.m).as_periodic_potential()
-        return bandsolver.band_edges(pot, args.count)
-    if not args.numeric:
-        raise DomainError(
-            f"no closed form for j={args.j}; rerun with --numeric for the pipeline route"
-        )
-    pot_minus, pot_plus = verify._partner_pair(args.j, args.m)
-    pot = pot_minus if family is susy.Family.V_MINUS else pot_plus
-    return bandsolver.band_edges(pot, args.count)
+    return bandsolver.band_edges(_potential(args.j, args.m, family, args.numeric), args.count)
 
 
 def cmd_bands(args) -> int:
@@ -173,10 +152,9 @@ def cmd_bands(args) -> int:
         rows = [(e.n, e.energy, q.energy, abs(e.energy - q.energy))
                 for e, q in zip(edges_m, edges_p)]
         boundaries = [e.boundary for e in edges_m]
-    elif (args.j <= 3 and args.count <= 2 * args.j + 1
+    elif (args.j <= 3 and args.count <= 2 * args.j + 1 and not args.numeric
           and _FAMILIES[args.family] in (susy.Family.V_MINUS, susy.Family.V_PLUS)):
-        # the closed-form edge catalogue (partners share it); j=3 values
-        # are solver-derived once and memoized
+        # the Lamé edge catalogue (partners share it)
         energies = susy.band_edge_energies(args.j, args.m)[: args.count]
         header = ["n", "energy"]
         rows = list(enumerate(energies))
@@ -260,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", choices=("vminus", "vplus", "w", "raw"), default="vminus")
     sp.add_argument("-n", "--grid-n", dest="grid_n", type=int, default=512)
     sp.add_argument("--numeric", action="store_true",
-                    help="use the numeric partner pipeline (j >= 4)")
+                    help="use the numeric partner pipeline (any j; needed for j >= 4)")
     _add_output_options(sp, default_format="csv")
     sp.set_defaults(func=cmd_potential)
 

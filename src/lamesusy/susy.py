@@ -1,16 +1,20 @@
-"""Closed forms for the sn^2 potential family and its SUSY partners.
+"""Lamé edge states of the sn^2 potential family and their SUSY partners.
 
-For the elliptic potentials m j(j+1) sn^2(x, m) with j = 1, 2, 3, this
-module provides, in closed form:
+The 2j+1 band edges of m j(j+1) sn^2(x, m) carry the Lamé polynomials
+sn^a cn^b dn^c P(sn^2), a, b, c in {0, 1} (Ince 1940; Arscott,
+*Periodic Differential Equations*, 1964, ch. IX).  For each type
+(a, b, c) the coefficients of P are the eigenvectors of a small
+tridiagonal matrix, so one algebraic route gives, for j = 1, 2, 3:
 
   * the zero-ground-energy potential V-(x) (the sn^2 potential shifted
     by a constant so its lowest band edge sits at energy 0),
-  * the superpotential W = -(log psi_0)' built from the nodeless
-    ground state,
-  * the partner potential V+ both as an explicit closed form and as
-    W^2 + W', so the two routes can be cross-checked,
-  * the 2j+1 band-edge energies and the band-edge eigenfunctions of
-    both partners (all five pairs for j = 2, the ground pair for j = 3).
+  * the superpotential W = -(log psi_0)' of the nodeless ground state,
+  * the partner potential V+ both as 2W^2 - V- (the printed closed
+    form) and as W^2 + W', with W' differentiated through P'', so the
+    two routes cross-check,
+  * the 2j+1 band-edge energies and the band-edge eigenfunctions of V-
+    (all five for j = 2, the ground state for j = 3); those of V+ keep
+    the paper's printed j = 2 table.
 
 Eigenfunctions are deliberately left un-normalized; consumers compare
 shapes through ratios or residuals, never absolute scale.
@@ -18,12 +22,13 @@ shapes through ratios or residuals, never absolute scale.
 All evaluators accept scalars or ndarrays and preserve a longdouble
 dtype, which keeps finite-difference residual checks below their
 roundoff floor.  Everything here is a pure function of its arguments;
-the j=3 edge energies sit behind an lru_cache (recomputation under a
-race is idempotent), so concurrent use is safe.
+the Lamé states of each (j, m) sit behind an lru_cache (recomputation
+under a race is idempotent), so concurrent use is safe.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -55,37 +60,90 @@ def _check_closed_j(j: int) -> int:
     return int(j)
 
 
-@dataclass(frozen=True)
-class LameConstants:
-    """Derived constants for index j at modulus m.
-
-    delta  = sqrt(1 - m + m^2)   enters the j=2 energies,
-    delta1 = sqrt(1 - m + 4m^2)  enters the j=3 ground state,
-    ground_coeff = 1 + m + delta is the constant term of the nodeless
-    zero-energy state of the j=2 potential.
-    """
-
-    j: int
-    m: float
-    delta: float
-    delta1: float
-    ground_coeff: float
-
-    @classmethod
-    def for_modulus(cls, j: int, m: float) -> "LameConstants":
-        m = _check_m_unit(m)
-        if j < 1:
-            raise DomainError(f"index j must be a positive integer, got {j!r}")
-        delta = math.sqrt(1.0 - m + m * m)
-        delta1 = math.sqrt(1.0 - m + 4.0 * m * m)
-        return cls(j=int(j), m=m, delta=delta, delta1=delta1,
-                   ground_coeff=1.0 + m + delta)
-
-
 def _scalar_or_array(value, scalar: bool):
     if scalar:
         return float(value)
     return value
+
+
+@lru_cache(maxsize=1024)
+def _lame(j: int, m: float) -> tuple:
+    """The 2j+1 edge states of m j(j+1) sn^2, in edge order.
+
+    Entry n is (raw energy, (a, b, c), coefficients of P in powers of
+    t = sn^2) for the state sn^a cn^b dn^c P(t).  With s = a + b + c of
+    the parity of j and K = (j - s)/2, the operator -d^2/dx^2 +
+    m j(j+1) t maps t^k to
+        -2k(2k - 1 + 2a) t^(k-1)
+        + ((2k + a + b)^2 + m (2k + a + c)^2) t^k
+        + m (j - 2k - s)(j + 2k + s + 1) t^(k+1),
+    so each type is a (K+1)x(K+1) tridiagonal eigenproblem.  Its
+    off-diagonal products are negative, hence eig, not eigh.
+
+    The index comes from the oscillation theorem, not from sorting the
+    energies, which tie to below an ulp near m = 1: the r-th lowest
+    state of a type has r zeros of P in (0, 1), so Z = a + b + 2r zeros
+    per period, and edge n = 2Z - 1 + (a + Z + 1) mod 2 (n = 0 at Z = 0).
+
+    P is the first column of adj((A - E)/2), a null vector of A - E.
+    eig gives its direction; of the column itself only the entry at the
+    eigenvector's largest component is formed, where its minor does not
+    cancel.  That is the scale of the printed j = 2, 3 states, e.g.
+    (1 + m + delta) - 3m sn^2, and at m = 0 it keeps every coefficient
+    of the ground state's P beyond the first exactly 0.
+    """
+    states = {}
+    for a, b, c in itertools.product((0, 1), repeat=3):
+        s = a + b + c
+        if s > j or (j - s) % 2:
+            continue
+        K = (j - s) // 2
+        k = np.arange(K + 1.0)
+        up = m * (j - 2 * k[:-1] - s) * (j + 2 * k[:-1] + s + 1)
+        A = (np.diag((2 * k + a + b) ** 2 + m * (2 * k + a + c) ** 2)
+             + np.diag(-2 * k[1:] * (2 * k[1:] - 1 + 2 * a), 1) + np.diag(up, -1))
+        energies, vectors = np.linalg.eig(A)
+        for r, i in enumerate(np.argsort(energies.real)):
+            e, v = energies[i].real, vectors[:, i].real
+            top = int(np.argmax(np.abs(v)))
+            minor = np.linalg.det(A[top + 1:, top + 1:] - e * np.eye(K - top))
+            scale = np.prod(-up[:top]) * minor / 2.0 ** K / v[top]
+            z = a + b + 2 * r
+            n = 2 * z - 1 + (a + z + 1) % 2 if z else 0
+            states[n] = (float(e), (a, b, c), tuple(v * scale))
+    return tuple(states[n] for n in range(2 * j + 1))
+
+
+def _horner(p, t):
+    """P(t), P'(t) and P''(t) in one Horner pass; p holds ascending powers."""
+    P = dP = ddP = 0.0 * t
+    for coef in p[::-1]:
+        ddP = ddP * t + 2.0 * dP
+        dP = dP * t + P
+        P = P * t + coef
+    return P, dP, ddP
+
+
+def _ground_w(j: int, m: float, sn, cn, dn):
+    """W and W' of psi_0 = dn^c P(sn^2), the ground type (0, 0, j mod 2).
+
+    W = sn cn dn q with q = c m / dn^2 - 2 P'/P; W' differentiates this
+    product with P'', never through the Riccati identity W^2 - V-.
+    """
+    _, (_, _, c), p = _lame(j, m)[0]
+    s2, c2, d2 = sn * sn, cn * cn, dn * dn
+    P, dP, ddP = _horner(p, s2)
+    q = c * m / d2 - 2.0 * dP / P
+    dq = c * m * m / (d2 * d2) - 2.0 * (ddP / P - (dP / P) ** 2)
+    w = sn * cn * dn * q
+    return w, (d2 * (c2 - s2) - m * s2 * c2) * q + 2.0 * s2 * c2 * d2 * dq
+
+
+def _triple(j: int, m: float, x):
+    """Domain-checked (j, m, sn, cn, dn, scalar) for the closed-form evaluators."""
+    j = _check_closed_j(j)
+    m = _check_m_unit(m)
+    return (j, m, *jacobi(x, m), np.isscalar(x) or np.ndim(x) == 0)
 
 
 def raw_lame(j: int, m: float, x):
@@ -98,25 +156,21 @@ def raw_lame(j: int, m: float, x):
     return _scalar_or_array(m * j * (j + 1) * sn * sn, scalar)
 
 
+def _v_minus(j: int, m: float, sn):
+    return m * j * (j + 1) * sn * sn - _lame(j, m)[0][0]
+
+
 def v_minus(j: int, m: float, x):
     """Zero-ground-energy potential V- for j in {1, 2, 3}.
 
+    m j(j+1) sn^2 less the ground energy; printed, with delta =
+    sqrt(1 - m + m^2) and delta1 = sqrt(1 - m + 4m^2):
     j=1:  2m sn^2 - m
     j=2: -2 - 2m + 2 delta  + 6m sn^2
     j=3: -2 - 5m + 2 delta1 + 12m sn^2
     """
-    j = _check_closed_j(j)
-    c = LameConstants.for_modulus(j, m)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    sn = jacobi(x, c.m).sn
-    s2 = sn * sn
-    if j == 1:
-        val = 2.0 * c.m * s2 - c.m
-    elif j == 2:
-        val = -2.0 - 2.0 * c.m + 2.0 * c.delta + 6.0 * c.m * s2
-    else:
-        val = -2.0 - 5.0 * c.m + 2.0 * c.delta1 + 12.0 * c.m * s2
-    return _scalar_or_array(val, scalar)
+    j, m, sn, _, _, scalar = _triple(j, m, x)
+    return _scalar_or_array(_v_minus(j, m, sn), scalar)
 
 
 def superpotential(j: int, m: float, x):
@@ -127,47 +181,14 @@ def superpotential(j: int, m: float, x):
     j=3: (m sn cn / dn) (2m + delta1 + 11 - 15m sn^2)
                        / (2m + delta1 + 1  -  5m sn^2)
 
-    Denominators are strictly positive for m in [0, 1].
+    P has no zero on [0, 1], so the denominators stay positive.
     """
-    j = _check_closed_j(j)
-    c = LameConstants.for_modulus(j, m)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    sn, cn, dn = jacobi(x, c.m)
-    s2 = sn * sn
-    if j == 1:
-        val = c.m * sn * cn / dn
-    elif j == 2:
-        val = 6.0 * c.m * sn * cn * dn / (c.ground_coeff - 3.0 * c.m * s2)
-    else:
-        p = 2.0 * c.m + c.delta1 + 11.0 - 15.0 * c.m * s2
-        q = 2.0 * c.m + c.delta1 + 1.0 - 5.0 * c.m * s2
-        val = (c.m * sn * cn / dn) * p / q
-    return _scalar_or_array(val, scalar)
-
-
-def _superpotential_prime(j: int, c: LameConstants, sn, cn, dn):
-    """Analytic W' assembled from sn' = cn dn, cn' = -sn dn, dn' = -m sn cn."""
-    m = c.m
-    s2, c2, d2 = sn * sn, cn * cn, dn * dn
-    base_prime = m * (c2 - s2) + m * m * s2 * c2 / d2
-    if j == 1:
-        return base_prime
-    if j == 2:
-        den = c.ground_coeff - 3.0 * m * s2
-        num = 6.0 * m * sn * cn * dn
-        num_prime = 6.0 * m * (c2 * d2 - s2 * d2 - m * s2 * c2)
-        # den' = -num, so the quotient rule collapses to N'/D + N^2/D^2
-        return num_prime / den + num * num / (den * den)
-    p = 2.0 * m + c.delta1 + 11.0 - 15.0 * m * s2
-    q = 2.0 * m + c.delta1 + 1.0 - 5.0 * m * s2
-    p_prime = -30.0 * m * sn * cn * dn
-    q_prime = -10.0 * m * sn * cn * dn
-    base = m * sn * cn / dn
-    return base_prime * p / q + base * (p_prime * q - p * q_prime) / (q * q)
+    j, m, sn, cn, dn, scalar = _triple(j, m, x)
+    return _scalar_or_array(_ground_w(j, m, sn, cn, dn)[0], scalar)
 
 
 def v_plus_closed(j: int, m: float, x):
-    """Closed-form partner potential V+ for j in {2, 3}.
+    """Closed-form partner potential V+ = 2W^2 - V- for j in {2, 3}.
 
     j=2: -V- + 72 m^2 sn^2 cn^2 dn^2 / (1 + m + delta - 3m sn^2)^2
     j=3: -V- + (2 m^2 sn^2 cn^2 / dn^2)
@@ -179,55 +200,23 @@ def v_plus_closed(j: int, m: float, x):
             f"closed-form V+ exists for j in (2, 3) only, got {j!r}; "
             "j=1 is covered by v_plus_susy, j>=4 by the numeric pipeline"
         )
-    c = LameConstants.for_modulus(j, m)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    sn, cn, dn = jacobi(x, c.m)
-    s2 = sn * sn
-    m = c.m
-    if j == 2:
-        den = c.ground_coeff - 3.0 * m * s2
-        vm = -2.0 - 2.0 * m + 2.0 * c.delta + 6.0 * m * s2
-        val = -vm + 72.0 * m * m * s2 * cn * cn * dn * dn / (den * den)
-    else:
-        p = 2.0 * m + c.delta1 + 11.0 - 15.0 * m * s2
-        q = 2.0 * m + c.delta1 + 1.0 - 5.0 * m * s2
-        vm = -2.0 - 5.0 * m + 2.0 * c.delta1 + 12.0 * m * s2
-        val = -vm + (2.0 * m * m * s2 * cn * cn / (dn * dn)) * (p * p) / (q * q)
-    return _scalar_or_array(val, scalar)
+    j, m, sn, cn, dn, scalar = _triple(j, m, x)
+    w = _ground_w(j, m, sn, cn, dn)[0]
+    return _scalar_or_array(2.0 * w * w - _v_minus(j, m, sn), scalar)
 
 
 def v_plus_susy(j: int, m: float, x):
     """Partner potential through the factorization route, W^2 + W'."""
-    j = _check_closed_j(j)
-    c = LameConstants.for_modulus(j, m)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    sn, cn, dn = jacobi(x, c.m)
-    w = _w_from_triple(j, c, sn, cn, dn)
-    val = w * w + _superpotential_prime(j, c, sn, cn, dn)
-    return _scalar_or_array(val, scalar)
+    j, m, sn, cn, dn, scalar = _triple(j, m, x)
+    w, w_prime = _ground_w(j, m, sn, cn, dn)
+    return _scalar_or_array(w * w + w_prime, scalar)
 
 
 def v_minus_check(j: int, m: float, x):
     """W^2 - W'; must reproduce v_minus wherever both are defined."""
-    j = _check_closed_j(j)
-    c = LameConstants.for_modulus(j, m)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    sn, cn, dn = jacobi(x, c.m)
-    w = _w_from_triple(j, c, sn, cn, dn)
-    val = w * w - _superpotential_prime(j, c, sn, cn, dn)
-    return _scalar_or_array(val, scalar)
-
-
-def _w_from_triple(j: int, c: LameConstants, sn, cn, dn):
-    m = c.m
-    s2 = sn * sn
-    if j == 1:
-        return m * sn * cn / dn
-    if j == 2:
-        return 6.0 * m * sn * cn * dn / (c.ground_coeff - 3.0 * m * s2)
-    p = 2.0 * m + c.delta1 + 11.0 - 15.0 * m * s2
-    q = 2.0 * m + c.delta1 + 1.0 - 5.0 * m * s2
-    return (m * sn * cn / dn) * p / q
+    j, m, sn, cn, dn, scalar = _triple(j, m, x)
+    w, w_prime = _ground_w(j, m, sn, cn, dn)
+    return _scalar_or_array(w * w - w_prime, scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -239,26 +228,15 @@ def edge_boundary(n: int) -> str:
     return bandsolver.expected_boundary(n)
 
 
-@lru_cache(maxsize=None)
-def _j3_edges_numeric(m: float):
-    """Seven j=3 band edges, computed once per modulus by the band solver."""
-    pot = bandsolver.PeriodicPotential(
-        period=2.0 * complete_k(m), evaluator=lambda x: v_minus(3, m, x)
-    )
-    edges = bandsolver.band_edges(pot, count=7)
-    return tuple(e.energy for e in edges)
-
-
 def band_edge_energies(j: int, m: float) -> tuple:
-    """All 2j+1 band-edge energies of V-(j, m), sorted ascending."""
-    j = _check_closed_j(j)
-    c = LameConstants.for_modulus(j, m)
-    if j == 1:
-        return (0.0, 1.0 - c.m, 1.0)
-    if j == 2:
-        d = c.delta
-        return (0.0, 2 * d - 1 - c.m, 2 * d - 1 + 2 * c.m, 2 * d + 2 - c.m, 4 * d)
-    return _j3_edges_numeric(c.m)
+    """All 2j+1 band-edge energies of V-(j, m), in edge order.
+
+    Edge order is ascending; edges that tie to below an ulp near m = 1
+    keep the oscillation-theorem order.  The j=2 ones are printed as
+    (0, 2 delta - 1 - m, 2 delta - 1 + 2m, 2 delta + 2 - m, 4 delta).
+    """
+    states = _lame(_check_closed_j(j), _check_m_unit(m))
+    return tuple(e - states[0][0] for e, _, _ in states)
 
 
 def band_edge_energy(j: int, m: float, n: int) -> float:
@@ -270,55 +248,30 @@ def band_edge_energy(j: int, m: float, n: int) -> float:
 
 
 def psi_minus(j: int, n: int, m: float, x):
-    """Un-normalized band-edge eigenfunction of V-.
+    """Un-normalized band-edge eigenfunction sn^a cn^b dn^c P(sn^2) of V-.
 
     Supported: j=2 with n in 0..4, and the j=3 ground state (n=0):
     dn (1 + 2m + delta1 - 5m sn^2).  Higher j=3 states have no printed
     closed form here; get them numerically via bandsolver.
     """
-    c, sn, cn, dn, scalar = _state_setup(j, n, m, x)
-    m = c.m
-    s2 = sn * sn
-    if j == 3:
-        val = dn * (1.0 + 2.0 * m + c.delta1 - 5.0 * m * s2)
-        return _scalar_or_array(val, scalar)
-    if n == 0:
-        val = m + 1.0 + c.delta - 3.0 * m * s2
-    elif n == 1:
-        val = cn * dn
-    elif n == 2:
-        val = sn * dn
-    elif n == 3:
-        val = sn * cn
-    else:
-        # m + 1 - delta rationalizes to 3m / (m + 1 + delta), which stays
-        # fully accurate as the state collapses for m -> 0
-        val = 3.0 * m / c.ground_coeff - 3.0 * m * s2
+    (a, b, c), p, _, sn, cn, dn, scalar = _state_setup(j, n, m, x)
+    val = sn ** a * cn ** b * dn ** c * _horner(p, sn * sn)[0]
     return _scalar_or_array(val, scalar)
 
 
 def psi_minus_prime(j: int, n: int, m: float, x):
     """Analytic d/dx of psi_minus, for intertwining checks."""
-    c, sn, cn, dn, scalar = _state_setup(j, n, m, x)
-    m = c.m
-    s2, c2, d2 = sn * sn, cn * cn, dn * dn
-    if j == 3:
-        a = 1.0 + 2.0 * m + c.delta1
-        val = -m * sn * cn * ((a - 5.0 * m * s2) + 10.0 * d2)
-        return _scalar_or_array(val, scalar)
-    if n in (0, 4):
-        val = -6.0 * m * sn * cn * dn
-    elif n == 1:
-        val = -sn * (d2 + m * c2)
-    elif n == 2:
-        val = cn * (d2 - m * s2)
-    else:
-        val = dn * (c2 - s2)
+    (a, b, c), p, m, sn, cn, dn, scalar = _state_setup(j, n, m, x)
+    # sn' = cn dn, cn' = -sn dn, dn' = -m sn cn, and a, b, c are 0 or 1
+    prefactor_prime = (a * cn ** (b + 1) * dn ** (c + 1) - b * sn ** (a + 1) * dn ** (c + 1)
+                       - c * m * sn ** (a + 1) * cn ** (b + 1))
+    P, dP, _ = _horner(p, sn * sn)
+    val = prefactor_prime * P + sn ** a * cn ** b * dn ** c * dP * 2.0 * sn * cn * dn
     return _scalar_or_array(val, scalar)
 
 
 def psi_plus(j: int, n: int, m: float, x):
-    """Un-normalized band-edge eigenfunction of V+ (j=2 only).
+    """Un-normalized band-edge eigenfunction of V+ (j=2 only), as printed.
 
     The ground state is 1/psi_minus(j, 0); excited states are
     proportional to (d/dx + W) psi_minus(j, n) with an x-independent
@@ -329,9 +282,8 @@ def psi_plus(j: int, n: int, m: float, x):
             f"closed-form partner eigenfunctions exist for j=2 only, got {j!r}; "
             "use bandsolver.bloch_edge_state for other indices"
         )
-    c, sn, cn, dn, scalar = _state_setup(j, n, m, x)
-    m = c.m
-    b = c.ground_coeff
+    _, _, m, sn, cn, dn, scalar = _state_setup(j, n, m, x)
+    b = 1.0 + m + math.sqrt(1.0 - m + m * m)
     s2 = sn * sn
     den = b - 3.0 * m * s2
     if n == 0:
@@ -359,10 +311,9 @@ def _state_setup(j: int, n: int, m: float, x):
             )
     else:
         raise DomainError(f"closed-form eigenfunctions exist for j in (2, 3), got {j!r}")
-    c = LameConstants.for_modulus(j, m)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    sn, cn, dn = jacobi(x, c.m)
-    return c, sn, cn, dn, scalar
+    j, m, sn, cn, dn, scalar = _triple(j, m, x)
+    _, kind, p = _lame(j, m)[n]
+    return kind, p, m, sn, cn, dn, scalar
 
 
 @dataclass(frozen=True)

@@ -361,20 +361,27 @@ def _solver_agreement(floquet_edges, galerkin_edges) -> float:
                default=0.0)
 
 
-def _partner_pair(j: int, m: float):
-    """(V-, V+) as PeriodicPotentials; numeric pipeline above j=3."""
-    if j <= 3:
-        pot_minus = susy.PotentialSpec(susy.Family.V_MINUS, j, m).as_periodic_potential()
-        pot_plus = susy.PotentialSpec(susy.Family.V_PLUS, j, m).as_periodic_potential()
-        return pot_minus, pot_plus
+def _pipeline_pair(j: int, m: float):
+    """(V-, V+) by the numeric pipeline, for any j.
+
+    V- is the bare potential less its Galerkin ground energy, and V+
+    comes from numeric_partner.
+    """
     raw = susy.PotentialSpec(susy.Family.RAW_LAME, j, m).as_periodic_potential()
     ground = bandsolver.ground_energy(raw)
     pot_minus = bandsolver.PeriodicPotential(
         period=raw.period,
         evaluator=lambda x: susy.raw_lame(j, m, x) - ground,
     )
-    pot_plus = bandsolver.numeric_partner(pot_minus)
-    return pot_minus, pot_plus
+    return pot_minus, bandsolver.numeric_partner(pot_minus)
+
+
+def _partner_pair(j: int, m: float):
+    """(V-, V+) as PeriodicPotentials; numeric pipeline above j=3."""
+    if j > 3:
+        return _pipeline_pair(j, m)
+    return tuple(susy.PotentialSpec(family, j, m).as_periodic_potential()
+                 for family in (susy.Family.V_MINUS, susy.Family.V_PLUS))
 
 
 def _grid_of(pot, n: int = 512) -> GridFunction:

@@ -51,9 +51,6 @@ class TestPeriodicPotential:
     def test_bad_constructor_arguments(self):
         with pytest.raises(DomainError):
             bs.PeriodicPotential(period=-1.0, evaluator=lambda x: 0.0 * x)
-        with pytest.raises(DomainError):
-            bs.PeriodicPotential(period=1.0, evaluator=lambda x: 0.0 * x,
-                                 smoothness_hint="wavelet")
 
     def test_scalar_only_evaluator_is_accepted(self):
         pot = bs.PeriodicPotential(period=2.0, evaluator=lambda x: math.cos(math.pi * x))
@@ -97,12 +94,6 @@ class TestMonodromyTrace:
         # the zero-energy state of V- makes trace(0) = +2
         pot = lame_pot(Family.V_MINUS, 2, 0.5)
         assert bs.monodromy_trace(pot, 0.0) == pytest.approx(2.0, abs=1e-7)
-
-    def test_discriminant_wrapper(self):
-        pot = free_particle()
-        d = bs.discriminant(pot, 0.5)
-        assert d.energy == 0.5
-        assert d.value == pytest.approx(2 * math.cos(math.sqrt(0.5) * math.pi), abs=1e-9)
 
     def test_discriminant_band_gap_dichotomy(self):
         # |trace| <= 2 inside allowed bands, >= 2 inside gaps

@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lamesusy import verify
 from lamesusy.susy import v_plus_closed
 
 
@@ -73,6 +75,15 @@ class TestPotential:
         assert a.stdout == b.stdout
         assert len(a.stdout.strip().splitlines()) == 257
 
+    def test_numeric_route_is_the_pipeline_pair(self):
+        cp = run_cli("potential", "-j", "4", "-m", "0.5", "--numeric", "-n", "64")
+        assert cp.returncode == 0, cp.stderr
+        rows = np.array([[float(t) for t in r.split(",")]
+                         for r in cp.stdout.strip().splitlines()[1:]])
+        pot = verify._pipeline_pair(4, 0.5)[0]
+        xs = np.arange(64) * (pot.period / 64)
+        assert np.max(np.abs(rows[:, 1] - pot(xs))) <= 1e-12
+
     def test_j4_without_numeric_flag_is_usage_error(self):
         cp = run_cli("potential", "-j", "4", "-m", "0.5", "--family", "vplus")
         assert cp.returncode == 2
@@ -129,6 +140,20 @@ class TestBands:
         lines = cp.stdout.strip().splitlines()
         assert len(lines) == 4
         assert float(lines[1].split()[1]) == pytest.approx(0.0, abs=1e-6)
+
+    def test_numeric_flag_honoured_for_closed_form_index(self, monkeypatch, capsys):
+        # in process, to see which route serves j <= 3 under --numeric
+        from lamesusy import cli
+
+        calls = []
+        pipeline = verify._pipeline_pair
+        monkeypatch.setattr(verify, "_pipeline_pair",
+                            lambda j, m: calls.append((j, m)) or pipeline(j, m))
+        assert cli.main(["bands", "-j", "2", "-m", "0.5", "--numeric", "--count", "3"]) == 0
+        assert calls == [(2, 0.5)]
+        energies = [float(r.split()[1]) for r in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert energies == pytest.approx([0.0, 0.2320508075688772, 1.7320508075688772],
+                                         abs=1e-9)
 
     def test_high_index_without_numeric_is_usage_error(self):
         cp = run_cli("bands", "-j", "5", "-m", "0.5")

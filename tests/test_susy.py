@@ -12,7 +12,6 @@ from lamesusy.elliptic import complete_k, jacobi
 from lamesusy.errors import DomainError
 from lamesusy.susy import (
     Family,
-    LameConstants,
     PotentialSpec,
     band_edge_energies,
     band_edge_energy,
@@ -36,31 +35,63 @@ def grid(m, n=512):
     return np.linspace(0.0, 2.0 * complete_k(m), n, endpoint=False)
 
 
-class TestConstants:
-    def test_values_at_half(self):
-        c = LameConstants.for_modulus(2, 0.5)
-        assert c.delta == pytest.approx(DELTA_HALF, rel=1e-15)
-        assert c.delta1 == pytest.approx(math.sqrt(1.5), rel=1e-15)
-        assert c.ground_coeff == pytest.approx(1.5 + DELTA_HALF, rel=1e-15)
+ORACLE_M = [0.0, 1e-9, 0.01, 0.5, 0.9, 0.999]
 
-    @given(st.floats(0, 1))
-    @settings(max_examples=200, deadline=None)
-    def test_delta_ranges(self, m):
-        c = LameConstants.for_modulus(1, m)
-        assert math.sqrt(3) / 2 - 1e-12 <= c.delta <= 1.0 + 1e-12
-        assert c.ground_coeff == pytest.approx(1.0 + m + c.delta, rel=1e-15)
 
-    def test_endpoints(self):
-        assert LameConstants.for_modulus(1, 0.0).delta == 1.0
-        assert LameConstants.for_modulus(1, 1.0).delta == 1.0
-        assert LameConstants.for_modulus(1, 0.0).delta1 == 1.0
-        assert LameConstants.for_modulus(1, 1.0).delta1 == 2.0
+def printed(m, x):
+    """The paper's printed j = 1-3 formulas, independent of the Lamé route."""
+    sn, cn, dn = jacobi(x, m)
+    s2, c2, d2 = sn * sn, cn * cn, dn * dn
+    delta, delta1 = math.sqrt(1 - m + m * m), math.sqrt(1 - m + 4 * m * m)
+    vm = {1: 2 * m * s2 - m,
+          2: -2 - 2 * m + 2 * delta + 6 * m * s2,
+          3: -2 - 5 * m + 2 * delta1 + 12 * m * s2}
+    p = 2 * m + delta1 + 11 - 15 * m * s2
+    q = 2 * m + delta1 + 1 - 5 * m * s2
+    w = {1: m * sn * cn / dn,
+         2: 6 * m * sn * cn * dn / (1 + m + delta - 3 * m * s2),
+         3: (m * sn * cn / dn) * p / q}
+    vp = {1: 2 * m * c2 / d2 - m,  # V- translated by K
+          2: -vm[2] + 72 * m * m * s2 * c2 * d2 / (1 + m + delta - 3 * m * s2) ** 2,
+          3: -vm[3] + (2 * m * m * s2 * c2 / d2) * p * p / (q * q)}
+    energies = (0, 2 * delta - 1 - m, 2 * delta - 1 + 2 * m, 2 * delta + 2 - m, 4 * delta)
+    psi2 = (1 + m + delta - 3 * m * s2, cn * dn, sn * dn, sn * cn,
+            3 * m / (1 + m + delta) - 3 * m * s2)
+    psi3 = dn * (1 + 2 * m + delta1 - 5 * m * s2)
+    return vm, w, vp, energies, psi2, psi3
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
-            LameConstants.for_modulus(0, 0.5)
-        with pytest.raises(DomainError):
-            LameConstants.for_modulus(1, 1.5)
+
+class TestPrintedFormulas:
+    """The Lamé route against the printed closed forms, down to m = 0."""
+
+    @pytest.mark.parametrize("m", ORACLE_M)
+    def test_potentials_and_superpotentials(self, m):
+        x = np.linspace(0.0, 2.0 * complete_k(m), 257)
+        vm, w, vp, _, _, _ = printed(m, x)
+        for j in (1, 2, 3):
+            assert np.max(np.abs(v_minus(j, m, x) - vm[j])) <= 1e-10
+            assert np.max(np.abs(superpotential(j, m, x) - w[j])) <= 1e-10
+            assert np.max(np.abs(v_plus_susy(j, m, x) - vp[j])) <= 1e-10
+            if j > 1:
+                assert np.max(np.abs(v_plus_closed(j, m, x) - vp[j])) <= 1e-10
+
+    @pytest.mark.parametrize("m", ORACLE_M)
+    def test_energies_and_states(self, m):
+        x = np.linspace(0.0, 2.0 * complete_k(m), 257)
+        _, _, _, energies, psi2, psi3 = printed(m, x)
+        assert np.max(np.abs(np.subtract(band_edge_energies(2, m), energies))) <= 1e-10
+        for n, want in enumerate(psi2):
+            assert np.max(np.abs(psi_minus(2, n, m, x) - want)) <= 1e-10
+        assert np.max(np.abs(psi_minus(3, 0, m, x) - psi3)) <= 1e-10
+
+    @pytest.mark.parametrize("m", [1.0 - 1e-8, 1.0])
+    def test_ground_state_wins_the_tie_near_m1(self, m):
+        # the j=2 ground state and the cn dn edge tie to below an ulp here
+        x = np.linspace(-12.0, 12.0, 2001)
+        psi0 = psi_minus(2, 0, m, x)
+        assert np.all(psi0 > 0.0)
+        assert np.all(np.isfinite(superpotential(2, m, x)))
+        assert band_edge_energy(2, m, 0) == 0.0
 
 
 class TestPotentials:
@@ -183,14 +214,15 @@ class TestBandEdges:
         for want, got in zip(band_edge_energies(1, m), solved):
             assert got.energy == pytest.approx(want, abs=1e-6)
 
-    def test_j3_edges_memoized_and_consistent(self):
-        e = band_edge_energies(3, 0.5)
+    @pytest.mark.parametrize("m", [0.01, 0.5, 0.99])
+    def test_j3_edges_memoized_and_consistent(self, m):
+        e = band_edge_energies(3, m)
         assert len(e) == 7
         assert e[0] == pytest.approx(0.0, abs=1e-8)
         assert all(b >= a for a, b in zip(e, e[1:]))
         # second call comes from the cache and is identical
-        assert band_edge_energies(3, 0.5) == e
-        pot = PotentialSpec(Family.V_MINUS, 3, 0.5).as_periodic_potential()
+        assert band_edge_energies(3, m) == e
+        pot = PotentialSpec(Family.V_MINUS, 3, m).as_periodic_potential()
         gal = bandsolver.galerkin_edges(pot, 7)
         for want, got in zip(e, gal):
             assert got.energy == pytest.approx(want, abs=1e-6)
