@@ -68,7 +68,7 @@ class PeriodicPotential:
     period: float
     evaluator: Callable
     _validated: bool = field(default=False, repr=False)
-    # node samples and settled step counts of the Magnus engine
+    # node samples, probe products and settled step counts of the Magnus engine
     _magnus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -220,6 +220,17 @@ def _energy_range(V: PeriodicPotential, E: np.ndarray) -> np.ndarray:
     return np.ceil(np.log2(np.maximum(waves, 1.0))).astype(int)
 
 
+def _probe_product(V: PeriodicPotential, r: int, n: int) -> tuple:
+    """The n-step _product at the _PROBES energies of range r, cached, so
+    that every tolerance's step-count search reuses the products formed."""
+    key = ("probes", r, n)
+    if key not in V._magnus:
+        vmin, vmax = _span(V)
+        top = vmax + (2.0 ** r * math.pi * _RANGE_WAVES / V.period) ** 2
+        V._magnus[key] = _product(V, n, np.linspace(vmin - 1.0, top, _PROBES))
+    return V._magnus[key]
+
+
 def _step_count(V: PeriodicPotential, tol: float, r: int) -> int:
     """Smallest power-of-two step count meeting ``tol`` on energy range r.
 
@@ -232,12 +243,9 @@ def _step_count(V: PeriodicPotential, tol: float, r: int) -> int:
     key = ("count", tol, r)
     if key not in V._magnus:
         n = MIN_STEPS if r == 0 else _step_count(V, tol, r - 1)
-        vmin, vmax = _span(V)
-        top = vmax + (2.0 ** r * math.pi * _RANGE_WAVES / V.period) ** 2
-        probes = np.linspace(vmin - 1.0, top, _PROBES)
-        coarse, scale = _product(V, n, probes)
+        coarse, scale = _probe_product(V, r, n)
         while True:
-            fine, fine_scale = _product(V, 2 * n, probes)
+            fine, fine_scale = _probe_product(V, r, 2 * n)
             err = np.max(np.abs(fine - coarse) / np.maximum(scale, fine_scale))
             if err <= tol:
                 break
@@ -513,7 +521,12 @@ def _scan_edges(V, e_min, e_max, n_cells, count):
 
 
 def _assemble(roots, touches, span):
-    """Merge simple roots and degenerate pairs into one sorted edge list."""
+    """Merge simple roots and degenerate pairs into one sorted edge list.
+
+    A periodic and an antiperiodic root within _root_batch's closing
+    width, 4 eps max(1, |E|), bound a band narrower than the roots
+    resolve, so they go out in the oscillation-theorem order.
+    """
     tol = max(1e-8, 1e-9 * span)
 
     def dedupe(pairs):
@@ -526,6 +539,11 @@ def _assemble(roots, touches, span):
     out = [(e, bnd, False) for e, bnd in dedupe(roots)]
     out += [(e, bnd, True) for e, bnd in dedupe(sorted(touches)) for _ in range(2)]
     out.sort()
+    for i in range(len(out) - 1):
+        (e, bnd, deg), (f, f_bnd, f_deg) = out[i], out[i + 1]
+        if (bnd != expected_boundary(i) and f_bnd != bnd and not deg and not f_deg
+                and f - e <= 4.0 * np.finfo(float).eps * max(1.0, abs(e), abs(f))):
+            out[i], out[i + 1] = out[i + 1], out[i]
     return out
 
 

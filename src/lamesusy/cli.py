@@ -108,7 +108,10 @@ def _potential(j, m, family, numeric):
 def cmd_potential(args) -> int:
     p = _check_precision(args.precision)
     family = _FAMILIES[args.family]
-    f = _potential(args.j, args.m, family, args.numeric)
+    if args.numeric and family is susy.Family.V_MINUS:
+        f = verify._pipeline_minus(args.j, args.m)  # its partner would go unused
+    else:
+        f = _potential(args.j, args.m, family, args.numeric)
     xs = np.arange(args.grid_n) * (f.period / args.grid_n)
     try:
         values = np.asarray(f(xs), dtype=float)
@@ -146,8 +149,10 @@ def cmd_bands(args) -> int:
     if args.both:
         # side-by-side comparison is solver work on both partners; the
         # diff column shows their independent agreement
-        edges_m = _edges_for(args, susy.Family.V_MINUS)
-        edges_p = _edges_for(args, susy.Family.V_PLUS)
+        pair = (verify._pipeline_pair(args.j, args.m) if args.numeric else
+                [_potential(args.j, args.m, f, False) for f in (susy.Family.V_MINUS,
+                                                                 susy.Family.V_PLUS)])
+        edges_m, edges_p = (bandsolver.band_edges(pot, args.count) for pot in pair)
         header = ["n", "E_minus", "E_plus", "diff"]
         rows = [(e.n, e.energy, q.energy, abs(e.energy - q.energy))
                 for e, q in zip(edges_m, edges_p)]

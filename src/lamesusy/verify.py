@@ -75,6 +75,7 @@ class SelfIsoResult:
 
 _SUP_OVERSAMPLE = 8
 _SCAN_ROWS = 32          # shifts per block of the coarse scan (~1 MB at n = 512)
+_NEWTON_STEPS = 8        # steps a shift refinement's Newton solve may take
 
 
 def _on_fine_grid(coef: np.ndarray, n: int, fine: int) -> np.ndarray:
@@ -131,42 +132,149 @@ def _scan_distance(vp: GridFunction, vm: GridFunction, count: int,
     return y0 + bump
 
 
-def _exact_distance(vp: GridFunction, vm: GridFunction, reflect: bool):
-    """a -> sup_x |vp(x) - vm(r(x - a))|, the continuum sup to ~1e-11.
+def _exact_distance(vp: GridFunction, vm: GridFunction, reflect: bool, floor: float):
+    """f(x, a) = vp(x) - vm(r(x - a)) from one rfft series of each input.
 
-    Every local maximum of the 8x oversampled |difference| within 1e-4
-    of the top is Newton-polished, so competing peaks cannot be misranked.
+    Returns ``survey(a)``: sup_x |f(x, a)| to ~1e-11 and the local maxima
+    of |f(., a)| on the 8x oversampled grid, highest first, those within
+    1e-4 of the top Newton-polished so competing peaks cannot be
+    misranked (a grid maximum of at most ``floor`` is roundoff, returned
+    as it is with no peaks); and ``at(xs, a)``: rows of f, f_x, f_xx,
+    f_a, f_xa and f_aa at the points xs, each an O(n) sum.
     """
     n, L = vm.n, vm.period
     fine = _SUP_OVERSAMPLE * n
     cp, c = _spectra(vp, vm, reflect)
     k = np.arange(c.size)
-    weights = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+    weights = np.where((k == 0) | (2 * k == n), 1.0, 2.0) / n
     ik = 2j * np.pi / L * k  # d/dx of exp(i k omega x) brings down i k omega, omega = 2 pi / L
-    ik_powers = np.stack([ik, ik * ik], axis=1)
     h = L / fine
 
-    def distance(a: float) -> float:
-        shifted = c * np.exp(-2j * np.pi * ((a / L) * k))
+    def series(a):
+        """Normalised rfft of f(., a), and the columns that ``at`` sums."""
+        u = (c * np.exp(-ik * a))[:, None] * ik[:, None] ** np.arange(3)  # d/da brings -ik
         if n % 2 == 0:
-            shifted[-1] = shifted[-1].real
-        dcoef = (cp - shifted) / n
+            u[-1] = u[-1].real  # the shifted Nyquist cosine keeps its cosine part
+        dcoef = (cp - u[:, 0]) / n
+        g, ga = n * weights * dcoef, weights * u[:, 1]
+        return dcoef, np.stack([g, ik * g, ik * ik * g, ga, ik * ga, -weights * u[:, 2]], axis=1)
+
+    def at(xs, a):
+        return (np.exp(np.outer(xs, ik)) @ series(a)[1]).real
+
+    def survey(a):
+        dcoef, cols = series(a)
         vals = np.abs(_on_fine_grid(dcoef, n, fine))
         top = vals.max()
-        if top == 0.0:
-            return 0.0
-        near = np.nonzero(vals >= top - 1e-4 * max(top, 1.0))[0]
-        xs = h * near[(vals[near] >= vals[near - 1]) & (vals[near] >= vals[(near + 1) % fine])]
-        series = weights * dcoef  # difference(x) = Re sum_k series_k exp(i k omega x)
-        derivs = series[:, None] * ik_powers
+        if top <= floor:
+            return float(top), np.zeros(0)
+        peaks = np.nonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))[0]
+        peaks = peaks[np.argsort(-vals[peaks], kind="stable")]
+        xs, near = h * peaks, vals[peaks] >= top - 1e-4 * max(top, 1.0)
         for _ in range(4):
-            d1, d2 = (np.exp(xs[:, None] * ik) @ derivs).real.T
-            step = -d1 / np.where(np.abs(d2) > 1e-300, d2, np.inf)
-            xs = xs + np.clip(step, -h, h)
-        polished = np.abs((np.exp(xs[:, None] * ik) @ series).real)
-        return float(max(top, polished.max()))
+            d1, d2 = (np.exp(np.outer(xs[near], ik)) @ cols[:, 1:3]).real.T
+            xs[near] += np.clip(-d1 / np.where(np.abs(d2) > 1e-300, d2, np.inf), -h, h)
+        polished = np.abs((np.exp(np.outer(xs[near], ik)) @ cols[:, 0]).real)
+        return float(max(top, polished.max())), xs
 
-    return distance
+    return survey, at
+
+
+def _active_set(rows: np.ndarray, offsets: np.ndarray) -> tuple:
+    """Peaks active at the optimum of a model in the shift, that optimum
+    among ``offsets`` (which hold 0), and what it gains over offset 0.
+
+    ``rows`` are ``at`` at the peaks of |f|.  A peak's signed value moves
+    as f + f_a t + (f_aa - f_xa^2 / f_xx) t^2 / 2 with the shift.  Two
+    peaks are active where the top one differs on the two sides of the
+    optimum, else one.
+    """
+    f, _, fxx, fa, fxa, faa = rows.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        curv = np.nan_to_num(faa - fxa ** 2 / fxx)
+    model = f[:, None] + offsets * (fa[:, None] + 0.5 * curv[:, None] * offsets)
+    envelope = np.abs(model).max(axis=0)
+    i = int(np.argmin(envelope))
+    sides = [max(i - 1, 0), min(i + 1, offsets.size - 1)]
+    left, right = np.argmax(np.abs(model[:, sides]), axis=0)
+    active = np.array([left] if left == right else [left, right])
+    return active, offsets[i], envelope[np.argmin(np.abs(offsets))] - envelope[i]
+
+
+def _newton(at, x: np.ndarray, a: float, lo: float, hi: float) -> tuple:
+    """(shift, steps) of the optimum with active peaks near x: f_x = 0 at
+    each, and s1 f(x1, a) = s2 f(x2, a), s = sign f, or f_a(x1, a) = 0
+    for a lone peak.  The shift is None unless the steps halve at least,
+    inside [lo, hi], down to 1e-10 of its width."""
+    p, last = x.size, np.inf
+    for steps in range(1, _NEWTON_STEPS + 1):
+        f, fx, fxx, fa, fxa, faa = at(x, a).T
+        J = np.zeros((p + 1, p + 1))
+        J[range(p), range(p)], J[:p, p] = fxx, fxa
+        sign = np.sign(f) * [1.0, -1.0][:p]
+        F = np.append(fx, sign @ f if p == 2 else fa)
+        J[p] = np.append(sign * fx, sign @ fa) if p == 2 else (fxa[0], faa[0])
+        try:
+            dz = np.linalg.solve(J, -F)
+        except np.linalg.LinAlgError:
+            return None, steps
+        x, a, size = x + dz[:p], a + dz[p], np.max(np.abs(dz))
+        if not lo <= a <= hi or size > 0.5 * last:
+            return None, steps
+        if size <= 1e-10 * (hi - lo):
+            return a, steps
+        last = size
+    return None, _NEWTON_STEPS
+
+
+def _refine_shift(survey, at, a0: float, step: float) -> tuple:
+    """(distance, shift) of the sup-norm optimum in [a0 - step, a0 + step].
+
+    A minimax optimum in one parameter has two active peaks, equal with
+    opposite slopes in the shift, or one, stationary in it (Watson,
+    Approximation Theory and Numerical Methods, 1980).  Each round keeps
+    the side of the bracket toward which the top peak descends and
+    models every surveyed peak on offsets shrinking to 1e-10 step
+    (_active_set).  It ends where the model gains only roundoff;
+    otherwise Newton (_newton) solves for the model's active set from
+    its optimum, and the next survey exchanges in any peak that rose
+    above the set, as Remez's algorithm does.  A failed solve, or one
+    right after a Newton point that was no optimum, bisects the bracket
+    instead, and a bracket under 1e-8 ends the search.  The best point
+    surveyed is returned: never worse than a0, and a0 itself when its
+    distance is roundoff.
+    """
+    d, xs = survey(a0)
+    a, lo, hi, best, landed = a0, a0 - step, a0 + step, (d, a0), False
+    ladder = 2.0 * step * 2.0 ** -np.arange(0.0, 35.0, 0.25)
+    n_active = solves = newton = bisections = 0
+    stop = "roundoff-level distance"
+    while xs.size:
+        rows = at(xs, a)
+        top = int(np.argmax(np.abs(rows[:, 0])))
+        lo, hi = (lo, a) if np.sign(rows[top, 0]) * rows[top, 3] > 0 else (a, hi)
+        offsets = np.clip(np.concatenate([-ladder, [0.0], ladder[::-1]]), lo - a, hi - a)
+        active, t, gain = _active_set(rows, offsets)
+        if gain <= 1e-13 * max(1.0, d) or hi - lo <= 1e-8:
+            stop = "converged" if hi - lo > 1e-8 else "bracket closed"
+            break
+        if not landed:
+            n_active, solves = active.size, solves + 1
+        shift, steps = (None, 0) if landed else _newton(at, xs[active], a + t, lo, hi)
+        newton, landed = newton + steps, shift is not None
+        if not landed:
+            shift, bisections = 0.5 * (lo + hi), bisections + 1
+        a = shift
+        d, xs = survey(a)
+        best = min(best, (d, a))
+    import sys  # logging is not imported here: unloaded, it has no handler to reach
+    logging = sys.modules.get("logging")
+    if logging:
+        logging.getLogger(__name__).debug(
+            "selfiso refinement: Newton on %d active peak(s), %d steps, %d exchanges, %d "
+            "bisections, stopped: %s; coarse shift kept: %s", n_active, newton,
+            max(solves - 1, 0), bisections, stop, best[1] == a0)
+    return best
 
 
 def selfiso_distance(vp: GridFunction, vm: GridFunction,
@@ -175,10 +283,12 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction,
     and reflection, D(a, r) = sup_x |vp(x) - vm(r(x - a))|.
 
     A coarse scan over ``shift_samples`` translations of both
-    orientations feeds a golden-section refinement of the best
-    translation to |da| <= 1e-8.  The reflected orientation is taken
-    only if its coarse minimum is strictly smaller, so on a tie (two
-    even potentials tie to rounding) the unreflected one wins.
+    orientations feeds a Newton solve for the active peaks of the
+    difference at the optimal translation near the best scanned one
+    (_refine_shift), never worse than that shift, and logged at DEBUG.
+    The reflected orientation is taken only if its coarse minimum is
+    strictly smaller, so on a tie (two even potentials tie to rounding)
+    the unreflected one wins.
     """
     if shift_samples < 256:
         raise DomainError("shift_samples must be at least 256")
@@ -197,27 +307,8 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction,
             best = (float(d[i]), i * step, reflect)
 
     _, a0, reflect = best
-    d_exact = _exact_distance(vp, vm, reflect)
-    lo, hi = a0 - step, a0 + step
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = d_exact(x1), d_exact(x2)
-    while hi - lo > 1e-8:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = d_exact(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = d_exact(x2)
-    a_best = 0.5 * (lo + hi)
-    dist = d_exact(a_best)
-    coarse_dist = d_exact(a0)
-    if coarse_dist < dist:
-        # a grid shift (e.g. a half-period match) beat the refined point
-        dist, a_best = coarse_dist, a0
+    floor = 1e-12 * max(1.0, float(np.abs(vm.samples).max()))  # roundoff of the difference
+    dist, a_best = _refine_shift(*_exact_distance(vp, vm, reflect, floor), a0, step)
     return SelfIsoResult(
         best_shift=float(a_best % L),
         reflected=bool(reflect),
@@ -361,18 +452,21 @@ def _solver_agreement(floquet_edges, galerkin_edges) -> float:
                default=0.0)
 
 
-def _pipeline_pair(j: int, m: float):
-    """(V-, V+) by the numeric pipeline, for any j.
-
-    V- is the bare potential less its Galerkin ground energy, and V+
-    comes from numeric_partner.
-    """
+def _pipeline_minus(j: int, m: float):
+    """V- of the numeric pipeline: the bare potential less its Galerkin
+    ground energy."""
     raw = susy.PotentialSpec(susy.Family.RAW_LAME, j, m).as_periodic_potential()
     ground = bandsolver.ground_energy(raw)
-    pot_minus = bandsolver.PeriodicPotential(
+    return bandsolver.PeriodicPotential(
         period=raw.period,
         evaluator=lambda x: susy.raw_lame(j, m, x) - ground,
     )
+
+
+def _pipeline_pair(j: int, m: float):
+    """(V-, V+) by the numeric pipeline, for any j; V+ comes from
+    numeric_partner."""
+    pot_minus = _pipeline_minus(j, m)
     return pot_minus, bandsolver.numeric_partner(pot_minus)
 
 

@@ -206,6 +206,31 @@ class TestBandEdges:
         for a, b in zip(edges, bs.galerkin_edges(pot, count)):
             assert a.energy == pytest.approx(b.energy, abs=1e-6)
 
+    def test_bands_below_root_resolution_keep_the_pattern(self):
+        # the four lowest j=5 bands of the pipeline V- at m = 1 - 1e-6 are
+        # narrower than the edge residual resolves, so each periodic and
+        # antiperiodic root comes out tied or swapped
+        pot = verify._pipeline_minus(5, 1 - 1e-6)
+        edges = bs.band_edges(pot, 11)
+        assert [e.boundary for e in edges] == [bs.expected_boundary(i) for i in range(11)]
+        for a, b in zip(edges, bs.galerkin_edges(pot, 11)):
+            assert a.energy == pytest.approx(b.energy, abs=1e-9)
+
+
+class TestStepCount:
+    def test_later_tolerance_reuses_probe_products(self, monkeypatch):
+        settled = bs._step_count(lame_pot(Family.V_MINUS, 3, 0.5), bs.TOL, 0)
+        formed = []
+        product = bs._product
+        monkeypatch.setattr(bs, "_product",
+                            lambda V, n, E: formed.append((n, E.tobytes())) or product(V, n, E))
+        pot = lame_pot(Family.V_MINUS, 3, 0.5)
+        bs._step_count(pot, bs.SCAN_TOL, 0)
+        scan = len(formed)
+        assert bs._step_count(pot, bs.TOL, 0) == settled
+        assert len(formed) > scan
+        assert len(set(formed)) == len(formed)
+
 
 class TestRootBatch:
     @pytest.mark.parametrize("m", [0.01, 0.1, 0.5, 0.9, 0.99])

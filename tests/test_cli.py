@@ -155,6 +155,28 @@ class TestBands:
         assert energies == pytest.approx([0.0, 0.2320508075688772, 1.7320508075688772],
                                          abs=1e-9)
 
+    def test_numeric_partner_built_only_when_used(self, monkeypatch, capsys):
+        # in process, to count partner builds; the side-by-side columns are
+        # byte for byte those of the one-family tables
+        from lamesusy import bandsolver, cli
+
+        calls = []
+        partner = bandsolver.numeric_partner
+        monkeypatch.setattr(bandsolver, "numeric_partner",
+                            lambda V, *a, **kw: calls.append(1) or partner(V, *a, **kw))
+        args = ["bands", "-j", "4", "-m", "0.5", "--numeric", "--count", "3"]
+        assert cli.main(args + ["--both"]) == 0
+        assert len(calls) == 1
+        both = [row.split()[1:3] for row in capsys.readouterr().out.splitlines()[1:]]
+        columns = []
+        for family in ("vminus", "vplus"):
+            assert cli.main(args + ["--family", family]) == 0
+            columns.append([row.split()[1] for row in capsys.readouterr().out.splitlines()[1:]])
+        assert both == [list(row) for row in zip(*columns)]
+        calls.clear()
+        assert cli.main(["potential", "-j", "4", "-m", "0.5", "--numeric", "-n", "16"]) == 0
+        assert calls == []
+
     def test_high_index_without_numeric_is_usage_error(self):
         cp = run_cli("bands", "-j", "5", "-m", "0.5")
         assert cp.returncode == 2

@@ -1,6 +1,7 @@
 """Tests for the verification suites and the transform-group distance."""
 
 import json
+import logging
 import math
 import runpy
 import tracemalloc
@@ -185,6 +186,109 @@ class TestCoarseScan:
         rows = [line.split() for line in lines if not line.startswith(("#", " j"))]
         assert len(rows) == 9
         assert [row[-1] for row in rows] == ["self_isospectral"] * 3 + ["distinct"] * 6
+
+
+def golden_reference(vp, vm, shift_samples=512):
+    """selfiso_distance refined the direct way: golden section on the
+    best scanned shift down to a bracket of 1e-8, each step's sup taken
+    on the 8n-point grid with every peak within 1e-4 of the top
+    Newton-polished; a grid shift that beats the refined point wins.
+    Returns (distance, shift)."""
+    n, L = vm.n, vm.period
+    step = L / shift_samples
+    best = None
+    for reflect in (False, True):
+        d = verify._scan_distance(vp, vm, shift_samples, reflect)
+        if best is None or d.min() < best[0]:
+            best = (d.min(), int(np.argmin(d)) * step, reflect)
+    _, a0, reflect = best
+    fine = 8 * n
+    cp, c = np.fft.rfft(vp.samples), np.fft.rfft(vm.samples)
+    c = np.conj(c) if reflect else c
+    k = np.arange(c.size)
+    weights = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+    ik = 2j * np.pi / L * k
+    h = L / fine
+
+    def d_exact(a):
+        shifted = c * np.exp(-2j * np.pi * ((a / L) * k))
+        if n % 2 == 0:
+            shifted[-1] = shifted[-1].real
+        dcoef = (cp - shifted) / n
+        pad = np.concatenate([dcoef[:-1], 0.5 * dcoef[-1:]]) if n % 2 == 0 else dcoef
+        vals = np.abs(np.fft.irfft(pad, n=fine) * fine)
+        top = vals.max()
+        if top == 0.0:
+            return 0.0
+        near = np.nonzero(vals >= top - 1e-4 * max(top, 1.0))[0]
+        xs = h * near[(vals[near] >= vals[near - 1]) & (vals[near] >= vals[(near + 1) % fine])]
+        series = weights * dcoef
+        derivs = series[:, None] * np.stack([ik, ik * ik], axis=1)
+        for _ in range(4):
+            d1, d2 = (np.exp(xs[:, None] * ik) @ derivs).real.T
+            xs = xs + np.clip(-d1 / np.where(np.abs(d2) > 1e-300, d2, np.inf), -h, h)
+        return float(max(top, np.abs((np.exp(xs[:, None] * ik) @ series).real).max()))
+
+    lo, hi = a0 - step, a0 + step
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = d_exact(x1), d_exact(x2)
+    while hi - lo > 1e-8:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = d_exact(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = d_exact(x2)
+    a_best = 0.5 * (lo + hi)
+    return min((d_exact(a_best), a_best % L), (d_exact(a0), a0 % L))
+
+
+def one_peak_pair(n=256):
+    """At the optimum a = 0.3, off the shift grid, vp - vm(x - a) is the
+    positive bump 0.1 exp(3 (cos(x - 0.3) - 1)), so one peak is active."""
+    vm = GridFunction.from_function(np.cos, 2 * math.pi, n)
+    vp = GridFunction.from_function(
+        lambda x: np.cos(x - 0.3) + 0.1 * np.exp(3.0 * (np.cos(x - 0.3) - 1.0)), 2 * math.pi, n)
+    return vp, vm
+
+
+class TestShiftRefinement:
+    @pytest.mark.parametrize("j,m", [(j, m) for j in (2, 3, 4, 5) for m in (0.1, 0.5, 0.9)]
+                             + [(6, 0.5), (8, 0.5), (10, 0.5)])
+    def test_matches_golden_section_oracle(self, j, m):
+        vp, vm = pair_grids(j, m)
+        want, _ = golden_reference(vp, vm)
+        got = verify.selfiso_distance(vp, vm).distance
+        assert got <= want + 1e-12
+        assert abs(got - want) <= 1e-8
+
+    def test_single_active_peak(self):
+        r = verify.selfiso_distance(*one_peak_pair())
+        assert r.distance == pytest.approx(0.1, abs=1e-12)
+        assert r.best_shift == pytest.approx(0.3, abs=1e-9)
+        assert not r.reflected
+
+    def test_inverse_ffts_per_call_bounded(self, monkeypatch):
+        # the scan takes four 8n-point inverse FFTs; the refinement one at
+        # the best scanned shift and one at the Newton point
+        pairs = (pair_grids(3, 0.9), pair_grids(4, 0.5), one_peak_pair(512))
+        calls = []
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: calls.append(1) or irfft(*a, **kw))
+        for pair in pairs:
+            calls.clear()
+            verify.selfiso_distance(*pair)
+            assert len(calls) <= 8
+
+    def test_refinement_logged_at_debug(self, caplog, capsys):
+        with caplog.at_level(logging.DEBUG, logger="lamesusy.verify"):
+            verify.selfiso_distance(*pair_grids(2, 0.5))
+        messages = [rec.getMessage() for rec in caplog.records if rec.name == "lamesusy.verify"]
+        assert len(messages) == 1 and "stopped: converged" in messages[0]
+        assert capsys.readouterr().out == ""
 
 
 class TestClaimReport:
