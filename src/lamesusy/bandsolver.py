@@ -3,10 +3,18 @@
 Two independent spectral methods are provided on purpose, so that one
 can arbitrate the other's bugs:
 
-  * a Floquet route: the trace of the monodromy matrix of
-    -y'' + V y = E y over one period, scanned for the energies where it
-    equals +2 (periodic edge) or -2 (antiperiodic edge), each of which is
-    then solved to float resolution by bracketed false position;
+  * a Floquet route: the trace Delta(E) of the monodromy matrix of
+    -y'' + V y = E y over one period, and its slope Delta'(E), sampled on
+    256 cells of an energy window.  Every crossing of +2 (periodic edge)
+    or -2 (antiperiodic edge) between samples is solved to float
+    resolution by bracketed false position.  Delta' vanishes exactly
+    once in every gap and nowhere in a band, so every sign change of
+    Delta' between samples is a gap, and its critical point, solved the
+    same way, decides a closed gap (a touch) from an open one.  The one
+    blind spot is a whole band plus the critical points of both its
+    neighbouring gaps inside one cell; on raw Lamé with j = 1..10 and m
+    from 1e-6 to 1 - 1e-6 the closest critical points lie 5.4 cells
+    apart;
   * a plane-wave Galerkin route: the periodic and antiperiodic
     eigenproblems assembled from Fourier coefficients of V, whose
     sorted union of eigenvalues is exactly the edge sequence.
@@ -19,16 +27,18 @@ coincident edges flagged degenerate, so lists keep uniform length.
 The monodromy matrix is a product of sixth-order Magnus steps
 (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009): V is sampled
 once per step count at the three Gauss nodes of every step, each
-step's 2x2 exponential is formed in closed form for a whole batch of
-energies at once, and the steps are multiplied together by pairwise
-tree reduction.  The step count is settled once per potential,
-tolerance and energy range, from the difference between the n-step and
-2n-step products at fixed probe energies.
+step's 2x2 exponential, and where asked its E-derivative, is formed in
+closed form for a whole batch of energies at once, and the steps are
+multiplied together by pairwise tree reduction, the derivatives by the
+product rule.  The step count is settled once per potential, tolerance
+and energy range, from the difference between the n-step and 2n-step
+products at fixed probe energies.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -44,7 +54,8 @@ from .grid import GridFunction
 
 TOL = 1e-11         # bound on each monodromy entry, relative to the largest partial product
 SCAN_TOL = 1e-7     # the same bound for the sign-only discriminant scan
-DEFAULT_SCAN = 2048
+DEFAULT_SCAN = 256   # scan cells; the trace and its slope at each cell's ends
+MAX_SCAN = 8192      # finest scan the doubling fallback tries
 MIN_STEPS = 64
 MAX_STEPS = 2 ** 14  # largest step count the engine accepts
 CHUNK = 2 ** 15      # steps x energies held in memory at once
@@ -147,12 +158,17 @@ def _step_coefficients(V: PeriodicPotential, n: int) -> tuple:
     return V._magnus[key]
 
 
-def _step_propagators(coef: tuple, E: np.ndarray) -> np.ndarray:
-    """exp(Omega) of every step at every energy, shape (4, steps, energies).
+def _step_propagators(coef: tuple, E: np.ndarray, slope: bool = False) -> np.ndarray:
+    """exp(Omega) of every step at every energy, shape (4, steps, energies);
+    with ``slope`` its E-derivative follows in rows 4-7.
 
     Omega is traceless, so Omega^2 = z I with z = a^2 + b c, and
     exp(Omega) = C I + S Omega with C = cosh(s), S = sinh(s)/s, s = sqrt(z)
-    (cos and sin of sqrt(-z) when z < 0).
+    (cos and sin of sqrt(-z) when z < 0).  As functions of z, dC/dz = S/2
+    and dS/dz = (C - S)/(2z), which cancels for small |z| and is summed
+    there as its series 1/6 + z/60 + z^2/1680 + z^3/90720 (relative error
+    below 1e-13 on either side of |z| = 1e-2).  Only a and c depend on E:
+    da/dE = -h a1, dc/dE = -h c1.
     """
     h, hv, a0, a1, b0, c0, c1 = coef
     u = hv - h * E
@@ -167,37 +183,58 @@ def _step_propagators(coef: tuple, E: np.ndarray) -> np.ndarray:
         np.cosh(s, out=C, where=grows)
         np.sinh(s, out=S, where=grows)
     S = np.divide(S, s, out=np.ones_like(s), where=s > 0)
-    return np.stack([C + S * a, S * b0, S * c, C - S * a])
+    P = [C + S * a, S * b0, S * c, C - S * a]
+    if not slope:
+        return np.stack(P)
+    da, dc = -h * a1, -h * c1
+    dz = 2.0 * a * da + b0 * dc
+    small = np.abs(z) < 1e-2
+    dS = np.divide(C - S, 2.0 * z, out=np.zeros_like(z), where=~small)
+    dS = dz * np.where(small, 1.0 / 6.0 + z * (1.0 / 60.0 + z * (1.0 / 1680.0 + z / 90720.0)), dS)
+    dC = 0.5 * S * dz
+    return np.stack(P + [dC + dS * a + S * da, dS * b0, dS * c + S * dc, dC - dS * a - S * da])
+
+
+def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """2x2 products A @ B of matrices stored as rows (11, 12, 21, 22)."""
+    return np.stack([A[0] * B[0] + A[1] * B[2], A[0] * B[1] + A[1] * B[3],
+                     A[2] * B[0] + A[3] * B[2], A[2] * B[1] + A[3] * B[3]])
 
 
 def _tree_product(P: np.ndarray) -> tuple:
     """Ordered products P[:, -1] @ ... @ P[:, 0] along axis 1, by pairs.
 
-    Returns the products, shape (4, columns), and per column the largest
-    entry of any partial product formed (at least 1, the initial data).
+    Returns the products, shape (rows, columns), and per column the
+    largest entry of any partial product formed (at least 1, the initial
+    data).  Rows 4-7, when present, are E-derivatives of rows 0-3 and
+    follow the product rule (AB)' = A'B + AB'; they enter no scale.
     """
     scale = np.ones(P.shape[2])
     while P.shape[1] > 1:
         half = P.shape[1] // 2
         A = P[:, 1 : 2 * half : 2]  # later steps multiply from the left
         B = P[:, 0 : 2 * half : 2]
-        Q = np.stack([A[0] * B[0] + A[1] * B[2], A[0] * B[1] + A[1] * B[3],
-                      A[2] * B[0] + A[3] * B[2], A[2] * B[1] + A[3] * B[3]])
+        Q = _mul(A[:4], B[:4])
+        if P.shape[0] == 8:
+            Q = np.concatenate([Q, _mul(A[4:], B[:4]) + _mul(A[:4], B[4:])])
         P = np.concatenate([Q, P[:, 2 * half :]], axis=1) if P.shape[1] % 2 else Q
-        np.maximum(scale, np.abs(P).max(axis=(0, 1)), out=scale)
+        np.maximum(scale, np.abs(P[:4]).max(axis=(0, 1)), out=scale)
     return P[:, 0], scale
 
 
-def _product(V: PeriodicPotential, n: int, E: np.ndarray) -> tuple:
-    """Monodromy entries (m11, m12, m21, m22) over n steps, and their scale,
-    in chunks of at most CHUNK steps x energies that no result depends on."""
+def _product(V: PeriodicPotential, n: int, E: np.ndarray, slope: bool = False) -> tuple:
+    """Monodromy entries (m11, m12, m21, m22) over n steps, with ``slope``
+    followed by their E-derivatives, and their scale.  Energies go in
+    chunks that no result depends on, of at most CHUNK steps x energies,
+    half as many energies with ``slope``, so that the live arrays keep
+    one size."""
     coef = _step_coefficients(V, n)
-    M = np.empty((4, E.size))
+    M = np.empty((8 if slope else 4, E.size))
     scale = np.empty(E.size)
-    per = max(1, CHUNK // n)
+    per = max(1, CHUNK // (n * (2 if slope else 1)))
     for lo in range(0, E.size, per):
         part = slice(lo, lo + per)
-        M[:, part], scale[part] = _tree_product(_step_propagators(coef, E[part]))
+        M[:, part], scale[part] = _tree_product(_step_propagators(coef, E[part], slope))
     return M, scale
 
 
@@ -258,19 +295,20 @@ def _step_count(V: PeriodicPotential, tol: float, r: int) -> int:
 
 
 def _monodromy(V: PeriodicPotential, energies, tol: float = TOL,
-               refined: bool = False) -> tuple:
-    """Monodromy entries and scales for a batch of E; ``refined`` doubles
-    the settled step count, for error estimates."""
+               refined: bool = False, slope: bool = False) -> tuple:
+    """Monodromy entries and scales for a batch of E, with ``slope`` and
+    their E-derivatives in rows 4-7; ``refined`` doubles the settled step
+    count, for error estimates."""
     E = np.atleast_1d(np.asarray(energies, dtype=float))
     if not np.all(np.isfinite(E)):
         raise DomainError("energies must be finite")
-    M = np.empty((4, E.size))
+    M = np.empty((8 if slope else 4, E.size))
     scale = np.empty(E.size)
     ranges = _energy_range(V, E)
     for r in np.unique(ranges):
         sel = ranges == r
         n = _step_count(V, tol, int(r)) * (2 if refined else 1)
-        M[:, sel], scale[sel] = _product(V, n, E[sel])
+        M[:, sel], scale[sel] = _product(V, n, E[sel], slope)
     return M, scale
 
 
@@ -319,30 +357,31 @@ def _overshoot(V: PeriodicPotential, energies, targets) -> tuple:
 # edge location
 # ---------------------------------------------------------------------------
 
-def _root_batch(V, lo, hi, target, f_lo, f_hi):
-    """Roots of trace(E) = target on brackets [lo, hi], to float resolution.
+def _root_batch(residual, lo, hi, f_lo, f_hi):
+    """Roots of a residual on brackets [lo, hi], to float resolution.
 
-    ``f_lo`` and ``f_hi`` are the residuals trace - target at the ends.
-    Their signs must be those _edge_residual gives; their values only
-    weight the first interpolation, so the scan's serve.
+    ``residual(x, i)`` evaluates brackets ``i`` at points ``x`` in one
+    batch (_crossing, or the slope in _critical_points).  ``f_lo`` and
+    ``f_hi`` are its values at the ends.  Their signs must be those the
+    residual gives; their values only weight the first interpolation, so
+    the scan's serve.
 
-    Illinois false position (Dowell & Jarratt 1971) on _edge_residual:
-    every step evaluates the false-position point of each open bracket
-    in one batched product, kept half the stopping width inside the
-    bracket, and keeps the sign change; an end kept twice in a row has
-    its residual halved, which makes the convergence superlinear.  The
-    safeguards: a bracket that has not halved in _STALL steps steps at
-    least 1/64 of its width away from both ends (false position creeps
-    along a flat end, e.g. next to a narrow gap's extremum), and one that
-    has not halved in 2 _STALL steps is bisected.  A bracket closes at a
-    width of 4 eps max(1, |E|) or on a residual of exactly 0, so every
-    root lies inside its bracket; brackets never interact.  Raises
-    NumericalError if an end pair has no sign change or a bracket never
-    closes.
+    Illinois false position (Dowell & Jarratt 1971): every step evaluates
+    the false-position point of each open bracket in one batch, kept half
+    the stopping width inside the bracket, and keeps the sign change; an
+    end kept twice in a row has its residual halved, which makes the
+    convergence superlinear.  The safeguards: a bracket that has not
+    halved in _STALL steps steps at least 1/64 of its width away from
+    both ends (false position creeps along a flat end, e.g. next to a
+    narrow gap's extremum), and one that has not halved in 2 _STALL steps
+    is bisected.  A bracket closes at a width of 4 eps max(1, |E|) or on
+    a residual of exactly 0, so every root lies inside its bracket;
+    brackets never interact.  Raises NumericalError if an end pair has no
+    sign change or a bracket never closes.
     """
-    a, b, fa, fb, target = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi, target))
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
     if np.any(fa * fb > 0):
-        raise NumericalError("edge bracket without a sign change")
+        raise NumericalError("root bracket without a sign change")
     root = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
     kept = np.zeros(a.size, dtype=int)  # end kept by the last step: -1 low, +1 high
     halved = b - a                      # width at the last halving
@@ -358,7 +397,7 @@ def _root_batch(V, lo, hi, target, f_lo, f_hi):
         margin = np.where(stall[i] >= _STALL, w / 64.0, 0.5 * stop[i])
         x = np.clip(ai + w * (fa[i] / (fa[i] - fb[i])), ai + margin, bi - margin)
         x = np.where(stall[i] >= 2 * _STALL, 0.5 * (ai + bi), x)
-        fx = _edge_residual(_monodromy(V, x)[0], target[i])[0]
+        fx = residual(x, i)
         root[i[fx == 0.0]] = x[fx == 0.0]
         up = np.sign(fx) == np.sign(fa[i])  # the root lies in [x, b]
         lo_i, hi_i = i[up], i[~up]
@@ -369,43 +408,21 @@ def _root_batch(V, lo, hi, target, f_lo, f_hi):
         shrunk = b[i] - a[i] <= 0.5 * halved[i]
         halved[i] = np.where(shrunk, b[i] - a[i], halved[i])
         stall[i] = np.where(shrunk, 0, stall[i] + 1)
-    raise NumericalError(f"{int(np.isnan(root).sum())} edge brackets did not close "
+    raise NumericalError(f"{int(np.isnan(root).sum())} root brackets did not close "
                          f"in {_ROOT_STEPS} steps")
 
 
-def _refine_extrema_batch(V, lo, hi, maximize, golden_iters=22, newton_iters=3):
-    """Extrema of the trace on a batch of brackets.
+def _crossing(V, target):
+    """The residual of trace = target (_edge_residual) for _root_batch,
+    one target per bracket."""
+    target = np.asarray(target, dtype=float)
+    return lambda x, i: _edge_residual(_monodromy(V, x)[0], target[i])[0]
 
-    Golden-section narrows each bracket, then Newton steps on the
-    finite-difference derivative polish the location: the derivative
-    has a simple root at the extremum, which locates a closed-gap
-    touch far better than comparing nearly equal trace values.
-    ``maximize`` is a boolean array; all probes of all brackets go
-    through one batched trace call per iteration.
-    """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    sgn = np.where(np.asarray(maximize), 1.0, -1.0)
-    n = lo.size
-    for _ in range(golden_iters):
-        x1 = hi - invphi * (hi - lo)
-        x2 = lo + invphi * (hi - lo)
-        f = _trace_batch(V, np.concatenate([x1, x2]))
-        keep_low = sgn * f[:n] >= sgn * f[n:]
-        hi = np.where(keep_low, x2, hi)
-        lo = np.where(keep_low, lo, x1)
-    xe = 0.5 * (lo + hi)
-    h = 1e-4 * (1.0 + np.abs(xe))
-    for _ in range(newton_iters):
-        f = _trace_batch(V, np.concatenate([xe - h, xe, xe + h]))
-        fm, f0, fp = f[:n], f[n : 2 * n], f[2 * n :]
-        d1 = (fp - fm) / (2.0 * h)
-        d2 = (fp - 2.0 * f0 + fm) / (h * h)
-        safe = np.abs(d2) > 1e-30
-        step = np.where(safe, -d1 / np.where(safe, d2, 1.0), 0.0)
-        xe = np.clip(xe + step, lo, hi)
-    return xe
+
+def _slope(V, energies) -> np.ndarray:
+    """dDelta/dE, the E-derivative of the trace, at full accuracy."""
+    M, _ = _monodromy(V, energies, slope=True)
+    return M[4] + M[7]
 
 
 def _transversal_roots(V, Es, tr):
@@ -420,46 +437,74 @@ def _transversal_roots(V, Es, tr):
     if not lo:
         return []
     tgt = np.array(tgt)
-    roots = _root_batch(V, Es[lo], Es[hi], tgt, tr[lo] - tgt, tr[hi] - tgt)
+    roots = _root_batch(_crossing(V, tgt), Es[lo], Es[hi], tr[lo] - tgt, tr[hi] - tgt)
     return sorted((float(r), _BOUNDARY[t]) for r, t in zip(roots, tgt))
 
 
-def _extremum_brackets(Es, tr, margin=1.2):
-    """Interior extrema of the sampled trace that approach +-2.
+def _critical_points(V, Es, scan_slope, cells, stats):
+    """Roots of dDelta/dE in the scan cells [Es[k], Es[k+1]], to float
+    resolution, and the cell that holds each.
 
-    Returns (index, +-2) pairs, ascending in energy.  These mark
-    either closed gaps (trace touches +-2) or open gaps narrower than
-    the grid (the dip was not sampled beyond +-2).
+    The ends are evaluated again at full accuracy first: the scan's slope
+    carries SCAN_TOL's error, so an end whose sign differs there lies
+    within that error of the critical point, which is then in the next
+    cell beyond that end.
     """
-    interior = np.arange(1, len(Es) - 1)
-    is_max = (tr[interior] >= tr[interior - 1]) & (tr[interior] >= tr[interior + 1])
-    is_min = (tr[interior] <= tr[interior - 1]) & (tr[interior] <= tr[interior + 1])
-    out = [(int(i), 2.0) for i in interior[is_max & (tr[interior] > 2.0 - margin)]]
-    out += [(int(i), -2.0) for i in interior[is_min & (tr[interior] < -2.0 + margin)]]
-    return sorted(out)
+    def slope(x, i):
+        stats["root_steps"] += 1
+        return _slope(V, x)
+
+    lo = np.array(cells)
+    f_lo, f_hi = np.split(_slope(V, Es[np.concatenate([lo, lo + 1])]), 2)
+    moved = f_lo * f_hi > 0
+    if moved.any():
+        lo[moved] += np.where(np.sign(f_lo[moved]) == np.sign(scan_slope[lo[moved]]), 1, -1)
+        np.clip(lo, 0, Es.size - 2, out=lo)
+        f_lo, f_hi = np.split(_slope(V, Es[np.concatenate([lo, lo + 1])]), 2)
+    stats["critical"] += lo.size
+    return _root_batch(slope, Es[lo], Es[lo + 1], f_lo, f_hi), lo
 
 
-def _dip(tr, left, right, target):
-    """Widen [left, right] to the nearest samples outside the gap at target."""
-    sgn = math.copysign(1.0, target)
-    while left > 0 and sgn * (tr[left] - target) > 0:
-        left -= 1
-    while right < len(tr) - 1 and sgn * (tr[right] - target) > 0:
-        right += 1
-    return left, right
+def _scan_edges(V, e_min, e_max, n_cells, count, stats):
+    """One scan pass: transversal crossings, then every gap whose critical
+    point the slope brackets.
 
+    The trace Delta and its slope Delta' are sampled at the ends of
+    n_cells equal cells.  Every sign change of Delta -+ 2 is an edge,
+    solved by _root_batch.  Delta' != 0 wherever |Delta| < 2, and every
+    gap, open or closed, holds exactly one critical point (Magnus &
+    Winkler, Hill's Equation, 1966), so every sign change of Delta' is
+    one gap: a maximum at +2 or a minimum at -2.  Its critical point is
+    solved as a root of Delta' unless a sample already lies in the gap
+    (its crossings are then among the roots) or it lies above the first
+    ``count`` roots.  _overshoot then decides at that point: a trace that
+    measurably passes +-2 is an open gap, whose flanks are solved out to
+    the cell's ends; otherwise the point is a touch, a closed gap.
 
-def _scan_edges(V, e_min, e_max, n_cells, count):
-    """One scan pass: transversal crossings plus near-touch extrema.
+    Blind spot: a whole band together with the critical points of both
+    its neighbouring gaps inside one cell shows no sign change at all and
+    loses four edges, p p a a, which keeps the boundary pattern.  At the
+    default 256 cells, consecutive critical points of raw Lamé below edge
+    2j (j = 1..10, m from 1e-6 to 1 - 1e-6, scripts/lame_sweep.py) lie
+    5.4 cells apart at the least; SUSY partners share the trace.
+
+    Resolution limit: a gap so narrow that its overshoot stays within the
+    product's noise comes back as a touch at its Delta' root, each edge
+    within half the gap's width of its true value.  On the closed forms
+    that happens only below the float spacing: at j = 2, m = 1e-9 the
+    3e-9 gap between edges 1 and 2 comes back open, both edges within
+    4e-16, and the 7.5e-19 gap between edges 3 and 4 as a touch.  The
+    512-sample numeric partner V+ of j = 2 at m = 1e-6 returns its
+    7.5e-13 gap as a touch.
 
     Returns (roots, touches): simple roots as (energy, boundary) and
-    closed-gap touch points as (energy, boundary) each standing for a
-    coincident pair.
+    touch points as (energy, boundary) each standing for a coincident
+    pair.  Counts go into ``stats``.
     """
     Es = np.linspace(e_min, e_max, n_cells + 1)
     cell = Es[1] - Es[0]
-    M, scale = _monodromy(V, Es, SCAN_TOL)
-    tr = M[0] + M[3]
+    M, scale = _monodromy(V, Es, SCAN_TOL, slope=True)
+    tr, slope = M[0] + M[3], M[4] + M[7]
     # the scan decides signs only; samples within its error of +-2 are
     # recomputed at full accuracy, as the edge residual that _root_batch
     # reads, so that no sign is misread and both agree on every sign
@@ -472,78 +517,68 @@ def _scan_edges(V, e_min, e_max, n_cells, count):
                               near + res)
     roots = _transversal_roots(V, Es, tr)
 
-    # Extrema above the energy where `count` simple roots already exist
-    # cannot enter the result; skip them.  An extremum whose surrounding
-    # |trace| > 2 excursion already contributed both transversal roots is
-    # redundant too: walk the dip extent before deciding to refine.
+    # a gap sampled beyond +-2 has its crossings among the roots already,
+    # or one the window cuts off, which brackets no edge; so only cells
+    # whose ends both lie on the bands' side, as _transversal_roots sorts
+    # them, are solved
     cutoff = roots[count - 1][0] + 2.0 * cell if len(roots) >= count else math.inf
-    cands = []
-    for i, target in _extremum_brackets(Es, tr):
-        left, right = _dip(tr, i, i, target)
-        near = [r for r, b in roots if b == _BOUNDARY[target]
-                and Es[left] - cell <= r <= Es[right] + cell]
-        if Es[i] <= cutoff and len(near) < 2:
-            cands.append((i, target))
-    if not cands:
+    rising = slope > 0.0
+    cells = np.nonzero(rising[:-1] != rising[1:])[0]
+    targets = np.where(rising[cells], 2.0, -2.0)
+    band_side = [(tr[k] >= targets) == (targets < 0) for k in (cells, cells + 1)]
+    keep = band_side[0] & band_side[1] & (Es[cells] <= cutoff)
+    cells, targets = cells[keep], targets[keep]
+    if not cells.size:
         return roots, []
 
-    targets = np.array([t for _, t in cands])
-    xe = _refine_extrema_batch(V, [Es[i - 1] for i, _ in cands],
-                               [Es[i + 1] for i, _ in cands], targets > 0)
+    xe, cells = _critical_points(V, Es, slope, cells, stats)
     overshoot, noise = _overshoot(V, xe, targets)
-    touches, flanks = [], []
-    for e_star, target, over, nz in zip(xe.tolist(), targets, overshoot, noise):
-        if over > nz:
-            # the trace measurably passes +-2: an open gap between grid
-            # points; solve both flanks, out to the nearest grid points
-            # back inside the band.  A flank the window cuts off while
-            # still in the gap brackets no edge.
-            j = min(max(0, int(np.searchsorted(Es, e_star)) - 1), len(Es) - 2)
-            left, right = _dip(tr, j, j + 1, target)
-            sgn = math.copysign(1.0, target)
-            f_star, f_left, f_right = sgn * over, tr[left] - target, tr[right] - target
-            if sgn * f_left <= 0:
-                flanks.append((Es[left], e_star, f_left, f_star, target))
-            if sgn * f_right <= 0:
-                flanks.append((e_star, Es[right], f_star, f_right, target))
-        else:
-            # every extremum of the trace reaches +-2, so this one touches
-            # it: a closed gap (M = +-I), or one narrower than the product
-            # resolves.  No lower bound applies: the polished point misses
-            # a closed gap's touch, which puts the overshoot below zero by
-            # the square of that miss.
-            touches.append((e_star, _BOUNDARY[target]))
-    if flanks:
-        lo, hi, f_lo, f_hi, tgt = zip(*flanks)
-        extra = _root_batch(V, lo, hi, tgt, f_lo, f_hi)
-        roots = sorted(roots + [(float(r), _BOUNDARY[t]) for r, t in zip(extra, tgt)])
+    # the trace measurably passes +-2 at an open gap's critical point:
+    # solve both flanks, out to the cell's ends back inside the bands.
+    # Otherwise it touches +-2 there, a closed gap (M = +-I), or one
+    # narrower than the product resolves: the overshoot is 0 up to noise.
+    is_open = overshoot > noise
+    touches = [(e, _BOUNDARY[t]) for e, t in zip(xe[~is_open].tolist(), targets[~is_open])]
+    if is_open.any():
+        k, x, t = cells[is_open], xe[is_open], targets[is_open]
+        f_star = np.sign(t) * overshoot[is_open]  # the residual trace - target there
+        extra = _root_batch(_crossing(V, np.concatenate([t, t])), np.concatenate([Es[k], x]),
+                            np.concatenate([x, Es[k + 1]]),
+                            np.concatenate([tr[k] - t, f_star]),
+                            np.concatenate([f_star, tr[k + 1] - t]))
+        stats["flanks"] += extra.size
+        roots = sorted(roots + [(float(r), _BOUNDARY[g]) for r, g in zip(extra, np.tile(t, 2))])
     return roots, touches
 
 
-def _assemble(roots, touches, span):
+def _pattern_order(edges, close):
+    """Put narrow bands in the oscillation-theorem order, in place.
+
+    A band's lower edge lies below its upper edge, and its two edges have
+    different boundaries, so an adjacent pair of entries (energy,
+    boundary, ...) with different boundaries that sits out of the pattern
+    and is ``close`` (a predicate on the two entries: closer than the
+    engine resolves) bounds a band narrower than that, and is swapped.
+    Closed gaps pair equal boundaries, so this rule cannot mistake a gap
+    for a band.
+    """
+    for i in range(len(edges) - 1):
+        x, y = edges[i], edges[i + 1]
+        if x[1] != expected_boundary(i) and y[1] != x[1] and close(x, y):
+            edges[i], edges[i + 1] = y, x
+
+
+def _assemble(roots, touches):
     """Merge simple roots and degenerate pairs into one sorted edge list.
 
     A periodic and an antiperiodic root within _root_batch's closing
-    width, 4 eps max(1, |E|), bound a band narrower than the roots
-    resolve, so they go out in the oscillation-theorem order.
+    width, 4 eps max(1, |E|), go out in the pattern's order (_pattern_order).
     """
-    tol = max(1e-8, 1e-9 * span)
-
-    def dedupe(pairs):
-        kept = []
-        for e, bnd in pairs:
-            if not (kept and kept[-1][1] == bnd and abs(kept[-1][0] - e) <= tol):
-                kept.append((e, bnd))
-        return kept
-
-    out = [(e, bnd, False) for e, bnd in dedupe(roots)]
-    out += [(e, bnd, True) for e, bnd in dedupe(sorted(touches)) for _ in range(2)]
+    out = [(e, bnd, False) for e, bnd in roots]
+    out += [(e, bnd, True) for e, bnd in touches for _ in range(2)]
     out.sort()
-    for i in range(len(out) - 1):
-        (e, bnd, deg), (f, f_bnd, f_deg) = out[i], out[i + 1]
-        if (bnd != expected_boundary(i) and f_bnd != bnd and not deg and not f_deg
-                and f - e <= 4.0 * np.finfo(float).eps * max(1.0, abs(e), abs(f))):
-            out[i], out[i + 1] = out[i + 1], out[i]
+    _pattern_order(out, lambda x, y: not x[2] and not y[2] and y[0] - x[0]
+                   <= 4.0 * np.finfo(float).eps * max(1.0, abs(x[0]), abs(y[0])))
     return out
 
 
@@ -551,12 +586,18 @@ def band_edges(V: PeriodicPotential, count: int, e_max: Optional[float] = None,
                scan_points: int = DEFAULT_SCAN) -> list:
     """First ``count`` band edges of -y'' + V y = E y, sorted by energy.
 
-    Scans the Floquet discriminant from just below inf V up to
-    ``e_max`` (auto-extended when omitted), solves every crossing of
-    +-2 down to a bracket a few ulps wide (_root_batch), and recovers
-    closed or under-resolved gaps from interior extrema of the trace.
-    Raises IncompleteSpectrumError if the window cannot supply ``count``
-    edges.
+    Samples the Floquet discriminant Delta and its slope Delta' on
+    ``scan_points`` cells from just below inf V up to ``e_max``
+    (auto-extended when omitted), solves every crossing of +-2 down to a
+    bracket a few ulps wide (_root_batch), and finds closed or
+    under-resolved gaps as roots of Delta' (_scan_edges).  The scan's one
+    blind spot is a whole band plus both neighbouring critical points
+    inside one cell of window/256; on the raw Lamé sweep the closest
+    critical points lie 5.4 such cells apart.  An incomplete window is
+    widened by 1.7x up to 12 times; a result out of the boundary pattern
+    doubles the cells, up to MAX_SCAN.  Raises IncompleteSpectrumError if
+    neither supplies ``count`` edges in the pattern.  Each call sends one
+    DEBUG record to this module's logger when ``logging`` is loaded.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
@@ -571,26 +612,37 @@ def band_edges(V: PeriodicPotential, count: int, e_max: Optional[float] = None,
     if not (e_max > e_min):
         raise DomainError("e_max must exceed inf V - 1")
 
-    expansions = 0
+    stats = dict(doublings=0, expansions=0, critical=0, root_steps=0, flanks=0)
     n_cells = scan_points
-    while True:
-        roots, touches = _scan_edges(V, e_min, e_max, n_cells, count)
-        found = [BandEdge(n=i, energy=e, boundary=b, degenerate=d)
-                 for i, (e, b, d) in enumerate(_assemble(roots, touches, e_max - e_min))]
-        if len(found) >= count and all(e.boundary == expected_boundary(e.n) for e in found[:count]):
-            return found[:count]
-        if len(found) < count and auto and expansions < 12:
-            e_max = e_min + 1.7 * (e_max - e_min)
-            expansions += 1
-            continue
-        if n_cells < 4 * DEFAULT_SCAN:
-            n_cells *= 2  # halve the scan step and try again
-            continue
-        raise IncompleteSpectrumError(
-            f"found {len(found)} band edges below E={e_max!r}, needed {count}: "
-            + ", ".join(f"{e.energy:.6g}({e.boundary[0]})" for e in found),
-            found=found,
-        )
+    try:
+        while True:
+            roots, touches = _scan_edges(V, e_min, e_max, n_cells, count, stats)
+            found = [BandEdge(n=i, energy=e, boundary=b, degenerate=d)
+                     for i, (e, b, d) in enumerate(_assemble(roots, touches))]
+            if (len(found) >= count
+                    and all(e.boundary == expected_boundary(e.n) for e in found[:count])):
+                return found[:count]
+            if len(found) < count and auto and stats["expansions"] < 12:
+                e_max = e_min + 1.7 * (e_max - e_min)
+                stats["expansions"] += 1
+                continue
+            if n_cells < MAX_SCAN:
+                n_cells *= 2  # halve the scan step and try again
+                stats["doublings"] += 1
+                continue
+            raise IncompleteSpectrumError(
+                f"found {len(found)} band edges below E={e_max!r}, needed {count}: "
+                + ", ".join(f"{e.energy:.6g}({e.boundary[0]})" for e in found),
+                found=found,
+            )
+    finally:
+        logging = sys.modules.get("logging")  # unloaded, it has no handler to reach
+        if logging:
+            logging.getLogger(__name__).debug(
+                "band_edges: %d scan cells, %d doublings, %d window expansions, "
+                "%d slope roots in %d root steps, %d flank solves", n_cells,
+                stats["doublings"], stats["expansions"], stats["critical"],
+                stats["root_steps"], stats["flanks"])
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +731,8 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = 64) -> list:
     Assembles dense Hermitian matrices in the e^{i k x} basis with
     Fourier coefficients of V taken by FFT on 4*basis_n samples, and
     merges the two sorted spectra; their union is the edge sequence,
-    including coincident pairs at closed gaps.
+    including coincident pairs at closed gaps.  A band narrower than the
+    eigenvalues resolve goes out in the boundary pattern (_pattern_order).
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
@@ -708,7 +761,11 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = 64) -> list:
         raise IncompleteSpectrumError(
             f"Galerkin basis produced {len(labelled)} eigenvalues, needed {count}"
         )
-    chosen = labelled[:count]
+    # eigvalsh resolves eigenvalues to a small multiple of eps ||H||
+    resolved = 16.0 * np.finfo(float).eps * max(np.abs(ev_per).max(), np.abs(ev_anti).max())
+    chosen = labelled[: count + 1]
+    _pattern_order(chosen, lambda x, y: y[0] - x[0] <= resolved)
+    chosen = chosen[:count]
     edges = []
     for i, (e, bnd) in enumerate(chosen):
         deg = False

@@ -95,9 +95,11 @@ def cmd_elliptic(args) -> int:
 def _potential(j, m, family, numeric):
     """The family as a PeriodicPotential: closed form, or with ``numeric`` the pipeline."""
     if numeric and family is not susy.Family.RAW_LAME:
-        if family not in (susy.Family.V_MINUS, susy.Family.V_PLUS):
+        if family is susy.Family.V_MINUS:
+            return verify._pipeline_minus(j, m)  # without the partner it would not use
+        if family is not susy.Family.V_PLUS:
             raise DomainError("the numeric route provides vminus and vplus families only")
-        return verify._pipeline_pair(j, m)[family is susy.Family.V_PLUS]
+        return verify._pipeline_pair(j, m)[1]
     if j > 3 and family is not susy.Family.RAW_LAME:
         raise DomainError(
             f"no closed form for j={j}; rerun with --numeric for the pipeline route"
@@ -107,11 +109,7 @@ def _potential(j, m, family, numeric):
 
 def cmd_potential(args) -> int:
     p = _check_precision(args.precision)
-    family = _FAMILIES[args.family]
-    if args.numeric and family is susy.Family.V_MINUS:
-        f = verify._pipeline_minus(args.j, args.m)  # its partner would go unused
-    else:
-        f = _potential(args.j, args.m, family, args.numeric)
+    f = _potential(args.j, args.m, _FAMILIES[args.family], args.numeric)
     xs = np.arange(args.grid_n) * (f.period / args.grid_n)
     try:
         values = np.asarray(f(xs), dtype=float)

@@ -1,5 +1,6 @@
 """Tests for the Floquet and Galerkin band-structure engines."""
 
+import logging
 import math
 import runpy
 from pathlib import Path
@@ -147,6 +148,57 @@ class TestMonodromyTrace:
         assert over[0] > 1e3 * noise[0]
 
 
+class TestSlope:
+    """dDelta/dE carried through the Magnus product by the product rule."""
+
+    @staticmethod
+    def inside_bands(edges):
+        # 30% and 70% into every band, and below the lowest: |Delta'| > 0.3
+        e = np.asarray(edges)
+        lo = np.concatenate([[e[0]], e[2::2]])[: (e.size + 1) // 2]
+        hi = np.concatenate([e[1::2], [e[-1] + 2.0]])
+        return np.concatenate([[e[0] - 0.5], lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo)])
+
+    @pytest.mark.parametrize("make,edges", [
+        (lambda: lame_pot(Family.V_MINUS, 1, 0.5), lambda: band_edge_energies(1, 0.5)),
+        (lambda: lame_pot(Family.V_MINUS, 2, 0.5), lambda: band_edge_energies(2, 0.5)),
+        (lambda: lame_pot(Family.V_MINUS, 3, 0.5), lambda: band_edge_energies(3, 0.5)),
+        (lambda: lame_pot(Family.V_PLUS, 3, 0.9), lambda: band_edge_energies(3, 0.9)),
+        (lambda: verify._partner_pair(4, 0.5)[1],
+         lambda: [e.energy for e in bs.band_edges(verify._partner_pair(4, 0.5)[0], 9)]),
+    ], ids=["j1", "j2", "j3", "j3_vplus_m0.9", "numeric_j4_vplus"])
+    def test_matches_central_difference(self, make, edges):
+        pot = make()
+        E = self.inside_bands(edges())
+        h = 1e-3
+        f = [bs._trace_batch(pot, E + k * h) for k in (-2, -1, 1, 2)]
+        central = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+        slope = bs._slope(pot, E)
+        assert np.max(np.abs(slope - central) / np.abs(slope)) <= 1e-8
+
+    def test_product_beside_slope_is_bit_identical(self):
+        # 1000 energies span chunks of 512 plain and 256 with the slope
+        pot = lame_pot(Family.V_PLUS, 2, 0.9)
+        E = np.linspace(-3.0, 40.0, 1000)
+        M, scale = bs._product(pot, 64, E)
+        MD, scale_d = bs._product(pot, 64, E, slope=True)
+        assert MD.shape == (8, E.size)
+        assert np.array_equal(MD[:4], M) and np.array_equal(scale_d, scale)
+
+    def test_constant_potential_closed_form(self):
+        # z = h^2 (V - E) is below 1e-2 within 10.24 of V = 1.5 (h = 1/32),
+        # and 0 at E = V, where only the series is defined
+        L, v = 2.0, 1.5
+        pot = bs.PeriodicPotential(period=L, evaluator=lambda x: v + 0.0 * np.asarray(x, float))
+        d = np.array([-20.0, -1e-3, 0.0, 1e-6, 0.5, 20.0])
+        k = np.sqrt(np.abs(d))
+        kk = np.where(k > 0, k, 1.0)
+        want = np.where(d > 0, -L * np.sin(k * L) / kk, -L * np.sinh(k * L) / kk)
+        want[d == 0] = -L * L
+        got = bs._slope(pot, v + d)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
 class TestBandEdges:
     @pytest.mark.parametrize("m", [0.1, 0.5, 0.9, 0.01, 0.02, 0.05])
     def test_j2_energies(self, m):
@@ -187,6 +239,37 @@ class TestBandEdges:
         with pytest.raises(IncompleteSpectrumError) as exc:
             bs.band_edges(lame_pot(Family.V_MINUS, 2, 0.5), 5, e_max=1.0)
         assert len(exc.value.found) < 5
+
+    def test_touches_to_float_resolution(self):
+        # closed gaps of the free particle at (n pi / L)^2, solved as roots
+        # of Delta'; the upper j=2 gap at m = 1e-6 is 7.5e-13 wide
+        edges = bs.band_edges(free_particle(), 5)
+        assert [e.degenerate for e in edges] == [False, True, True, True, True]
+        for got, w in zip(edges, (0.0, 1.0, 1.0, 4.0, 4.0)):
+            assert abs(got.energy - w) <= 1e-12
+        edges = bs.band_edges(lame_pot(Family.V_MINUS, 2, 1e-6), 5)
+        for got, want in zip(edges, band_edge_energies(2, 1e-6)):
+            assert abs(got.energy - want) <= 1e-12
+
+    def test_resolution_limit_at_tiny_modulus(self):
+        # j = 2, m = 1e-9: the 3e-9 gap comes back open; the 7.5e-19 gap,
+        # below the float spacing at E = 4, as a touch
+        edges = bs.band_edges(lame_pot(Family.V_MINUS, 2, 1e-9), 5)
+        assert [e.degenerate for e in edges] == [False, False, False, True, True]
+        for got, want in zip(edges, band_edge_energies(2, 1e-9)):
+            assert abs(got.energy - want) <= 1e-15
+
+    def test_scan_logged_at_debug(self, caplog):
+        logger = "lamesusy.bandsolver"
+        with caplog.at_level(logging.DEBUG, logger=logger):
+            bs.band_edges(free_particle(), 5)
+            with pytest.raises(IncompleteSpectrumError):
+                bs.band_edges(lame_pot(Family.V_MINUS, 2, 0.5), 5, e_max=1.0)
+        messages = [rec.getMessage() for rec in caplog.records if rec.name == logger]
+        assert len(messages) == 2  # the window [-1, 11] holds touches at 1, 4 and 9
+        assert messages[0].startswith("band_edges: 256 scan cells, 0 doublings, "
+                                      "0 window expansions, 3 slope roots")
+        assert messages[1].startswith("band_edges: 8192 scan cells, 5 doublings")
 
     def test_count_validation(self):
         with pytest.raises(DomainError):
@@ -255,14 +338,16 @@ class TestRootBatch:
     def test_batch_equals_one_at_a_time(self):
         pot = lame_pot(Family.V_MINUS, 3, 0.5)
         brackets = self.brackets(pot)
-        batch = bs._root_batch(pot, *brackets)
-        single = [bs._root_batch(pot, *([v] for v in one))[0] for one in zip(*brackets)]
+        lo, hi, target, f_lo, f_hi = brackets
+        batch = bs._root_batch(bs._crossing(pot, target), lo, hi, f_lo, f_hi)
+        single = [bs._root_batch(bs._crossing(pot, [t]), [a], [b], [fa], [fb])[0]
+                  for a, b, t, fa, fb in zip(*brackets)]
         assert batch.tolist() == single
 
     def test_roots_inside_their_brackets(self):
         pot = lame_pot(Family.V_MINUS, 3, 0.5)
         lo, hi, target, f_lo, f_hi = self.brackets(pot)
-        roots = bs._root_batch(pot, lo, hi, target, f_lo, f_hi)
+        roots = bs._root_batch(bs._crossing(pot, target), lo, hi, f_lo, f_hi)
         assert np.all((lo <= roots) & (roots <= hi))
         assert np.max(np.abs(roots - np.array(band_edge_energies(3, 0.5)))) <= 1e-11
 
@@ -271,7 +356,53 @@ class TestRootBatch:
         pot = lame_pot(Family.V_MINUS, 3, 0.5)
         f = bs._trace_batch(pot, [0.01, 0.05]) - 2.0
         with pytest.raises(NumericalError, match="sign change"):
-            bs._root_batch(pot, [0.01], [0.05], [2.0], f[:1], f[1:])
+            bs._root_batch(bs._crossing(pot, [2.0]), [0.01], [0.05], f[:1], f[1:])
+
+
+class TestCriticalPoints:
+    @pytest.mark.parametrize("Es,scan,cell", [
+        ([0.6, 0.8, 1.2], [-1.0, 1.0, 1.0], 0),   # the scan misread the slope at 0.8
+        ([0.8, 1.2, 1.4], [-1.0, -1.0, 1.0], 1),  # ... and at 1.2
+    ], ids=["next_cell_up", "next_cell_down"])
+    def test_misread_end_moves_to_the_next_cell(self, Es, scan, cell):
+        # the free particle's slope changes sign at E = 1 only, inside
+        # [0.8, 1.2]; a scan sign that full accuracy contradicts moves the
+        # bracket there
+        stats = dict(critical=0, root_steps=0)
+        roots, cells = bs._critical_points(free_particle(), np.array(Es), np.array(scan),
+                                           np.array([cell]), stats)
+        assert cells.tolist() == [Es.index(0.8)]
+        assert abs(roots[0] - 1.0) <= 1e-12
+        assert stats["critical"] == 1 and stats["root_steps"] >= 1
+
+
+class TestLameSweep:
+    """Raw Lamé through both engines against the algebraic eigenvalues
+    (scripts/lame_sweep.py); a subset that includes the narrowest bands
+    (j = 8-10 near m = 1) and the narrowest gaps (small m)."""
+
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "lame_sweep.py"
+    CASES = [(2, 1e-6), (5, 1e-3), (6, 0.1), (7, 0.5), (10, 1e-3), (10, 1e-6),
+             (8, 0.99), (9, 0.999), (10, 0.99), (10, 0.999), (9, 1 - 1e-6), (5, 1 - 1e-6)]
+
+    @pytest.fixture(scope="class")
+    def check(self):
+        return runpy.run_path(str(self.SCRIPT))["check"]
+
+    @pytest.mark.parametrize("engine", ["floquet", "galerkin"])
+    @pytest.mark.parametrize("j,m", CASES)
+    def test_every_edge_and_boundary(self, check, engine, j, m):
+        row = check(j, m, engine)
+        assert row["error"] is None and row["boundaries_ok"]
+        assert max(e for e in (row["plain"], row["touch"]) if e is not None) <= 1e-9
+
+    def test_sweep_script_runs(self, capsys):
+        runpy.run_path(str(self.SCRIPT))["main"](["--j", "2", "3", "--m", "1e-6", "0.5"])
+        out = capsys.readouterr().out
+        assert out.count("4 of 4 cases in the boundary pattern") == 2
+        worst = [float(line.split(":")[1].split()[0]) for line in out.splitlines()
+                 if "worst non-touch error" in line]
+        assert len(worst) == 2 and max(worst) <= 1e-9
 
 
 class TestBlochEdgeState:

@@ -146,8 +146,8 @@ class TestBands:
         from lamesusy import cli
 
         calls = []
-        pipeline = verify._pipeline_pair
-        monkeypatch.setattr(verify, "_pipeline_pair",
+        pipeline = verify._pipeline_minus
+        monkeypatch.setattr(verify, "_pipeline_minus",
                             lambda j, m: calls.append((j, m)) or pipeline(j, m))
         assert cli.main(["bands", "-j", "2", "-m", "0.5", "--numeric", "--count", "3"]) == 0
         assert calls == [(2, 0.5)]
@@ -176,6 +176,18 @@ class TestBands:
         calls.clear()
         assert cli.main(["potential", "-j", "4", "-m", "0.5", "--numeric", "-n", "16"]) == 0
         assert calls == []
+
+    def test_numeric_vminus_builds_no_partner(self, monkeypatch, capsys):
+        # in process, to count partner builds: V- alone comes from _pipeline_minus
+        from lamesusy import bandsolver, cli
+
+        calls = []
+        partner = bandsolver.numeric_partner
+        monkeypatch.setattr(bandsolver, "numeric_partner",
+                            lambda V, *a, **kw: calls.append(1) or partner(V, *a, **kw))
+        assert cli.main(["bands", "-j", "4", "-m", "0.5", "--numeric", "--count", "3"]) == 0
+        assert calls == []
+        assert len(capsys.readouterr().out.strip().splitlines()) == 4
 
     def test_high_index_without_numeric_is_usage_error(self):
         cp = run_cli("bands", "-j", "5", "-m", "0.5")
