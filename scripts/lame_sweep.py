@@ -11,12 +11,10 @@ apart for touches, the edges an engine returns as a degenerate pair, and
 for all other edges.  A touch stands for a gap narrower than the engine
 resolves, so its error is half that gap's width.
 
-Run:  python scripts/lame_sweep.py [--j J ...] [--m M ...] [--json PATH]
-Defaults: j = 1..10, m in {1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 1 - 1e-6}.
+Run:  python scripts/lame_sweep.py
+for j = 1..10 and m in {1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 1 - 1e-6}.
 """
 
-import argparse
-import json
 import time
 
 from lamesusy import bandsolver, susy
@@ -30,20 +28,19 @@ ENGINES = {
 
 
 def check(j, m, engine):
-    """One engine on raw Lamé (j, m): a dict with the edges, whether every
-    boundary matches the oracle's, and the worst touch and non-touch errors
-    (None when the engine raised, with the reason in ``error``)."""
+    """One engine on raw Lamé (j, m): a dict saying whether every boundary
+    matches the oracle's, and the worst touch and non-touch errors (None
+    when the engine raised, with the reason in ``error``)."""
     count = 2 * j + 1
     oracle = susy._lame(j, m)
     pot = susy.PotentialSpec(susy.Family.RAW_LAME, j, m).as_periodic_potential()
-    row = {"j": j, "m": m, "engine": engine, "error": None, "edges": [],
+    row = {"j": j, "m": m, "engine": engine, "error": None,
            "boundaries_ok": False, "plain": None, "touch": None}
     try:
         edges = ENGINES[engine](pot, count)
     except NumericalError as exc:  # IncompleteSpectrumError included
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
-    row["edges"] = [(e.energy, e.boundary, e.degenerate) for e in edges]
     row["boundaries_ok"] = len(edges) == count and all(
         e.boundary == ("antiperiodic" if (a + b) % 2 else "periodic")
         == bandsolver.expected_boundary(e.n)
@@ -59,20 +56,13 @@ def _worst(rows, kind):
     return max(found) if found else None
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--j", type=int, nargs="+", default=list(range(1, 11)))
-    ap.add_argument("--m", type=float, nargs="+", default=list(M_LIST))
-    ap.add_argument("--engine", choices=sorted(ENGINES), nargs="+", default=sorted(ENGINES))
-    ap.add_argument("--json", default=None, help="write every case's edges to this file")
-    args = ap.parse_args(argv)
-
+def main(j_list=range(1, 11), m_list=M_LIST):
     rows = []
     print(f"{'engine':>8} {'j':>2} {'m':>9} {'time_s':>7} {'pattern':>7} "
           f"{'non-touch':>9} {'touch':>9}")
-    for engine in args.engine:
-        for j in args.j:
-            for m in args.m:
+    for engine in ENGINES:
+        for j in j_list:
+            for m in m_list:
                 t0 = time.perf_counter()
                 row = check(j, m, engine)
                 row["time_s"] = time.perf_counter() - t0
@@ -85,7 +75,7 @@ def main(argv=None):
                          for k in ("plain", "touch")]
                 print(f"{engine:>8} {j:>2} {m:>9.6g} {row['time_s']:>7.3f} "
                       f"{'ok' if row['boundaries_ok'] else 'BAD':>7} {cells[0]} {cells[1]}")
-    for engine in args.engine:
+    for engine in ENGINES:
         mine = [r for r in rows if r["engine"] == engine]
         failed = sum(1 for r in mine if r["error"] or not r["boundaries_ok"])
         print(f"\n{engine}: {len(mine) - failed} of {len(mine)} cases in the boundary pattern, "
@@ -94,10 +84,6 @@ def main(argv=None):
             worst = _worst(mine, kind)
             print(f"   worst {label} error: " + ("none" if worst is None else
                                                  f"{worst[0]:.3e} (j={worst[1]}, m={worst[2]:.6g})"))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(rows, fh, indent=1)
-    return rows
 
 
 if __name__ == "__main__":

@@ -441,14 +441,17 @@ def _transversal_roots(V, Es, tr):
     return sorted((float(r), _BOUNDARY[t]) for r, t in zip(roots, tgt))
 
 
-def _critical_points(V, Es, scan_slope, cells, stats):
+def _critical_points(V, Es, scan_slope, cells, targets, stats):
     """Roots of dDelta/dE in the scan cells [Es[k], Es[k+1]], to float
-    resolution, and the cell that holds each.
+    resolution, with the cell and the target of each.
 
     The ends are evaluated again at full accuracy first: the scan's slope
     carries SCAN_TOL's error, so an end whose sign differs there lies
     within that error of the critical point, which is then in the next
-    cell beyond that end.
+    cell beyond that end.  A cell that still shows no sign change (the
+    next cell lies past the grid, or holds a second critical point) is
+    dropped: its gap is then missing from the edges, which breaks the
+    boundary pattern or the count, and band_edges scans again.
     """
     def slope(x, i):
         stats["root_steps"] += 1
@@ -461,8 +464,10 @@ def _critical_points(V, Es, scan_slope, cells, stats):
         lo[moved] += np.where(np.sign(f_lo[moved]) == np.sign(scan_slope[lo[moved]]), 1, -1)
         np.clip(lo, 0, Es.size - 2, out=lo)
         f_lo, f_hi = np.split(_slope(V, Es[np.concatenate([lo, lo + 1])]), 2)
+        keep = f_lo * f_hi <= 0
+        lo, targets, f_lo, f_hi = lo[keep], targets[keep], f_lo[keep], f_hi[keep]
     stats["critical"] += lo.size
-    return _root_batch(slope, Es[lo], Es[lo + 1], f_lo, f_hi), lo
+    return _root_batch(slope, Es[lo], Es[lo + 1], f_lo, f_hi), lo, targets
 
 
 def _scan_edges(V, e_min, e_max, n_cells, count, stats):
@@ -477,16 +482,18 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     one gap: a maximum at +2 or a minimum at -2.  Its critical point is
     solved as a root of Delta' unless a sample already lies in the gap
     (its crossings are then among the roots) or it lies above the first
-    ``count`` roots.  _overshoot then decides at that point: a trace that
+    ``count`` edges.  _overshoot then decides at that point: a trace that
     measurably passes +-2 is an open gap, whose flanks are solved out to
     the cell's ends; otherwise the point is a touch, a closed gap.
 
     Blind spot: a whole band together with the critical points of both
     its neighbouring gaps inside one cell shows no sign change at all and
-    loses four edges, p p a a, which keeps the boundary pattern.  At the
-    default 256 cells, consecutive critical points of raw Lamé below edge
-    2j (j = 1..10, m from 1e-6 to 1 - 1e-6, scripts/lame_sweep.py) lie
-    5.4 cells apart at the least; SUSY partners share the trace.
+    loses four edges, p p a a, which keeps the boundary pattern.  With
+    256 cells on the first window of 2j + 1 edges, consecutive critical
+    points of raw Lamé below edge 2j (j = 1..10, m from 1e-6 to 1 - 1e-6,
+    scripts/lame_sweep.py) lie 5.4 cells apart at the least; SUSY
+    partners share the trace.  band_edges keeps cells that narrow on
+    wider windows (_scan_cells).
 
     Resolution limit: a gap so narrow that its overshoot stays within the
     product's noise comes back as a touch at its Delta' root, each edge
@@ -502,7 +509,6 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     pair.  Counts go into ``stats``.
     """
     Es = np.linspace(e_min, e_max, n_cells + 1)
-    cell = Es[1] - Es[0]
     M, scale = _monodromy(V, Es, SCAN_TOL, slope=True)
     tr, slope = M[0] + M[3], M[4] + M[7]
     # the scan decides signs only; samples within its error of +-2 are
@@ -521,17 +527,19 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     # or one the window cuts off, which brackets no edge; so only cells
     # whose ends both lie on the bands' side, as _transversal_roots sorts
     # them, are solved
-    cutoff = roots[count - 1][0] + 2.0 * cell if len(roots) >= count else math.inf
     rising = slope > 0.0
     cells = np.nonzero(rising[:-1] != rising[1:])[0]
     targets = np.where(rising[cells], 2.0, -2.0)
     band_side = [(tr[k] >= targets) == (targets < 0) for k in (cells, cells + 1)]
-    keep = band_side[0] & band_side[1] & (Es[cells] <= cutoff)
-    cells, targets = cells[keep], targets[keep]
+    cells, targets = cells[band_side[0] & band_side[1]], targets[band_side[0] & band_side[1]]
+    # and only those among the first ``count`` edges: every gap below a
+    # cell holds two edges, every root below its lower end one
+    below = np.searchsorted([e for e, _ in roots], Es[cells]) + 2 * np.arange(cells.size)
+    cells, targets = cells[below < count], targets[below < count]
     if not cells.size:
         return roots, []
 
-    xe, cells = _critical_points(V, Es, slope, cells, stats)
+    xe, cells, targets = _critical_points(V, Es, slope, cells, targets, stats)
     overshoot, noise = _overshoot(V, xe, targets)
     # the trace measurably passes +-2 at an open gap's critical point:
     # solve both flanks, out to the cell's ends back inside the bands.
@@ -582,6 +590,24 @@ def _assemble(roots, touches):
     return out
 
 
+def _first_window(V: PeriodicPotential, count: int) -> float:
+    """Top of the first automatic window for ``count`` edges: for smooth
+    potentials the top edge sits at most O(((count+1) pi / 2L)^2) above
+    the potential maximum."""
+    return _span(V)[1] + 2.0 + (math.pi * (count + 1) / (2.0 * V.period)) ** 2
+
+
+def _scan_cells(V: PeriodicPotential, e_min: float, e_max: float, scan_points: int) -> int:
+    """Cells of the first scan of [e_min, e_max]: ``scan_points``, times
+    the power of two that keeps each cell within 1/scan_points of the
+    first window of 21 edges, where the blind spot's margin was measured
+    (2j + 1 <= 21 on the raw Lamé sweep).  The lowest critical points keep
+    their spacing as the window grows, so a fixed cell count would lose
+    them: at 256 cells, the free particle from 71 edges on."""
+    wider = (e_max - e_min) / (_first_window(V, 21) - e_min)
+    return scan_points * 2 ** max(0, math.ceil(math.log2(wider)))
+
+
 def band_edges(V: PeriodicPotential, count: int, e_max: Optional[float] = None,
                scan_points: int = DEFAULT_SCAN) -> list:
     """First ``count`` band edges of -y'' + V y = E y, sorted by energy.
@@ -592,28 +618,27 @@ def band_edges(V: PeriodicPotential, count: int, e_max: Optional[float] = None,
     bracket a few ulps wide (_root_batch), and finds closed or
     under-resolved gaps as roots of Delta' (_scan_edges).  The scan's one
     blind spot is a whole band plus both neighbouring critical points
-    inside one cell of window/256; on the raw Lamé sweep the closest
-    critical points lie 5.4 such cells apart.  An incomplete window is
-    widened by 1.7x up to 12 times; a result out of the boundary pattern
-    doubles the cells, up to MAX_SCAN.  Raises IncompleteSpectrumError if
-    neither supplies ``count`` edges in the pattern.  Each call sends one
-    DEBUG record to this module's logger when ``logging`` is loaded.
+    inside one cell; on the raw Lamé sweep the closest critical points
+    lie 5.4 cells of window/256 apart, and a window wider than the first
+    one of 21 edges gets proportionally more cells (_scan_cells).  An
+    incomplete window is widened by 1.7x up to 12 times; a result out of
+    the boundary pattern doubles the cells, up to MAX_SCAN.  Raises
+    IncompleteSpectrumError if neither supplies ``count`` edges in the
+    pattern.  Each call sends one DEBUG record to this module's logger
+    when ``logging`` is loaded.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
     V.validate()
-    v_min, v_max = _span(V)
-    e_min = v_min - 1.0
+    e_min = _span(V)[0] - 1.0
     auto = e_max is None
     if auto:
-        # generous first window: top edge sits at most O(((count+1) pi / 2L)^2)
-        # above the potential maximum for smooth potentials
-        e_max = v_max + 2.0 + (math.pi * (count + 1) / (2.0 * V.period)) ** 2
+        e_max = _first_window(V, count)
     if not (e_max > e_min):
         raise DomainError("e_max must exceed inf V - 1")
 
     stats = dict(doublings=0, expansions=0, critical=0, root_steps=0, flanks=0)
-    n_cells = scan_points
+    n_cells = _scan_cells(V, e_min, e_max, scan_points)
     try:
         while True:
             roots, touches = _scan_edges(V, e_min, e_max, n_cells, count, stats)
@@ -625,6 +650,7 @@ def band_edges(V: PeriodicPotential, count: int, e_max: Optional[float] = None,
             if len(found) < count and auto and stats["expansions"] < 12:
                 e_max = e_min + 1.7 * (e_max - e_min)
                 stats["expansions"] += 1
+                n_cells = max(n_cells, _scan_cells(V, e_min, e_max, scan_points))
                 continue
             if n_cells < MAX_SCAN:
                 n_cells *= 2  # halve the scan step and try again

@@ -266,10 +266,28 @@ class TestBandEdges:
             with pytest.raises(IncompleteSpectrumError):
                 bs.band_edges(lame_pot(Family.V_MINUS, 2, 0.5), 5, e_max=1.0)
         messages = [rec.getMessage() for rec in caplog.records if rec.name == logger]
-        assert len(messages) == 2  # the window [-1, 11] holds touches at 1, 4 and 9
+        assert len(messages) == 2
         assert messages[0].startswith("band_edges: 256 scan cells, 0 doublings, "
-                                      "0 window expansions, 3 slope roots")
-        assert messages[1].startswith("band_edges: 8192 scan cells, 5 doublings")
+                                      "0 window expansions, ")
+        assert messages[1].startswith("band_edges: 8192 scan cells, 5 doublings, "
+                                      "0 window expansions, ")
+
+    def test_gaps_above_count_are_not_solved(self):
+        # the free particle's window [-1, 11] holds touches at 1, 4 and 9;
+        # the first five edges need the slope roots at 1 and 4 only
+        stats = dict(critical=0, root_steps=0, flanks=0)
+        roots, touches = bs._scan_edges(free_particle(), -1.0, 11.0, 256, 5, stats)
+        assert [round(e, 9) for e, _ in touches] == [1.0, 4.0]
+        assert stats["critical"] == 2 and len(roots) == 1
+
+    @pytest.mark.parametrize("count", [81, 121])
+    def test_many_edges_of_the_free_particle(self, count):
+        # the lowest touches, 1 and 4, stay 3 apart while the window grows
+        # as count^2; 256 cells on any window miss them from 71 edges on
+        edges = bs.band_edges(free_particle(), count)
+        assert [e.boundary for e in edges] == [bs.expected_boundary(i) for i in range(count)]
+        for n, e in enumerate(edges):
+            assert abs(e.energy - ((n + 1) // 2) ** 2) <= 1e-12 * max(1, n * n)
 
     def test_count_validation(self):
         with pytest.raises(DomainError):
@@ -369,11 +387,33 @@ class TestCriticalPoints:
         # [0.8, 1.2]; a scan sign that full accuracy contradicts moves the
         # bracket there
         stats = dict(critical=0, root_steps=0)
-        roots, cells = bs._critical_points(free_particle(), np.array(Es), np.array(scan),
-                                           np.array([cell]), stats)
-        assert cells.tolist() == [Es.index(0.8)]
+        roots, cells, targets = bs._critical_points(
+            free_particle(), np.array(Es), np.array(scan), np.array([cell]),
+            np.array([-2.0]), stats)
+        assert cells.tolist() == [Es.index(0.8)] and targets.tolist() == [-2.0]
         assert abs(roots[0] - 1.0) <= 1e-12
         assert stats["critical"] == 1 and stats["root_steps"] >= 1
+
+    def test_critical_point_past_the_grid_is_dropped(self):
+        # the scan misread the slope at 0.99, the grid's last energy; the
+        # critical point at E = 1 lies past it, so no cell brackets it
+        stats = dict(critical=0, root_steps=0)
+        Es, scan = np.array([0.6, 0.8, 0.99]), np.array([-1.0, -1.0, 1.0])
+        roots, cells, targets = bs._critical_points(free_particle(), Es, scan,
+                                                    np.array([1]), np.array([-2.0]), stats)
+        assert roots.size == cells.size == targets.size == 0
+        assert stats["critical"] == 0
+
+    def test_window_ending_at_a_touch(self):
+        # the window of raw Lamé j = 1, m = 0.9 ends at its touch at
+        # 2.70607433352215 (Galerkin): the touch's slope root lies past
+        # the last scan cell, and the call reports the missing edges
+        pot = lame_pot(Family.RAW_LAME, 1, 0.9)
+        with pytest.raises(IncompleteSpectrumError) as exc:
+            bs.band_edges(pot, 7, e_max=2.7060743335221527)
+        got = [e.energy for e in exc.value.found]
+        assert len(got) == 3
+        assert max(abs(e - w) for e, w in zip(got, (0.9, 1.0, 1.9))) <= 1e-12
 
 
 class TestLameSweep:
@@ -397,7 +437,7 @@ class TestLameSweep:
         assert max(e for e in (row["plain"], row["touch"]) if e is not None) <= 1e-9
 
     def test_sweep_script_runs(self, capsys):
-        runpy.run_path(str(self.SCRIPT))["main"](["--j", "2", "3", "--m", "1e-6", "0.5"])
+        runpy.run_path(str(self.SCRIPT))["main"]([2, 3], [1e-6, 0.5])
         out = capsys.readouterr().out
         assert out.count("4 of 4 cases in the boundary pattern") == 2
         worst = [float(line.split(":")[1].split()[0]) for line in out.splitlines()
