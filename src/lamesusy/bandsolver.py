@@ -16,8 +16,10 @@ can arbitrate the other's bugs:
     from 1e-6 to 1 - 1e-6 the closest critical points lie 5.4 cells
     apart;
   * a plane-wave Galerkin route: the periodic and antiperiodic
-    eigenproblems assembled from Fourier coefficients of V, whose
-    sorted union of eigenvalues is exactly the edge sequence.
+    eigenproblems of V, real as every potential here is, assembled as
+    real symmetric matrices in the sqrt2 cos / sqrt2 sin basis from
+    Fourier coefficients of V; the sorted union of their eigenvalues is
+    exactly the edge sequence.
 
 Band edges follow the oscillation-theorem boundary pattern
 periodic, anti, anti, periodic, periodic, anti, anti, ...
@@ -65,6 +67,14 @@ _BOUNDARY = {2.0: "periodic", -2.0: "antiperiodic"}  # trace value at each edge 
 _STALL = 3           # steps a bracket may go without halving before a safeguard step
 _ROOT_STEPS = 64 * (2 * _STALL + 1)  # enough for 64 halvings of every bracket
 _GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
+
+
+def _debug(msg: str, *args):
+    """A DEBUG record on this module's logger, sent only when ``logging`` is
+    loaded: unloaded, it has no handler to reach."""
+    logging = sys.modules.get("logging")
+    if logging:
+        logging.getLogger(__name__).debug(msg, *args)
 
 
 def expected_boundary(n: int) -> str:
@@ -662,13 +672,10 @@ def band_edges(V: PeriodicPotential, count: int, e_max: Optional[float] = None,
                 found=found,
             )
     finally:
-        logging = sys.modules.get("logging")  # unloaded, it has no handler to reach
-        if logging:
-            logging.getLogger(__name__).debug(
-                "band_edges: %d scan cells, %d doublings, %d window expansions, "
-                "%d slope roots in %d root steps, %d flank solves", n_cells,
-                stats["doublings"], stats["expansions"], stats["critical"],
-                stats["root_steps"], stats["flanks"])
+        _debug("band_edges: %d scan cells, %d doublings, %d window expansions, "
+               "%d slope roots in %d root steps, %d flank solves", n_cells,
+               stats["doublings"], stats["expansions"], stats["critical"],
+               stats["root_steps"], stats["flanks"])
 
 
 # ---------------------------------------------------------------------------
@@ -735,30 +742,46 @@ def bloch_edge_state(V: PeriodicPotential, edge: BandEdge, grid_n: int = 512) ->
 # plane-wave Galerkin route
 # ---------------------------------------------------------------------------
 
-def _fourier_coeffs(V: PeriodicPotential, n_modes: int) -> np.ndarray:
-    """Coefficients of the modes e^{2pi i q x / L}, |q| <= 2 n_modes, at index
-    q mod (4 n_modes + 1), from an FFT on 4 n_modes samples.  A grid-backed V
-    is sampled on at least its own grid, so that its higher modes do not alias
-    onto these and the modes +-2 n_modes come out apart."""
-    m_samp = 4 * n_modes
-    fine = max(m_samp, V.evaluator.n if isinstance(V.evaluator, GridFunction) else 0)
-    c = np.fft.fft(V.sample(fine)) / fine
-    return np.concatenate([c[: m_samp // 2 + 1], c[fine - m_samp // 2 :]])
+def _potential_modes(V: PeriodicPotential, basis_n: int) -> tuple:
+    """Real and imaginary parts a_q, b_q of the coefficients of the modes
+    e^{2pi i q x / L}, q = 0..2 basis_n, from an rfft on 4 basis_n samples.
+    A grid-backed V is sampled on at least its own grid, so that its higher
+    modes do not alias onto these."""
+    fine = max(4 * basis_n, V.evaluator.n if isinstance(V.evaluator, GridFunction) else 0)
+    v = np.fft.rfft(V.sample(fine))[: 2 * basis_n + 1] / fine
+    return v.real, v.imag
 
 
-def _plane_wave_matrix(vhat: np.ndarray, k: np.ndarray, modes: np.ndarray) -> np.ndarray:
-    """H = k^2 + V in the basis e^{i k x}; vhat supplies V_0 on the diagonal."""
-    return vhat[np.mod(modes[:, None] - modes[None, :], vhat.size)] + np.diag(k**2)
+def _cos_sin_matrix(a: np.ndarray, b: np.ndarray, L: float, periodic: bool) -> np.ndarray:
+    """H = k^2 + V, real symmetric, in the orthonormal basis sqrt2 cos kx,
+    sqrt2 sin kx, k = pi t / L, led by the constant when ``periodic``:
+    t = 2, 4, .., 2N (periodic) or 1, 3, .., 2N - 1 (antiperiodic), with
+    2N + 1 = a.size.  With p = t/2, V = sum_q (a_q + i b_q) e^{2pi i q x/L}
+    gives the blocks cc = a_|p-p'| + a_(p+p'), ss = a_|p-p'| - a_(p+p'),
+    cs = sign(p - p') b_|p-p'| - b_(p+p'), and the constant's row a_0,
+    sqrt2 a_p, -sqrt2 b_p.  For a real V this is unitarily similar to the
+    complex Hermitian e^{ikx} problem (A. Lee, Linear Algebra Appl. 29,
+    1980), and half as dear to solve."""
+    t = np.arange(1 + periodic, a.size, 2)
+    d, s = (t[:, None] - t) // 2, (t[:, None] + t) // 2
+    toeplitz = a[np.abs(d)] + np.diag((np.pi / L * t) ** 2)
+    cs = np.sign(d) * b[np.abs(d)] - b[s]
+    H = np.block([[toeplitz + a[s], cs], [cs.T, toeplitz - a[s]]])
+    if not periodic:
+        return H
+    edge = math.sqrt(2.0) * np.concatenate([a[t // 2], -b[t // 2]])
+    return np.block([[np.array([[a[0]]]), edge[None, :]], [edge[:, None], H]])
 
 
 def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = 64) -> list:
     """Band edges from the periodic and antiperiodic plane-wave problems.
 
-    Assembles dense Hermitian matrices in the e^{i k x} basis with
-    Fourier coefficients of V taken by FFT on 4*basis_n samples, and
-    merges the two sorted spectra; their union is the edge sequence,
-    including coincident pairs at closed gaps.  A band narrower than the
-    eigenvalues resolve goes out in the boundary pattern (_pattern_order).
+    Assembles the two as dense real symmetric matrices in the sqrt2 cos /
+    sqrt2 sin basis (_cos_sin_matrix), from Fourier coefficients of V taken
+    by rfft on 4*basis_n samples, and merges the two sorted spectra; their
+    union is the edge sequence, including coincident pairs at closed gaps.
+    A band narrower than the eigenvalues resolve goes out in the boundary
+    pattern (_pattern_order).
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
@@ -767,16 +790,10 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = 64) -> list:
             f"basis_n={basis_n!r} too small for count={count!r}; need >= {2 * count + 8}"
         )
     V.validate()
-    L = V.period
-    vhat = _fourier_coeffs(V, basis_n)
-    n_per = np.arange(-basis_n, basis_n + 1)
-    k_per = (2.0 * np.pi / L) * n_per
-    n_anti = np.arange(-basis_n, basis_n)
-    k_anti = (np.pi / L) * (2 * n_anti + 1)
-
+    a, b = _potential_modes(V, basis_n)
     try:
-        ev_per = np.linalg.eigvalsh(_plane_wave_matrix(vhat, k_per, n_per))
-        ev_anti = np.linalg.eigvalsh(_plane_wave_matrix(vhat, k_anti, n_anti))
+        ev_per = np.linalg.eigvalsh(_cos_sin_matrix(a, b, V.period, True))
+        ev_anti = np.linalg.eigvalsh(_cos_sin_matrix(a, b, V.period, False))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Galerkin eigenproblem failed: {exc}") from exc
 
@@ -814,21 +831,18 @@ def _reject_nodal(psi: np.ndarray):
         raise InvalidGroundStateError("ground state changes sign; partner undefined")
 
 
+def _ground_solve(V: PeriodicPotential, basis_n: int, solver):
+    """``solver`` (eigvalsh or eigh) on the periodic cos/sin problem."""
+    try:
+        return solver(_cos_sin_matrix(*_potential_modes(V, basis_n), V.period, True))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"ground-state eigenproblem failed: {exc}") from exc
+
+
 def ground_energy(V: PeriodicPotential, basis_n: int = 64) -> float:
     """Lowest band-edge energy via the periodic plane-wave problem."""
     V.validate()
-    return _ground_pair(V, basis_n)[0]
-
-
-def _ground_pair(V: PeriodicPotential, basis_n: int):
-    """Ground energy and real-valued Fourier-accurate ground state samples."""
-    n_per = np.arange(-basis_n, basis_n + 1)
-    H = _plane_wave_matrix(_fourier_coeffs(V, basis_n), (2.0 * np.pi / V.period) * n_per, n_per)
-    try:
-        w, U = np.linalg.eigh(H)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"ground-state eigenproblem failed: {exc}") from exc
-    return float(w[0]), n_per, U[:, 0]
+    return float(_ground_solve(V, basis_n, np.linalg.eigvalsh)[0])
 
 
 def numeric_partner(V: PeriodicPotential, grid_n: int = 512, basis_n: int = 64) -> PeriodicPotential:
@@ -838,28 +852,24 @@ def numeric_partner(V: PeriodicPotential, grid_n: int = 512, basis_n: int = 64) 
     psi_0 is differentiated in Fourier space, and the partner is
     V - 2 u''.  That expression carries the ground energy through
     automatically, so the output is isospectral to V whether or not V
-    was shifted to put its ground edge at zero energy.
+    was shifted to put its ground edge at zero energy.  Each call sends
+    one DEBUG record (basis_n, the ground energy and min psi_0 / max
+    psi_0, the range log psi_0 must resolve) to this module's logger
+    when ``logging`` is loaded.
     """
     V.validate()
     if grid_n < max(64, 2 * basis_n + 2):
         raise DomainError(f"grid_n must be at least {max(64, 2 * basis_n + 2)}")
     L = V.period
-    _, modes, coef = _ground_pair(V, basis_n)
-
-    spectrum = np.zeros(grid_n, dtype=complex)
-    spectrum[np.mod(modes, grid_n)] = coef
-    psi_c = np.fft.ifft(spectrum) * grid_n
-    # a simple lowest eigenvalue fixes the eigenvector up to a global phase
-    phase = psi_c[int(np.argmax(np.abs(psi_c)))]
-    psi_rot = psi_c * np.conj(phase / abs(phase))
-    if np.max(np.abs(psi_rot.imag)) > 1e-8 * np.max(np.abs(psi_rot.real)):
-        raise NumericalError("ground state failed to come out real")
-    psi = psi_rot.real
-
+    w, U = _ground_solve(V, basis_n, np.linalg.eigh)
+    # the real eigenvector in the basis 1, sqrt2 cos, sqrt2 sin, summed on the grid
+    c = U[:, 0]
+    psi = np.fft.irfft(np.concatenate(([math.sqrt(2.0) * c[0]],
+                                       c[1 : basis_n + 1] - 1j * c[basis_n + 1 :])), grid_n)
+    psi = psi / psi[int(np.argmax(np.abs(psi)))]  # peak at +1
+    _debug("numeric_partner: basis_n %d, ground energy %.17g, min/max psi_0 %.3g",
+           basis_n, w[0], psi.min())
     _reject_nodal(psi)
-    psi = psi / np.max(np.abs(psi))
-    if psi[int(np.argmax(np.abs(psi)))] < 0:
-        psi = -psi
 
     u = GridFunction(period=L, samples=np.log(psi))
     u2 = u.derivative(2).samples

@@ -91,16 +91,6 @@ class GridFunction:
             c[-1] *= 0.5  # the Nyquist cosine splits over the modes +-n/2 of the fine grid
         return np.fft.irfft(c, n=fine)[:: fine // count] * (fine / n)
 
-    def shifted(self, a: float, reflect: bool = False) -> np.ndarray:
-        """Samples of f(r*(x - a)) on this grid, r = -1 when ``reflect``.
-
-        Exact for the interpolant: f(-x) has the samples f(-x_i), and the
-        translation resamples on the same grid (an even n's Nyquist cosine
-        keeps its cosine part, the symmetric interpolant convention).
-        """
-        f = GridFunction(self.period, np.roll(self.samples[::-1], 1)) if reflect else self
-        return f.resample(self.n, -a * self.n / self.period)
-
     def derivative(self, order: int = 1) -> "GridFunction":
         """Spectral derivative of the interpolant, as a new GridFunction."""
         c = np.fft.rfft(self.samples)

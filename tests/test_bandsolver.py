@@ -43,6 +43,28 @@ def lame_pot(family, j, m):
     return PotentialSpec(family, j, m).as_periodic_potential()
 
 
+def uneven_trig():
+    """A real potential with sine parts, so the cos-sin coupling of the
+    Galerkin matrices is not zero (every Lamé input is even)."""
+    return bs.PeriodicPotential(2 * math.pi, lambda x: (
+        np.cos(x) + 0.4 * np.sin(2 * x) + 0.3 * np.cos(3 * x + 1)))
+
+
+def plane_wave_reference(V, basis_n):
+    """Periodic and antiperiodic spectra of H = k^2 + V in the complex basis
+    e^{ikx}, from a full FFT: the Hermitian form the cos/sin matrices
+    replace, kept as their oracle."""
+    fine = 4 * basis_n
+    c = np.fft.fft(V.sample(fine)) / fine
+    spectra = []
+    for modes, k in ((np.arange(-basis_n, basis_n + 1), lambda n: 2 * n),
+                     (np.arange(-basis_n, basis_n), lambda n: 2 * n + 1)):
+        H = c[np.mod(modes[:, None] - modes[None, :], fine)] + np.diag(
+            (math.pi / V.period * k(modes)) ** 2)
+        spectra.append(np.linalg.eigvalsh(H))
+    return spectra
+
+
 class TestPeriodicPotential:
     def test_validation_catches_aperiodic_evaluator(self):
         bad = bs.PeriodicPotential(period=1.0, evaluator=lambda x: np.asarray(x, float))
@@ -528,6 +550,26 @@ class TestGalerkinEdges:
         ge = bs.galerkin_edges(pot, 11)
         assert max(abs(a.energy - b.energy) for a, b in zip(fe, ge)) <= 1e-10
 
+    def test_cos_sin_coupling_against_floquet(self):
+        pot = uneven_trig()
+        fe = bs.band_edges(pot, 9)
+        ge = bs.galerkin_edges(pot, 9)
+        assert [e.boundary for e in ge] == [e.boundary for e in fe]
+        assert max(abs(a.energy - b.energy) for a, b in zip(fe, ge)) <= 1e-10
+
+    def test_cos_sin_matrices_match_the_complex_form(self):
+        pot = uneven_trig()
+        a, b = bs._potential_modes(pot, 64)
+        for periodic, want in zip((True, False), plane_wave_reference(pot, 64)):
+            H = bs._cos_sin_matrix(a, b, pot.period, periodic)
+            assert H.dtype == np.float64 and H.shape == (want.size, want.size)
+            got = np.linalg.eigvalsh(H)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        per, anti = plane_wave_reference(pot, 64)
+        want = np.sort(np.concatenate([per, anti]))[:9]
+        got = [e.energy for e in bs.galerkin_edges(pot, 9)]
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
     def test_basis_size_validation(self):
         with pytest.raises(DomainError, match="basis_n"):
             bs.galerkin_edges(free_particle(), 40, basis_n=64)
@@ -597,6 +639,46 @@ class TestNumericPartner:
         defects = [float(s.split(":")[-1]) for s in lines if "isospectrality defect" in s]
         assert len(closed) == 2 and max(closed) <= 1e-6
         assert len(defects) == 2 and max(defects) <= 1e-6
+
+    def test_partner_of_uneven_potential_isospectral(self):
+        pot = uneven_trig()
+        e_in = bs.band_edges(pot, 9)
+        e_out = bs.band_edges(bs.numeric_partner(pot), 9)
+        assert max(abs(a.energy - b.energy) for a, b in zip(e_in, e_out)) <= 1e-8
+
+    def test_pipeline_solves_real_matrices(self, monkeypatch):
+        # ground energy, partner, then both partners' edges, as the
+        # partners workload runs them: 5 eigvalsh and 1 eigh, all real
+        calls = []
+
+        def spy(name, solver):
+            def wrapped(H, *args, **kwargs):
+                calls.append((name, H.dtype))
+                return solver(H, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+        raw = lame_pot(Family.RAW_LAME, 3, 0.5)
+        ground = bs.ground_energy(raw)
+        pot = bs.PeriodicPotential(raw.period, lambda x: raw_lame(3, 0.5, x) - ground)
+        partner = bs.numeric_partner(pot)
+        bs.galerkin_edges(pot, 7)
+        bs.galerkin_edges(partner, 7)
+        names = [name for name, _ in calls]
+        assert all(dtype == np.float64 for _, dtype in calls)
+        assert (names.count("eigvalsh"), names.count("eigh")) == (5, 1)
+
+    @pytest.mark.parametrize("j, m, lo, hi", [(2, 0.5, 3e-6, 1.0), (10, 0.99, 0.0, 1.1e-7)])
+    def test_ground_state_range_logged_at_debug(self, caplog, j, m, lo, hi):
+        logger = "lamesusy.bandsolver"
+        raw = lame_pot(Family.RAW_LAME, j, m)
+        with caplog.at_level(logging.DEBUG, logger=logger):
+            bs.numeric_partner(raw)
+        messages = [rec.getMessage() for rec in caplog.records if rec.name == logger]
+        assert len(messages) == 1
+        assert messages[0].startswith("numeric_partner: basis_n 64, ground energy ")
+        assert lo <= float(messages[0].rsplit(" ", 1)[1]) <= hi
 
     def test_ground_energy_helper(self):
         pot = lame_pot(Family.V_MINUS, 2, 0.5)

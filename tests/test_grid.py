@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from lamesusy.errors import DomainError
 from lamesusy.grid import GridFunction
@@ -59,21 +57,6 @@ class TestGridFunction:
         for shift in (0.0, 0.1127, 0.5, 0.8873, -0.3):
             pts = (np.arange(count) + shift) * (2.7 / count)
             assert np.max(np.abs(g.resample(count, shift) - g.eval(pts))) <= 1e-12
-
-    @given(st.floats(0, 2 * math.pi))
-    @settings(max_examples=60, deadline=None)
-    def test_shifted_matches_direct_evaluation(self, a):
-        g = GridFunction.from_function(trig_poly, 2 * math.pi, 128)
-        got = g.shifted(a)
-        want = trig_poly(g.x - a)
-        assert np.max(np.abs(got - want)) <= 1e-11
-
-    def test_shift_with_reflection(self):
-        g = GridFunction.from_function(trig_poly, 2 * math.pi, 128)
-        a = 0.813
-        got = g.shifted(a, reflect=True)
-        want = trig_poly(-(g.x - a))
-        assert np.max(np.abs(got - want)) <= 1e-11
 
     def test_spectral_derivatives(self):
         g = GridFunction.from_function(trig_poly, 2 * math.pi, 128)
