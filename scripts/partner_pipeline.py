@@ -29,7 +29,7 @@ def main(argv=None):
 
     for j in (4, 5):
         count = 2 * j + 1
-        pot_minus, pot_plus = verify._pipeline_pair(j, m)
+        pot_minus, pot_plus = verify.partner_pair(j, m)
         floq_m = bandsolver.band_edges(pot_minus, count)
         floq_p = bandsolver.band_edges(pot_plus, count)
         gal_m = bandsolver.galerkin_edges(pot_minus, count)

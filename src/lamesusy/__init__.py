@@ -10,7 +10,7 @@ from .bandsolver import (
     monodromy_trace,
     numeric_partner,
 )
-from .elliptic import JacobiTriple, ModulusParam, complete_k, jacobi, jacobi_derivatives
+from .elliptic import JacobiTriple, complete_k, jacobi, jacobi_derivatives
 from .errors import (
     DomainError,
     IncompleteSpectrumError,
@@ -20,13 +20,10 @@ from .errors import (
 )
 from .grid import GridFunction
 from .susy import (
-    BandEdgeState,
     Family,
     PotentialSpec,
     band_edge_energies,
     band_edge_energy,
-    band_edge_state,
-    edge_boundary,
     psi_minus,
     psi_minus_prime,
     psi_plus,
@@ -40,6 +37,7 @@ from .susy import (
 from .verify import (
     ClaimReport,
     SelfIsoResult,
+    partner_pair,
     run_all,
     run_edge_state_suite,
     run_isospectrality_suite,

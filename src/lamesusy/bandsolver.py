@@ -66,15 +66,16 @@ _RANGE_WAVES = 16    # free half-waves per period above max V in the lowest rang
 _BOUNDARY = {2.0: "periodic", -2.0: "antiperiodic"}  # trace value at each edge type
 _STALL = 3           # steps a bracket may go without halving before a safeguard step
 _ROOT_STEPS = 64 * (2 * _STALL + 1)  # enough for 64 halvings of every bracket
+BASIS_N = 64         # plane waves per boundary type of the ground-state problems
 _GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
 
-def _debug(msg: str, *args):
-    """A DEBUG record on this module's logger, sent only when ``logging`` is
+def _debug(logger: str, msg: str, *args):
+    """A DEBUG record on the named logger, sent only when ``logging`` is
     loaded: unloaded, it has no handler to reach."""
     logging = sys.modules.get("logging")
     if logging:
-        logging.getLogger(__name__).debug(msg, *args)
+        logging.getLogger(logger).debug(msg, *args)
 
 
 def expected_boundary(n: int) -> str:
@@ -88,7 +89,7 @@ class PeriodicPotential:
 
     period: float
     evaluator: Callable
-    _validated: bool = field(default=False, repr=False)
+    _validated: bool = field(default=False, init=False, repr=False, compare=False)
     # node samples, probe products and settled step counts of the Magnus engine
     _magnus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -114,14 +115,14 @@ class PeriodicPotential:
         except TypeError:
             return np.array([float(self.evaluator(float(x))) for x in xs])
 
-    def validate(self, probes: int = 8, tol: float = 1e-9):
-        """Spot-check that evaluator(x + period) == evaluator(x)."""
+    def validate(self):
+        """Spot-check that evaluator(x + period) == evaluator(x) to 1e-9 at 8 points."""
         if self._validated:
             return
-        x = (np.arange(probes) + 0.37) * (self.period / probes)
+        x = (np.arange(8) + 0.37) * (self.period / 8)
         a = self._eval_vec(x)
         b = self._eval_vec(x + self.period)
-        if np.max(np.abs(a - b)) > tol * max(1.0, np.max(np.abs(a))):
+        if np.max(np.abs(a - b)) > 1e-9 * max(1.0, np.max(np.abs(a))):
             raise DomainError("evaluator is not periodic with the declared period")
         self._validated = True
 
@@ -607,23 +608,22 @@ def _first_window(V: PeriodicPotential, count: int) -> float:
     return _span(V)[1] + 2.0 + (math.pi * (count + 1) / (2.0 * V.period)) ** 2
 
 
-def _scan_cells(V: PeriodicPotential, e_min: float, e_max: float, scan_points: int) -> int:
-    """Cells of the first scan of [e_min, e_max]: ``scan_points``, times
-    the power of two that keeps each cell within 1/scan_points of the
+def _scan_cells(V: PeriodicPotential, e_min: float, e_max: float) -> int:
+    """Cells of the first scan of [e_min, e_max]: DEFAULT_SCAN, times
+    the power of two that keeps each cell within 1/DEFAULT_SCAN of the
     first window of 21 edges, where the blind spot's margin was measured
     (2j + 1 <= 21 on the raw Lamé sweep).  The lowest critical points keep
     their spacing as the window grows, so a fixed cell count would lose
     them: at 256 cells, the free particle from 71 edges on."""
     wider = (e_max - e_min) / (_first_window(V, 21) - e_min)
-    return scan_points * 2 ** max(0, math.ceil(math.log2(wider)))
+    return DEFAULT_SCAN * 2 ** max(0, math.ceil(math.log2(wider)))
 
 
-def band_edges(V: PeriodicPotential, count: int, e_max: Optional[float] = None,
-               scan_points: int = DEFAULT_SCAN) -> list:
+def band_edges(V: PeriodicPotential, count: int, e_max: Optional[float] = None) -> list:
     """First ``count`` band edges of -y'' + V y = E y, sorted by energy.
 
     Samples the Floquet discriminant Delta and its slope Delta' on
-    ``scan_points`` cells from just below inf V up to ``e_max``
+    DEFAULT_SCAN cells from just below inf V up to ``e_max``
     (auto-extended when omitted), solves every crossing of +-2 down to a
     bracket a few ulps wide (_root_batch), and finds closed or
     under-resolved gaps as roots of Delta' (_scan_edges).  The scan's one
@@ -648,7 +648,7 @@ def band_edges(V: PeriodicPotential, count: int, e_max: Optional[float] = None,
         raise DomainError("e_max must exceed inf V - 1")
 
     stats = dict(doublings=0, expansions=0, critical=0, root_steps=0, flanks=0)
-    n_cells = _scan_cells(V, e_min, e_max, scan_points)
+    n_cells = _scan_cells(V, e_min, e_max)
     try:
         while True:
             roots, touches = _scan_edges(V, e_min, e_max, n_cells, count, stats)
@@ -660,7 +660,7 @@ def band_edges(V: PeriodicPotential, count: int, e_max: Optional[float] = None,
             if len(found) < count and auto and stats["expansions"] < 12:
                 e_max = e_min + 1.7 * (e_max - e_min)
                 stats["expansions"] += 1
-                n_cells = max(n_cells, _scan_cells(V, e_min, e_max, scan_points))
+                n_cells = max(n_cells, _scan_cells(V, e_min, e_max))
                 continue
             if n_cells < MAX_SCAN:
                 n_cells *= 2  # halve the scan step and try again
@@ -672,7 +672,7 @@ def band_edges(V: PeriodicPotential, count: int, e_max: Optional[float] = None,
                 found=found,
             )
     finally:
-        _debug("band_edges: %d scan cells, %d doublings, %d window expansions, "
+        _debug(__name__, "band_edges: %d scan cells, %d doublings, %d window expansions, "
                "%d slope roots in %d root steps, %d flank solves", n_cells,
                stats["doublings"], stats["expansions"], stats["critical"],
                stats["root_steps"], stats["flanks"])
@@ -729,10 +729,10 @@ def bloch_edge_state(V: PeriodicPotential, edge: BandEdge, grid_n: int = 512) ->
     # strip propagation noise above the state's analytic bandwidth; an
     # antiperiodic state is periodic over the doubled cell
     if edge.boundary == "periodic":
-        smoothed = GridFunction(V.period, values).spectral_filter(1e-9).samples
+        smoothed = GridFunction(V.period, values).spectral_filter().samples
     else:
         doubled = GridFunction(2.0 * V.period, np.concatenate([values, -values]))
-        smoothed = doubled.spectral_filter(1e-9).samples[:grid_n]
+        smoothed = doubled.spectral_filter().samples[:grid_n]
     peak = np.max(np.abs(smoothed))
     smoothed = smoothed / peak
     return GridFunction(period=V.period, samples=smoothed)
@@ -773,15 +773,16 @@ def _cos_sin_matrix(a: np.ndarray, b: np.ndarray, L: float, periodic: bool) -> n
     return np.block([[np.array([[a[0]]]), edge[None, :]], [edge[:, None], H]])
 
 
-def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = 64) -> list:
+def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = BASIS_N) -> list:
     """Band edges from the periodic and antiperiodic plane-wave problems.
 
     Assembles the two as dense real symmetric matrices in the sqrt2 cos /
     sqrt2 sin basis (_cos_sin_matrix), from Fourier coefficients of V taken
     by rfft on 4*basis_n samples, and merges the two sorted spectra; their
     union is the edge sequence, including coincident pairs at closed gaps.
-    A band narrower than the eigenvalues resolve goes out in the boundary
-    pattern (_pattern_order).
+    Two neighbours of one boundary type that the eigenvalues do not
+    resolve apart are flagged degenerate, a closed gap; a band narrower
+    than that goes out in the boundary pattern (_pattern_order).
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
@@ -809,16 +810,9 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = 64) -> list:
     chosen = labelled[: count + 1]
     _pattern_order(chosen, lambda x, y: y[0] - x[0] <= resolved)
     chosen = chosen[:count]
-    edges = []
-    for i, (e, bnd) in enumerate(chosen):
-        deg = False
-        tol = 1e-7 * max(1.0, abs(e))
-        if i > 0 and chosen[i - 1][1] == bnd and abs(chosen[i - 1][0] - e) <= tol:
-            deg = True
-            edges[i - 1] = BandEdge(n=i - 1, energy=edges[i - 1].energy,
-                                    boundary=bnd, degenerate=True)
-        edges.append(BandEdge(n=i, energy=e, boundary=bnd, degenerate=deg))
-    return edges
+    tied = [x[1] == y[1] and abs(y[0] - x[0]) <= resolved for x, y in zip(chosen, chosen[1:])]
+    return [BandEdge(n=i, energy=e, boundary=bnd, degenerate=any(tied[max(i - 1, 0) : i + 1]))
+            for i, (e, bnd) in enumerate(chosen)]
 
 
 # ---------------------------------------------------------------------------
@@ -831,21 +825,21 @@ def _reject_nodal(psi: np.ndarray):
         raise InvalidGroundStateError("ground state changes sign; partner undefined")
 
 
-def _ground_solve(V: PeriodicPotential, basis_n: int, solver):
-    """``solver`` (eigvalsh or eigh) on the periodic cos/sin problem."""
+def _ground_solve(V: PeriodicPotential, solver):
+    """``solver`` (eigvalsh or eigh) on the periodic cos/sin problem of BASIS_N modes."""
     try:
-        return solver(_cos_sin_matrix(*_potential_modes(V, basis_n), V.period, True))
+        return solver(_cos_sin_matrix(*_potential_modes(V, BASIS_N), V.period, True))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"ground-state eigenproblem failed: {exc}") from exc
 
 
-def ground_energy(V: PeriodicPotential, basis_n: int = 64) -> float:
+def ground_energy(V: PeriodicPotential) -> float:
     """Lowest band-edge energy via the periodic plane-wave problem."""
     V.validate()
-    return float(_ground_solve(V, basis_n, np.linalg.eigvalsh)[0])
+    return float(_ground_solve(V, np.linalg.eigvalsh)[0])
 
 
-def numeric_partner(V: PeriodicPotential, grid_n: int = 512, basis_n: int = 64) -> PeriodicPotential:
+def numeric_partner(V: PeriodicPotential, grid_n: int = 512) -> PeriodicPotential:
     """SUSY partner of V built numerically from its ground band edge.
 
     The nodeless ground state psi_0 is computed spectrally, u = log
@@ -853,22 +847,22 @@ def numeric_partner(V: PeriodicPotential, grid_n: int = 512, basis_n: int = 64) 
     V - 2 u''.  That expression carries the ground energy through
     automatically, so the output is isospectral to V whether or not V
     was shifted to put its ground edge at zero energy.  Each call sends
-    one DEBUG record (basis_n, the ground energy and min psi_0 / max
+    one DEBUG record (BASIS_N, the ground energy and min psi_0 / max
     psi_0, the range log psi_0 must resolve) to this module's logger
     when ``logging`` is loaded.
     """
     V.validate()
-    if grid_n < max(64, 2 * basis_n + 2):
-        raise DomainError(f"grid_n must be at least {max(64, 2 * basis_n + 2)}")
+    if grid_n < 2 * BASIS_N + 2:
+        raise DomainError(f"grid_n must be at least {2 * BASIS_N + 2}")
     L = V.period
-    w, U = _ground_solve(V, basis_n, np.linalg.eigh)
+    w, U = _ground_solve(V, np.linalg.eigh)
     # the real eigenvector in the basis 1, sqrt2 cos, sqrt2 sin, summed on the grid
     c = U[:, 0]
     psi = np.fft.irfft(np.concatenate(([math.sqrt(2.0) * c[0]],
-                                       c[1 : basis_n + 1] - 1j * c[basis_n + 1 :])), grid_n)
+                                       c[1 : BASIS_N + 1] - 1j * c[BASIS_N + 1 :])), grid_n)
     psi = psi / psi[int(np.argmax(np.abs(psi)))]  # peak at +1
-    _debug("numeric_partner: basis_n %d, ground energy %.17g, min/max psi_0 %.3g",
-           basis_n, w[0], psi.min())
+    _debug(__name__, "numeric_partner: basis_n %d, ground energy %.17g, min/max psi_0 %.3g",
+           BASIS_N, w[0], psi.min())
     _reject_nodal(psi)
 
     u = GridFunction(period=L, samples=np.log(psi))

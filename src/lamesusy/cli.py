@@ -92,29 +92,32 @@ def cmd_elliptic(args) -> int:
     return EXIT_OK
 
 
-def _potential(j, m, family, numeric):
-    """The family as a PeriodicPotential: closed form, or with ``numeric`` the pipeline."""
-    if numeric and family is not susy.Family.RAW_LAME:
-        if family is susy.Family.V_MINUS:
-            return verify._pipeline_minus(j, m)  # without the partner it would not use
-        if family is not susy.Family.V_PLUS:
-            raise DomainError("the numeric route provides vminus and vplus families only")
-        return verify._pipeline_pair(j, m)[1]
-    if j > 3 and family is not susy.Family.RAW_LAME:
+def _require_closed_form(j, numeric):
+    if j > 3 and not numeric:
         raise DomainError(
             f"no closed form for j={j}; rerun with --numeric for the pipeline route"
         )
-    return susy.PotentialSpec(family, j, m).as_periodic_potential()
+
+
+def _potential(j, m, family, numeric):
+    """The family as a PeriodicPotential: closed form, or with ``numeric`` the pipeline."""
+    if family is susy.Family.RAW_LAME:
+        return susy.PotentialSpec(family, j, m).as_periodic_potential()
+    _require_closed_form(j, numeric)
+    if not numeric:
+        return susy.PotentialSpec(family, j, m).as_periodic_potential()
+    if family is susy.Family.V_MINUS:
+        return verify._pipeline_minus(j, m)  # without the partner it would not use
+    if family is not susy.Family.V_PLUS:
+        raise DomainError("the numeric route provides vminus and vplus families only")
+    return verify.partner_pair(j, m, numeric=True)[1]
 
 
 def cmd_potential(args) -> int:
     p = _check_precision(args.precision)
     f = _potential(args.j, args.m, _FAMILIES[args.family], args.numeric)
     xs = np.arange(args.grid_n) * (f.period / args.grid_n)
-    try:
-        values = np.asarray(f(xs), dtype=float)
-    except TypeError:
-        values = np.array([float(f(x)) for x in xs])
+    values = f._eval_vec(xs)
     _rows_to_output(["x", "value"], list(zip(xs, values)), args.format, p, args.output)
     return EXIT_OK
 
@@ -147,9 +150,8 @@ def cmd_bands(args) -> int:
     if args.both:
         # side-by-side comparison is solver work on both partners; the
         # diff column shows their independent agreement
-        pair = (verify._pipeline_pair(args.j, args.m) if args.numeric else
-                [_potential(args.j, args.m, f, False) for f in (susy.Family.V_MINUS,
-                                                                 susy.Family.V_PLUS)])
+        _require_closed_form(args.j, args.numeric)
+        pair = verify.partner_pair(args.j, args.m, args.numeric)
         edges_m, edges_p = (bandsolver.band_edges(pot, args.count) for pot in pair)
         header = ["n", "E_minus", "E_plus", "diff"]
         rows = [(e.n, e.energy, q.energy, abs(e.energy - q.energy))
@@ -161,7 +163,7 @@ def cmd_bands(args) -> int:
         energies = susy.band_edge_energies(args.j, args.m)[: args.count]
         header = ["n", "energy"]
         rows = list(enumerate(energies))
-        boundaries = [susy.edge_boundary(n) for n, _ in rows]
+        boundaries = [bandsolver.expected_boundary(n) for n, _ in rows]
     else:
         edges = _edges_for(args, _FAMILIES[args.family])
         header = ["n", "energy"]

@@ -15,7 +15,6 @@ pass ``np.longdouble`` grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -25,29 +24,6 @@ from .errors import DomainError, NumericalError
 # Machine-tight AGM stop: 4 ulps relative. Anything below eps is unreachable.
 AGM_REL_TOL = 4.0 * np.finfo(float).eps
 AGM_MAX_ITER = 40
-
-
-@dataclass(frozen=True)
-class ModulusParam:
-    """Elliptic parameter m together with the quarter period K(m).
-
-    K(1) is +inf (the period diverges); construction outside [0, 1]
-    is rejected.
-    """
-
-    m: float
-    K: float
-
-    @classmethod
-    def from_m(cls, m: float) -> "ModulusParam":
-        m = _check_m(m)
-        K = math.inf if m == 1.0 else complete_k(m)
-        return cls(m=m, K=K)
-
-    @property
-    def period(self) -> float:
-        """Period 2K of the sn^2 potentials built on this modulus."""
-        return 2.0 * self.K
 
 
 class JacobiTriple(NamedTuple):

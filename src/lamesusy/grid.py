@@ -100,9 +100,9 @@ class GridFunction:
             c[-1] = 0.0  # odd derivative of the Nyquist cosine is unrepresentable
         return GridFunction(self.period, np.fft.irfft(c, n=self.n))
 
-    def spectral_filter(self, rel_floor: float = 1e-13) -> "GridFunction":
-        """Zero Fourier modes below ``rel_floor`` of the largest one."""
+    def spectral_filter(self) -> "GridFunction":
+        """Zero Fourier modes below 1e-9 of the largest one."""
         c = np.fft.rfft(self.samples)
         mags = np.abs(c)
-        c[mags < rel_floor * mags.max()] = 0.0
+        c[mags < 1e-9 * mags.max()] = 0.0
         return GridFunction(self.period, np.fft.irfft(c, n=self.n))

@@ -21,9 +21,10 @@ shapes through ratios or residuals, never absolute scale.
 
 All evaluators accept scalars or ndarrays and preserve a longdouble
 dtype, which keeps finite-difference residual checks below their
-roundoff floor.  Everything here is a pure function of its arguments;
-the Lamé states of each (j, m) sit behind an lru_cache (recomputation
-under a race is idempotent), so concurrent use is safe.
+roundoff floor.  A scalar or 0-d input gives a float, since jacobi and
+the Lamé coefficients do.  Everything here is a pure function of its
+arguments; the Lamé states of each (j, m) sit behind an lru_cache
+(recomputation under a race is idempotent), so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -58,12 +58,6 @@ def _check_closed_j(j: int) -> int:
             "(bandsolver.numeric_partner)"
         )
     return int(j)
-
-
-def _scalar_or_array(value, scalar: bool):
-    if scalar:
-        return float(value)
-    return value
 
 
 @lru_cache(maxsize=1024)
@@ -110,7 +104,7 @@ def _lame(j: int, m: float) -> tuple:
             scale = np.prod(-up[:top]) * minor / 2.0 ** K / v[top]
             z = a + b + 2 * r
             n = 2 * z - 1 + (a + z + 1) % 2 if z else 0
-            states[n] = (float(e), (a, b, c), tuple(v * scale))
+            states[n] = (float(e), (a, b, c), tuple((v * scale).tolist()))
     return tuple(states[n] for n in range(2 * j + 1))
 
 
@@ -140,10 +134,10 @@ def _ground_w(j: int, m: float, sn, cn, dn):
 
 
 def _triple(j: int, m: float, x):
-    """Domain-checked (j, m, sn, cn, dn, scalar) for the closed-form evaluators."""
+    """Domain-checked (j, m, sn, cn, dn) for the closed-form evaluators."""
     j = _check_closed_j(j)
     m = _check_m_unit(m)
-    return (j, m, *jacobi(x, m), np.isscalar(x) or np.ndim(x) == 0)
+    return (j, m, *jacobi(x, m))
 
 
 def raw_lame(j: int, m: float, x):
@@ -151,9 +145,8 @@ def raw_lame(j: int, m: float, x):
     if int(j) < 1:
         raise DomainError(f"index j must be a positive integer, got {j!r}")
     m = _check_m_unit(m)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
     sn = jacobi(x, m).sn
-    return _scalar_or_array(m * j * (j + 1) * sn * sn, scalar)
+    return m * j * (j + 1) * sn * sn
 
 
 def _v_minus(j: int, m: float, sn):
@@ -169,8 +162,8 @@ def v_minus(j: int, m: float, x):
     j=2: -2 - 2m + 2 delta  + 6m sn^2
     j=3: -2 - 5m + 2 delta1 + 12m sn^2
     """
-    j, m, sn, _, _, scalar = _triple(j, m, x)
-    return _scalar_or_array(_v_minus(j, m, sn), scalar)
+    j, m, sn, _, _ = _triple(j, m, x)
+    return _v_minus(j, m, sn)
 
 
 def superpotential(j: int, m: float, x):
@@ -183,8 +176,8 @@ def superpotential(j: int, m: float, x):
 
     P has no zero on [0, 1], so the denominators stay positive.
     """
-    j, m, sn, cn, dn, scalar = _triple(j, m, x)
-    return _scalar_or_array(_ground_w(j, m, sn, cn, dn)[0], scalar)
+    j, m, sn, cn, dn = _triple(j, m, x)
+    return _ground_w(j, m, sn, cn, dn)[0]
 
 
 def v_plus_closed(j: int, m: float, x):
@@ -200,33 +193,28 @@ def v_plus_closed(j: int, m: float, x):
             f"closed-form V+ exists for j in (2, 3) only, got {j!r}; "
             "j=1 is covered by v_plus_susy, j>=4 by the numeric pipeline"
         )
-    j, m, sn, cn, dn, scalar = _triple(j, m, x)
+    j, m, sn, cn, dn = _triple(j, m, x)
     w = _ground_w(j, m, sn, cn, dn)[0]
-    return _scalar_or_array(2.0 * w * w - _v_minus(j, m, sn), scalar)
+    return 2.0 * w * w - _v_minus(j, m, sn)
 
 
 def v_plus_susy(j: int, m: float, x):
     """Partner potential through the factorization route, W^2 + W'."""
-    j, m, sn, cn, dn, scalar = _triple(j, m, x)
+    j, m, sn, cn, dn = _triple(j, m, x)
     w, w_prime = _ground_w(j, m, sn, cn, dn)
-    return _scalar_or_array(w * w + w_prime, scalar)
+    return w * w + w_prime
 
 
 def v_minus_check(j: int, m: float, x):
     """W^2 - W'; must reproduce v_minus wherever both are defined."""
-    j, m, sn, cn, dn, scalar = _triple(j, m, x)
+    j, m, sn, cn, dn = _triple(j, m, x)
     w, w_prime = _ground_w(j, m, sn, cn, dn)
-    return _scalar_or_array(w * w - w_prime, scalar)
+    return w * w - w_prime
 
 
 # ---------------------------------------------------------------------------
 # band-edge energies and eigenfunctions
 # ---------------------------------------------------------------------------
-
-def edge_boundary(n: int) -> str:
-    """Boundary type of the n-th band edge: the classic +,-,-,+,+,... pattern."""
-    return bandsolver.expected_boundary(n)
-
 
 def band_edge_energies(j: int, m: float) -> tuple:
     """All 2j+1 band-edge energies of V-(j, m), in edge order.
@@ -254,20 +242,18 @@ def psi_minus(j: int, n: int, m: float, x):
     dn (1 + 2m + delta1 - 5m sn^2).  Higher j=3 states have no printed
     closed form here; get them numerically via bandsolver.
     """
-    (a, b, c), p, _, sn, cn, dn, scalar = _state_setup(j, n, m, x)
-    val = sn ** a * cn ** b * dn ** c * _horner(p, sn * sn)[0]
-    return _scalar_or_array(val, scalar)
+    (a, b, c), p, _, sn, cn, dn = _state_setup(j, n, m, x)
+    return sn ** a * cn ** b * dn ** c * _horner(p, sn * sn)[0]
 
 
 def psi_minus_prime(j: int, n: int, m: float, x):
     """Analytic d/dx of psi_minus, for intertwining checks."""
-    (a, b, c), p, m, sn, cn, dn, scalar = _state_setup(j, n, m, x)
+    (a, b, c), p, m, sn, cn, dn = _state_setup(j, n, m, x)
     # sn' = cn dn, cn' = -sn dn, dn' = -m sn cn, and a, b, c are 0 or 1
     prefactor_prime = (a * cn ** (b + 1) * dn ** (c + 1) - b * sn ** (a + 1) * dn ** (c + 1)
                        - c * m * sn ** (a + 1) * cn ** (b + 1))
     P, dP, _ = _horner(p, sn * sn)
-    val = prefactor_prime * P + sn ** a * cn ** b * dn ** c * dP * 2.0 * sn * cn * dn
-    return _scalar_or_array(val, scalar)
+    return prefactor_prime * P + sn ** a * cn ** b * dn ** c * dP * 2.0 * sn * cn * dn
 
 
 def psi_plus(j: int, n: int, m: float, x):
@@ -282,7 +268,7 @@ def psi_plus(j: int, n: int, m: float, x):
             f"closed-form partner eigenfunctions exist for j=2 only, got {j!r}; "
             "use bandsolver.bloch_edge_state for other indices"
         )
-    _, _, m, sn, cn, dn, scalar = _state_setup(j, n, m, x)
+    _, _, m, sn, cn, dn = _state_setup(j, n, m, x)
     b = 1.0 + m + math.sqrt(1.0 - m + m * m)
     s2 = sn * sn
     den = b - 3.0 * m * s2
@@ -296,7 +282,7 @@ def psi_plus(j: int, n: int, m: float, x):
         num = dn * (b + s2 * (3.0 * m - 2.0 * b))
     else:
         num = sn * cn * dn
-    return _scalar_or_array(num / den, scalar)
+    return num / den
 
 
 def _state_setup(j: int, n: int, m: float, x):
@@ -311,34 +297,9 @@ def _state_setup(j: int, n: int, m: float, x):
             )
     else:
         raise DomainError(f"closed-form eigenfunctions exist for j in (2, 3), got {j!r}")
-    j, m, sn, cn, dn, scalar = _triple(j, m, x)
+    j, m, sn, cn, dn = _triple(j, m, x)
     _, kind, p = _lame(j, m)[n]
-    return kind, p, m, sn, cn, dn, scalar
-
-
-@dataclass(frozen=True)
-class BandEdgeState:
-    """One band edge with its closed-form eigenfunctions of both partners."""
-
-    n: int
-    energy: float
-    parity_period: str  # "periodic" or "antiperiodic" over one period 2K
-    closed_form_minus: Callable
-    closed_form_plus: Callable
-
-
-def band_edge_state(j: int, n: int, m: float) -> BandEdgeState:
-    """Bundle energy, boundary type and eigenfunctions for edge n of j=2."""
-    if j != 2:
-        raise DomainError(f"band_edge_state covers the fully tabulated j=2 case, got {j!r}")
-    energy = band_edge_energy(j, m, n)
-    return BandEdgeState(
-        n=n,
-        energy=energy,
-        parity_period=edge_boundary(n),
-        closed_form_minus=lambda x, _n=n: psi_minus(2, _n, m, x),
-        closed_form_plus=lambda x, _n=n: psi_plus(2, _n, m, x),
-    )
+    return kind, p, m, sn, cn, dn
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,7 @@ class SelfIsoResult:
 _SUP_OVERSAMPLE = 8
 _SCAN_ROWS = 32          # shifts per block of the coarse scan (~1 MB at n = 512)
 _NEWTON_STEPS = 8        # steps a shift refinement's Newton solve may take
+SHIFT_SAMPLES = 512      # translations of the coarse distance scan
 
 
 def _on_fine_grid(coef: np.ndarray, n: int, fine: int) -> np.ndarray:
@@ -267,22 +268,18 @@ def _refine_shift(survey, at, a0: float, step: float) -> tuple:
         a = shift
         d, xs = survey(a)
         best = min(best, (d, a))
-    import sys  # logging is not imported here: unloaded, it has no handler to reach
-    logging = sys.modules.get("logging")
-    if logging:
-        logging.getLogger(__name__).debug(
-            "selfiso refinement: Newton on %d active peak(s), %d steps, %d exchanges, %d "
-            "bisections, stopped: %s; coarse shift kept: %s", n_active, newton,
-            max(solves - 1, 0), bisections, stop, best[1] == a0)
+    bandsolver._debug(
+        __name__, "selfiso refinement: Newton on %d active peak(s), %d steps, %d exchanges, "
+        "%d bisections, stopped: %s; coarse shift kept: %s", n_active, newton,
+        max(solves - 1, 0), bisections, stop, best[1] == a0)
     return best
 
 
-def selfiso_distance(vp: GridFunction, vm: GridFunction,
-                     shift_samples: int = 512) -> SelfIsoResult:
+def selfiso_distance(vp: GridFunction, vm: GridFunction) -> SelfIsoResult:
     """Minimal sup-norm distance between vp and vm over translations
     and reflection, D(a, r) = sup_x |vp(x) - vm(r(x - a))|.
 
-    A coarse scan over ``shift_samples`` translations of both
+    A coarse scan over SHIFT_SAMPLES translations of both
     orientations feeds a Newton solve for the active peaks of the
     difference at the optimal translation near the best scanned one
     (_refine_shift), never worse than that shift, and logged at DEBUG.
@@ -290,18 +287,16 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction,
     strictly smaller, so on a tie (two even potentials tie to rounding)
     the unreflected one wins.
     """
-    if shift_samples < 256:
-        raise DomainError("shift_samples must be at least 256")
     if vp.n != vm.n:
         raise DomainError("grids must share the sample count")
     if abs(vp.period - vm.period) > 1e-12 * max(vp.period, vm.period):
         raise DomainError("grids must share the period")
     L = vm.period
-    step = L / shift_samples
+    step = L / SHIFT_SAMPLES
 
     best = None
     for reflect in (False, True):
-        d = _scan_distance(vp, vm, shift_samples, reflect)
+        d = _scan_distance(vp, vm, SHIFT_SAMPLES, reflect)
         i = int(np.argmin(d))
         if best is None or d[i] < best[0]:
             best = (float(d[i]), i * step, reflect)
@@ -351,17 +346,16 @@ def _ratio_spread(numer: np.ndarray, denom: np.ndarray, floor: float = 0.05) -> 
 # suite: closed-form band-edge states (energies, residuals, intertwining)
 # ---------------------------------------------------------------------------
 
-def run_edge_state_suite(m: float, grid_n: int = 1024) -> list:
+def run_edge_state_suite(m: float) -> list:
     """Verify the j=2 closed-form edge catalogue at modulus m.
 
     Per edge n = 0..4: the closed-form energy against the blind
     Floquet solver, Schrodinger residuals of both partner
-    eigenfunctions, and the intertwining map between them.
+    eigenfunctions on 1024 points, and the intertwining map between them.
     """
     if not (0.0 < m < 1.0):
         raise DomainError(f"edge-state suite needs m in (0, 1), got {m!r}")
-    if grid_n < 256:
-        raise DomainError("grid_n must be at least 256")
+    grid_n = 1024
     degenerate = m <= DEGENERATE_M or m >= 1.0 - DEGENERATE_M
     energy_tol = 1e-4 if degenerate else 1e-6
     j = 2
@@ -463,19 +457,21 @@ def _pipeline_minus(j: int, m: float):
     )
 
 
-def _pipeline_pair(j: int, m: float):
-    """(V-, V+) by the numeric pipeline, for any j; V+ comes from
-    numeric_partner."""
-    pot_minus = _pipeline_minus(j, m)
-    return pot_minus, bandsolver.numeric_partner(pot_minus)
+def partner_pair(j: int, m: float, numeric: bool = False) -> tuple:
+    """(V-, V+) of m j(j+1) sn^2 as PeriodicPotentials.
 
-
-def _partner_pair(j: int, m: float):
-    """(V-, V+) as PeriodicPotentials; numeric pipeline above j=3."""
-    if j > 3:
-        return _pipeline_pair(j, m)
+    The closed forms for j <= 3 unless ``numeric``; otherwise the numeric
+    pipeline, for any j: V- is the bare potential less its Galerkin
+    ground energy and V+ its numeric_partner.
+    """
+    if numeric or j > 3:
+        pot_minus = _pipeline_minus(j, m)
+        return pot_minus, bandsolver.numeric_partner(pot_minus)
     return tuple(susy.PotentialSpec(family, j, m).as_periodic_potential()
                  for family in (susy.Family.V_MINUS, susy.Family.V_PLUS))
+
+
+_partner_pair = partner_pair  # the acceptance tests call it by this older name
 
 
 def _grid_of(pot, n: int = 512) -> GridFunction:
@@ -508,7 +504,7 @@ def run_selfiso_suite(m_list: Sequence[float] = DEFAULT_M_LIST,
     reports = []
     for j in j_list:
         for m in m_list:
-            pot_minus, pot_plus = _partner_pair(j, m)
+            pot_minus, pot_plus = partner_pair(j, m)
             reports.extend(selfiso_claims(j, m, pot_minus, pot_plus, prefix="selfiso"))
     return reports
 
@@ -527,7 +523,7 @@ def run_isospectrality_suite(j_list: Sequence[int] = (1, 2, 3, 4, 5),
         for m in m_list:
             ctx = {"j": j, "m": m, "count": count}
             try:
-                pot_minus, pot_plus = _partner_pair(j, m)
+                pot_minus, pot_plus = partner_pair(j, m)
                 edges_minus = bandsolver.band_edges(pot_minus, count)
                 edges_plus = bandsolver.band_edges(pot_plus, count)
                 gal_minus = bandsolver.galerkin_edges(pot_minus, count)

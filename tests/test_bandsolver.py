@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lamesusy import bandsolver as bs
-from lamesusy import verify
+from lamesusy import susy, verify
 from lamesusy.elliptic import complete_k
 from lamesusy.errors import (
     DomainError,
@@ -75,6 +75,15 @@ class TestPeriodicPotential:
         with pytest.raises(DomainError):
             bs.PeriodicPotential(period=-1.0, evaluator=lambda x: 0.0 * x)
 
+    def test_periodicity_check_cannot_be_skipped_at_construction(self):
+        with pytest.raises(TypeError):
+            bs.PeriodicPotential(1.0, lambda x: np.asarray(x, float), True)
+
+    def test_validation_leaves_equality_alone(self):
+        a, b = (bs.PeriodicPotential(2 * math.pi, np.cos) for _ in range(2))
+        a.validate()
+        assert a == b
+
     def test_scalar_only_evaluator_is_accepted(self):
         pot = bs.PeriodicPotential(period=2.0, evaluator=lambda x: math.cos(math.pi * x))
         pot.validate()
@@ -133,7 +142,7 @@ class TestMonodromyTrace:
 
     @pytest.mark.parametrize("make", [
         lambda: lame_pot(Family.V_PLUS, 2, 0.5),
-        lambda: verify._partner_pair(5, 0.5)[1],
+        lambda: verify.partner_pair(5, 0.5)[1],
     ], ids=["closed_form_vplus", "numeric_j5_vplus"])
     def test_trace_independent_of_batch_and_history(self, make):
         # the step count is settled per potential and energy range, and the
@@ -186,8 +195,8 @@ class TestSlope:
         (lambda: lame_pot(Family.V_MINUS, 2, 0.5), lambda: band_edge_energies(2, 0.5)),
         (lambda: lame_pot(Family.V_MINUS, 3, 0.5), lambda: band_edge_energies(3, 0.5)),
         (lambda: lame_pot(Family.V_PLUS, 3, 0.9), lambda: band_edge_energies(3, 0.9)),
-        (lambda: verify._partner_pair(4, 0.5)[1],
-         lambda: [e.energy for e in bs.band_edges(verify._partner_pair(4, 0.5)[0], 9)]),
+        (lambda: verify.partner_pair(4, 0.5)[1],
+         lambda: [e.energy for e in bs.band_edges(verify.partner_pair(4, 0.5)[0], 9)]),
     ], ids=["j1", "j2", "j3", "j3_vplus_m0.9", "numeric_j4_vplus"])
     def test_matches_central_difference(self, make, edges):
         pot = make()
@@ -317,7 +326,7 @@ class TestBandEdges:
 
     @pytest.mark.parametrize("j,make", [
         (3, lambda: lame_pot(Family.V_MINUS, 3, 0.999)),
-        (5, lambda: verify._partner_pair(5, 0.99)[0]),
+        (5, lambda: verify.partner_pair(5, 0.99)[0]),
     ], ids=["closed_form_j3_m0.999", "pipeline_j5_m0.99"])
     def test_narrow_lowest_band_near_m1(self, j, make):
         # the lowest band is 3.5e-10 (j=3) and 5e-12 (j=5) wide here
@@ -529,6 +538,19 @@ class TestGalerkinEdges:
         for got, w in zip(edges, want):
             assert got.energy == pytest.approx(w, abs=1e-9)
 
+    @pytest.mark.parametrize("j, m, lower", [(3, 1e-3, 5), (5, 0.1, 9)])
+    def test_narrow_open_gap_is_no_touch(self, j, m, lower):
+        # gaps of 3.5e-10 and 5.9e-7 that eigvalsh resolves: open in both
+        # engines, while the exact ties of the free particle stay touches
+        pot = lame_pot(Family.RAW_LAME, j, m)
+        gap = susy._lame(j, m)[lower + 1][0] - susy._lame(j, m)[lower][0]
+        for engine in (bs.band_edges, bs.galerkin_edges):
+            edge, upper = engine(pot, 2 * j + 1)[lower : lower + 2]
+            assert not edge.degenerate and not upper.degenerate
+            assert upper.energy - edge.energy == pytest.approx(gap, rel=0.1)
+        flags = [e.degenerate for e in bs.galerkin_edges(free_particle(), 5)]
+        assert flags == [False, True, True, True, True]
+
     def test_agrees_with_floquet_on_j2(self):
         pot = lame_pot(Family.V_MINUS, 2, 0.5)
         fe = bs.band_edges(pot, 5)
@@ -545,7 +567,7 @@ class TestGalerkinEdges:
         # the partner's 512-sample interpolant has modes the 256-point
         # Fourier sampling would alias onto the basis's; on its own grid
         # the two routes agree far below the 1.5e-8 that aliasing left
-        pot = verify._partner_pair(5, 0.9)[1]
+        pot = verify.partner_pair(5, 0.9)[1]
         fe = bs.band_edges(pot, 11)
         ge = bs.galerkin_edges(pot, 11)
         assert max(abs(a.energy - b.energy) for a, b in zip(fe, ge)) <= 1e-10

@@ -80,7 +80,7 @@ class TestPotential:
         assert cp.returncode == 0, cp.stderr
         rows = np.array([[float(t) for t in r.split(",")]
                          for r in cp.stdout.strip().splitlines()[1:]])
-        pot = verify._pipeline_pair(4, 0.5)[0]
+        pot = verify.partner_pair(4, 0.5, numeric=True)[0]
         xs = np.arange(64) * (pot.period / 64)
         assert np.max(np.abs(rows[:, 1] - pot(xs))) <= 1e-12
 

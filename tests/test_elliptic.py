@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamesusy.elliptic import ModulusParam, complete_k, jacobi, jacobi_derivatives
+from lamesusy.elliptic import complete_k, jacobi, jacobi_derivatives
 from lamesusy.errors import DomainError
 
 
@@ -68,14 +68,6 @@ class TestCompleteK:
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             complete_k(bad)
-
-    def test_modulus_param(self):
-        mp = ModulusParam.from_m(0.5)
-        assert mp.K == pytest.approx(1.8540746773013719, rel=1e-14)
-        assert mp.period == pytest.approx(2 * mp.K)
-        with pytest.raises(DomainError):
-            ModulusParam.from_m(1.2)
-        assert ModulusParam.from_m(1.0).K == math.inf
 
 
 class TestJacobi:

@@ -69,7 +69,7 @@ class TestGridFunction:
         rng = np.random.default_rng(7)
         noisy = trig_poly(np.arange(256) * (2 * math.pi / 256))
         noisy = noisy + 1e-12 * rng.standard_normal(256)
-        g = GridFunction(2 * math.pi, noisy).spectral_filter(1e-9)
+        g = GridFunction(2 * math.pi, noisy).spectral_filter()
         c = np.abs(np.fft.rfft(g.samples))
         # only the true modes survive (the rfft round trip leaves
         # 1e-15-level dust on the zeroed ones)

@@ -15,8 +15,6 @@ from lamesusy.susy import (
     PotentialSpec,
     band_edge_energies,
     band_edge_energy,
-    band_edge_state,
-    edge_boundary,
     psi_minus,
     psi_minus_prime,
     psi_plus,
@@ -92,6 +90,30 @@ class TestPrintedFormulas:
         assert np.all(psi0 > 0.0)
         assert np.all(np.isfinite(superpotential(2, m, x)))
         assert band_edge_energy(2, m, 0) == 0.0
+
+
+# every evaluator, at indices and edges it supports
+EVALUATORS = {
+    "raw_lame": lambda x: raw_lame(5, 0.5, x),
+    "v_minus": lambda x: v_minus(3, 0.5, x),
+    "superpotential": lambda x: superpotential(3, 0.5, x),
+    "v_plus_closed": lambda x: v_plus_closed(2, 0.5, x),
+    "v_plus_susy": lambda x: v_plus_susy(1, 0.5, x),
+    "v_minus_check": lambda x: v_minus_check(3, 0.5, x),
+    "psi_minus": lambda x: psi_minus(2, 3, 0.5, x),
+    "psi_minus_prime": lambda x: psi_minus_prime(2, 1, 0.5, x),
+    "psi_plus": lambda x: psi_plus(2, 0, 0.5, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_evaluator_output_types(name):
+    f = EVALUATORS[name]
+    want = f(np.array([0.7]))[0]
+    for x in (0.7, np.float64(0.7), np.array(0.7)):
+        got = f(x)
+        assert type(got) is float and got == want
+    assert f(np.array([0.7, 1.1], dtype=np.longdouble)).dtype == np.longdouble
 
 
 class TestPotentials:
@@ -234,7 +256,7 @@ class TestBandEdges:
             band_edge_energy(2, 0.5, -1)
 
     def test_boundary_pattern(self):
-        assert [edge_boundary(n) for n in range(7)] == [
+        assert [bandsolver.expected_boundary(n) for n in range(7)] == [
             "periodic", "antiperiodic", "antiperiodic",
             "periodic", "periodic", "antiperiodic", "antiperiodic",
         ]
@@ -292,18 +314,12 @@ class TestEigenfunctions:
         m = 0.5
         L = 2 * complete_k(m)
         x = grid(m, 64)
-        sign = 1.0 if edge_boundary(n) == "periodic" else -1.0
+        sign = 1.0 if bandsolver.expected_boundary(n) == "periodic" else -1.0
         for psi in (lambda t: psi_minus(2, n, m, t), lambda t: psi_plus(2, n, m, t)):
             assert np.max(np.abs(psi(x + L) - sign * psi(x))) <= 1e-9
             dens = np.abs(psi(x)) ** 2
             assert np.max(np.abs(np.abs(psi(x + L)) ** 2 - dens)) <= 1e-9
 
-    def test_band_edge_state_bundle(self):
-        st_ = band_edge_state(2, 1, 0.5)
-        assert st_.parity_period == "antiperiodic"
-        assert st_.energy == pytest.approx(band_edge_energy(2, 0.5, 1))
-        assert st_.closed_form_minus(0.3) == pytest.approx(psi_minus(2, 1, 0.5, 0.3))
-        assert st_.closed_form_plus(0.3) == pytest.approx(psi_plus(2, 1, 0.5, 0.3))
 
 
 class TestPotentialSpec:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lamesusy import verify
+from lamesusy import bandsolver, verify
 from lamesusy.elliptic import complete_k
 from lamesusy.errors import DomainError
 from lamesusy.grid import GridFunction
@@ -30,7 +30,7 @@ FROZEN_DISTANCES = {
 
 
 def pair_grids(j, m, n=512):
-    pm, pp = verify._partner_pair(j, m)
+    pm, pp = verify.partner_pair(j, m)
     return verify._grid_of(pp, n), verify._grid_of(pm, n)
 
 
@@ -108,8 +108,6 @@ class TestSelfIsoDistance:
         g3 = GridFunction.from_function(np.sin, math.pi, 256)
         with pytest.raises(DomainError):
             verify.selfiso_distance(g1, g3)
-        with pytest.raises(DomainError):
-            verify.selfiso_distance(g1, g1, shift_samples=64)
 
 
 def scan_reference(vp, vm, count, reflect):
@@ -378,6 +376,27 @@ class TestIsospectralitySuite:
         a = verify.reports_to_json(verify.run_selfiso_suite(m_list=(0.3,)))
         b = verify.reports_to_json(verify.run_selfiso_suite(m_list=(0.3,)))
         assert a == b
+
+
+class TestPartnerPair:
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_closed_forms_through_j3(self, j):
+        pm, pp = verify.partner_pair(j, 0.5)
+        assert pm.evaluator == PotentialSpec(Family.V_MINUS, j, 0.5)
+        assert pp.evaluator == PotentialSpec(Family.V_PLUS, j, 0.5)
+
+    @pytest.mark.parametrize("j, numeric", [(2, True), (4, False), (4, True)])
+    def test_pipeline_when_numeric_or_above_j3(self, j, numeric):
+        pm, pp = verify.partner_pair(j, 0.5, numeric=numeric)
+        raw = PotentialSpec(Family.RAW_LAME, j, 0.5).as_periodic_potential()
+        x = np.linspace(0.0, raw.period, 37)
+        assert np.array_equal(pm(x), raw(x) - bandsolver.ground_energy(raw))
+        assert isinstance(pp.evaluator, GridFunction)
+        assert np.array_equal(pp.evaluator.samples,
+                              bandsolver.numeric_partner(pm).evaluator.samples)
+
+    def test_private_name_is_an_alias(self):
+        assert verify._partner_pair is verify.partner_pair
 
 
 class TestResidualHelper:
