@@ -38,7 +38,6 @@ from .verify import (
     ClaimReport,
     SelfIsoResult,
     partner_pair,
-    run_all,
     run_edge_state_suite,
     run_isospectrality_suite,
     run_limit_suite,

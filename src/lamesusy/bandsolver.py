@@ -52,7 +52,7 @@ from .errors import (
     InvalidGroundStateError,
     NumericalError,
 )
-from .grid import GridFunction
+from .grid import GridFunction, spectrum
 
 TOL = 1e-11         # bound on each monodromy entry, relative to the largest partial product
 SCAN_TOL = 1e-7     # the same bound for the sign-only discriminant scan
@@ -323,15 +323,13 @@ def _monodromy(V: PeriodicPotential, energies, tol: float = TOL,
     return M, scale
 
 
-def monodromy_trace(V: PeriodicPotential, E: float) -> float:
-    """Trace of the one-period monodromy matrix of -y'' + V y = E y."""
+def monodromy_trace(V: PeriodicPotential, E):
+    """Trace of the one-period monodromy matrix of -y'' + V y = E y: a
+    float for a scalar E, an array for an array of energies."""
     V.validate()
-    return float(_trace_batch(V, [float(E)])[0])
-
-
-def _trace_batch(V: PeriodicPotential, energies) -> np.ndarray:
-    M, _ = _monodromy(V, energies)
-    return M[0] + M[3]
+    M, _ = _monodromy(V, E)
+    trace = M[0] + M[3]
+    return float(trace[0]) if np.ndim(E) == 0 else trace
 
 
 def _edge_residual(M: np.ndarray, target) -> tuple:
@@ -748,7 +746,7 @@ def _potential_modes(V: PeriodicPotential, basis_n: int) -> tuple:
     A grid-backed V is sampled on at least its own grid, so that its higher
     modes do not alias onto these."""
     fine = max(4 * basis_n, V.evaluator.n if isinstance(V.evaluator, GridFunction) else 0)
-    v = np.fft.rfft(V.sample(fine))[: 2 * basis_n + 1] / fine
+    v = spectrum(V.sample(fine))[: 2 * basis_n + 1]
     return v.real, v.imag
 
 

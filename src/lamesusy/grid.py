@@ -17,6 +17,42 @@ from .errors import DomainError
 MIN_SAMPLES = 64
 
 
+def spectrum(samples: np.ndarray) -> np.ndarray:
+    """rfft coefficients of the samples, normalised so that c[0] is the mean."""
+    return np.fft.rfft(samples) / len(samples)
+
+
+def on_fine_grid(coef: np.ndarray, n: int, fine: int) -> np.ndarray:
+    """The n-sample interpolant with spectrum ``coef`` at j*period/fine,
+    j = 0..fine-1, for fine >= n."""
+    if n % 2 == 0 and fine > n:  # the Nyquist cosine splits over the modes +-n/2 of the fine grid
+        coef = np.concatenate([coef[:-1], 0.5 * coef[-1:]])
+    return np.fft.irfft(coef, n=fine) * fine  # irfft zero-pads to the fine grid
+
+
+def series_sum(coef: np.ndarray, n: int, period: float, pts: np.ndarray) -> np.ndarray:
+    """The n-sample interpolant with spectrum ``coef`` at the points ``pts``.
+
+    ``coef`` may carry one column per series; the result then has one
+    column per series too.  Interior modes carry weight 2 and the mode 0
+    and an even n's Nyquist cosine weight 1; the sum is taken in real
+    cos/sin form, 4096 points at a time to bound its memory.
+    """
+    w = np.full(coef.shape[0] - 1, 2.0)
+    if n % 2 == 0:
+        w[-1] = 1.0
+    if coef.ndim > 1:
+        w = w[:, None]
+    a, b = w * coef[1:].real, w * coef[1:].imag
+    k = np.arange(1, coef.shape[0])
+    out = np.empty(pts.shape + coef.shape[1:])
+    chunk = 4096
+    for lo in range(0, pts.size, chunk):
+        theta = np.outer(pts[lo : lo + chunk], k) * (2.0 * np.pi / period)
+        out[lo : lo + chunk] = coef[0].real + np.cos(theta) @ a - np.sin(theta) @ b
+    return out
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Real samples on the uniform grid x_j = j*period/n, j = 0..n-1."""
@@ -49,28 +85,11 @@ class GridFunction:
     def x(self) -> np.ndarray:
         return np.arange(self.n) * (self.period / self.n)
 
-    def _coeffs(self):
-        # rfft coefficients normalised so that c[0] is the mean
-        return np.fft.rfft(self.samples) / self.n
-
     def eval(self, pts) -> np.ndarray:
         """Evaluate the trigonometric interpolant at arbitrary points."""
         scalar = np.isscalar(pts) or np.ndim(pts) == 0
-        pts = np.atleast_1d(np.asarray(pts, dtype=float))
-        c = self._coeffs()
-        n = self.n
-        k = np.arange(1, c.size)
-        # interior modes carry weight 2; the Nyquist mode (even n) weight 1
-        w = np.full(k.size, 2.0)
-        if n % 2 == 0:
-            w[-1] = 1.0
-        a = w * c[1:].real
-        b = w * c[1:].imag
-        out = np.empty(pts.shape)
-        chunk = 4096
-        for lo in range(0, pts.size, chunk):
-            theta = np.outer(pts[lo : lo + chunk], k) * (2.0 * np.pi / self.period)
-            out[lo : lo + chunk] = c[0].real + np.cos(theta) @ a - np.sin(theta) @ b
+        out = series_sum(spectrum(self.samples), self.n, self.period,
+                         np.atleast_1d(np.asarray(pts, dtype=float)))
         if scalar:
             return float(out[0])
         return out
@@ -81,15 +100,13 @@ class GridFunction:
     def resample(self, count: int, shift: float = 0.0) -> np.ndarray:
         """The interpolant at (i + shift) * period / count, i = 0..count-1.
 
-        One phase-shifted rfft, zero-padded onto the least multiple of
+        One phase-shifted spectrum, zero-padded onto the least multiple of
         ``count`` that is >= n and read at every (fine/count)-th point.
         """
         n = self.n
         fine = count * -(-n // count)
-        c = np.fft.rfft(self.samples) * np.exp(2j * np.pi * np.arange(n // 2 + 1) * (shift / count))
-        if n % 2 == 0 and fine > n:
-            c[-1] *= 0.5  # the Nyquist cosine splits over the modes +-n/2 of the fine grid
-        return np.fft.irfft(c, n=fine)[:: fine // count] * (fine / n)
+        c = spectrum(self.samples) * np.exp(2j * np.pi * np.arange(n // 2 + 1) * (shift / count))
+        return on_fine_grid(c, n, fine)[:: fine // count]
 
     def derivative(self, order: int = 1) -> "GridFunction":
         """Spectral derivative of the interpolant, as a new GridFunction."""

@@ -25,7 +25,7 @@ import numpy as np
 from . import bandsolver, susy
 from .elliptic import complete_k
 from .errors import DomainError, NumericalError
-from .grid import GridFunction
+from .grid import GridFunction, on_fine_grid, series_sum, spectrum
 
 TOL_SELF = 1e-6          # sup-norm distance below which partners count as equal
 DISTINCT_MIN = 1e-4      # distance every j >= 2 pair must exceed
@@ -79,17 +79,10 @@ _NEWTON_STEPS = 8        # steps a shift refinement's Newton solve may take
 SHIFT_SAMPLES = 512      # translations of the coarse distance scan
 
 
-def _on_fine_grid(coef: np.ndarray, n: int, fine: int) -> np.ndarray:
-    """Values on ``fine`` points of the n-sample interpolant with normalised rfft ``coef``."""
-    if n % 2 == 0:  # the Nyquist cosine splits over the modes +-n/2 of the fine grid
-        coef = np.concatenate([coef[:-1], 0.5 * coef[-1:]])
-    return np.fft.irfft(coef, n=fine) * fine  # irfft zero-pads to the fine grid
-
-
 def _spectra(vp: GridFunction, vm: GridFunction, reflect: bool):
-    """rffts of vp and of vm, the latter conjugated (x -> -x) when ``reflect``."""
-    c = np.fft.rfft(vm.samples)
-    return np.fft.rfft(vp.samples), (np.conj(c) if reflect else c)
+    """Spectra of vp and of vm, the latter conjugated (x -> -x) when ``reflect``."""
+    c = spectrum(vm.samples)
+    return spectrum(vp.samples), (np.conj(c) if reflect else c)
 
 
 def _scan_distance(vp: GridFunction, vm: GridFunction, count: int,
@@ -98,30 +91,22 @@ def _scan_distance(vp: GridFunction, vm: GridFunction, count: int,
 
     The fine grid has F points, the least multiple of ``count`` that is
     >= 8n, so shift s rolls the upsampled vm by s*F/count points and one
-    grid serves every shift.  An even n's shifted Nyquist cosine keeps
-    only its cosine part, so the sine part the roll carries is taken back
-    out unless count divides n*s.  A parabolic fit refines each max to
-    ~1e-7, plenty for ranking candidate shifts.
+    grid serves every shift.  A parabolic fit refines each max to ~1e-7,
+    plenty for ranking candidate shifts.
     """
     n = vm.n
     fine = count * -(-_SUP_OVERSAMPLE * n // count)
     cp, c = _spectra(vp, vm, reflect)
-    a_vals = _on_fine_grid(cp / n, n, fine)
-    b_vals = _on_fine_grid(c / n, n, fine)
+    a_vals = on_fine_grid(cp, n, fine)
+    b_vals = on_fine_grid(c, n, fine)
     # row s is the window of [B, B] that starts at F - s*F/count
     rolled = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([b_vals, b_vals]), fine)[fine:0:-(fine // count)]
-    turns = n * np.arange(count) % (2 * count)  # Nyquist phase of each shift, in pi/count
-    nyquist = np.where(turns % count != 0, np.sin(np.pi * turns / count), 0.0)
-    nyquist *= c[-1].real / n if n % 2 == 0 else 0.0
-    nyquist_grid = np.sin(np.pi * n * np.arange(fine) / fine)
     peaks = np.empty((3, count))  # |D| at the argmax and at its two neighbours
     buf = np.empty((_SCAN_ROWS, fine))
     for lo in range(0, count, _SCAN_ROWS):
         rows = slice(lo, min(lo + _SCAN_ROWS, count))
         diff = np.subtract(a_vals, rolled[rows], out=buf[: rows.stop - lo])
-        if nyquist[rows].any():
-            diff += nyquist[rows, None] * nyquist_grid
         np.abs(diff, out=diff)
         imax = np.argmax(diff, axis=1)
         r = np.arange(diff.shape[0])
@@ -134,7 +119,7 @@ def _scan_distance(vp: GridFunction, vm: GridFunction, count: int,
 
 
 def _exact_distance(vp: GridFunction, vm: GridFunction, reflect: bool, floor: float):
-    """f(x, a) = vp(x) - vm(r(x - a)) from one rfft series of each input.
+    """f(x, a) = vp(x) - vm(r(x - a)) from the spectra of both inputs.
 
     Returns ``survey(a)``: sup_x |f(x, a)| to ~1e-11 and the local maxima
     of |f(., a)| on the 8x oversampled grid, highest first, those within
@@ -146,26 +131,21 @@ def _exact_distance(vp: GridFunction, vm: GridFunction, reflect: bool, floor: fl
     n, L = vm.n, vm.period
     fine = _SUP_OVERSAMPLE * n
     cp, c = _spectra(vp, vm, reflect)
-    k = np.arange(c.size)
-    weights = np.where((k == 0) | (2 * k == n), 1.0, 2.0) / n
-    ik = 2j * np.pi / L * k  # d/dx of exp(i k omega x) brings down i k omega, omega = 2 pi / L
+    ik = 2j * np.pi / L * np.arange(c.size)  # d/dx of e^{ikx} brings down ik
     h = L / fine
 
     def series(a):
-        """Normalised rfft of f(., a), and the columns that ``at`` sums."""
-        u = (c * np.exp(-ik * a))[:, None] * ik[:, None] ** np.arange(3)  # d/da brings -ik
-        if n % 2 == 0:
-            u[-1] = u[-1].real  # the shifted Nyquist cosine keeps its cosine part
-        dcoef = (cp - u[:, 0]) / n
-        g, ga = n * weights * dcoef, weights * u[:, 1]
-        return dcoef, np.stack([g, ik * g, ik * ik * g, ga, ik * ga, -weights * u[:, 2]], axis=1)
+        """Spectra of f, f_x, f_xx, f_a, f_xa and f_aa at the shift a."""
+        u = c * np.exp(-ik * a)  # vm(r(x - a)); d/da brings down -ik
+        f, fa = cp - u, ik * u
+        return np.stack([f, ik * f, ik * ik * f, fa, ik * fa, -ik * fa], axis=1)
 
     def at(xs, a):
-        return (np.exp(np.outer(xs, ik)) @ series(a)[1]).real
+        return series_sum(series(a), n, L, xs)
 
     def survey(a):
-        dcoef, cols = series(a)
-        vals = np.abs(_on_fine_grid(dcoef, n, fine))
+        cols = series(a)
+        vals = np.abs(on_fine_grid(cols[:, 0], n, fine))
         top = vals.max()
         if top <= floor:
             return float(top), np.zeros(0)
@@ -173,9 +153,9 @@ def _exact_distance(vp: GridFunction, vm: GridFunction, reflect: bool, floor: fl
         peaks = peaks[np.argsort(-vals[peaks], kind="stable")]
         xs, near = h * peaks, vals[peaks] >= top - 1e-4 * max(top, 1.0)
         for _ in range(4):
-            d1, d2 = (np.exp(np.outer(xs[near], ik)) @ cols[:, 1:3]).real.T
+            d1, d2 = series_sum(cols[:, 1:3], n, L, xs[near]).T
             xs[near] += np.clip(-d1 / np.where(np.abs(d2) > 1e-300, d2, np.inf), -h, h)
-        polished = np.abs((np.exp(np.outer(xs[near], ik)) @ cols[:, 0]).real)
+        polished = np.abs(series_sum(cols[:, 0], n, L, xs[near]))
         return float(max(top, polished.max())), xs
 
     return survey, at
@@ -276,8 +256,8 @@ def _refine_shift(survey, at, a0: float, step: float) -> tuple:
 
 
 def selfiso_distance(vp: GridFunction, vm: GridFunction) -> SelfIsoResult:
-    """Minimal sup-norm distance between vp and vm over translations
-    and reflection, D(a, r) = sup_x |vp(x) - vm(r(x - a))|.
+    """Minimal sup-norm distance between the interpolants of vp and vm
+    over translations and reflection, D(a, r) = sup_x |vp(x) - vm(r(x - a))|.
 
     A coarse scan over SHIFT_SAMPLES translations of both
     orientations feeds a Newton solve for the active peaks of the
@@ -546,17 +526,6 @@ def run_isospectrality_suite(j_list: Sequence[int] = (1, 2, 3, 4, 5),
                 f"iso/j={j}/m={m:g}/solvers_agree_plus",
                 _solver_agreement(edges_plus, gal_plus), 1e-6, **ctx))
             reports.extend(selfiso_claims(j, m, pot_minus, pot_plus))
-    return reports
-
-
-def run_all(m_list: Sequence[float] = DEFAULT_M_LIST) -> list:
-    """Every suite, in canonical order."""
-    reports = []
-    for m in m_list:
-        reports.extend(run_edge_state_suite(m))
-    reports.extend(run_limit_suite())
-    reports.extend(run_isospectrality_suite(m_list=m_list))
-    reports.extend(run_selfiso_suite(m_list=m_list))
     return reports
 
 

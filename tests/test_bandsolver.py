@@ -135,8 +135,8 @@ class TestMonodromyTrace:
                                        np.linspace(e[2], e[3], 9)[1:-1]])
         inside_gaps = np.concatenate([np.linspace(e[1], e[2], 9)[1:-1],
                                       np.linspace(e[3], e[4], 9)[1:-1]])
-        tr_band = bs._trace_batch(pot, inside_bands)
-        tr_gap = bs._trace_batch(pot, inside_gaps)
+        tr_band = bs.monodromy_trace(pot, inside_bands)
+        tr_gap = bs.monodromy_trace(pot, inside_gaps)
         assert np.all(np.abs(tr_band) <= 2.0 + 1e-8)
         assert np.all(np.abs(tr_gap) >= 2.0 - 1e-8)
 
@@ -152,7 +152,7 @@ class TestMonodromyTrace:
         bs.monodromy_trace(used, 100.0)  # settles a higher energy range first
         s = used.sample(256)
         Es = np.linspace(s.min() - 1.0, s.max() + 20.0, 2049)
-        batch = bs._trace_batch(used, Es)
+        batch = bs.monodromy_trace(used, Es)
         for k in (0, 700, 1500, 2048):
             fresh = bs.monodromy_trace(make(), Es[k])
             assert abs(fresh - batch[k]) <= 1e-12 * max(1.0, abs(fresh))
@@ -202,7 +202,7 @@ class TestSlope:
         pot = make()
         E = self.inside_bands(edges())
         h = 1e-3
-        f = [bs._trace_batch(pot, E + k * h) for k in (-2, -1, 1, 2)]
+        f = [bs.monodromy_trace(pot, E + k * h) for k in (-2, -1, 1, 2)]
         central = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
         slope = bs._slope(pot, E)
         assert np.max(np.abs(slope - central) / np.abs(slope)) <= 1e-8
@@ -381,7 +381,7 @@ class TestRootBatch:
         lo, hi = e - w, e + 0.03 - w
         target = np.array([2.0 if bs.expected_boundary(i) == "periodic" else -2.0
                            for i in range(e.size)])
-        f_lo, f_hi = (bs._trace_batch(pot, x) - target for x in (lo, hi))
+        f_lo, f_hi = (bs.monodromy_trace(pot, x) - target for x in (lo, hi))
         return lo, hi, target, f_lo, f_hi
 
     def test_batch_equals_one_at_a_time(self):
@@ -403,7 +403,7 @@ class TestRootBatch:
     def test_bracket_without_sign_change_raises(self):
         # both ends inside the lowest band: no edge between them
         pot = lame_pot(Family.V_MINUS, 3, 0.5)
-        f = bs._trace_batch(pot, [0.01, 0.05]) - 2.0
+        f = bs.monodromy_trace(pot, [0.01, 0.05]) - 2.0
         with pytest.raises(NumericalError, match="sign change"):
             bs._root_batch(bs._crossing(pot, [2.0]), [0.01], [0.05], f[:1], f[1:])
 

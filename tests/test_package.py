@@ -12,7 +12,7 @@ EXPORTS = [
     "bloch_edge_state", "complete_k", "expected_boundary", "galerkin_edges",
     "jacobi", "jacobi_derivatives", "monodromy_trace", "numeric_partner",
     "partner_pair", "psi_minus", "psi_minus_prime", "psi_plus", "raw_lame",
-    "run_all", "run_edge_state_suite", "run_isospectrality_suite",
+    "run_edge_state_suite", "run_isospectrality_suite",
     "run_limit_suite", "run_selfiso_suite", "schrodinger_residual",
     "selfiso_distance", "superpotential", "v_minus", "v_minus_check",
     "v_plus_closed", "v_plus_susy",

@@ -110,34 +110,28 @@ class TestSelfIsoDistance:
             verify.selfiso_distance(g1, g3)
 
 
+def parabolic_peak(diff):
+    """max |D| on a periodic grid, refined by a parabola through the
+    argmax and its two neighbours, as the coarse scan refines it."""
+    k = int(np.argmax(diff))
+    y0, ym, yp = diff[k], diff[k - 1], diff[(k + 1) % diff.size]
+    den = 2.0 * y0 - ym - yp
+    return y0 + ((yp - ym) ** 2 / (8.0 * den) if den > 1e-12 * max(y0, 1e-300) else 0.0)
+
+
 def scan_reference(vp, vm, count, reflect):
-    """The coarse scan computed the direct way: one phase-shifted
-    spectrum and one inverse FFT onto the fine grid per shift."""
-    n, L = vm.n, vm.period
-    fine = count * -(-8 * n // count)
-    c = np.fft.rfft(vm.samples)
-    if reflect:
-        c = np.conj(c)
-    k = np.arange(c.size)
-    weights = np.full(c.size, 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
+    """The coarse scan computed the direct way: GridFunction.eval of vp at
+    the fine points and of vm at those points less each shift (mirrored
+    when ``reflect``), the shifted points read off the same fine grid."""
+    L = vm.period
+    fine = count * -(-8 * vm.n // count)
+    x = np.arange(fine) * (L / fine)
+    top, vals = vp.eval(x), vm.eval(x)
+    i = np.arange(fine)
     out = np.empty(count)
     for s in range(count):
-        row = c * np.exp(-2j * np.pi * (s / count) * k)
-        if n % 2 == 0:
-            row[-1] = row[-1].real
-        dcoef = (np.fft.rfft(vp.samples) - row) / n
-        pad = np.zeros(fine // 2 + 1, dtype=complex)
-        pad[: c.size] = dcoef * weights / 2.0
-        pad[0] = dcoef[0]
-        diff = np.abs(np.fft.irfft(pad, n=fine) * fine)
-        i = int(np.argmax(diff))
-        y0, ym, yp = diff[i], diff[i - 1], diff[(i + 1) % fine]
-        den = 2.0 * y0 - ym - yp
-        bump = (yp - ym) ** 2 / (8.0 * den) if den > 1e-12 * max(y0, 1e-300) else 0.0
-        out[s] = y0 + bump
+        moved = i - s * (fine // count)  # index of x_i - s L / count
+        out[s] = parabolic_peak(np.abs(top - vals[(-moved if reflect else moved) % fine]))
     return out
 
 
@@ -146,8 +140,8 @@ class TestCoarseScan:
     @pytest.mark.parametrize("count", [256, 512, 4096, 300])
     @pytest.mark.parametrize("n", [256, 512, 1024])
     def test_matches_per_shift_reference(self, n, count, reflect):
-        # white-noise samples carry a full-size Nyquist mode, the one term
-        # a cyclic roll of the fine grid does not reproduce by itself
+        # white-noise samples carry a full-size Nyquist mode, which a shift
+        # off the sample grid turns partly into a sine
         rng = np.random.default_rng(n + count)
         vp = GridFunction(2.7, rng.standard_normal(n))
         vm = GridFunction(2.7, rng.standard_normal(n))
@@ -186,6 +180,51 @@ class TestCoarseScan:
         assert [row[-1] for row in rows] == ["self_isospectral"] * 3 + ["distinct"] * 6
 
 
+class TestTrueTranslate:
+    """D(a) is taken on the true translate of vm's interpolant.  White
+    noise on an even n carries a full-size Nyquist cosine, which moves
+    with an off-grid shift like every other mode."""
+
+    @staticmethod
+    def noise_pair(n=256, L=2.7):
+        rng = np.random.default_rng(0)
+        return GridFunction(L, rng.standard_normal(n)), GridFunction(L, rng.standard_normal(n))
+
+    @staticmethod
+    def dense_sup(vp, vm, a, points=50_000):
+        """sup_x |vp(x) - vm(x - a)| by eval on a dense grid, refined on
+        a 1000x finer grid around each of its eight highest maxima."""
+        h = vm.period / points
+        x = np.arange(points) * h
+        d = np.abs(vp.eval(x) - vm.eval(x - a))
+        peaks = np.nonzero((d >= np.roll(d, 1)) & (d >= np.roll(d, -1)))[0]
+        xs = (x[peaks[np.argsort(-d[peaks])[:8]], None] + np.linspace(-h, h, 2001)).ravel()
+        return float(np.abs(vp.eval(xs) - vm.eval(xs - a)).max())
+
+    def test_exact_distance_is_sup_of_translate(self):
+        vp, vm = self.noise_pair()
+        L, n = vm.period, vm.n
+        survey, at = verify._exact_distance(vp, vm, False, 0.0)
+        for a in (0.3 * L / n, 7 * L / 300):
+            assert survey(a)[0] == pytest.approx(self.dense_sup(vp, vm, a), abs=1e-9)
+            xs = np.linspace(0.0, L, 97)
+            f = vp.eval(xs) - vm.eval(xs - a)
+            assert np.max(np.abs(at(xs, a)[:, 0] - f)) <= 1e-12 * np.max(np.abs(f))
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_scan_is_sup_of_translate_on_its_grid(self, reflect):
+        vp, vm = self.noise_pair()
+        L, count = vm.period, 300
+        fine = count * -(-8 * vm.n // count)
+        x = np.arange(fine) * (L / fine)
+        top = vp.eval(x)
+        got = verify._scan_distance(vp, vm, count, reflect)
+        for s in range(1, count, 13):
+            y = x - s * (L / count)
+            want = parabolic_peak(np.abs(top - vm.eval(-y if reflect else y)))
+            assert got[s] == pytest.approx(want, abs=1e-12 * max(1.0, want))
+
+
 def golden_reference(vp, vm, shift_samples=512):
     """selfiso_distance refined the direct way: golden section on the
     best scanned shift down to a bracket of 1e-8, each step's sup taken
@@ -210,8 +249,6 @@ def golden_reference(vp, vm, shift_samples=512):
 
     def d_exact(a):
         shifted = c * np.exp(-2j * np.pi * ((a / L) * k))
-        if n % 2 == 0:
-            shifted[-1] = shifted[-1].real
         dcoef = (cp - shifted) / n
         pad = np.concatenate([dcoef[:-1], 0.5 * dcoef[-1:]]) if n % 2 == 0 else dcoef
         vals = np.abs(np.fft.irfft(pad, n=fine) * fine)
