@@ -4,13 +4,12 @@ from .bandsolver import (
     BandEdge,
     PeriodicPotential,
     band_edges,
-    bloch_edge_state,
     expected_boundary,
     galerkin_edges,
     monodromy_trace,
     numeric_partner,
 )
-from .elliptic import JacobiTriple, complete_k, jacobi, jacobi_derivatives
+from .elliptic import JacobiTriple, complete_k, jacobi
 from .errors import (
     DomainError,
     IncompleteSpectrumError,
@@ -23,7 +22,6 @@ from .susy import (
     Family,
     PotentialSpec,
     band_edge_energies,
-    band_edge_energy,
     psi_minus,
     psi_minus_prime,
     psi_plus,

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -213,7 +213,8 @@ def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _tree_product(P: np.ndarray) -> tuple:
-    """Ordered products P[:, -1] @ ... @ P[:, 0] along axis 1, by pairs.
+    """Ordered products P[:, -1] @ ... @ P[:, 0] along axis 1, by pairs;
+    the length of axis 1, a step count, must be a power of two.
 
     Returns the products, shape (rows, columns), and per column the
     largest entry of any partial product formed (at least 1, the initial
@@ -222,13 +223,10 @@ def _tree_product(P: np.ndarray) -> tuple:
     """
     scale = np.ones(P.shape[2])
     while P.shape[1] > 1:
-        half = P.shape[1] // 2
-        A = P[:, 1 : 2 * half : 2]  # later steps multiply from the left
-        B = P[:, 0 : 2 * half : 2]
-        Q = _mul(A[:4], B[:4])
-        if P.shape[0] == 8:
-            Q = np.concatenate([Q, _mul(A[4:], B[:4]) + _mul(A[:4], B[4:])])
-        P = np.concatenate([Q, P[:, 2 * half :]], axis=1) if P.shape[1] % 2 else Q
+        A, B = P[:, 1::2], P[:, 0::2]  # later steps multiply from the left
+        P = _mul(A[:4], B[:4])
+        if A.shape[0] == 8:
+            P = np.concatenate([P, _mul(A[4:], B[:4]) + _mul(A[:4], B[4:])])
         np.maximum(scale, np.abs(P[:4]).max(axis=(0, 1)), out=scale)
     return P[:, 0], scale
 
@@ -498,7 +496,7 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     Blind spot: a whole band together with the critical points of both
     its neighbouring gaps inside one cell shows no sign change at all and
     loses four edges, p p a a, which keeps the boundary pattern.  With
-    256 cells on the first window of 2j + 1 edges, consecutive critical
+    256 cells on the window of 2j + 1 edges, consecutive critical
     points of raw Lamé below edge 2j (j = 1..10, m from 1e-6 to 1 - 1e-6,
     scripts/lame_sweep.py) lie 5.4 cells apart at the least; SUSY
     partners share the trace.  band_edges keeps cells that narrow on
@@ -600,16 +598,17 @@ def _assemble(roots, touches):
 
 
 def _first_window(V: PeriodicPotential, count: int) -> float:
-    """Top of the first automatic window for ``count`` edges: for smooth
-    potentials the top edge sits at most O(((count+1) pi / 2L)^2) above
-    the potential maximum."""
+    """Top of the scan window for ``count`` edges.  Edge n of the free
+    particle is (pi ceil(n/2) / L)^2, and by min-max comparison (Magnus &
+    Winkler, Hill's Equation, 1966) edge n of V lies at most that far
+    above max V; so edge count - 1 lies at least 2 below this top."""
     return _span(V)[1] + 2.0 + (math.pi * (count + 1) / (2.0 * V.period)) ** 2
 
 
 def _scan_cells(V: PeriodicPotential, e_min: float, e_max: float) -> int:
     """Cells of the first scan of [e_min, e_max]: DEFAULT_SCAN, times
     the power of two that keeps each cell within 1/DEFAULT_SCAN of the
-    first window of 21 edges, where the blind spot's margin was measured
+    window of 21 edges, where the blind spot's margin was measured
     (2j + 1 <= 21 on the raw Lamé sweep).  The lowest critical points keep
     their spacing as the window grows, so a fixed cell count would lose
     them: at 256 cells, the free particle from 71 edges on."""
@@ -617,35 +616,31 @@ def _scan_cells(V: PeriodicPotential, e_min: float, e_max: float) -> int:
     return DEFAULT_SCAN * 2 ** max(0, math.ceil(math.log2(wider)))
 
 
-def band_edges(V: PeriodicPotential, count: int, e_max: Optional[float] = None) -> list:
+def band_edges(V: PeriodicPotential, count: int) -> list:
     """First ``count`` band edges of -y'' + V y = E y, sorted by energy.
 
     Samples the Floquet discriminant Delta and its slope Delta' on
-    DEFAULT_SCAN cells from just below inf V up to ``e_max``
-    (auto-extended when omitted), solves every crossing of +-2 down to a
-    bracket a few ulps wide (_root_batch), and finds closed or
-    under-resolved gaps as roots of Delta' (_scan_edges).  The scan's one
-    blind spot is a whole band plus both neighbouring critical points
-    inside one cell; on the raw Lamé sweep the closest critical points
-    lie 5.4 cells of window/256 apart, and a window wider than the first
-    one of 21 edges gets proportionally more cells (_scan_cells).  An
-    incomplete window is widened by 1.7x up to 12 times; a result out of
-    the boundary pattern doubles the cells, up to MAX_SCAN.  Raises
-    IncompleteSpectrumError if neither supplies ``count`` edges in the
-    pattern.  Each call sends one DEBUG record to this module's logger
-    when ``logging`` is loaded.
+    DEFAULT_SCAN cells of the window from inf V - 1 to _first_window,
+    solves every crossing of +-2 down to a bracket a few ulps wide
+    (_root_batch), and finds closed or under-resolved gaps as roots of
+    Delta' (_scan_edges).  The window always holds ``count`` edges: by
+    min-max comparison with the free particle, edge n lies at most
+    (pi ceil(n/2) / L)^2 above max V.  The scan's one blind spot is a
+    whole band plus both neighbouring critical points inside one cell;
+    on the raw Lamé sweep the closest critical points lie 5.4 cells of
+    window/256 apart, and a window wider than the one of 21 edges
+    gets proportionally more cells (_scan_cells).  A result short of
+    ``count`` edges or out of the boundary pattern doubles the cells, up
+    to MAX_SCAN, and then raises IncompleteSpectrumError.  Each call
+    sends one DEBUG record to this module's logger when ``logging`` is
+    loaded.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count!r}")
     V.validate()
     e_min = _span(V)[0] - 1.0
-    auto = e_max is None
-    if auto:
-        e_max = _first_window(V, count)
-    if not (e_max > e_min):
-        raise DomainError("e_max must exceed inf V - 1")
-
-    stats = dict(doublings=0, expansions=0, critical=0, root_steps=0, flanks=0)
+    e_max = _first_window(V, count)
+    stats = dict(doublings=0, critical=0, root_steps=0, flanks=0)
     n_cells = _scan_cells(V, e_min, e_max)
     try:
         while True:
@@ -655,85 +650,18 @@ def band_edges(V: PeriodicPotential, count: int, e_max: Optional[float] = None) 
             if (len(found) >= count
                     and all(e.boundary == expected_boundary(e.n) for e in found[:count])):
                 return found[:count]
-            if len(found) < count and auto and stats["expansions"] < 12:
-                e_max = e_min + 1.7 * (e_max - e_min)
-                stats["expansions"] += 1
-                n_cells = max(n_cells, _scan_cells(V, e_min, e_max))
-                continue
-            if n_cells < MAX_SCAN:
-                n_cells *= 2  # halve the scan step and try again
-                stats["doublings"] += 1
-                continue
-            raise IncompleteSpectrumError(
-                f"found {len(found)} band edges below E={e_max!r}, needed {count}: "
-                + ", ".join(f"{e.energy:.6g}({e.boundary[0]})" for e in found),
-                found=found,
-            )
+            if n_cells >= MAX_SCAN:
+                raise IncompleteSpectrumError(
+                    f"found {len(found)} band edges below E={e_max!r}, needed {count}: "
+                    + ", ".join(f"{e.energy:.6g}({e.boundary[0]})" for e in found),
+                    found=found,
+                )
+            n_cells *= 2  # halve the scan step and try again
+            stats["doublings"] += 1
     finally:
-        _debug(__name__, "band_edges: %d scan cells, %d doublings, %d window expansions, "
-               "%d slope roots in %d root steps, %d flank solves", n_cells,
-               stats["doublings"], stats["expansions"], stats["critical"],
-               stats["root_steps"], stats["flanks"])
-
-
-# ---------------------------------------------------------------------------
-# Bloch states at band edges
-# ---------------------------------------------------------------------------
-
-def bloch_edge_state(V: PeriodicPotential, edge: BandEdge, grid_n: int = 512) -> GridFunction:
-    """(Anti)periodic solution at ``edge.energy`` on a uniform grid.
-
-    The initial condition is the Floquet eigenvector of the monodromy
-    matrix for multiplier +1 (periodic) or -1 (antiperiodic).  For a
-    degenerate edge any initial condition is (anti)periodic; the first
-    canonical one is used.  The result is normalized to max |psi| = 1.
-    """
-    V.validate()
-    if grid_n < 64:
-        raise DomainError("grid_n must be at least 64")
-    E = float(edge.energy)
-    n = _step_count(V, TOL, int(_energy_range(V, np.array([E]))[0]))
-    per_cell = -(-n // grid_n)
-    # steps grouped by grid cell: axis 1 runs over a cell's steps, axis 2
-    # over the cells, so one tree product yields every cell's propagator
-    steps = _step_propagators(_step_coefficients(V, per_cell * grid_n), np.array([E]))
-    cells, _ = _tree_product(steps.reshape(4, grid_n, per_cell).transpose(0, 2, 1))
-    M, _ = _tree_product(cells[:, :, None])
-    m11, m12, m21, m22 = (float(x) for x in M[:, 0])
-    rho = 1.0 if edge.boundary == "periodic" else -1.0
-    a00, a01 = m11 - rho, m12
-    a10, a11 = m21, m22 - rho
-    r1 = math.hypot(a00, a01)
-    r2 = math.hypot(a10, a11)
-    scale = max(abs(m11), abs(m12), abs(m21), abs(m22), 1.0)
-    if max(r1, r2) <= 1e-8 * scale:
-        y, dy = 1.0, 0.0  # fully degenerate: every solution matches
-    elif r1 >= r2:
-        y, dy = a01 / r1, -a00 / r1
-    else:
-        y, dy = a11 / r2, -a10 / r2
-
-    # the state on the grid: the Floquet vector through the prefix products
-    values = np.empty(grid_n)
-    for i, (p11, p12, p21, p22) in enumerate(cells.T.tolist()):
-        values[i] = y
-        y, dy = p11 * y + p12 * dy, p21 * y + p22 * dy
-    peak = np.max(np.abs(values))
-    if peak == 0.0:
-        raise NumericalError("edge state vanished identically; bad edge data")
-    values = values / peak
-    if values[int(np.argmax(np.abs(values)))] < 0:
-        values = -values
-    # strip propagation noise above the state's analytic bandwidth; an
-    # antiperiodic state is periodic over the doubled cell
-    if edge.boundary == "periodic":
-        smoothed = GridFunction(V.period, values).spectral_filter().samples
-    else:
-        doubled = GridFunction(2.0 * V.period, np.concatenate([values, -values]))
-        smoothed = doubled.spectral_filter().samples[:grid_n]
-    peak = np.max(np.abs(smoothed))
-    smoothed = smoothed / peak
-    return GridFunction(period=V.period, samples=smoothed)
+        _debug(__name__, "band_edges: %d scan cells, %d doublings, %d slope roots in %d "
+               "root steps, %d flank solves", n_cells, stats["doublings"],
+               stats["critical"], stats["root_steps"], stats["flanks"])
 
 
 # ---------------------------------------------------------------------------

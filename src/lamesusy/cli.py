@@ -29,14 +29,6 @@ EXIT_CLAIM = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-_FAMILIES = {
-    "vminus": susy.Family.V_MINUS,
-    "vplus": susy.Family.V_PLUS,
-    "w": susy.Family.SUPERPOTENTIAL,
-    "raw": susy.Family.RAW_LAME,
-}
-
-
 def _fmt(value: float, precision: int) -> str:
     if value == 0.0:
         value = 0.0  # render -0.0 as 0.0
@@ -115,7 +107,7 @@ def _potential(j, m, family, numeric):
 
 def cmd_potential(args) -> int:
     p = _check_precision(args.precision)
-    f = _potential(args.j, args.m, _FAMILIES[args.family], args.numeric)
+    f = _potential(args.j, args.m, susy.Family(args.family), args.numeric)
     xs = np.arange(args.grid_n) * (f.period / args.grid_n)
     values = f._eval_vec(xs)
     _rows_to_output(["x", "value"], list(zip(xs, values)), args.format, p, args.output)
@@ -138,13 +130,9 @@ def cmd_states(args) -> int:
     return EXIT_OK
 
 
-def _edges_for(args, family):
-    """Solver-computed edges of one potential family."""
-    return bandsolver.band_edges(_potential(args.j, args.m, family, args.numeric), args.count)
-
-
 def cmd_bands(args) -> int:
     p = _check_precision(args.precision)
+    family = susy.Family(args.family)
     if args.count is None:
         args.count = 2 * args.j + 1
     if args.both:
@@ -158,14 +146,15 @@ def cmd_bands(args) -> int:
                 for e, q in zip(edges_m, edges_p)]
         boundaries = [e.boundary for e in edges_m]
     elif (args.j <= 3 and args.count <= 2 * args.j + 1 and not args.numeric
-          and _FAMILIES[args.family] in (susy.Family.V_MINUS, susy.Family.V_PLUS)):
+          and family in (susy.Family.V_MINUS, susy.Family.V_PLUS)):
         # the Lamé edge catalogue (partners share it)
         energies = susy.band_edge_energies(args.j, args.m)[: args.count]
         header = ["n", "energy"]
         rows = list(enumerate(energies))
         boundaries = [bandsolver.expected_boundary(n) for n, _ in rows]
     else:
-        edges = _edges_for(args, _FAMILIES[args.family])
+        edges = bandsolver.band_edges(_potential(args.j, args.m, family, args.numeric),
+                                      args.count)
         header = ["n", "energy"]
         rows = [(e.n, e.energy) for e in edges]
         boundaries = [e.boundary for e in edges]
@@ -240,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("potential", help="sample a potential over one period")
     sp.add_argument("-j", type=int, required=True)
     sp.add_argument("-m", type=float, required=True)
-    sp.add_argument("--family", choices=("vminus", "vplus", "w", "raw"), default="vminus")
+    sp.add_argument("--family", choices=[f.value for f in susy.Family], default="vminus")
     sp.add_argument("-n", "--grid-n", dest="grid_n", type=int, default=512)
     sp.add_argument("--numeric", action="store_true",
                     help="use the numeric partner pipeline (any j; needed for j >= 4)")

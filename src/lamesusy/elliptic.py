@@ -133,9 +133,3 @@ def jacobi(x, m: float) -> JacobiTriple:
     if scalar:
         return JacobiTriple(float(sn), float(cn), float(dn))
     return JacobiTriple(sn, cn, dn)
-
-
-def jacobi_derivatives(x, m: float):
-    """Derivatives (sn', cn', dn') = (cn dn, -sn dn, -m sn cn) at (x, m)."""
-    sn, cn, dn = jacobi(x, m)
-    return cn * dn, -sn * dn, -m * sn * cn

@@ -116,10 +116,3 @@ class GridFunction:
         if self.n % 2 == 0 and order % 2 == 1:
             c[-1] = 0.0  # odd derivative of the Nyquist cosine is unrepresentable
         return GridFunction(self.period, np.fft.irfft(c, n=self.n))
-
-    def spectral_filter(self) -> "GridFunction":
-        """Zero Fourier modes below 1e-9 of the largest one."""
-        c = np.fft.rfft(self.samples)
-        mags = np.abs(c)
-        c[mags < 1e-9 * mags.max()] = 0.0
-        return GridFunction(self.period, np.fft.irfft(c, n=self.n))

@@ -38,17 +38,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import bandsolver
-from .elliptic import complete_k, jacobi
+from .elliptic import _check_m, complete_k, jacobi
 from .errors import DomainError
 
 _CLOSED_FORM_J = (1, 2, 3)
-
-
-def _check_m_unit(m: float) -> float:
-    m = float(m)
-    if not math.isfinite(m) or m < 0.0 or m > 1.0:
-        raise DomainError(f"modulus parameter m must lie in [0, 1], got {m!r}")
-    return m
 
 
 def _check_closed_j(j: int) -> int:
@@ -136,7 +129,7 @@ def _ground_w(j: int, m: float, sn, cn, dn):
 def _triple(j: int, m: float, x):
     """Domain-checked (j, m, sn, cn, dn) for the closed-form evaluators."""
     j = _check_closed_j(j)
-    m = _check_m_unit(m)
+    m = _check_m(m)
     return (j, m, *jacobi(x, m))
 
 
@@ -144,7 +137,7 @@ def raw_lame(j: int, m: float, x):
     """The bare potential m j(j+1) sn^2(x, m)."""
     if int(j) < 1:
         raise DomainError(f"index j must be a positive integer, got {j!r}")
-    m = _check_m_unit(m)
+    m = _check_m(m)
     sn = jacobi(x, m).sn
     return m * j * (j + 1) * sn * sn
 
@@ -223,24 +216,16 @@ def band_edge_energies(j: int, m: float) -> tuple:
     keep the oscillation-theorem order.  The j=2 ones are printed as
     (0, 2 delta - 1 - m, 2 delta - 1 + 2m, 2 delta + 2 - m, 4 delta).
     """
-    states = _lame(_check_closed_j(j), _check_m_unit(m))
+    states = _lame(_check_closed_j(j), _check_m(m))
     return tuple(e - states[0][0] for e, _, _ in states)
-
-
-def band_edge_energy(j: int, m: float, n: int) -> float:
-    """Energy of band edge n (0 <= n <= 2j) of V-(j, m)."""
-    energies = band_edge_energies(j, m)
-    if not 0 <= n < len(energies):
-        raise DomainError(f"edge index n must be in [0, {len(energies) - 1}], got {n!r}")
-    return energies[n]
 
 
 def psi_minus(j: int, n: int, m: float, x):
     """Un-normalized band-edge eigenfunction sn^a cn^b dn^c P(sn^2) of V-.
 
     Supported: j=2 with n in 0..4, and the j=3 ground state (n=0):
-    dn (1 + 2m + delta1 - 5m sn^2).  Higher j=3 states have no printed
-    closed form here; get them numerically via bandsolver.
+    dn (1 + 2m + delta1 - 5m sn^2).  Higher j=3 states have no closed
+    form here.
     """
     (a, b, c), p, _, sn, cn, dn = _state_setup(j, n, m, x)
     return sn ** a * cn ** b * dn ** c * _horner(p, sn * sn)[0]
@@ -264,10 +249,7 @@ def psi_plus(j: int, n: int, m: float, x):
     constant, which is what the verification suite checks.
     """
     if j != 2:
-        raise DomainError(
-            f"closed-form partner eigenfunctions exist for j=2 only, got {j!r}; "
-            "use bandsolver.bloch_edge_state for other indices"
-        )
+        raise DomainError(f"closed-form partner eigenfunctions exist for j=2 only, got {j!r}")
     _, _, m, sn, cn, dn = _state_setup(j, n, m, x)
     b = 1.0 + m + math.sqrt(1.0 - m + m * m)
     s2 = sn * sn
@@ -291,10 +273,7 @@ def _state_setup(j: int, n: int, m: float, x):
             raise DomainError(f"j=2 band-edge index n must be in 0..4, got {n!r}")
     elif j == 3:
         if n != 0:
-            raise DomainError(
-                "only the j=3 ground state has a closed form here; "
-                "use bandsolver.bloch_edge_state for excited edges"
-            )
+            raise DomainError("only the j=3 ground state has a closed form here")
     else:
         raise DomainError(f"closed-form eigenfunctions exist for j in (2, 3), got {j!r}")
     j, m, sn, cn, dn = _triple(j, m, x)
@@ -328,7 +307,7 @@ class PotentialSpec:
     m: float
 
     def __post_init__(self):
-        _check_m_unit(self.m)
+        _check_m(self.m)
         if self.family is Family.RAW_LAME:
             if self.j < 1:
                 raise DomainError(f"index j must be >= 1, got {self.j!r}")

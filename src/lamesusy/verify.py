@@ -344,8 +344,7 @@ def run_edge_state_suite(m: float) -> list:
 
     energies = susy.band_edge_energies(j, m)
     pot_minus = susy.PotentialSpec(susy.Family.V_MINUS, j, m).as_periodic_potential()
-    solver_edges = bandsolver.band_edges(pot_minus, 2 * j + 1,
-                                         e_max=max(energies) + 1.0)
+    solver_edges = bandsolver.band_edges(pot_minus, 2 * j + 1)
     ctx = {"j": j, "m": m, "grid_n": grid_n, "degenerate_regime": degenerate}
 
     xs = np.arange(grid_n) * (L / grid_n)

