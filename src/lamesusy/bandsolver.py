@@ -51,6 +51,7 @@ from .errors import (
     IncompleteSpectrumError,
     InvalidGroundStateError,
     NumericalError,
+    _positive_int,
 )
 from .grid import GridFunction, spectrum
 
@@ -635,8 +636,7 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
     sends one DEBUG record to this module's logger when ``logging`` is
     loaded.
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count!r}")
+    count = _positive_int(count, "count")
     V.validate()
     e_min = _span(V)[0] - 1.0
     e_max = _first_window(V, count)
@@ -710,8 +710,7 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = BASIS_N) -> 
     resolve apart are flagged degenerate, a closed gap; a band narrower
     than that goes out in the boundary pattern (_pattern_order).
     """
-    if count < 1:
-        raise DomainError(f"count must be >= 1, got {count!r}")
+    count = _positive_int(count, "count")
     if basis_n < 2 * count + 8:
         raise DomainError(
             f"basis_n={basis_n!r} too small for count={count!r}; need >= {2 * count + 8}"

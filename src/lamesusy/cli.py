@@ -92,17 +92,15 @@ def _require_closed_form(j, numeric):
 
 
 def _potential(j, m, family, numeric):
-    """The family as a PeriodicPotential: closed form, or with ``numeric`` the pipeline."""
-    if family is susy.Family.RAW_LAME:
-        return susy.PotentialSpec(family, j, m).as_periodic_potential()
-    _require_closed_form(j, numeric)
-    if not numeric:
-        return susy.PotentialSpec(family, j, m).as_periodic_potential()
-    if family is susy.Family.V_MINUS:
-        return verify._pipeline_minus(j, m)  # without the partner it would not use
-    if family is not susy.Family.V_PLUS:
-        raise DomainError("the numeric route provides vminus and vplus families only")
-    return verify.partner_pair(j, m, numeric=True)[1]
+    """The family as a PeriodicPotential: closed form, or with ``numeric``
+    the pipeline's V+ (raw and vminus are closed forms for any j)."""
+    if family not in (susy.Family.RAW_LAME, susy.Family.V_MINUS):
+        _require_closed_form(j, numeric)
+        if numeric:
+            if family is not susy.Family.V_PLUS:
+                raise DomainError("the numeric route provides vminus and vplus families only")
+            return verify.partner_pair(j, m, numeric=True)[1]
+    return susy.PotentialSpec(family, j, m).as_periodic_potential()
 
 
 def cmd_potential(args) -> int:
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", choices=[f.value for f in susy.Family], default="vminus")
     sp.add_argument("-n", "--grid-n", dest="grid_n", type=int, default=512)
     sp.add_argument("--numeric", action="store_true",
-                    help="use the numeric partner pipeline (any j; needed for j >= 4)")
+                    help="build vplus by the numeric partner pipeline (any j; needed for j >= 4)")
     _add_output_options(sp, default_format="csv")
     sp.set_defaults(func=cmd_potential)
 

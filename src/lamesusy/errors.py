@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its integer check."""
+
+import operator
 
 
 class LamesusyError(Exception):
@@ -26,3 +28,15 @@ class IncompleteSpectrumError(NumericalError):
 
 class InvalidGroundStateError(NumericalError):
     """The state used to build a partner potential has a node."""
+
+
+def _positive_int(value, name: str) -> int:
+    """``value`` as an int (NumPy integers pass, 1.5 and 2.0 do not);
+    DomainError unless it is an integer >= 1."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = 0
+    if index < 1:
+        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+    return index

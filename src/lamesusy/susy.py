@@ -4,17 +4,18 @@ The 2j+1 band edges of m j(j+1) sn^2(x, m) carry the Lamé polynomials
 sn^a cn^b dn^c P(sn^2), a, b, c in {0, 1} (Ince 1940; Arscott,
 *Periodic Differential Equations*, 1964, ch. IX).  For each type
 (a, b, c) the coefficients of P are the eigenvectors of a small
-tridiagonal matrix, so one algebraic route gives, for j = 1, 2, 3:
+tridiagonal matrix, so one algebraic route gives, for every j >= 1,
+the zero-ground-energy potential V-(x) (the sn^2 potential shifted by
+a constant so its lowest band edge sits at energy 0) and its 2j+1
+band-edge energies; and, for j = 1, 2, 3, what needs P(sn^2) itself,
+whose Horner sum cancels below roundoff for some larger j near m = 1:
 
-  * the zero-ground-energy potential V-(x) (the sn^2 potential shifted
-    by a constant so its lowest band edge sits at energy 0),
   * the superpotential W = -(log psi_0)' of the nodeless ground state,
   * the partner potential V+ both as 2W^2 - V- (the printed closed
     form) and as W^2 + W', with W' differentiated through P'', so the
     two routes cross-check,
-  * the 2j+1 band-edge energies and the band-edge eigenfunctions of V-
-    (all five for j = 2, the ground state for j = 3); those of V+ keep
-    the paper's printed j = 2 table.
+  * the band-edge eigenfunctions of V- (all five for j = 2, the ground
+    state for j = 3); those of V+ keep the paper's printed j = 2 table.
 
 Eigenfunctions are deliberately left un-normalized; consumers compare
 shapes through ratios or residuals, never absolute scale.
@@ -39,18 +40,21 @@ import numpy as np
 
 from . import bandsolver
 from .elliptic import _check_m, complete_k, jacobi
-from .errors import DomainError
+from .errors import DomainError, _positive_int
 
-_CLOSED_FORM_J = (1, 2, 3)
+
+def _check_j(j: int) -> int:
+    return _positive_int(j, "index j")
 
 
 def _check_closed_j(j: int) -> int:
-    if j not in _CLOSED_FORM_J:
+    j = _check_j(j)
+    if j > 3:
         raise DomainError(
-            f"no closed form for j={j!r}; use the numeric partner pipeline "
-            "(bandsolver.numeric_partner)"
+            f"W, V+ and the edge states have closed forms for j <= 3 only, got "
+            f"j={j}; use the numeric partner pipeline (bandsolver.numeric_partner)"
         )
-    return int(j)
+    return j
 
 
 @lru_cache(maxsize=1024)
@@ -135,9 +139,7 @@ def _triple(j: int, m: float, x):
 
 def raw_lame(j: int, m: float, x):
     """The bare potential m j(j+1) sn^2(x, m)."""
-    if int(j) < 1:
-        raise DomainError(f"index j must be a positive integer, got {j!r}")
-    m = _check_m(m)
+    j, m = _check_j(j), _check_m(m)
     sn = jacobi(x, m).sn
     return m * j * (j + 1) * sn * sn
 
@@ -147,7 +149,7 @@ def _v_minus(j: int, m: float, sn):
 
 
 def v_minus(j: int, m: float, x):
-    """Zero-ground-energy potential V- for j in {1, 2, 3}.
+    """Zero-ground-energy potential V- for any index j >= 1.
 
     m j(j+1) sn^2 less the ground energy; printed, with delta =
     sqrt(1 - m + m^2) and delta1 = sqrt(1 - m + 4m^2):
@@ -155,8 +157,8 @@ def v_minus(j: int, m: float, x):
     j=2: -2 - 2m + 2 delta  + 6m sn^2
     j=3: -2 - 5m + 2 delta1 + 12m sn^2
     """
-    j, m, sn, _, _ = _triple(j, m, x)
-    return _v_minus(j, m, sn)
+    j, m = _check_j(j), _check_m(m)
+    return _v_minus(j, m, jacobi(x, m).sn)
 
 
 def superpotential(j: int, m: float, x):
@@ -216,7 +218,7 @@ def band_edge_energies(j: int, m: float) -> tuple:
     keep the oscillation-theorem order.  The j=2 ones are printed as
     (0, 2 delta - 1 - m, 2 delta - 1 + 2m, 2 delta + 2 - m, 4 delta).
     """
-    states = _lame(_check_closed_j(j), _check_m(m))
+    states = _lame(_check_j(j), _check_m(m))
     return tuple(e - states[0][0] for e, _, _ in states)
 
 
@@ -308,9 +310,8 @@ class PotentialSpec:
 
     def __post_init__(self):
         _check_m(self.m)
-        if self.family is Family.RAW_LAME:
-            if self.j < 1:
-                raise DomainError(f"index j must be >= 1, got {self.j!r}")
+        if self.family in (Family.RAW_LAME, Family.V_MINUS):
+            _check_j(self.j)
         else:
             _check_closed_j(self.j)
 

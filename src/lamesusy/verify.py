@@ -4,8 +4,8 @@ Each suite turns one family of checkable statements into structured
 ClaimReports: band-edge energies against the blind band solver,
 Schrodinger residuals of every closed-form eigenfunction, the
 intertwining relation between partner eigenfunctions, the hyperbolic
-and free limits, isospectrality of partner pairs (including the
-numeric pipeline for j >= 4), and the self-isospectrality dichotomy:
+and free limits, isospectrality of partner pairs (V+ from the numeric
+pipeline for j >= 4), and the self-isospectrality dichotomy:
 the j=1 partner is the original potential translated by half a period,
 while for j >= 2 the partner is a genuinely new potential.
 
@@ -425,32 +425,16 @@ def _solver_agreement(floquet_edges, galerkin_edges) -> float:
                default=0.0)
 
 
-def _pipeline_minus(j: int, m: float):
-    """V- of the numeric pipeline: the bare potential less its Galerkin
-    ground energy."""
-    raw = susy.PotentialSpec(susy.Family.RAW_LAME, j, m).as_periodic_potential()
-    ground = bandsolver.ground_energy(raw)
-    return bandsolver.PeriodicPotential(
-        period=raw.period,
-        evaluator=lambda x: susy.raw_lame(j, m, x) - ground,
-    )
-
-
 def partner_pair(j: int, m: float, numeric: bool = False) -> tuple:
     """(V-, V+) of m j(j+1) sn^2 as PeriodicPotentials.
 
-    The closed forms for j <= 3 unless ``numeric``; otherwise the numeric
-    pipeline, for any j: V- is the bare potential less its Galerkin
-    ground energy and V+ its numeric_partner.
+    V- is the closed form, exact for any j.  V+ is the closed form for
+    j <= 3 unless ``numeric``; otherwise V-'s numeric_partner.
     """
+    pot_minus = susy.PotentialSpec(susy.Family.V_MINUS, j, m).as_periodic_potential()
     if numeric or j > 3:
-        pot_minus = _pipeline_minus(j, m)
         return pot_minus, bandsolver.numeric_partner(pot_minus)
-    return tuple(susy.PotentialSpec(family, j, m).as_periodic_potential()
-                 for family in (susy.Family.V_MINUS, susy.Family.V_PLUS))
-
-
-_partner_pair = partner_pair  # the acceptance tests call it by this older name
+    return pot_minus, susy.PotentialSpec(susy.Family.V_PLUS, j, m).as_periodic_potential()
 
 
 def _grid_of(pot, n: int = 512) -> GridFunction:
@@ -492,8 +476,8 @@ def run_isospectrality_suite(j_list: Sequence[int] = (1, 2, 3, 4, 5),
                              m_list: Sequence[float] = DEFAULT_M_LIST) -> list:
     """Partner pairs share all 2j+1 band edges; dichotomy verdicts.
 
-    Closed forms are used through j=3 and the numeric pipeline above;
-    both band solvers must agree on every edge list.
+    V- is the closed form for every j, V+ through j=3 and the numeric
+    partner above; both band solvers must agree on every edge list.
     """
     reports = []
     for j in j_list:

@@ -107,13 +107,13 @@ def test_criterion_4_isospectral_partners():
 
 def test_criterion_5_self_isospectrality_dichotomy():
     for m in M_LIST:
-        pm, pp = verify._partner_pair(1, m)
+        pm, pp = verify.partner_pair(1, m)
         r = verify.selfiso_distance(verify._grid_of(pp), verify._grid_of(pm))
         assert r.distance <= 1e-6, (1, m, r.distance)
         assert abs(r.best_shift - complete_k(m)) <= 1e-4, (m, r.best_shift)
     for j in (2, 3):
         for m in M_LIST:
-            pm, pp = verify._partner_pair(j, m)
+            pm, pp = verify.partner_pair(j, m)
             r = verify.selfiso_distance(verify._grid_of(pp), verify._grid_of(pm))
             assert r.distance > 1e-4, (j, m, r.distance)
             assert r.distance == pytest.approx(FROZEN_DISTANCES[j, m], abs=1e-6)
@@ -138,7 +138,7 @@ def test_criterion_7_higher_j_pipeline():
         assert gap <= 1e-6, (j, gap)
     for j in (4, 5):
         start = time.perf_counter()
-        pm, pp = verify._partner_pair(j, 0.5)
+        pm, pp = verify.partner_pair(j, 0.5)
         em = bandsolver.band_edges(pm, 2 * j + 1)
         ep = bandsolver.band_edges(pp, 2 * j + 1)
         elapsed = time.perf_counter() - start

@@ -350,8 +350,14 @@ class TestBandEdges:
             assert abs(e.energy - ((n + 1) // 2) ** 2) <= 1e-12 * max(1, n * n)
 
     def test_count_validation(self):
-        with pytest.raises(DomainError):
-            bs.band_edges(free_particle(), 0)
+        # rejected before any sample of V is taken
+        calls = []
+        pot = bs.PeriodicPotential(1.0, lambda x: calls.append(x) or 0.0 * x)
+        for solve in (bs.band_edges, bs.galerkin_edges):
+            for count in (0, 2.5):
+                with pytest.raises(DomainError, match="count"):
+                    solve(pot, count)
+        assert calls == []
 
     @pytest.mark.parametrize("j,make", [
         (3, lambda: lame_pot(Family.V_MINUS, 3, 0.999)),
@@ -371,7 +377,7 @@ class TestBandEdges:
         # the four lowest j=5 bands of the pipeline V- at m = 1 - 1e-6 are
         # narrower than the edge residual resolves, so each periodic and
         # antiperiodic root comes out tied or swapped
-        pot = verify._pipeline_minus(5, 1 - 1e-6)
+        pot = lame_pot(Family.V_MINUS, 5, 1 - 1e-6)
         edges = bs.band_edges(pot, 11)
         assert [e.boundary for e in edges] == [bs.expected_boundary(i) for i in range(11)]
         for a, b in zip(edges, bs.galerkin_edges(pot, 11)):
@@ -395,11 +401,12 @@ class TestStepCount:
 
 class TestRootBatch:
     @pytest.mark.parametrize("m", [0.01, 0.1, 0.5, 0.9, 0.99])
-    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("j", range(1, 11))
     def test_edges_to_float_resolution(self, j, m):
+        # above j = 3 the upper edges of the two differ by up to 3e-11
         edges = bs.band_edges(lame_pot(Family.V_MINUS, j, m), 2 * j + 1)
         for got, want in zip(edges, band_edge_energies(j, m)):
-            assert got.energy == pytest.approx(want, abs=1e-11)
+            assert got.energy == pytest.approx(want, abs=1e-11 if j <= 3 else 1e-9)
 
     @staticmethod
     def brackets(pot):

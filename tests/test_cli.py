@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lamesusy import verify
-from lamesusy.susy import v_plus_closed
+from lamesusy.susy import Family, PotentialSpec, v_plus_closed
 
 
 def run_cli(*args):
@@ -167,14 +167,15 @@ class TestBands:
 
     def test_numeric_flag_honoured_for_closed_form_index(self, monkeypatch, capsys):
         # in process, to see which route serves j <= 3 under --numeric
-        from lamesusy import cli
+        from lamesusy import bandsolver, cli
 
         calls = []
-        pipeline = verify._pipeline_minus
-        monkeypatch.setattr(verify, "_pipeline_minus",
-                            lambda j, m: calls.append((j, m)) or pipeline(j, m))
-        assert cli.main(["bands", "-j", "2", "-m", "0.5", "--numeric", "--count", "3"]) == 0
-        assert calls == [(2, 0.5)]
+        partner = bandsolver.numeric_partner
+        monkeypatch.setattr(bandsolver, "numeric_partner",
+                            lambda V: calls.append(V.evaluator) or partner(V))
+        assert cli.main(["bands", "-j", "2", "-m", "0.5", "--family", "vplus", "--numeric",
+                         "--count", "3"]) == 0
+        assert calls == [PotentialSpec(Family.V_MINUS, 2, 0.5)]
         energies = [float(r.split()[1]) for r in capsys.readouterr().out.strip().splitlines()[1:]]
         assert energies == pytest.approx([0.0, 0.2320508075688772, 1.7320508075688772],
                                          abs=1e-9)
@@ -202,19 +203,25 @@ class TestBands:
         assert calls == []
 
     def test_numeric_vminus_builds_no_partner(self, monkeypatch, capsys):
-        # in process, to count partner builds: V- alone comes from _pipeline_minus
+        # in process, to count solves: V- is the closed form for any j, so
+        # --numeric changes nothing for it
         from lamesusy import bandsolver, cli
 
         calls = []
-        partner = bandsolver.numeric_partner
-        monkeypatch.setattr(bandsolver, "numeric_partner",
-                            lambda V, *a, **kw: calls.append(1) or partner(V, *a, **kw))
-        assert cli.main(["bands", "-j", "4", "-m", "0.5", "--numeric", "--count", "3"]) == 0
+        for name in ("numeric_partner", "ground_energy"):
+            solve = getattr(bandsolver, name)
+            monkeypatch.setattr(bandsolver, name,
+                                lambda V, _solve=solve: calls.append(1) or _solve(V))
+        args = ["bands", "-j", "4", "-m", "0.5", "--count", "3"]
+        assert cli.main(args + ["--numeric"]) == 0
+        numeric = capsys.readouterr().out
+        assert cli.main(args) == 0
         assert calls == []
-        assert len(capsys.readouterr().out.strip().splitlines()) == 4
+        assert capsys.readouterr().out == numeric
+        assert len(numeric.strip().splitlines()) == 4
 
     def test_high_index_without_numeric_is_usage_error(self):
-        cp = run_cli("bands", "-j", "5", "-m", "0.5")
+        cp = run_cli("bands", "-j", "5", "-m", "0.5", "--family", "vplus")
         assert cp.returncode == 2
         assert "--numeric" in cp.stderr
 

@@ -120,8 +120,9 @@ class TestPotentials:
         assert raw_lame(2, 0.5, 0.0) == 0.0
         assert raw_lame(2, 0.5, complete_k(0.5)) == pytest.approx(3.0, rel=1e-12)
         assert raw_lame(1, 1.0, 40.0) == pytest.approx(2.0, rel=1e-10)
-        with pytest.raises(DomainError):
-            raw_lame(0, 0.5, 1.0)
+        for j in (1.5, 0, -1):
+            with pytest.raises(DomainError, match="positive integer"):
+                raw_lame(j, 0.5, 1.0)
 
     def test_v_minus_reference_values(self):
         assert v_minus(2, 0.5, 0.0) == pytest.approx(-3.0 + 2 * DELTA_HALF, rel=1e-12)
@@ -130,9 +131,15 @@ class TestPotentials:
         for x in (0.0, 0.4, 1.3):
             assert v_minus(3, 0.0, x) == pytest.approx(0.0, abs=1e-14)
 
-    def test_v_minus_unsupported_j_points_to_pipeline(self):
-        with pytest.raises(DomainError, match="numeric_partner"):
-            v_minus(4, 0.5, 0.0)
+    def test_w_and_v_plus_above_j3_point_to_pipeline(self):
+        # V- stays: raw Lamé less its ground energy, for any j
+        raw = PotentialSpec(Family.RAW_LAME, 4, 0.5)
+        x = grid(0.5, 16)
+        ground = bandsolver.ground_energy(raw.as_periodic_potential())
+        assert np.max(np.abs(raw(x) - v_minus(4, 0.5, x) - ground)) <= 1e-10
+        for f in (superpotential, v_plus_susy):
+            with pytest.raises(DomainError, match="numeric_partner"):
+                f(4, 0.5, 0.0)
 
     def test_v_plus_reference_values(self):
         assert v_plus_closed(2, 0.5, 0.0) == pytest.approx(1.2679491924311228, rel=1e-10)
@@ -325,10 +332,14 @@ class TestPotentialSpec:
         assert PotentialSpec(Family.RAW_LAME, 7, 0.5)(x) == raw_lame(7, 0.5, x)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            PotentialSpec(Family.V_MINUS, 4, 0.5)
-        with pytest.raises(DomainError):
-            PotentialSpec(Family.RAW_LAME, 0, 0.5)
+        for family in (Family.SUPERPOTENTIAL, Family.V_PLUS):
+            with pytest.raises(DomainError):
+                PotentialSpec(family, 4, 0.5)
+        for family in Family:
+            for j in (1.5, 0, -1):
+                with pytest.raises(DomainError):
+                    PotentialSpec(family, j, 0.5)
+        PotentialSpec(Family.V_MINUS, np.int64(10), 0.5)
         with pytest.raises(DomainError):
             PotentialSpec(Family.V_MINUS, 2, 1.5)
 

@@ -425,15 +425,24 @@ class TestPartnerPair:
     @pytest.mark.parametrize("j, numeric", [(2, True), (4, False), (4, True)])
     def test_pipeline_when_numeric_or_above_j3(self, j, numeric):
         pm, pp = verify.partner_pair(j, 0.5, numeric=numeric)
-        raw = PotentialSpec(Family.RAW_LAME, j, 0.5).as_periodic_potential()
-        x = np.linspace(0.0, raw.period, 37)
-        assert np.array_equal(pm(x), raw(x) - bandsolver.ground_energy(raw))
+        assert pm.evaluator == PotentialSpec(Family.V_MINUS, j, 0.5)
         assert isinstance(pp.evaluator, GridFunction)
         assert np.array_equal(pp.evaluator.samples,
                               bandsolver.numeric_partner(pm).evaluator.samples)
 
-    def test_private_name_is_an_alias(self):
-        assert verify._partner_pair is verify.partner_pair
+    def test_numeric_pair_solves_no_ground_energy(self, monkeypatch):
+        # V-'s ground energy is exact, so the partner's eigh and two
+        # eigvalsh per Galerkin edge list are all; raw Lamé less a Galerkin
+        # ground energy took one eigvalsh more
+        calls = []
+        for name in ("eigvalsh", "eigh"):
+            def spy(H, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _solve(H, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, spy)
+        for pot in verify.partner_pair(3, 0.5, numeric=True):
+            bandsolver.galerkin_edges(pot, 7)
+        assert (calls.count("eigvalsh"), calls.count("eigh")) == (4, 1)
 
 
 class TestResidualHelper:
