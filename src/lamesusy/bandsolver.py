@@ -433,22 +433,6 @@ def _slope(V, energies) -> np.ndarray:
     return M[4] + M[7]
 
 
-def _transversal_roots(V, Es, tr):
-    """Solve every sign change of (trace -+ 2) on the scan grid."""
-    lo, hi, tgt = [], [], []
-    for target in _BOUNDARY:
-        above = tr >= target
-        cross = np.nonzero(above[:-1] != above[1:])[0]
-        lo += cross.tolist()
-        hi += (cross + 1).tolist()
-        tgt += [target] * cross.size
-    if not lo:
-        return []
-    tgt = np.array(tgt)
-    roots = _root_batch(_crossing(V, tgt), Es[lo], Es[hi], tr[lo] - tgt, tr[hi] - tgt)
-    return sorted((float(r), _BOUNDARY[t]) for r, t in zip(roots, tgt))
-
-
 def _critical_points(V, Es, scan_slope, cells, targets, stats):
     """Roots of dDelta/dE in the scan cells [Es[k], Es[k+1]], to float
     resolution, with the cell and the target of each.
@@ -479,20 +463,20 @@ def _critical_points(V, Es, scan_slope, cells, targets, stats):
 
 
 def _scan_edges(V, e_min, e_max, n_cells, count, stats):
-    """One scan pass: transversal crossings, then every gap whose critical
-    point the slope brackets.
+    """One scan pass: the critical points the slope brackets, then every
+    crossing of +-2 in one _root_batch.
 
     The trace Delta and its slope Delta' are sampled at the ends of
-    n_cells equal cells.  Every sign change of Delta -+ 2 is an edge,
-    solved by _root_batch.  Delta' != 0 wherever |Delta| < 2, and every
-    gap, open or closed, holds exactly one critical point (Magnus &
-    Winkler, Hill's Equation, 1966), so every sign change of Delta' is
-    one gap: a maximum at +2 or a minimum at -2.  Its critical point is
-    solved as a root of Delta' unless a sample already lies in the gap
-    (its crossings are then among the roots) or it lies above the first
-    ``count`` edges.  _overshoot then decides at that point: a trace that
-    measurably passes +-2 is an open gap, whose flanks are solved out to
-    the cell's ends; otherwise the point is a touch, a closed gap.
+    n_cells equal cells.  Every sign change of Delta -+ 2 brackets an
+    edge.  Delta' != 0 wherever |Delta| < 2, and every gap, open or
+    closed, holds exactly one critical point (Magnus & Winkler, Hill's
+    Equation, 1966), so every sign change of Delta' is one gap: a maximum
+    at +2 or a minimum at -2.  Its critical point is solved as a root of
+    Delta' unless a sample already lies in the gap (its crossings are
+    then bracketed) or it lies above the first ``count`` edges.
+    _overshoot then decides at that point: a trace that measurably passes
+    +-2 is an open gap, whose flanks out to the cell's ends join the
+    batch of brackets; otherwise the point is a touch, a closed gap.
 
     Blind spot: a whole band together with the critical points of both
     its neighbouring gaps inside one cell shows no sign change at all and
@@ -529,42 +513,42 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
         # a residual below the spacing of floats at +-2 keeps its sign
         tr[unsure] = np.where(near + res == near, np.nextafter(near, near + np.sign(res)),
                               near + res)
-    roots = _transversal_roots(V, Es, tr)
+    # every sign change of Delta -+ 2 between samples brackets one edge
+    above = tr >= np.array([[2.0], [-2.0]])
+    row, lo = np.nonzero(above[:, :-1] != above[:, 1:])
+    tgt = np.where(row == 0, 2.0, -2.0)
+    brackets = [(Es[lo], Es[lo + 1], tr[lo] - tgt, tr[lo + 1] - tgt, tgt)]
 
-    # a gap sampled beyond +-2 has its crossings among the roots already,
-    # or one the window cuts off, which brackets no edge; so only cells
-    # whose ends both lie on the bands' side, as _transversal_roots sorts
-    # them, are solved
+    # a gap sampled beyond +-2 has its crossings among those brackets
+    # already, or one the window cuts off, which brackets no edge; so only
+    # cells whose ends both lie on the bands' side are solved
     rising = slope > 0.0
     cells = np.nonzero(rising[:-1] != rising[1:])[0]
     targets = np.where(rising[cells], 2.0, -2.0)
     band_side = [(tr[k] >= targets) == (targets < 0) for k in (cells, cells + 1)]
     cells, targets = cells[band_side[0] & band_side[1]], targets[band_side[0] & band_side[1]]
     # and only those among the first ``count`` edges: every gap below a
-    # cell holds two edges, every root below its lower end one
-    below = np.searchsorted([e for e, _ in roots], Es[cells]) + 2 * np.arange(cells.size)
+    # cell holds two edges, every crossing bracket below it one (each root
+    # lies inside its bracket's cell)
+    below = np.searchsorted(np.sort(lo), cells) + 2 * np.arange(cells.size)
     cells, targets = cells[below < count], targets[below < count]
-    if not cells.size:
-        return roots, []
-
-    xe, cells, targets = _critical_points(V, Es, slope, cells, targets, stats)
-    overshoot, noise = _overshoot(V, xe, targets)
-    # the trace measurably passes +-2 at an open gap's critical point:
-    # solve both flanks, out to the cell's ends back inside the bands.
-    # Otherwise it touches +-2 there, a closed gap (M = +-I), or one
-    # narrower than the product resolves: the overshoot is 0 up to noise.
-    is_open = overshoot > noise
-    touches = [(e, _BOUNDARY[t]) for e, t in zip(xe[~is_open].tolist(), targets[~is_open])]
-    if is_open.any():
+    touches = []
+    if cells.size:
+        xe, cells, targets = _critical_points(V, Es, slope, cells, targets, stats)
+        overshoot, noise = _overshoot(V, xe, targets)
+        # the trace measurably passes +-2 at an open gap's critical point.
+        # Otherwise it touches +-2 there, a closed gap (M = +-I), or one
+        # narrower than the product resolves: the overshoot is 0 up to noise.
+        is_open = overshoot > noise
+        touches = [(e, _BOUNDARY[t]) for e, t in zip(xe[~is_open].tolist(), targets[~is_open])]
         k, x, t = cells[is_open], xe[is_open], targets[is_open]
         f_star = np.sign(t) * overshoot[is_open]  # the residual trace - target there
-        extra = _root_batch(_crossing(V, np.concatenate([t, t])), np.concatenate([Es[k], x]),
-                            np.concatenate([x, Es[k + 1]]),
-                            np.concatenate([tr[k] - t, f_star]),
-                            np.concatenate([f_star, tr[k + 1] - t]))
-        stats["flanks"] += extra.size
-        roots = sorted(roots + [(float(r), _BOUNDARY[g]) for r, g in zip(extra, np.tile(t, 2))])
-    return roots, touches
+        brackets += [(Es[k], x, tr[k] - t, f_star, t), (x, Es[k + 1], f_star, tr[k + 1] - t, t)]
+        stats["flanks"] += 2 * k.size
+
+    a, b, f_a, f_b, tgt = (np.concatenate(col) for col in zip(*brackets))
+    roots = _root_batch(_crossing(V, tgt), a, b, f_a, f_b)
+    return sorted((float(r), _BOUNDARY[g]) for r, g in zip(roots, tgt)), touches
 
 
 def _pattern_order(edges, close):
@@ -711,6 +695,7 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = BASIS_N) -> 
     than that goes out in the boundary pattern (_pattern_order).
     """
     count = _positive_int(count, "count")
+    basis_n = _positive_int(basis_n, "basis_n")
     if basis_n < 2 * count + 8:
         raise DomainError(
             f"basis_n={basis_n!r} too small for count={count!r}; need >= {2 * count + 8}"

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bandsolver, susy, verify
 from .elliptic import complete_k, jacobi
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _positive_int
 
 EXIT_OK = 0
 EXIT_CLAIM = 1
@@ -105,8 +105,9 @@ def _potential(j, m, family, numeric):
 
 def cmd_potential(args) -> int:
     p = _check_precision(args.precision)
+    n = _positive_int(args.grid_n, "--grid-n")
     f = _potential(args.j, args.m, susy.Family(args.family), args.numeric)
-    xs = np.arange(args.grid_n) * (f.period / args.grid_n)
+    xs = np.arange(n) * (f.period / n)
     values = f._eval_vec(xs)
     _rows_to_output(["x", "value"], list(zip(xs, values)), args.format, p, args.output)
     return EXIT_OK
@@ -114,8 +115,8 @@ def cmd_potential(args) -> int:
 
 def cmd_states(args) -> int:
     p = _check_precision(args.precision)
-    period = 2.0 * complete_k(args.m)
-    xs = np.arange(args.grid_n) * (period / args.grid_n)
+    n = _positive_int(args.grid_n, "--grid-n")
+    xs = np.arange(n) * (2.0 * complete_k(args.m) / n)
     psi_m = susy.psi_minus(args.j, args.n, args.m, xs)
     if args.j == 2:
         psi_p = susy.psi_plus(args.j, args.n, args.m, xs)
@@ -131,8 +132,7 @@ def cmd_states(args) -> int:
 def cmd_bands(args) -> int:
     p = _check_precision(args.precision)
     family = susy.Family(args.family)
-    if args.count is None:
-        args.count = 2 * args.j + 1
+    args.count = 2 * args.j + 1 if args.count is None else _positive_int(args.count, "--count")
     if args.both:
         # side-by-side comparison is solver work on both partners; the
         # diff column shows their independent agreement
@@ -204,11 +204,14 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_output_options(sp, default_format="table"):
-    sp.add_argument("--format", choices=("csv", "json", "table"), default=default_format)
+def _add_output_options(sp, formats=("csv", "json", "table"), default_format="table",
+                        precision=True):
+    """--format of the formats the subcommand writes, -o and --precision."""
+    sp.add_argument("--format", choices=formats, default=default_format)
     sp.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
-    sp.add_argument("--precision", type=int, default=12,
-                    help="digits after the decimal point (4..17)")
+    if precision:
+        sp.add_argument("--precision", type=int, default=12,
+                        help="digits after the decimal point (4..17)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("elliptic", help="evaluate sn, cn, dn and K(m)")
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--m", type=float, required=True)
-    _add_output_options(sp)
+    _add_output_options(sp, formats=("json", "table"))
     sp.set_defaults(func=cmd_elliptic)
 
     sp = sub.add_parser("potential", help="sample a potential over one period")
@@ -257,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scope", choices=_SCOPES, default="all")
     sp.add_argument("-m", type=float, action="append", default=None,
                     help="modulus; repeatable (default 0.1 0.5 0.9)")
-    _add_output_options(sp)
+    _add_output_options(sp, formats=("json", "table"), precision=False)
     sp.set_defaults(func=cmd_verify)
     return ap
 

@@ -30,13 +30,14 @@ class InvalidGroundStateError(NumericalError):
     """The state used to build a partner potential has a node."""
 
 
-def _positive_int(value, name: str) -> int:
+def _positive_int(value, name: str, low: int = 1) -> int:
     """``value`` as an int (NumPy integers pass, 1.5 and 2.0 do not);
-    DomainError unless it is an integer >= 1."""
+    DomainError unless it is an integer >= ``low``."""
     try:
         index = operator.index(value)
     except TypeError:
-        index = 0
-    if index < 1:
-        raise DomainError(f"{name} must be a positive integer, got {value!r}")
+        index = low - 1
+    if index < low:
+        kind = "a positive integer" if low == 1 else f"an integer >= {low}"
+        raise DomainError(f"{name} must be {kind}, got {value!r}")
     return index

@@ -8,6 +8,7 @@ periodic data; derivatives are taken in Fourier space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +69,8 @@ class GridFunction:
             )
         if not np.all(np.isfinite(samples)):
             raise DomainError("GridFunction samples must be finite")
-        if not (self.period > 0):
-            raise DomainError(f"period must be positive, got {self.period!r}")
+        if not (self.period > 0) or not math.isfinite(self.period):
+            raise DomainError(f"period must be positive and finite, got {self.period!r}")
         object.__setattr__(self, "samples", samples)
 
     @classmethod

@@ -270,6 +270,7 @@ def psi_plus(j: int, n: int, m: float, x):
 
 
 def _state_setup(j: int, n: int, m: float, x):
+    n = _positive_int(n, "band-edge index n", low=0)
     if j == 2:
         if not 0 <= n <= 4:
             raise DomainError(f"j=2 band-edge index n must be in 0..4, got {n!r}")

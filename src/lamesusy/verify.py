@@ -419,10 +419,9 @@ def run_limit_suite() -> list:
 # suite: isospectrality and the self-isospectral dichotomy
 # ---------------------------------------------------------------------------
 
-def _solver_agreement(floquet_edges, galerkin_edges) -> float:
-    """Worst disagreement between the two solvers, edge by edge."""
-    return max((abs(a.energy - b.energy) for a, b in zip(floquet_edges, galerkin_edges)),
-               default=0.0)
+def _solver_agreement(edges, other_edges) -> float:
+    """Worst disagreement between two edge lists, edge by edge."""
+    return max((abs(a.energy - b.energy) for a, b in zip(edges, other_edges)), default=0.0)
 
 
 def partner_pair(j: int, m: float, numeric: bool = False) -> tuple:
@@ -500,8 +499,7 @@ def run_isospectrality_suite(j_list: Sequence[int] = (1, 2, 3, 4, 5),
                 abs(len(edges_minus) - count) + abs(len(edges_plus) - count), 0.0, **ctx))
             reports.append(claim(
                 f"iso/j={j}/m={m:g}/edges_match",
-                max(abs(a.energy - b.energy) for a, b in zip(edges_minus, edges_plus)),
-                edge_tol, **ctx))
+                _solver_agreement(edges_minus, edges_plus), edge_tol, **ctx))
             reports.append(claim(
                 f"iso/j={j}/m={m:g}/solvers_agree_minus",
                 _solver_agreement(edges_minus, gal_minus), 1e-6, **ctx))

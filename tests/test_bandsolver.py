@@ -349,6 +349,19 @@ class TestBandEdges:
         for n, e in enumerate(edges):
             assert abs(e.energy - ((n + 1) // 2) ** 2) <= 1e-12 * max(1, n * n)
 
+    @pytest.mark.parametrize("family", [Family.RAW_LAME, Family.V_MINUS])
+    def test_one_crossing_batch_per_scan(self, family, monkeypatch):
+        # j = 2, m = 0.1: three crossings the scan brackets and one open gap
+        # whose slope root brackets its two flanks, all solved in one batch
+        sizes = []
+        root_batch = bs._root_batch
+        monkeypatch.setattr(bs, "_root_batch", lambda f, lo, *rest:
+                            sizes.append(np.size(lo)) or root_batch(f, lo, *rest))
+        edges = bs.band_edges(lame_pot(family, 2, 0.1), 5)
+        assert sizes == [1, 5]
+        for got, want in zip(edges, band_edge_energies(2, 0.1)):
+            assert got.energy - edges[0].energy == pytest.approx(want, abs=1e-11)
+
     def test_count_validation(self):
         # rejected before any sample of V is taken
         calls = []
@@ -357,6 +370,8 @@ class TestBandEdges:
             for count in (0, 2.5):
                 with pytest.raises(DomainError, match="count"):
                     solve(pot, count)
+        with pytest.raises(DomainError, match="basis_n"):
+            bs.galerkin_edges(pot, 5, basis_n=64.5)
         assert calls == []
 
     @pytest.mark.parametrize("j,make", [

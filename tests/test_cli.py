@@ -34,6 +34,9 @@ class TestElliptic:
         cp = run_cli("elliptic", "--x", "1", "--m", "1.5")
         assert cp.returncode == 2
         assert "m must lie in [0, 1]" in cp.stderr
+        # elliptic writes one line or json, no csv
+        cp = run_cli("elliptic", "--x", "0.7", "--m", "0.3", "--format", "csv")
+        assert cp.returncode == 2 and cp.stdout == ""
 
     def test_json_format(self):
         cp = run_cli("elliptic", "--x", "0.3", "--m", "0.5", "--format", "json")
@@ -88,6 +91,10 @@ class TestPotential:
         cp = run_cli("potential", "-j", "4", "-m", "0.5", "--family", "vplus")
         assert cp.returncode == 2
         assert "--numeric" in cp.stderr
+        for n in ("0", "-3"):
+            cp = run_cli("potential", "-j", "2", "-m", "0.5", "-n", n)
+            assert cp.returncode == 2 and cp.stdout == ""
+            assert "--grid-n must be a positive integer" in cp.stderr
 
     def test_json_and_table_formats(self, capsys):
         from lamesusy import cli
@@ -126,6 +133,9 @@ class TestStates:
     def test_j3_excited_state_is_usage_error(self):
         cp = run_cli("states", "-j", "3", "-m", "0.5", "-n", "1")
         assert cp.returncode == 2
+        cp = run_cli("states", "-j", "2", "-m", "0.5", "-n", "0", "--grid-n", "0")
+        assert cp.returncode == 2 and cp.stdout == ""
+        assert "--grid-n must be a positive integer" in cp.stderr
 
 
 class TestBands:
@@ -224,6 +234,10 @@ class TestBands:
         cp = run_cli("bands", "-j", "5", "-m", "0.5", "--family", "vplus")
         assert cp.returncode == 2
         assert "--numeric" in cp.stderr
+        for count in ("-1", "0"):  # the catalogue route slices no edge list
+            cp = run_cli("bands", "-j", "2", "-m", "0.5", "--count", count)
+            assert cp.returncode == 2 and cp.stdout == ""
+            assert "--count must be a positive integer" in cp.stderr
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         from lamesusy import bandsolver, cli
@@ -265,6 +279,10 @@ class TestVerify:
     def test_bad_modulus_usage_error(self):
         cp = run_cli("verify", "--scope", "limits", "-m", "1.0")
         assert cp.returncode == 2
+        # verify writes a table or json only, and no number at a precision
+        for option in (("--format", "csv"), ("--precision", "4")):
+            cp = run_cli("verify", "--scope", "limits", *option)
+            assert cp.returncode == 2 and cp.stdout == ""
 
 
 class TestDeterminism:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamesusy.elliptic import complete_k, jacobi
+from lamesusy.elliptic import _agm_chain, complete_k, jacobi
 from lamesusy.errors import DomainError
 
 
@@ -63,6 +63,11 @@ class TestCompleteK:
         ms = np.linspace(0.0, 0.999, 40)
         ks = [complete_k(m) for m in ms]
         assert all(b > a for a, b in zip(ks, ks[1:]))
+
+    def test_k_is_the_quarter_period_jacobi_reduces_by(self):
+        # one AGM chain for both: bit for bit on seeded m in (0, 1)
+        for m in np.random.default_rng(7).uniform(0.0, 1.0, 2000):
+            assert complete_k(m) == math.pi / (2 * _agm_chain(m, np.float64)[0][-1]), m
 
     @pytest.mark.parametrize("bad", [1.0, 1.5, -0.1, math.nan, math.inf])
     def test_domain_errors(self, bad):

@@ -23,6 +23,9 @@ class TestGridFunction:
         bad[3] = np.inf
         with pytest.raises(DomainError):
             GridFunction(period=1.0, samples=bad)
+        for period in (math.inf, math.nan, 0.0):
+            with pytest.raises(DomainError, match="period"):
+                GridFunction(period=period, samples=np.ones(64))
 
     def test_x_grid(self):
         g = GridFunction.from_function(np.sin, 2 * math.pi, 64)

@@ -276,6 +276,10 @@ class TestEigenfunctions:
             psi_minus(2, 5, 0.5, 0.0)
         with pytest.raises(DomainError):
             psi_minus(1, 0, 0.5, 0.0)
+        # an index is an integer: 4.0 reaches no table of states
+        for f in (psi_minus, psi_minus_prime, psi_plus):
+            with pytest.raises(DomainError, match="band-edge index n"):
+                f(2, 4.0, 0.5, 0.3)
 
     def test_psi_plus_reference_values(self):
         assert psi_plus(2, 0, 0.5, 0.0) == pytest.approx(1 / (1.5 + DELTA_HALF), rel=1e-12)
