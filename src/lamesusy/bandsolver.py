@@ -761,9 +761,8 @@ def numeric_partner(V: PeriodicPotential, grid_n: int = 512) -> PeriodicPotentia
     psi_0, the range log psi_0 must resolve) to this module's logger
     when ``logging`` is loaded.
     """
+    grid_n = _positive_int(grid_n, "grid_n", low=2 * BASIS_N + 2)
     V.validate()
-    if grid_n < 2 * BASIS_N + 2:
-        raise DomainError(f"grid_n must be at least {2 * BASIS_N + 2}")
     L = V.period
     w, U = _ground_solve(V, np.linalg.eigh)
     # the real eigenvector in the basis 1, sqrt2 cos, sqrt2 sin, summed on the grid

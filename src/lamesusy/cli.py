@@ -7,6 +7,9 @@ Subcommands:
   bands      band-edge energies (optionally both partners side by side)
   verify     run the claim-verification suites
 
+Rows go out through one writer (csv, json, or a table of columns two
+spaces apart); the parser holds the option rules, such as --precision's range.
+
 Exit codes: 0 success, 1 failed claim, 2 usage or domain error,
 3 numerical failure.  All output is deterministic.
 """
@@ -30,15 +33,8 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 def _fmt(value: float, precision: int) -> str:
-    if value == 0.0:
-        value = 0.0  # render -0.0 as 0.0
-    return f"{value:.{precision}f}"
-
-
-def _check_precision(p: int) -> int:
-    if not 4 <= p <= 17:
-        raise DomainError(f"precision must be in [4, 17], got {p}")
-    return p
+    text = f"{value:.{precision}f}"
+    return text.lstrip("-") if float(text) == 0.0 else text  # a rounded zero has no sign
 
 
 def _emit(text: str, path):
@@ -50,22 +46,20 @@ def _emit(text: str, path):
 
 
 def _rows_to_output(header, rows, fmt, precision, path):
-    if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(v, precision) for v in row))
-        _emit("\n".join(lines), path)
-    elif fmt == "json":
-        payload = [dict(zip(header, (float(_fmt(v, precision)) for v in row)))
-                   for row in rows]
-        _emit(json.dumps(payload, indent=2), path)
+    """The one writer of rows: csv, json, or columns two spaces apart.
+    Labels and ints go out unchanged, every other number through _fmt."""
+    def cell(v):
+        if isinstance(v, (str, int)):
+            return v
+        text = _fmt(v, precision)
+        return float(text) if fmt == "json" else text
+
+    rows = [[cell(v) for v in row] for row in rows]
+    if fmt == "json":
+        _emit(json.dumps([dict(zip(header, row)) for row in rows], indent=2), path)
     else:
-        widths = [max(len(h), precision + 8) for h in header]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-        for row in rows:
-            lines.append("  ".join(_fmt(v, precision).ljust(w)
-                                    for v, w in zip(row, widths)))
-        _emit("\n".join(lines), path)
+        sep = "," if fmt == "csv" else "  "
+        _emit("\n".join(sep.join(map(str, row)) for row in [header, *rows]), path)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +67,7 @@ def _rows_to_output(header, rows, fmt, precision, path):
 # ---------------------------------------------------------------------------
 
 def cmd_elliptic(args) -> int:
-    p = _check_precision(args.precision)
+    p = args.precision
     sn, cn, dn = jacobi(args.x, args.m)
     k = complete_k(args.m)
     if args.format == "json":
@@ -104,72 +98,47 @@ def _potential(j, m, family, numeric):
 
 
 def cmd_potential(args) -> int:
-    p = _check_precision(args.precision)
     n = _positive_int(args.grid_n, "--grid-n")
     f = _potential(args.j, args.m, susy.Family(args.family), args.numeric)
     xs = np.arange(n) * (f.period / n)
-    values = f._eval_vec(xs)
-    _rows_to_output(["x", "value"], list(zip(xs, values)), args.format, p, args.output)
+    _rows_to_output(["x", "value"], zip(xs, f._eval_vec(xs)), args.format, args.precision,
+                    args.output)
     return EXIT_OK
 
 
 def cmd_states(args) -> int:
-    p = _check_precision(args.precision)
     n = _positive_int(args.grid_n, "--grid-n")
     xs = np.arange(n) * (2.0 * complete_k(args.m) / n)
-    psi_m = susy.psi_minus(args.j, args.n, args.m, xs)
+    cols = {"x": xs, "psi_minus": susy.psi_minus(args.j, args.n, args.m, xs)}
     if args.j == 2:
-        psi_p = susy.psi_plus(args.j, args.n, args.m, xs)
-        header = ["x", "psi_minus", "psi_plus"]
-        rows = list(zip(xs, psi_m, psi_p))
-    else:
-        header = ["x", "psi_minus"]
-        rows = list(zip(xs, psi_m))
-    _rows_to_output(header, rows, args.format, p, args.output)
+        cols["psi_plus"] = susy.psi_plus(args.j, args.n, args.m, xs)
+    _rows_to_output(list(cols), zip(*cols.values()), args.format, args.precision, args.output)
     return EXIT_OK
 
 
 def cmd_bands(args) -> int:
-    p = _check_precision(args.precision)
-    family = susy.Family(args.family)
-    args.count = 2 * args.j + 1 if args.count is None else _positive_int(args.count, "--count")
+    count = 2 * args.j + 1 if args.count is None else _positive_int(args.count, "--count")
     if args.both:
         # side-by-side comparison is solver work on both partners; the
         # diff column shows their independent agreement
         _require_closed_form(args.j, args.numeric)
         pair = verify.partner_pair(args.j, args.m, args.numeric)
-        edges_m, edges_p = (bandsolver.band_edges(pot, args.count) for pot in pair)
-        header = ["n", "E_minus", "E_plus", "diff"]
-        rows = [(e.n, e.energy, q.energy, abs(e.energy - q.energy))
+        edges_m, edges_p = (bandsolver.band_edges(pot, count) for pot in pair)
+        header = ["n", "E_minus", "E_plus", "diff", "boundary"]
+        rows = [(e.n, e.energy, q.energy, abs(e.energy - q.energy), e.boundary)
                 for e, q in zip(edges_m, edges_p)]
-        boundaries = [e.boundary for e in edges_m]
-    elif (args.j <= 3 and args.count <= 2 * args.j + 1 and not args.numeric
-          and family in (susy.Family.V_MINUS, susy.Family.V_PLUS)):
-        # the Lamé edge catalogue (partners share it)
-        energies = susy.band_edge_energies(args.j, args.m)[: args.count]
-        header = ["n", "energy"]
-        rows = list(enumerate(energies))
-        boundaries = [bandsolver.expected_boundary(n) for n, _ in rows]
     else:
-        edges = bandsolver.band_edges(_potential(args.j, args.m, family, args.numeric),
-                                      args.count)
-        header = ["n", "energy"]
-        rows = [(e.n, e.energy) for e in edges]
-        boundaries = [e.boundary for e in edges]
-    if args.format == "json":
-        payload = []
-        for row, bnd in zip(rows, boundaries):
-            entry = dict(zip(header, (int(row[0]), *(float(_fmt(v, p)) for v in row[1:]))))
-            entry["boundary"] = bnd
-            payload.append(entry)
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        sep = "," if args.format == "csv" else "  "
-        lines = [sep.join(header + ["boundary"])]
-        for row, bnd in zip(rows, boundaries):
-            cells = [str(int(row[0]))] + [_fmt(v, p) for v in row[1:]] + [bnd]
-            lines.append(sep.join(cells))
-        _emit("\n".join(lines), args.output)
+        family = susy.Family(args.family)
+        V = _potential(args.j, args.m, family, args.numeric)
+        header = ["n", "energy", "boundary"]
+        if (args.j <= 3 and count <= 2 * args.j + 1 and not args.numeric
+                and family in (susy.Family.V_MINUS, susy.Family.V_PLUS)):
+            # the Lamé edge catalogue (partners share it)
+            energies = susy.band_edge_energies(args.j, args.m)[:count]
+            rows = [(n, e, bandsolver.expected_boundary(n)) for n, e in enumerate(energies)]
+        else:
+            rows = [(e.n, e.energy, e.boundary) for e in bandsolver.band_edges(V, count)]
+    _rows_to_output(header, rows, args.format, args.precision, args.output)
     return EXIT_OK
 
 
@@ -177,7 +146,8 @@ _SCOPES = ("all", "edgestates", "limits", "iso", "selfiso")
 
 
 def cmd_verify(args) -> int:
-    m_list = tuple(args.m) if args.m else verify.DEFAULT_M_LIST
+    # a repeated -m counts once, in the order first given
+    m_list = tuple(dict.fromkeys(args.m)) if args.m else verify.DEFAULT_M_LIST
     for m in m_list:
         if not (0.0 < m < 1.0):
             raise DomainError(f"verification needs m in (0, 1), got {m}")
@@ -210,8 +180,8 @@ def _add_output_options(sp, formats=("csv", "json", "table"), default_format="ta
     sp.add_argument("--format", choices=formats, default=default_format)
     sp.add_argument("-o", "--output", default=None, help="write to file instead of stdout")
     if precision:
-        sp.add_argument("--precision", type=int, default=12,
-                        help="digits after the decimal point (4..17)")
+        sp.add_argument("--precision", type=int, choices=range(4, 18), default=12,
+                        metavar="{4..17}", help="digits after the decimal point")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,9 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bands", help="band-edge energies")
     sp.add_argument("-j", type=int, required=True)
     sp.add_argument("-m", type=float, required=True)
-    sp.add_argument("--family", choices=("vminus", "vplus", "raw"), default="vminus")
-    sp.add_argument("--both", action="store_true",
-                    help="tabulate V- and V+ edges side by side")
+    one = sp.add_mutually_exclusive_group()
+    one.add_argument("--family", choices=("vminus", "vplus", "raw"), default="vminus")
+    one.add_argument("--both", action="store_true",
+                     help="tabulate V- and V+ edges side by side")
     sp.add_argument("--count", type=int, default=None)
     sp.add_argument("--numeric", action="store_true")
     _add_output_options(sp)

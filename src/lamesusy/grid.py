@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _positive_int
 
 MIN_SAMPLES = 64
 
@@ -104,13 +104,14 @@ class GridFunction:
         One phase-shifted spectrum, zero-padded onto the least multiple of
         ``count`` that is >= n and read at every (fine/count)-th point.
         """
-        n = self.n
+        count, n = _positive_int(count, "count"), self.n
         fine = count * -(-n // count)
         c = spectrum(self.samples) * np.exp(2j * np.pi * np.arange(n // 2 + 1) * (shift / count))
         return on_fine_grid(c, n, fine)[:: fine // count]
 
     def derivative(self, order: int = 1) -> "GridFunction":
         """Spectral derivative of the interpolant, as a new GridFunction."""
+        order = _positive_int(order, "order", low=0)
         c = np.fft.rfft(self.samples)
         k = np.arange(c.size) * (2.0 * np.pi / self.period)
         c = c * (1j * k) ** order

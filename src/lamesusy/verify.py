@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bandsolver, susy
 from .elliptic import complete_k
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _positive_int
 from .grid import GridFunction, on_fine_grid, series_sum, spectrum
 
 TOL_SELF = 1e-6          # sup-norm distance below which partners count as equal
@@ -126,7 +126,8 @@ def _exact_distance(vp: GridFunction, vm: GridFunction, reflect: bool, floor: fl
     1e-4 of the top Newton-polished so competing peaks cannot be
     misranked (a grid maximum of at most ``floor`` is roundoff, returned
     as it is with no peaks); and ``at(xs, a)``: rows of f, f_x, f_xx,
-    f_a, f_xa and f_aa at the points xs, each an O(n) sum.
+    f_a and f_xa at the points xs, each an O(n) sum.  Shifting by a
+    brings down -ik where d/dx brings down ik, so f_aa = -f_xa.
     """
     n, L = vm.n, vm.period
     fine = _SUP_OVERSAMPLE * n
@@ -135,10 +136,10 @@ def _exact_distance(vp: GridFunction, vm: GridFunction, reflect: bool, floor: fl
     h = L / fine
 
     def series(a):
-        """Spectra of f, f_x, f_xx, f_a, f_xa and f_aa at the shift a."""
+        """Spectra of f, f_x, f_xx, f_a and f_xa at the shift a."""
         u = c * np.exp(-ik * a)  # vm(r(x - a)); d/da brings down -ik
         f, fa = cp - u, ik * u
-        return np.stack([f, ik * f, ik * ik * f, fa, ik * fa, -ik * fa], axis=1)
+        return np.stack([f, ik * f, ik * ik * f, fa, ik * fa], axis=1)
 
     def at(xs, a):
         return series_sum(series(a), n, L, xs)
@@ -170,9 +171,9 @@ def _active_set(rows: np.ndarray, offsets: np.ndarray) -> tuple:
     peaks are active where the top one differs on the two sides of the
     optimum, else one.
     """
-    f, _, fxx, fa, fxa, faa = rows.T
+    f, _, fxx, fa, fxa = rows.T
     with np.errstate(divide="ignore", invalid="ignore"):
-        curv = np.nan_to_num(faa - fxa ** 2 / fxx)
+        curv = np.nan_to_num(-fxa - fxa ** 2 / fxx)
     model = f[:, None] + offsets * (fa[:, None] + 0.5 * curv[:, None] * offsets)
     envelope = np.abs(model).max(axis=0)
     i = int(np.argmin(envelope))
@@ -189,12 +190,12 @@ def _newton(at, x: np.ndarray, a: float, lo: float, hi: float) -> tuple:
     inside [lo, hi], down to 1e-10 of its width."""
     p, last = x.size, np.inf
     for steps in range(1, _NEWTON_STEPS + 1):
-        f, fx, fxx, fa, fxa, faa = at(x, a).T
+        f, fx, fxx, fa, fxa = at(x, a).T
         J = np.zeros((p + 1, p + 1))
         J[range(p), range(p)], J[:p, p] = fxx, fxa
         sign = np.sign(f) * [1.0, -1.0][:p]
         F = np.append(fx, sign @ f if p == 2 else fa)
-        J[p] = np.append(sign * fx, sign @ fa) if p == 2 else (fxa[0], faa[0])
+        J[p] = np.append(sign * fx, sign @ fa) if p == 2 else (fxa[0], -fxa[0])
         try:
             dz = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError:
@@ -304,6 +305,9 @@ def schrodinger_residual(v: Callable, psi: Callable, energy: float,
     ``h``.  The stencil is evaluated in extended precision so the
     reported number reflects h^2 truncation, not float64 roundoff.
     """
+    grid_n = _positive_int(grid_n, "grid_n")
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"h must be positive and finite, got {h!r}")
     x = (np.arange(grid_n) * (period / grid_n)).astype(np.longdouble)
     hh = np.longdouble(h)
     p0 = psi(x)

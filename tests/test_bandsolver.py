@@ -650,8 +650,13 @@ class TestNumericPartner:
             bs._reject_nodal(samples)
 
     def test_grid_requirements(self):
-        with pytest.raises(DomainError):
-            bs.numeric_partner(free_particle(), grid_n=32)
+        # rejected before any sample of V is taken
+        calls = []
+        pot = bs.PeriodicPotential(1.0, lambda x: calls.append(x) or 0.0 * x)
+        for grid_n in (32, 129, 0, 512.5):
+            with pytest.raises(DomainError, match="grid_n must be an integer >= 130"):
+                bs.numeric_partner(pot, grid_n=grid_n)
+        assert calls == []
 
     def test_partner_pipeline_script_runs(self, capsys):
         script = Path(__file__).resolve().parents[1] / "scripts" / "partner_pipeline.py"

@@ -1,6 +1,7 @@
 """End-to-end CLI tests through subprocess (stable exit-code contract)."""
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -106,9 +107,9 @@ class TestPotential:
         assert payload[0] == {"x": 0.0, "value": 1.267949192431}
         assert cli.main(args + ["--format", "table", "--precision", "6"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        # columns of width precision + 8, two spaces apart
-        assert lines[0] == "x".ljust(14) + "  " + "value".ljust(14)
-        assert lines[1] == "0.000000".ljust(14) + "  " + "1.267949".ljust(14)
+        # the one table layout: columns two spaces apart, as bands writes
+        assert lines[0] == "x  value"
+        assert lines[1] == "0.000000  1.267949"
         assert len(lines) == 5
 
 
@@ -239,6 +240,34 @@ class TestBands:
             assert cp.returncode == 2 and cp.stdout == ""
             assert "--count must be a positive integer" in cp.stderr
 
+    def test_family_and_both_exclude_each_other(self):
+        cp = run_cli("bands", "-j", "2", "-m", "0.5", "--family", "raw", "--both")
+        assert cp.returncode == 2 and cp.stdout == ""
+        assert "not allowed with argument --family" in cp.stderr
+
+    def test_rounded_zero_has_no_sign(self, capsys):
+        # in process; the numeric V+ ground edge of j = 1 here is -3.8e-14
+        from lamesusy import cli
+
+        args = ["bands", "-j", "1", "-m", "0.5", "--family", "vplus", "--numeric"]
+        for fmt, sep in (("table", "  "), ("csv", ",")):
+            assert cli.main(args + ["--format", fmt]) == 0
+            rows = [r.split(sep) for r in capsys.readouterr().out.strip().splitlines()[1:]]
+            assert len(rows) == 3
+            assert rows[0][1] == "0.000000000000"
+            assert not [f for row in rows for f in row
+                        if f.startswith("-0.") and float(f) == 0.0]
+        assert cli.main(args + ["--format", "json"]) == 0
+        energy = json.loads(capsys.readouterr().out)[0]["energy"]
+        assert energy == 0.0 and str(energy) == "0.0"
+
+    def test_divergent_period_is_domain_error(self):
+        # the catalogue route checks m as every other route does
+        for extra in ((), ("--numeric",)):
+            cp = run_cli("bands", "-j", "2", "-m", "1", *extra)
+            assert cp.returncode == 2 and cp.stdout == ""
+            assert "K diverges" in cp.stderr
+
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         from lamesusy import bandsolver, cli
         from lamesusy.errors import NumericalError
@@ -276,6 +305,13 @@ class TestVerify:
         assert len(payload) >= 15
         assert all(r["passed"] for r in payload)
 
+    def test_repeated_modulus_counts_once(self):
+        cp = run_cli("verify", "--scope", "edgestates", "-m", "0.5", "-m", "0.5",
+                     "--format", "json")
+        assert cp.returncode == 0, cp.stdout + cp.stderr
+        ids = [r["claim_id"] for r in json.loads(cp.stdout)]
+        assert len(ids) == 20 and len(set(ids)) == 20
+
     def test_bad_modulus_usage_error(self):
         cp = run_cli("verify", "--scope", "limits", "-m", "1.0")
         assert cp.returncode == 2
@@ -295,3 +331,21 @@ class TestDeterminism:
         assert "K=1.8541" in cp.stdout
         cp = run_cli("elliptic", "--x", "0", "--m", "0.5", "--precision", "20")
         assert cp.returncode == 2
+
+
+def readme_cli_lines():
+    """The commands of the README's ``## CLI`` block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("lamesusy ")]
+
+
+@pytest.mark.parametrize("line", [
+    line for line in readme_cli_lines()
+    if "verify --scope all" not in line  # the release job; test_acceptance runs it
+])
+def test_readme_cli_line_runs(line, capsys):
+    from lamesusy import cli
+
+    assert cli.main(shlex.split(line, comments=True)[1:]) == 0
+    assert capsys.readouterr().out

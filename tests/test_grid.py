@@ -61,6 +61,16 @@ class TestGridFunction:
             pts = (np.arange(count) + shift) * (2.7 / count)
             assert np.max(np.abs(g.resample(count, shift) - g.eval(pts))) <= 1e-12
 
+    def test_size_arguments_validated(self):
+        g = GridFunction.from_function(trig_poly, 2 * math.pi, 64)
+        for count in (0, -3, 10.5):
+            with pytest.raises(DomainError, match="count must be a positive integer"):
+                g.resample(count)
+        for order in (-1, 1.5):
+            with pytest.raises(DomainError, match="order must be an integer >= 0"):
+                g.derivative(order)
+        assert np.array_equal(g.derivative(np.int64(2)).samples, g.derivative(2).samples)
+
     def test_spectral_derivatives(self):
         g = GridFunction.from_function(trig_poly, 2 * math.pi, 128)
         d1 = lambda x: np.cos(x) + 1.2 * np.sin(3 * x) + 0.35 * np.cos(7 * x)

@@ -461,3 +461,15 @@ class TestResidualHelper:
         res = verify.schrodinger_residual(
             spec, lambda x: psi_minus(2, 0, 0.5, x), 0.01, spec.period)
         assert res > 1e-3
+
+    def test_input_validation(self):
+        # rejected before psi is evaluated
+        calls = []
+        psi = lambda x: calls.append(x) or np.cos(x)
+        for grid_n in (0, -4, 8.5):
+            with pytest.raises(DomainError, match="grid_n must be a positive integer"):
+                verify.schrodinger_residual(np.cos, psi, 0.0, 2 * np.pi, grid_n=grid_n)
+        for h in (0.0, -1e-4, np.inf, np.nan):
+            with pytest.raises(DomainError, match="h must be positive and finite"):
+                verify.schrodinger_residual(np.cos, psi, 0.0, 2 * np.pi, h=h)
+        assert calls == []
