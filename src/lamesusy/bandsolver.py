@@ -5,16 +5,15 @@ can arbitrate the other's bugs:
 
   * a Floquet route: the trace Delta(E) of the monodromy matrix of
     -y'' + V y = E y over one period, and its slope Delta'(E), sampled on
-    256 cells of an energy window.  Every crossing of +2 (periodic edge)
-    or -2 (antiperiodic edge) between samples is solved to float
-    resolution by bracketed false position.  Delta' vanishes exactly
-    once in every gap and nowhere in a band, so every sign change of
-    Delta' between samples is a gap, and its critical point, solved the
-    same way, decides a closed gap (a touch) from an open one.  The one
-    blind spot is a whole band plus the critical points of both its
-    neighbouring gaps inside one cell; on raw Lamé with j = 1..10 and m
-    from 1e-6 to 1 - 1e-6 the closest critical points lie 5.4 cells
-    apart;
+    256 cells of an energy window.  Delta' vanishes once in every gap
+    and nowhere in a band, so Delta is monotone between critical points,
+    and the sign changes of Delta - 2 (periodic edge) and Delta + 2
+    (antiperiodic) over the samples and the gaps' critical points
+    bracket every edge, each root solved to float resolution by
+    bracketed false position; a critical point where Delta only touches
+    +-2 is a closed gap.  The one blind spot is a whole band and the
+    critical points on both its sides in one cell: never met on raw Lamé
+    (j <= 10), but met by some clusters of unequal wells;
   * a plane-wave Galerkin route: the periodic and antiperiodic
     eigenproblems of V, real as every potential here is, assembled as
     real symmetric matrices in the sqrt2 cos / sqrt2 sin basis from
@@ -65,6 +64,7 @@ CHUNK = 2 ** 15      # steps x energies held in memory at once
 _PROBES = 17         # probe energies per range at which a step count is settled
 _RANGE_WAVES = 16    # free half-waves per period above max V in the lowest range
 _BOUNDARY = {2.0: "periodic", -2.0: "antiperiodic"}  # trace value at each edge type
+_TARGETS = np.array([2.0, -2.0])  # the edge residuals' rows: trace - 2, trace + 2
 _STALL = 3           # steps a bracket may go without halving before a safeguard step
 _ROOT_STEPS = 64 * (2 * _STALL + 1)  # enough for 64 halvings of every bracket
 BASIS_N = 64         # plane waves per boundary type of the ground-state problems
@@ -351,14 +351,15 @@ def _edge_residual(M: np.ndarray, target) -> tuple:
 
 
 def _overshoot(V: PeriodicPotential, energies, targets) -> tuple:
-    """How far the trace passes each +-2 target (positive in a gap), from
-    the 2n-step product, and the error of that value: its distance to the
-    n-step value plus a roundoff allowance for the tree of products."""
+    """How far the trace passes each +-2 target (positive in a gap) by the
+    2n-step product, the error of that value (its distance to the n-step
+    value plus a roundoff allowance) and the 2n-step trace."""
     coarse, _ = _monodromy(V, energies)
     fine, scale = _monodromy(V, energies, refined=True)
     over, gain = _edge_residual(fine, targets)
     noise = np.abs(over - _edge_residual(coarse, targets)[0])
-    return np.sign(targets) * over, noise + 64.0 * np.finfo(float).eps * scale * gain
+    return (np.sign(targets) * over, noise + 64.0 * np.finfo(float).eps * scale * gain,
+            fine[0] + fine[3])
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +436,7 @@ def _slope(V, energies) -> np.ndarray:
 
 def _critical_points(V, Es, scan_slope, cells, targets, stats):
     """Roots of dDelta/dE in the scan cells [Es[k], Es[k+1]], to float
-    resolution, with the cell and the target of each.
+    resolution, with the target of each.
 
     The ends are evaluated again at full accuracy first: the scan's slope
     carries SCAN_TOL's error, so an end whose sign differs there lies
@@ -459,7 +460,7 @@ def _critical_points(V, Es, scan_slope, cells, targets, stats):
         keep = f_lo * f_hi <= 0
         lo, targets, f_lo, f_hi = lo[keep], targets[keep], f_lo[keep], f_hi[keep]
     stats["critical"] += lo.size
-    return _root_batch(slope, Es[lo], Es[lo + 1], f_lo, f_hi), lo, targets
+    return _root_batch(slope, Es[lo], Es[lo + 1], f_lo, f_hi), targets
 
 
 def _scan_edges(V, e_min, e_max, n_cells, count, stats):
@@ -467,25 +468,29 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     crossing of +-2 in one _root_batch.
 
     The trace Delta and its slope Delta' are sampled at the ends of
-    n_cells equal cells.  Every sign change of Delta -+ 2 brackets an
-    edge.  Delta' != 0 wherever |Delta| < 2, and every gap, open or
-    closed, holds exactly one critical point (Magnus & Winkler, Hill's
-    Equation, 1966), so every sign change of Delta' is one gap: a maximum
-    at +2 or a minimum at -2.  Its critical point is solved as a root of
-    Delta' unless a sample already lies in the gap (its crossings are
-    then bracketed) or it lies above the first ``count`` edges.
-    _overshoot then decides at that point: a trace that measurably passes
-    +-2 is an open gap, whose flanks out to the cell's ends join the
-    batch of brackets; otherwise the point is a touch, a closed gap.
+    n_cells equal cells.  Delta' != 0 wherever |Delta| < 2, and every gap,
+    open or closed, holds exactly one critical point (Magnus & Winkler,
+    Hill's Equation, 1966): a maximum at +2 or a minimum at -2.  So Delta
+    is monotone between critical points, and every sign change of Delta'
+    is a gap, whose critical point is solved as a root of Delta' (unless a
+    sample lies in the gap or it lies above the first ``count`` edges)
+    and judged by _overshoot: open where the trace measurably passes +-2,
+    else a touch, a closed gap.  Then the residuals Delta -+ 2 at the
+    samples and those points, in energy order, change sign between
+    neighbours once per edge.  At a critical point the own target's
+    residual is the overshoot's when open and -target, on the bands'
+    side, at a touch; the other target's is the plain trace - target.
 
-    Blind spot: a whole band together with the critical points of both
-    its neighbouring gaps inside one cell shows no sign change at all and
-    loses four edges, p p a a, which keeps the boundary pattern.  With
-    256 cells on the window of 2j + 1 edges, consecutive critical
-    points of raw Lamé below edge 2j (j = 1..10, m from 1e-6 to 1 - 1e-6,
-    scripts/lame_sweep.py) lie 5.4 cells apart at the least; SUSY
-    partners share the trace.  band_edges keeps cells that narrow on
-    wider windows (_scan_cells).
+    Blind spot: a cell holding a whole band and the critical points of
+    both its neighbouring gaps shows no sign change of Delta' and loses
+    four edges, p p a a, which keeps the boundary pattern.  With 256
+    cells on the window of 2j + 1 edges, such points of raw Lamé below
+    edge 2j (j = 1..10, m from 1e-6 to 1 - 1e-6, scripts/lame_sweep.py)
+    lie 5.4 cells apart at the least; SUSY partners share the trace.
+    Clusters of narrow bands from unequal wells can be narrower than a
+    cell of MAX_SCAN: -800 cos 6 pi x + cos 2 pi x at period 1, and
+    4 of the 312 potentials of scripts/engine_fuzz.py, come back
+    wrong without an error.
 
     Resolution limit: a gap so narrow that its overshoot stays within the
     product's noise comes back as a touch at its Delta' root, each edge
@@ -503,51 +508,45 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     Es = np.linspace(e_min, e_max, n_cells + 1)
     M, scale = _monodromy(V, Es, SCAN_TOL, slope=True)
     tr, slope = M[0] + M[3], M[4] + M[7]
-    # the scan decides signs only; samples within its error of +-2 are
-    # recomputed at full accuracy, as the edge residual that _root_batch
-    # reads, so that no sign is misread and both agree on every sign
-    unsure = np.minimum(np.abs(tr - 2.0), np.abs(tr + 2.0)) <= 4.0 * SCAN_TOL * scale
-    if unsure.any():
-        near = np.where(tr[unsure] > 0.0, 2.0, -2.0)
-        res = _edge_residual(_monodromy(V, Es[unsure])[0], near)[0]
-        # a residual below the spacing of floats at +-2 keeps its sign
-        tr[unsure] = np.where(near + res == near, np.nextafter(near, near + np.sign(res)),
-                              near + res)
-    # every sign change of Delta -+ 2 between samples brackets one edge
-    above = tr >= np.array([[2.0], [-2.0]])
-    row, lo = np.nonzero(above[:, :-1] != above[:, 1:])
-    tgt = np.where(row == 0, 2.0, -2.0)
-    brackets = [(Es[lo], Es[lo + 1], tr[lo] - tgt, tr[lo + 1] - tgt, tgt)]
+    res = tr - _TARGETS[:, None]  # the edge residuals, one row per target
+    # the scan decides signs only; a sample within its error of +-2 takes
+    # the nearer target's full-accuracy residual, which _root_batch reads
+    unsure = np.nonzero(np.abs(res).min(axis=0) <= 4.0 * SCAN_TOL * scale)[0]
+    row = (tr[unsure] < 0.0).astype(int)
+    res[row, unsure] = _edge_residual(_monodromy(V, Es[unsure])[0], _TARGETS[row])[0]
+    above = res >= 0.0
+    lo = np.nonzero(above[:, :-1] != above[:, 1:])[1]
 
-    # a gap sampled beyond +-2 has its crossings among those brackets
+    # a gap sampled beyond +-2 has its crossings bracketed by samples
     # already, or one the window cuts off, which brackets no edge; so only
     # cells whose ends both lie on the bands' side are solved
     rising = slope > 0.0
     cells = np.nonzero(rising[:-1] != rising[1:])[0]
-    targets = np.where(rising[cells], 2.0, -2.0)
-    band_side = [(tr[k] >= targets) == (targets < 0) for k in (cells, cells + 1)]
-    cells, targets = cells[band_side[0] & band_side[1]], targets[band_side[0] & band_side[1]]
+    row = (~rising[cells]).astype(int)
+    band_side = (above[row, cells] == row) & (above[row, cells + 1] == row)
+    cells, targets = cells[band_side], _TARGETS[row[band_side]]
     # and only those among the first ``count`` edges: every gap below a
-    # cell holds two edges, every crossing bracket below it one (each root
-    # lies inside its bracket's cell)
+    # cell holds two edges, every sign change of the samples below it one
     below = np.searchsorted(np.sort(lo), cells) + 2 * np.arange(cells.size)
     cells, targets = cells[below < count], targets[below < count]
-    touches = []
-    if cells.size:
-        xe, cells, targets = _critical_points(V, Es, slope, cells, targets, stats)
-        overshoot, noise = _overshoot(V, xe, targets)
-        # the trace measurably passes +-2 at an open gap's critical point.
-        # Otherwise it touches +-2 there, a closed gap (M = +-I), or one
-        # narrower than the product resolves: the overshoot is 0 up to noise.
-        is_open = overshoot > noise
-        touches = [(e, _BOUNDARY[t]) for e, t in zip(xe[~is_open].tolist(), targets[~is_open])]
-        k, x, t = cells[is_open], xe[is_open], targets[is_open]
-        f_star = np.sign(t) * overshoot[is_open]  # the residual trace - target there
-        brackets += [(Es[k], x, tr[k] - t, f_star, t), (x, Es[k + 1], f_star, tr[k + 1] - t, t)]
-        stats["flanks"] += 2 * k.size
+    xe, targets = _critical_points(V, Es, slope, cells, targets, stats)
+    overshoot, noise, trace = _overshoot(V, xe, targets)
+    # the trace measurably passes +-2 at an open gap's critical point.
+    # Otherwise it touches +-2 there, a closed gap (M = +-I), or one
+    # narrower than the product resolves: the overshoot is 0 up to noise.
+    is_open = overshoot > noise
+    touches = [(e, _BOUNDARY[t]) for e, t in zip(xe[~is_open].tolist(), targets[~is_open])]
+    at_x = trace - _TARGETS[:, None]
+    at_x[(targets < 0).astype(int), np.arange(xe.size)] = np.where(
+        is_open, np.sign(targets) * overshoot, -targets)
+    order = np.argsort(np.concatenate([Es, xe]), kind="stable")
+    Es, res = np.concatenate([Es, xe])[order], np.concatenate([res, at_x], axis=1)[:, order]
 
-    a, b, f_a, f_b, tgt = (np.concatenate(col) for col in zip(*brackets))
-    roots = _root_batch(_crossing(V, tgt), a, b, f_a, f_b)
+    # every sign change of a row between neighbours brackets one edge
+    above = res >= 0.0
+    row, lo = np.nonzero(above[:, :-1] != above[:, 1:])
+    tgt = _TARGETS[row]
+    roots = _root_batch(_crossing(V, tgt), Es[lo], Es[lo + 1], res[row, lo], res[row, lo + 1])
     return sorted((float(r), _BOUNDARY[g]) for r, g in zip(roots, tgt)), touches
 
 
@@ -606,29 +605,30 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
 
     Samples the Floquet discriminant Delta and its slope Delta' on
     DEFAULT_SCAN cells of the window from inf V - 1 to _first_window,
-    solves every crossing of +-2 down to a bracket a few ulps wide
-    (_root_batch), and finds closed or under-resolved gaps as roots of
-    Delta' (_scan_edges).  The window always holds ``count`` edges: by
-    min-max comparison with the free particle, edge n lies at most
-    (pi ceil(n/2) / L)^2 above max V.  The scan's one blind spot is a
-    whole band plus both neighbouring critical points inside one cell;
-    on the raw Lamé sweep the closest critical points lie 5.4 cells of
-    window/256 apart, and a window wider than the one of 21 edges
-    gets proportionally more cells (_scan_cells).  A result short of
-    ``count`` edges or out of the boundary pattern doubles the cells, up
-    to MAX_SCAN, and then raises IncompleteSpectrumError.  Each call
-    sends one DEBUG record to this module's logger when ``logging`` is
-    loaded.
+    solves the gaps' critical points as roots of Delta', and every
+    crossing of +-2 that the samples and those points bracket, down to a
+    few ulps (_scan_edges, _root_batch).  The window always holds
+    ``count`` edges: by min-max comparison with the free particle, edge
+    n lies at most (pi ceil(n/2) / L)^2 above max V.  A window wider
+    than the one of 21 edges gets proportionally more cells
+    (_scan_cells).  The scan's one blind spot, a whole band plus both
+    neighbouring critical points in one cell, is met by clusters of
+    unequal wells, whose edges then come back wrong without an error.
+    A result short of ``count`` edges or out of the boundary pattern
+    doubles the cells, up to MAX_SCAN, and then raises
+    IncompleteSpectrumError.  Each call sends one DEBUG record to this
+    module's logger when ``logging`` is loaded.
     """
     count = _positive_int(count, "count")
     V.validate()
     e_min = _span(V)[0] - 1.0
     e_max = _first_window(V, count)
-    stats = dict(doublings=0, critical=0, root_steps=0, flanks=0)
+    stats = dict(doublings=0, critical=0, root_steps=0, brackets=0)
     n_cells = _scan_cells(V, e_min, e_max)
     try:
         while True:
             roots, touches = _scan_edges(V, e_min, e_max, n_cells, count, stats)
+            stats["brackets"] += len(roots)  # one root per crossing bracket
             found = [BandEdge(n=i, energy=e, boundary=b, degenerate=d)
                      for i, (e, b, d) in enumerate(_assemble(roots, touches))]
             if (len(found) >= count
@@ -644,8 +644,8 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
             stats["doublings"] += 1
     finally:
         _debug(__name__, "band_edges: %d scan cells, %d doublings, %d slope roots in %d "
-               "root steps, %d flank solves", n_cells, stats["doublings"],
-               stats["critical"], stats["root_steps"], stats["flanks"])
+               "root steps, %d crossing brackets", n_cells, stats["doublings"],
+               stats["critical"], stats["root_steps"], stats["brackets"])
 
 
 # ---------------------------------------------------------------------------
