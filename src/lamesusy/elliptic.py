@@ -84,8 +84,12 @@ def jacobi(x, m: float) -> JacobiTriple:
 
     ``x`` may be a scalar or an ndarray; array input keeps its dtype
     (float64 or longdouble).  The argument is reduced modulo 4K before
-    the backward amplitude recurrence so large |x| does not degrade
-    accuracy.
+    the backward amplitude recurrence, but that reduction cannot undo
+    the rounding of x itself: the error grows as |x| eps, with eps the
+    machine epsilon of the dtype (at m = 0.5 in float64, ~5e-13 at
+    |x| = 1e4 and ~1e-4 at 1e12).  Where one float step of x spans a
+    whole period, |x| eps >= 4K for m < 1, the value is noise, so that
+    raises DomainError.
     """
     m = _check_m(m)
     scalar = np.isscalar(x) or np.ndim(x) == 0
@@ -96,28 +100,34 @@ def jacobi(x, m: float) -> JacobiTriple:
         raise DomainError("argument x must be finite")
     dt = xa.dtype.type
 
-    if m == 0.0:
-        sn = np.sin(xa)
-        cn = np.cos(xa)
-        dn = np.ones_like(xa)
-    elif m == 1.0:
+    if m == 1.0:
         sn = np.tanh(xa)
         dn = 1.0 / np.cosh(xa)
         cn = dn
     else:
         a_list, c_list = _agm_chain(m, dt)
-        n_last = len(a_list) - 1
         quarter = dt(math.pi) / (2.0 * a_list[-1])
-        # reduce modulo the full 4K period; reduced x lies in [-2K, 2K]
-        xr = xa - (4.0 * quarter) * np.round(xa / (4.0 * quarter))
-        phi = dt(2.0**n_last) * a_list[-1] * xr
-        for i in range(n_last, 0, -1):
-            ratio = c_list[i] / a_list[i]
-            phi = 0.5 * (phi + np.arcsin(np.clip(ratio * np.sin(phi), -1.0, 1.0)))
-        sn = np.sin(phi)
-        cn = np.cos(phi)
-        # dn > 0 always for m in [0,1]; this form has no cancellation
-        dn = np.sqrt((1.0 - dt(m)) + dt(m) * cn * cn)
+        top = np.abs(xa).max(initial=0.0)
+        if top * np.finfo(dt).eps >= 4.0 * quarter:
+            raise DomainError(
+                f"|x| up to {float(top)!r} is too large: one float step of x "
+                f"spans the period 4K = {float(4.0 * quarter)!r} at m={m!r}")
+        if m == 0.0:
+            sn = np.sin(xa)
+            cn = np.cos(xa)
+            dn = np.ones_like(xa)
+        else:
+            n_last = len(a_list) - 1
+            # reduce modulo the full 4K period; reduced x lies in [-2K, 2K]
+            xr = xa - (4.0 * quarter) * np.round(xa / (4.0 * quarter))
+            phi = dt(2.0**n_last) * a_list[-1] * xr
+            for i in range(n_last, 0, -1):
+                ratio = c_list[i] / a_list[i]
+                phi = 0.5 * (phi + np.arcsin(np.clip(ratio * np.sin(phi), -1.0, 1.0)))
+            sn = np.sin(phi)
+            cn = np.cos(phi)
+            # dn > 0 always for m in [0,1]; this form has no cancellation
+            dn = np.sqrt((1.0 - dt(m)) + dt(m) * cn * cn)
 
     if scalar:
         return JacobiTriple(float(sn), float(cn), float(dn))

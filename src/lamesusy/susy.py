@@ -188,7 +188,10 @@ def v_plus_closed(j: int, m: float, x):
             f"closed-form V+ exists for j in (2, 3) only, got {j!r}; "
             "j=1 is covered by v_plus_susy, j>=4 by the numeric pipeline"
         )
-    j, m, sn, cn, dn = _triple(j, m, x)
+    return _v_plus_closed(*_triple(j, m, x))
+
+
+def _v_plus_closed(j: int, m: float, sn, cn, dn):
     w = _ground_w(j, m, sn, cn, dn)[0]
     return 2.0 * w * w - _v_minus(j, m, sn)
 
@@ -229,13 +232,21 @@ def psi_minus(j: int, n: int, m: float, x):
     dn (1 + 2m + delta1 - 5m sn^2).  Higher j=3 states have no closed
     form here.
     """
-    (a, b, c), p, _, sn, cn, dn = _state_setup(j, n, m, x)
+    return _psi_minus(*_state_setup(j, n, m, x))
+
+
+def _psi_minus(j: int, n: int, m: float, sn, cn, dn):
+    _, (a, b, c), p = _lame(j, m)[n]
     return sn ** a * cn ** b * dn ** c * _horner(p, sn * sn)[0]
 
 
 def psi_minus_prime(j: int, n: int, m: float, x):
     """Analytic d/dx of psi_minus, for intertwining checks."""
-    (a, b, c), p, m, sn, cn, dn = _state_setup(j, n, m, x)
+    return _psi_minus_prime(*_state_setup(j, n, m, x))
+
+
+def _psi_minus_prime(j: int, n: int, m: float, sn, cn, dn):
+    _, (a, b, c), p = _lame(j, m)[n]
     # sn' = cn dn, cn' = -sn dn, dn' = -m sn cn, and a, b, c are 0 or 1
     prefactor_prime = (a * cn ** (b + 1) * dn ** (c + 1) - b * sn ** (a + 1) * dn ** (c + 1)
                        - c * m * sn ** (a + 1) * cn ** (b + 1))
@@ -252,7 +263,10 @@ def psi_plus(j: int, n: int, m: float, x):
     """
     if j != 2:
         raise DomainError(f"closed-form partner eigenfunctions exist for j=2 only, got {j!r}")
-    _, _, m, sn, cn, dn = _state_setup(j, n, m, x)
+    return _psi_plus(*_state_setup(j, n, m, x))
+
+
+def _psi_plus(j: int, n: int, m: float, sn, cn, dn):
     b = 1.0 + m + math.sqrt(1.0 - m + m * m)
     s2 = sn * sn
     den = b - 3.0 * m * s2
@@ -270,6 +284,7 @@ def psi_plus(j: int, n: int, m: float, x):
 
 
 def _state_setup(j: int, n: int, m: float, x):
+    """Domain-checked (j, n, m, sn, cn, dn) for the edge-state evaluators."""
     n = _positive_int(n, "band-edge index n", low=0)
     if j == 2:
         if not 0 <= n <= 4:
@@ -280,8 +295,7 @@ def _state_setup(j: int, n: int, m: float, x):
     else:
         raise DomainError(f"closed-form eigenfunctions exist for j in (2, 3), got {j!r}")
     j, m, sn, cn, dn = _triple(j, m, x)
-    _, kind, p = _lame(j, m)[n]
-    return kind, p, m, sn, cn, dn
+    return j, n, m, sn, cn, dn
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import bandsolver, susy
-from .elliptic import complete_k
+from .elliptic import complete_k, jacobi
 from .errors import DomainError, NumericalError, _positive_int
 from .grid import GridFunction, on_fine_grid, series_sum, spectrum
 
@@ -303,17 +303,39 @@ def schrodinger_residual(v: Callable, psi: Callable, energy: float,
 
     The second derivative is the central finite difference with step
     ``h``.  The stencil is evaluated in extended precision so the
-    reported number reflects h^2 truncation, not float64 roundoff.
+    reported number reflects h^2 truncation, not float64 roundoff.  The
+    edge-state suite runs the same stencil (_stencil_residuals) on sn,
+    cn and dn evaluated once per grid.
+    """
+    def sample(grids):
+        lo, x, hi = grids
+        return [(psi(lo), psi(x), psi(hi), v(x))]
+
+    return _stencil_residuals(period, grid_n, h, [energy], sample)[0]
+
+
+def _stencil_residuals(period: float, grid_n: int, h: float, energies, sample) -> list:
+    """schrodinger_residual of one state per energy, on shared grids.
+
+    ``sample`` maps the longdouble grids (x - h, x, x + h), x uniform
+    on [0, period), to one (psi(x - h), psi(x), psi(x + h), V(x)) per
+    energy.  Every argument is checked before ``sample`` is called.
     """
     grid_n = _positive_int(grid_n, "grid_n")
     if not 0.0 < h < math.inf:
         raise DomainError(f"h must be positive and finite, got {h!r}")
+    if not 0.0 < period < math.inf:
+        raise DomainError(f"period must be positive and finite, got {period!r}")
+    if not all(math.isfinite(e) for e in energies):
+        raise DomainError(f"energy must be finite, got {list(energies)!r}")
     x = (np.arange(grid_n) * (period / grid_n)).astype(np.longdouble)
     hh = np.longdouble(h)
-    p0 = psi(x)
-    second = (psi(x + hh) - 2.0 * p0 + psi(x - hh)) / (hh * hh)
-    res = -second + (v(x) - np.longdouble(energy)) * p0
-    return float(np.max(np.abs(res)) / np.max(np.abs(p0)))
+    out = []
+    for energy, (p_lo, p0, p_hi, v0) in zip(energies, sample((x - hh, x, x + hh))):
+        second = (p_hi - 2.0 * p0 + p_lo) / (hh * hh)
+        res = -second + (v0 - np.longdouble(energy)) * p0
+        out.append(float(np.max(np.abs(res)) / np.max(np.abs(p0))))
+    return out
 
 
 def _ratio_spread(numer: np.ndarray, denom: np.ndarray, floor: float = 0.05) -> float:
@@ -336,6 +358,9 @@ def run_edge_state_suite(m: float) -> list:
     Per edge n = 0..4: the closed-form energy against the blind
     Floquet solver, Schrodinger residuals of both partner
     eigenfunctions on 1024 points, and the intertwining map between them.
+    sn, cn and dn are evaluated once per grid, the three longdouble
+    stencil grids and the float64 one of the intertwining checks, and
+    every psi, W and V here comes from those values.
     """
     if not (0.0 < m < 1.0):
         raise DomainError(f"edge-state suite needs m in (0, 1), got {m!r}")
@@ -351,35 +376,37 @@ def run_edge_state_suite(m: float) -> list:
     solver_edges = bandsolver.band_edges(pot_minus, 2 * j + 1)
     ctx = {"j": j, "m": m, "grid_n": grid_n, "degenerate_regime": degenerate}
 
-    xs = np.arange(grid_n) * (L / grid_n)
-    w = susy.superpotential(j, m, xs)
+    def states(grids):
+        """(psi at x - h, x, x + h, V at x) of V- then V+, per edge."""
+        lo, mid, hi = (jacobi(g, m) for g in grids)
+        v_minus, v_plus = susy._v_minus(j, m, mid.sn), susy._v_plus_closed(j, m, *mid)
+        for n in range(2 * j + 1):
+            yield (*(susy._psi_minus(j, n, m, *t) for t in (lo, mid, hi)), v_minus)
+            yield (*(susy._psi_plus(j, n, m, *t) for t in (lo, mid, hi)), v_plus)
+
+    residuals = _stencil_residuals(L, grid_n, 1e-4, np.repeat(energies, 2), states)
+
+    on_xs = jacobi(np.arange(grid_n) * (L / grid_n), m)
+    w = susy._ground_w(j, m, *on_xs)[0]
     for n in range(2 * j + 1):
         reports.append(claim(
             f"edgestates/j={j}/m={m:g}/n={n}/energy",
             abs(energies[n] - solver_edges[n].energy), energy_tol,
             boundary=solver_edges[n].boundary, **ctx,
         ))
-        res_minus = schrodinger_residual(
-            lambda x: susy.v_minus(j, m, x),
-            lambda x, _n=n: susy.psi_minus(j, _n, m, x),
-            energies[n], L, grid_n)
         reports.append(claim(
-            f"edgestates/j={j}/m={m:g}/n={n}/residual_minus", res_minus, 1e-7, **ctx))
-        res_plus = schrodinger_residual(
-            lambda x: susy.v_plus_closed(j, m, x),
-            lambda x, _n=n: susy.psi_plus(j, _n, m, x),
-            energies[n], L, grid_n)
+            f"edgestates/j={j}/m={m:g}/n={n}/residual_minus", residuals[2 * n], 1e-7, **ctx))
         reports.append(claim(
-            f"edgestates/j={j}/m={m:g}/n={n}/residual_plus", res_plus, 1e-7, **ctx))
+            f"edgestates/j={j}/m={m:g}/n={n}/residual_plus", residuals[2 * n + 1], 1e-7, **ctx))
+        psi_minus, psi_plus = susy._psi_minus(j, n, m, *on_xs), susy._psi_plus(j, n, m, *on_xs)
         if n == 0:
             # the partner ground state is the reciprocal of psi_0
-            product = susy.psi_plus(j, 0, m, xs) * susy.psi_minus(j, 0, m, xs)
-            measured = float(np.max(np.abs(product - 1.0)))
+            measured = float(np.max(np.abs(psi_plus * psi_minus - 1.0)))
             reports.append(claim(
                 f"edgestates/j={j}/m={m:g}/n=0/intertwine", measured, 1e-12, **ctx))
         else:
-            mapped = susy.psi_minus_prime(j, n, m, xs) + w * susy.psi_minus(j, n, m, xs)
-            spread = _ratio_spread(mapped, susy.psi_plus(j, n, m, xs))
+            mapped = susy._psi_minus_prime(j, n, m, *on_xs) + w * psi_minus
+            spread = _ratio_spread(mapped, psi_plus)
             reports.append(claim(
                 f"edgestates/j={j}/m={m:g}/n={n}/intertwine", spread, 1e-8, **ctx))
     return reports

@@ -38,6 +38,10 @@ class TestElliptic:
         # elliptic writes one line or json, no csv
         cp = run_cli("elliptic", "--x", "0.7", "--m", "0.3", "--format", "csv")
         assert cp.returncode == 2 and cp.stdout == ""
+        # one float step of 1e300 spans many periods: no value, exit 2
+        cp = run_cli("elliptic", "--x", "1e300", "--m", "0.5")
+        assert cp.returncode == 2 and cp.stdout == ""
+        assert "spans the period" in cp.stderr
 
     def test_json_format(self):
         cp = run_cli("elliptic", "--x", "0.3", "--m", "0.5", "--format", "json")

@@ -115,6 +115,25 @@ class TestJacobi:
         with pytest.raises(DomainError):
             jacobi(np.array([0.0, math.nan]), 0.5)
 
+    @pytest.mark.parametrize("dt", [np.float64, np.longdouble])
+    @pytest.mark.parametrize("m", [0.0, 0.5, 0.9])
+    def test_argument_past_float_resolution_rejected(self, dt, m):
+        # the bound is |x| eps >= 4K: one float step of x spans a period
+        period = 4 * (dt(math.pi) / (2 * _agm_chain(m, dt)[0][-1]))
+        edge = period / np.finfo(dt).eps
+        sn, cn, dn = jacobi(np.array([-0.99 * edge, 0.0], dtype=dt), m)
+        assert sn.dtype == dt and np.all(np.abs(sn) <= 1) and np.all(dn > 0)
+        for x in (1.01 * edge, -1.01 * edge):
+            with pytest.raises(DomainError, match="spans the period"):
+                jacobi(np.array([0.0, x], dtype=dt), m)
+
+    def test_huge_scalar_argument_rejected_but_not_at_m1(self):
+        with pytest.raises(DomainError, match="spans the period"):
+            jacobi(1e300, 0.5)
+        # sn = tanh has no period at m = 1 (cosh overflows to give dn = 0)
+        with np.errstate(over="ignore"):
+            assert jacobi(1e300, 1.0) == (1.0, 0.0, 0.0)
+
     def test_bad_modulus_rejected(self):
         with pytest.raises(DomainError):
             jacobi(0.3, -0.2)

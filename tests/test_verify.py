@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lamesusy import bandsolver, verify
+from lamesusy import bandsolver, elliptic, susy, verify
 from lamesusy.elliptic import complete_k
 from lamesusy.errors import DomainError
 from lamesusy.grid import GridFunction
@@ -375,6 +375,62 @@ class TestEdgeStateSuite:
         assert all(r.context.get("degenerate_regime") for r in reports)
         assert all(r.passed for r in reports), [r.claim_id for r in reports if not r.passed]
 
+    @pytest.mark.parametrize("m", [*verify.DEFAULT_M_LIST, 1e-7])
+    def test_measured_equals_the_public_route(self, m):
+        # every residual and intertwining value, exactly as the public
+        # evaluators give it (the route tests/test_acceptance.py takes)
+        j, L = 2, 2.0 * complete_k(m)
+        energies = susy.band_edge_energies(j, m)
+        xs = np.arange(1024) * (L / 1024)
+        w = susy.superpotential(j, m, xs)
+        measured = {tuple(r.claim_id.split("/")[-2:]): r.measured
+                    for r in verify.run_edge_state_suite(m)}
+        for n in range(5):
+            assert measured[(f"n={n}", "residual_minus")] == verify.schrodinger_residual(
+                lambda x: susy.v_minus(j, m, x),
+                lambda x: susy.psi_minus(j, n, m, x), energies[n], L, 1024)
+            assert measured[(f"n={n}", "residual_plus")] == verify.schrodinger_residual(
+                lambda x: susy.v_plus_closed(j, m, x),
+                lambda x: susy.psi_plus(j, n, m, x), energies[n], L, 1024)
+            psi_minus, psi_plus = susy.psi_minus(j, n, m, xs), susy.psi_plus(j, n, m, xs)
+            if n == 0:
+                expected = float(np.max(np.abs(psi_plus * psi_minus - 1.0)))
+            else:
+                expected = verify._ratio_spread(
+                    susy.psi_minus_prime(j, n, m, xs) + w * psi_minus, psi_plus)
+            assert measured[(f"n={n}", "intertwine")] == expected
+
+    def test_sn_cn_dn_once_per_grid(self, monkeypatch):
+        # spy on jacobi wherever susy or verify can reach it; the Floquet
+        # solver samples V- on grids of its own (one equal to the suite's
+        # float64 grid), so its calls are left out of the count
+        sweeps, in_solver = [], []
+        original, original_band_edges = elliptic.jacobi, bandsolver.band_edges
+
+        def spy(x, m):
+            if not in_solver:
+                sweeps.append(np.array(x))
+            return original(x, m)
+
+        def band_edges(*args, **kwargs):
+            in_solver.append(True)
+            try:
+                return original_band_edges(*args, **kwargs)
+            finally:
+                in_solver.pop()
+
+        monkeypatch.setattr(bandsolver, "band_edges", band_edges)
+        for module in (elliptic, susy, verify):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, spy)
+        verify.run_edge_state_suite(0.5)
+        xs = np.arange(1024) * (2.0 * complete_k(0.5) / 1024)
+        longdouble = [x.size for x in sweeps if x.dtype == np.longdouble]
+        assert longdouble == [1024] * 3
+        assert sum(x.dtype == np.float64 and np.array_equal(x, xs) for x in sweeps) == 1
+        assert len(sweeps) == 4
+
     def test_rejects_bad_modulus(self):
         with pytest.raises(DomainError):
             verify.run_edge_state_suite(0.0)
@@ -472,4 +528,10 @@ class TestResidualHelper:
         for h in (0.0, -1e-4, np.inf, np.nan):
             with pytest.raises(DomainError, match="h must be positive and finite"):
                 verify.schrodinger_residual(np.cos, psi, 0.0, 2 * np.pi, h=h)
+        for period in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(DomainError, match="period must be positive and finite"):
+                verify.schrodinger_residual(np.cos, psi, 0.0, period)
+        for energy in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError, match="energy must be finite"):
+                verify.schrodinger_residual(np.cos, psi, energy, 2 * np.pi)
         assert calls == []
