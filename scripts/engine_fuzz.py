@@ -22,11 +22,14 @@ Run:  python scripts/engine_fuzz.py [--cases N] [--seed S]
 with N cases per family (default 104) from the seed S (default 0).  It
 prints each wrong answer and raise as it meets it, then one row per
 family: cases, unsettled, raises, wrong answers and the worst
-disagreement with a settled Galerkin.
+disagreement with a settled Galerkin.  It exits 1 when any case is wrong
+or raises, else 0, so a job can gate on it.  At seed 0 no family has a
+wrong answer or a raise.
 """
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
@@ -119,4 +122,6 @@ if __name__ == "__main__":
     parser.add_argument("--cases", type=int, default=104, help="cases per family")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    main(args.cases, args.seed)
+    report = main(args.cases, args.seed)
+    sys.exit(any(r["error"] or (r["distance"] or 0.0) > WRONG
+                 for rows in report.values() for r in rows))

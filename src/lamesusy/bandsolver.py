@@ -4,16 +4,15 @@ Two independent spectral methods are provided on purpose, so that one
 can arbitrate the other's bugs:
 
   * a Floquet route: the trace Delta(E) of the monodromy matrix of
-    -y'' + V y = E y over one period, and its slope Delta'(E), sampled on
-    256 cells of an energy window.  Delta' vanishes once in every gap
-    and nowhere in a band, so Delta is monotone between critical points,
-    and the sign changes of Delta - 2 (periodic edge) and Delta + 2
-    (antiperiodic) over the samples and the gaps' critical points
-    bracket every edge, each root solved to float resolution by
+    -y'' + V y = E y over one period, sampled on 256 cells of an energy
+    window with the number of band edges below each sample, read off the
+    Dirichlet solution's oscillation count.  A cell whose count rises by
+    more than the sign changes of Delta - 2 (periodic edge) and Delta + 2
+    (antiperiodic) hides a gap: it is split at the gap's critical point,
+    a root of Delta', or else scanned again on cells of its own.  Every
+    sign change then brackets one edge, solved to float resolution by
     bracketed false position; a critical point where Delta only touches
-    +-2 is a closed gap.  The one blind spot is a whole band and the
-    critical points on both its sides in one cell: never met on raw Lamé
-    (j <= 10), but met by some clusters of unequal wells;
+    +-2 is a closed gap;
   * a plane-wave Galerkin route: the periodic and antiperiodic
     eigenproblems of V, real as every potential here is, assembled as
     real symmetric matrices in the sqrt2 cos / sqrt2 sin basis from
@@ -28,11 +27,12 @@ coincident edges flagged degenerate, so lists keep uniform length.
 The monodromy matrix is a product of sixth-order Magnus steps
 (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009): V is sampled
 once per step count at the three Gauss nodes of every step, each
-step's 2x2 exponential, and where asked its E-derivative, is formed in
-closed form for a whole batch of energies at once, and the steps are
-multiplied together by pairwise tree reduction, the derivatives by the
-product rule.  The step count is settled once per potential, tolerance
-and energy range, from the difference between the n-step and 2n-step
+step's 2x2 exponential, and where asked its E-derivative or the angle of
+its second column, is formed in closed form for a whole batch of
+energies at once, and the steps are multiplied together by pairwise tree
+reduction, the derivatives by the product rule, the angles by their
+lift.  The step count is settled once per potential, tolerance and
+energy range, from the difference between the n-step and 2n-step
 products at fixed probe energies.
 """
 
@@ -56,8 +56,7 @@ from .grid import GridFunction, spectrum
 
 TOL = 1e-11         # bound on each monodromy entry, relative to the largest partial product
 SCAN_TOL = 1e-7     # the same bound for the sign-only discriminant scan
-DEFAULT_SCAN = 256   # scan cells; the trace and its slope at each cell's ends
-MAX_SCAN = 8192      # finest scan the doubling fallback tries
+DEFAULT_SCAN = 256   # scan cells; the trace and edge count at each cell's ends
 MIN_STEPS = 64
 MAX_STEPS = 2 ** 14  # largest step count the engine accepts
 CHUNK = 2 ** 15      # steps x energies held in memory at once
@@ -170,9 +169,12 @@ def _step_coefficients(V: PeriodicPotential, n: int) -> tuple:
     return V._magnus[key]
 
 
-def _step_propagators(coef: tuple, E: np.ndarray, slope: bool = False) -> np.ndarray:
+def _step_propagators(coef: tuple, E: np.ndarray, slope: bool = False,
+                      angle: bool = False) -> np.ndarray:
     """exp(Omega) of every step at every energy, shape (4, steps, energies);
-    with ``slope`` its E-derivative follows in rows 4-7.
+    with ``slope`` its E-derivative follows in rows 4-7, with ``angle`` the
+    angle of its second column in row 4, lifted from pi/2 while a step
+    turns it by less than 3 pi/2: one of phase s >= pi raises NumericalError.
 
     Omega is traceless, so Omega^2 = z I with z = a^2 + b c, and
     exp(Omega) = C I + S Omega with C = cosh(s), S = sinh(s)/s, s = sqrt(z)
@@ -196,6 +198,10 @@ def _step_propagators(coef: tuple, E: np.ndarray, slope: bool = False) -> np.nda
         np.sinh(s, out=S, where=grows)
     S = np.divide(S, s, out=np.ones_like(s), where=s > 0)
     P = [C + S * a, S * b0, S * c, C - S * a]
+    if angle:
+        if np.any((s >= np.pi) & ~grows):
+            raise NumericalError("a Magnus step turns the solution by pi or more")
+        P.append(np.arctan2(P[3], P[1]))
     if not slope:
         return np.stack(P)
     da, dc = -h * a1, -h * c1
@@ -213,6 +219,18 @@ def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
                      A[2] * B[0] + A[3] * B[2], A[2] * B[1] + A[3] * B[3]])
 
 
+def _lift(A: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """How much further than e2 the products A turn a vector of lifted
+    angle w, so that A after B turns e2 to A[4] + _lift(A, B[4]): with
+    w = pi/2 + k pi + psi, psi in [0, pi), k pi plus the angle from A e2 to
+    A (-sin psi, cos psi), in [0, pi) as det A = 1 (the universal cover of
+    SL(2, R))."""
+    psi = np.mod(w - 0.5 * np.pi, np.pi)
+    s, c = np.sin(psi), np.cos(psi)
+    return (w - 0.5 * np.pi - psi) + np.arctan2(
+        s, c * (A[1] * A[1] + A[3] * A[3]) - s * (A[0] * A[1] + A[2] * A[3]))
+
+
 def _tree_product(P: np.ndarray) -> tuple:
     """Ordered products P[:, -1] @ ... @ P[:, 0] along axis 1, by pairs;
     the length of axis 1, a step count, must be a power of two.
@@ -220,7 +238,8 @@ def _tree_product(P: np.ndarray) -> tuple:
     Returns the products, shape (rows, columns), and per column the
     largest entry of any partial product formed (at least 1, the initial
     data).  Rows 4-7, when present, are E-derivatives of rows 0-3 and
-    follow the product rule (AB)' = A'B + AB'; they enter no scale.
+    follow the product rule (AB)' = A'B + AB'; a row 4 alone is the lifted
+    angle of the second column (_lift).  Neither enters the scale.
     """
     scale = np.ones(P.shape[2])
     while P.shape[1] > 1:
@@ -228,23 +247,26 @@ def _tree_product(P: np.ndarray) -> tuple:
         P = _mul(A[:4], B[:4])
         if A.shape[0] == 8:
             P = np.concatenate([P, _mul(A[4:], B[:4]) + _mul(A[:4], B[4:])])
+        elif A.shape[0] == 5:
+            P = np.concatenate([P, (A[4] + _lift(A, B[4]))[None]])
         np.maximum(scale, np.abs(P[:4]).max(axis=(0, 1)), out=scale)
     return P[:, 0], scale
 
 
-def _product(V: PeriodicPotential, n: int, E: np.ndarray, slope: bool = False) -> tuple:
+def _product(V: PeriodicPotential, n: int, E: np.ndarray, slope: bool = False,
+             angle: bool = False) -> tuple:
     """Monodromy entries (m11, m12, m21, m22) over n steps, with ``slope``
-    followed by their E-derivatives, and their scale.  Energies go in
-    chunks that no result depends on, of at most CHUNK steps x energies,
-    half as many energies with ``slope``, so that the live arrays keep
-    one size."""
+    followed by their E-derivatives, with ``angle`` by the lifted angle of
+    (m12, m22), and their scale.  Energies go in chunks that no result
+    depends on, of at most CHUNK steps x energies, half as many energies
+    with ``slope``, so that the live arrays keep one size."""
     coef = _step_coefficients(V, n)
-    M = np.empty((8 if slope else 4, E.size))
+    M = np.empty((4 + 4 * slope + angle, E.size))
     scale = np.empty(E.size)
     per = max(1, CHUNK // (n * (2 if slope else 1)))
     for lo in range(0, E.size, per):
         part = slice(lo, lo + per)
-        M[:, part], scale[part] = _tree_product(_step_propagators(coef, E[part], slope))
+        M[:, part], scale[part] = _tree_product(_step_propagators(coef, E[part], slope, angle))
     return M, scale
 
 
@@ -265,6 +287,14 @@ def _energy_range(V: PeriodicPotential, E: np.ndarray) -> np.ndarray:
     """
     waves = np.sqrt(np.maximum(E - _span(V)[1], 0.0)) * V.period / (math.pi * _RANGE_WAVES)
     return np.ceil(np.log2(np.maximum(waves, 1.0))).astype(int)
+
+
+def _turn_steps(V: PeriodicPotential, r: int) -> int:
+    """Fewest power-of-two steps, two or more per free half-wave over min V
+    at the top of range r, so that no step's angle wraps (_step_propagators)."""
+    vmin, vmax = _span(V)
+    half_waves = math.hypot(2.0 ** r * _RANGE_WAVES, V.period * math.sqrt(vmax - vmin) / math.pi)
+    return 1 << (math.ceil(2.0 * half_waves) - 1).bit_length()
 
 
 def _probe_product(V: PeriodicPotential, r: int, n: int) -> tuple:
@@ -305,20 +335,22 @@ def _step_count(V: PeriodicPotential, tol: float, r: int) -> int:
 
 
 def _monodromy(V: PeriodicPotential, energies, tol: float = TOL,
-               refined: bool = False, slope: bool = False) -> tuple:
+               refined: bool = False, slope: bool = False, angle: bool = False) -> tuple:
     """Monodromy entries and scales for a batch of E, with ``slope`` and
-    their E-derivatives in rows 4-7; ``refined`` doubles the settled step
-    count, for error estimates."""
+    their E-derivatives in rows 4-7, with ``angle`` and the lifted angle
+    of (m12, m22) in row 4, over _turn_steps steps or more; ``refined``
+    doubles the settled step count, for error estimates."""
     E = np.atleast_1d(np.asarray(energies, dtype=float))
     if not np.all(np.isfinite(E)):
         raise DomainError("energies must be finite")
-    M = np.empty((8 if slope else 4, E.size))
+    M = np.empty((4 + 4 * slope + angle, E.size))
     scale = np.empty(E.size)
     ranges = _energy_range(V, E)
     for r in np.unique(ranges):
         sel = ranges == r
         n = _step_count(V, tol, int(r)) * (2 if refined else 1)
-        M[:, sel], scale[sel] = _product(V, n, E[sel], slope)
+        n = max(n, _turn_steps(V, int(r))) if angle else n
+        M[:, sel], scale[sel] = _product(V, n, E[sel], slope, angle)
     return M, scale
 
 
@@ -434,63 +466,55 @@ def _slope(V, energies) -> np.ndarray:
     return M[4] + M[7]
 
 
-def _critical_points(V, Es, scan_slope, cells, targets, stats):
-    """Roots of dDelta/dE in the scan cells [Es[k], Es[k+1]], to float
-    resolution, with the target of each.
+def _edges_below(w: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Number of band edges below each energy, from the lifted angle w of
+    the monodromy's second column and the edge residuals.  That column is
+    (s, s') at L of the Dirichlet solution, s(0) = 0, s'(0) = 1, turning
+    clockwise from pi/2 through every zero of s: N = ceil((pi/2 - w) / pi)
+    - 1 zeros in (0, L).  Dirichlet eigenvalue k lies in the closure of gap
+    k (Magnus & Winkler, Hill's Equation, 1966), so 2N + 1 edges lie below
+    a band energy and 2k below one in gap k, where k in {N, N + 1} is odd
+    exactly where Delta < -2 (Johnson & Moser, CMP 84:403, 1982)."""
+    n = np.ceil((0.5 * np.pi - w) / np.pi).astype(int) - 1
+    odd = res[1] < 0.0
+    return np.where(~odd & (res[0] < 0.0), 2 * n + 1, 2 * (n + (n + odd) % 2))
 
-    The ends are evaluated again at full accuracy first: the scan's slope
-    carries SCAN_TOL's error, so an end whose sign differs there lies
-    within that error of the critical point, which is then in the next
-    cell beyond that end.  A cell that still shows no sign change (the
-    next cell lies past the grid, or holds a second critical point) is
-    dropped: its gap is then missing from the edges, which breaks the
-    boundary pattern or the count, and band_edges scans again.
-    """
+
+def _critical_points(V, lo, hi, stats):
+    """Roots of dDelta/dE in the cells [lo, hi] whose ends' full-accuracy
+    slopes bracket one, to float resolution: the roots, their targets
+    (+2 at a maximum, -2 at a minimum) and the mask of cells split."""
     def slope(x, i):
         stats["root_steps"] += 1
         return _slope(V, x)
 
-    lo = np.array(cells)
-    f_lo, f_hi = np.split(_slope(V, Es[np.concatenate([lo, lo + 1])]), 2)
-    moved = f_lo * f_hi > 0
-    if moved.any():
-        lo[moved] += np.where(np.sign(f_lo[moved]) == np.sign(scan_slope[lo[moved]]), 1, -1)
-        np.clip(lo, 0, Es.size - 2, out=lo)
-        f_lo, f_hi = np.split(_slope(V, Es[np.concatenate([lo, lo + 1])]), 2)
-        keep = f_lo * f_hi <= 0
-        lo, targets, f_lo, f_hi = lo[keep], targets[keep], f_lo[keep], f_hi[keep]
-    stats["critical"] += lo.size
-    return _root_batch(slope, Es[lo], Es[lo + 1], f_lo, f_hi), targets
+    f_lo, f_hi = np.split(_slope(V, np.concatenate([lo, hi])), 2)
+    split = f_lo * f_hi <= 0
+    stats["critical"] += int(split.sum())
+    return (_root_batch(slope, lo[split], hi[split], f_lo[split], f_hi[split]),
+            np.where(f_lo[split] > f_hi[split], 2.0, -2.0), split)
 
 
 def _scan_edges(V, e_min, e_max, n_cells, count, stats):
-    """One scan pass: the critical points the slope brackets, then every
-    crossing of +-2 in one _root_batch.
+    """Every edge in [e_min, e_max] among the first ``count``, from the
+    edge residuals Delta -+ 2 and the edge count (_edges_below) at the
+    ends of n_cells equal cells.
 
-    The trace Delta and its slope Delta' are sampled at the ends of
-    n_cells equal cells.  Delta' != 0 wherever |Delta| < 2, and every gap,
-    open or closed, holds exactly one critical point (Magnus & Winkler,
-    Hill's Equation, 1966): a maximum at +2 or a minimum at -2.  So Delta
-    is monotone between critical points, and every sign change of Delta'
-    is a gap, whose critical point is solved as a root of Delta' (unless a
-    sample lies in the gap or it lies above the first ``count`` edges)
-    and judged by _overshoot: open where the trace measurably passes +-2,
-    else a touch, a closed gap.  Then the residuals Delta -+ 2 at the
-    samples and those points, in energy order, change sign between
-    neighbours once per edge.  At a critical point the own target's
-    residual is the overshoot's when open and -target, on the bands'
-    side, at a touch; the other target's is the plain trace - target.
-
-    Blind spot: a cell holding a whole band and the critical points of
-    both its neighbouring gaps shows no sign change of Delta' and loses
-    four edges, p p a a, which keeps the boundary pattern.  With 256
-    cells on the window of 2j + 1 edges, such points of raw Lamé below
-    edge 2j (j = 1..10, m from 1e-6 to 1 - 1e-6, scripts/lame_sweep.py)
-    lie 5.4 cells apart at the least; SUSY partners share the trace.
-    Clusters of narrow bands from unequal wells can be narrower than a
-    cell of MAX_SCAN: -800 cos 6 pi x + cos 2 pi x at period 1, and
-    4 of the 312 potentials of scripts/engine_fuzz.py, come back
-    wrong without an error.
+    A cell whose count rises by more than its residuals change sign hides
+    a gap.  Every gap holds one critical point (Magnus & Winkler, 1966), a
+    maximum at +2 or a minimum at -2, and Delta is monotone between them.
+    Where the full-accuracy Delta' at a hiding cell's ends brackets one,
+    it is solved as a root of Delta' and judged by _overshoot: open where
+    the trace measurably passes +-2, else a touch, a closed gap.  There
+    the own target's residual is the overshoot's when open and -target,
+    on the bands' side, at a touch; the other's is the plain trace -
+    target.  A cell whose two pieces still bracket fewer edges than its
+    count is scanned again on DEFAULT_SCAN cells of its own; one narrower
+    than float resolution raises NumericalError.  A sample within the
+    product's error of a touch, where no count is sure, is left out, and
+    the cells on its two sides are judged as one.  Every sign change of a
+    residual between neighbours then brackets one edge, and all are
+    solved in one _root_batch.
 
     Resolution limit: a gap so narrow that its overshoot stays within the
     product's noise comes back as a touch at its Delta' root, each edge
@@ -506,48 +530,55 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     pair.  Counts go into ``stats``.
     """
     Es = np.linspace(e_min, e_max, n_cells + 1)
-    M, scale = _monodromy(V, Es, SCAN_TOL, slope=True)
-    tr, slope = M[0] + M[3], M[4] + M[7]
-    res = tr - _TARGETS[:, None]  # the edge residuals, one row per target
+    M, scale = _monodromy(V, Es, SCAN_TOL, angle=True)
+    res = M[0] + M[3] - _TARGETS[:, None]  # the edge residuals, one row per target
     # the scan decides signs only; a sample within its error of +-2 takes
-    # the nearer target's full-accuracy residual, which _root_batch reads
+    # the nearer target's full-accuracy residual and angle
     unsure = np.nonzero(np.abs(res).min(axis=0) <= 4.0 * SCAN_TOL * scale)[0]
-    row = (tr[unsure] < 0.0).astype(int)
-    res[row, unsure] = _edge_residual(_monodromy(V, Es[unsure])[0], _TARGETS[row])[0]
+    row = (M[0, unsure] + M[3, unsure] < 0.0).astype(int)
+    full, full_scale = _monodromy(V, Es[unsure], angle=True)
+    res[row, unsure], gain = _edge_residual(full, _TARGETS[row])
+    M[4, unsure] = full[4]
+    touching = unsure[np.abs(res[row, unsure]) <= TOL * full_scale * gain]
+    Es, res, below = (np.delete(a, touching, axis=-1) for a in (Es, res, _edges_below(M[4], res)))
     above = res >= 0.0
-    lo = np.nonzero(above[:, :-1] != above[:, 1:])[1]
-
-    # a gap sampled beyond +-2 has its crossings bracketed by samples
-    # already, or one the window cuts off, which brackets no edge; so only
-    # cells whose ends both lie on the bands' side are solved
-    rising = slope > 0.0
-    cells = np.nonzero(rising[:-1] != rising[1:])[0]
-    row = (~rising[cells]).astype(int)
-    band_side = (above[row, cells] == row) & (above[row, cells + 1] == row)
-    cells, targets = cells[band_side], _TARGETS[row[band_side]]
-    # and only those among the first ``count`` edges: every gap below a
-    # cell holds two edges, every sign change of the samples below it one
-    below = np.searchsorted(np.sort(lo), cells) + 2 * np.arange(cells.size)
-    cells, targets = cells[below < count], targets[below < count]
-    xe, targets = _critical_points(V, Es, slope, cells, targets, stats)
+    jump = below[1:] - below[:-1]
+    cells = np.nonzero((jump > (above[:, :-1] != above[:, 1:]).sum(axis=0))
+                       & (below[:-1] < count))[0]
+    xe, targets, split = _critical_points(V, Es[cells], Es[cells + 1], stats)
     overshoot, noise, trace = _overshoot(V, xe, targets)
     # the trace measurably passes +-2 at an open gap's critical point.
     # Otherwise it touches +-2 there, a closed gap (M = +-I), or one
     # narrower than the product resolves: the overshoot is 0 up to noise.
     is_open = overshoot > noise
-    touches = [(e, _BOUNDARY[t]) for e, t in zip(xe[~is_open].tolist(), targets[~is_open])]
     at_x = trace - _TARGETS[:, None]
     at_x[(targets < 0).astype(int), np.arange(xe.size)] = np.where(
         is_open, np.sign(targets) * overshoot, -targets)
+    # a split cell is done when its two pieces bracket all its count's rise
+    lo, at = cells[split], at_x >= 0.0
+    pieces = (above[:, lo] != at).sum(axis=0) + (at != above[:, lo + 1]).sum(axis=0)
+    done = pieces + 2 * ~is_open >= jump[lo]
+    xe, targets, is_open, at_x = xe[done], targets[done], is_open[done], at_x[:, done]
+    touches = [(e, _BOUNDARY[t]) for e, t in zip(xe[~is_open].tolist(), targets[~is_open])]
+    rescan = np.setdiff1d(cells, lo[done])
     order = np.argsort(np.concatenate([Es, xe]), kind="stable")
-    Es, res = np.concatenate([Es, xe])[order], np.concatenate([res, at_x], axis=1)[:, order]
-
-    # every sign change of a row between neighbours brackets one edge
-    above = res >= 0.0
-    row, lo = np.nonzero(above[:, :-1] != above[:, 1:])
+    E_all, res_all = np.concatenate([Es, xe])[order], np.concatenate([res, at_x], axis=1)[:, order]
+    # every sign change of a row between neighbours brackets one edge,
+    # except in the cells scanned again
+    above = res_all >= 0.0
+    row, i = np.nonzero((above[:, :-1] != above[:, 1:]) & ~np.isin(E_all[:-1], Es[rescan]))
     tgt = _TARGETS[row]
-    roots = _root_batch(_crossing(V, tgt), Es[lo], Es[lo + 1], res[row, lo], res[row, lo + 1])
-    return sorted((float(r), _BOUNDARY[g]) for r, g in zip(roots, tgt)), touches
+    found = _root_batch(_crossing(V, tgt), E_all[i], E_all[i + 1], res_all[row, i],
+                        res_all[row, i + 1])
+    roots = [(float(r), _BOUNDARY[g]) for r, g in zip(found, tgt)]
+    for k in rescan:
+        if Es[k + 1] - Es[k] <= 4.0 * np.finfo(float).eps * max(1.0, abs(Es[k]), abs(Es[k + 1])):
+            raise NumericalError(f"{jump[k]} band edges hidden in [{Es[k]!r}, {Es[k + 1]!r}], "
+                                 "a cell narrower than float resolution")
+        stats["rescans"] += 1
+        more, closed = _scan_edges(V, Es[k], Es[k + 1], DEFAULT_SCAN, count, stats)
+        roots, touches = roots + more, touches + closed
+    return sorted(roots), touches
 
 
 def _pattern_order(edges, close):
@@ -589,33 +620,14 @@ def _first_window(V: PeriodicPotential, count: int) -> float:
     return _span(V)[1] + 2.0 + (math.pi * (count + 1) / (2.0 * V.period)) ** 2
 
 
-def _scan_cells(V: PeriodicPotential, e_min: float, e_max: float) -> int:
-    """Cells of the first scan of [e_min, e_max]: DEFAULT_SCAN, times
-    the power of two that keeps each cell within 1/DEFAULT_SCAN of the
-    window of 21 edges, where the blind spot's margin was measured
-    (2j + 1 <= 21 on the raw Lamé sweep).  The lowest critical points keep
-    their spacing as the window grows, so a fixed cell count would lose
-    them: at 256 cells, the free particle from 71 edges on."""
-    wider = (e_max - e_min) / (_first_window(V, 21) - e_min)
-    return DEFAULT_SCAN * 2 ** max(0, math.ceil(math.log2(wider)))
-
-
 def band_edges(V: PeriodicPotential, count: int) -> list:
     """First ``count`` band edges of -y'' + V y = E y, sorted by energy.
 
-    Samples the Floquet discriminant Delta and its slope Delta' on
-    DEFAULT_SCAN cells of the window from inf V - 1 to _first_window,
-    solves the gaps' critical points as roots of Delta', and every
-    crossing of +-2 that the samples and those points bracket, down to a
-    few ulps (_scan_edges, _root_batch).  The window always holds
-    ``count`` edges: by min-max comparison with the free particle, edge
-    n lies at most (pi ceil(n/2) / L)^2 above max V.  A window wider
-    than the one of 21 edges gets proportionally more cells
-    (_scan_cells).  The scan's one blind spot, a whole band plus both
-    neighbouring critical points in one cell, is met by clusters of
-    unequal wells, whose edges then come back wrong without an error.
-    A result short of ``count`` edges or out of the boundary pattern
-    doubles the cells, up to MAX_SCAN, and then raises
+    Scans DEFAULT_SCAN cells of the window from inf V - 1 to _first_window,
+    which holds ``count`` edges: by min-max comparison with the free
+    particle, edge n lies at most (pi ceil(n/2) / L)^2 above max V.  Every
+    edge is solved down to a few ulps (_scan_edges, _root_batch).  A result
+    short of ``count`` edges or out of the boundary pattern raises
     IncompleteSpectrumError.  Each call sends one DEBUG record to this
     module's logger when ``logging`` is loaded.
     """
@@ -623,29 +635,22 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
     V.validate()
     e_min = _span(V)[0] - 1.0
     e_max = _first_window(V, count)
-    stats = dict(doublings=0, critical=0, root_steps=0, brackets=0)
-    n_cells = _scan_cells(V, e_min, e_max)
+    stats = dict(critical=0, root_steps=0, brackets=0, rescans=0)
     try:
-        while True:
-            roots, touches = _scan_edges(V, e_min, e_max, n_cells, count, stats)
-            stats["brackets"] += len(roots)  # one root per crossing bracket
-            found = [BandEdge(n=i, energy=e, boundary=b, degenerate=d)
-                     for i, (e, b, d) in enumerate(_assemble(roots, touches))]
-            if (len(found) >= count
-                    and all(e.boundary == expected_boundary(e.n) for e in found[:count])):
-                return found[:count]
-            if n_cells >= MAX_SCAN:
-                raise IncompleteSpectrumError(
-                    f"found {len(found)} band edges below E={e_max!r}, needed {count}: "
-                    + ", ".join(f"{e.energy:.6g}({e.boundary[0]})" for e in found),
-                    found=found,
-                )
-            n_cells *= 2  # halve the scan step and try again
-            stats["doublings"] += 1
+        roots, touches = _scan_edges(V, e_min, e_max, DEFAULT_SCAN, count, stats)
+        stats["brackets"] = len(roots)  # one root per crossing bracket
+        found = [BandEdge(n=i, energy=e, boundary=b, degenerate=d)
+                 for i, (e, b, d) in enumerate(_assemble(roots, touches))]
+        if (len(found) >= count
+                and all(e.boundary == expected_boundary(e.n) for e in found[:count])):
+            return found[:count]
+        raise IncompleteSpectrumError(
+            f"found {len(found)} band edges below E={e_max!r}, needed {count}: "
+            + ", ".join(f"{e.energy:.6g}({e.boundary[0]})" for e in found), found=found)
     finally:
-        _debug(__name__, "band_edges: %d scan cells, %d doublings, %d slope roots in %d "
-               "root steps, %d crossing brackets", n_cells, stats["doublings"],
-               stats["critical"], stats["root_steps"], stats["brackets"])
+        _debug(__name__, "band_edges: %d slope roots in %d root steps, %d crossing brackets, "
+               "%d rescans", stats["critical"], stats["root_steps"], stats["brackets"],
+               stats["rescans"])
 
 
 # ---------------------------------------------------------------------------
@@ -697,9 +702,8 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = BASIS_N) -> 
     count = _positive_int(count, "count")
     basis_n = _positive_int(basis_n, "basis_n")
     if basis_n < 2 * count + 8:
-        raise DomainError(
-            f"basis_n={basis_n!r} too small for count={count!r}; need >= {2 * count + 8}"
-        )
+        raise DomainError(f"basis_n={basis_n!r} too small for count={count!r}; "
+                          f"need >= {2 * count + 8}")
     V.validate()
     a, b = _potential_modes(V, basis_n)
     try:
@@ -708,13 +712,11 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = BASIS_N) -> 
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Galerkin eigenproblem failed: {exc}") from exc
 
-    labelled = [(float(e), "periodic") for e in ev_per]
-    labelled += [(float(e), "antiperiodic") for e in ev_anti]
-    labelled.sort()
+    labelled = sorted([(float(e), "periodic") for e in ev_per]
+                      + [(float(e), "antiperiodic") for e in ev_anti])
     if len(labelled) < count:
         raise IncompleteSpectrumError(
-            f"Galerkin basis produced {len(labelled)} eigenvalues, needed {count}"
-        )
+            f"Galerkin basis produced {len(labelled)} eigenvalues, needed {count}")
     # eigvalsh resolves eigenvalues to a small multiple of eps ||H||
     resolved = 16.0 * np.finfo(float).eps * max(np.abs(ev_per).max(), np.abs(ev_anti).max())
     chosen = labelled[: count + 1]
@@ -774,10 +776,6 @@ def numeric_partner(V: PeriodicPotential, grid_n: int = 512) -> PeriodicPotentia
            BASIS_N, w[0], psi.min())
     _reject_nodal(psi)
 
-    u = GridFunction(period=L, samples=np.log(psi))
-    u2 = u.derivative(2).samples
-    xs = np.arange(grid_n) * (L / grid_n)
-    partner_samples = V._eval_vec(xs) - 2.0 * u2
-
-    interp = GridFunction(period=L, samples=partner_samples)
-    return PeriodicPotential(period=L, evaluator=interp)
+    u2 = GridFunction(period=L, samples=np.log(psi)).derivative(2).samples
+    partner = V._eval_vec(np.arange(grid_n) * (L / grid_n)) - 2.0 * u2
+    return PeriodicPotential(period=L, evaluator=GridFunction(period=L, samples=partner))

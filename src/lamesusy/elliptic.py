@@ -102,7 +102,8 @@ def jacobi(x, m: float) -> JacobiTriple:
 
     if m == 1.0:
         sn = np.tanh(xa)
-        dn = 1.0 / np.cosh(xa)
+        e = np.exp(-np.abs(xa))  # 1/cosh, which would overflow past |x| ~ 710
+        dn = 2.0 * e / (1.0 + e * e)
         cn = dn
     else:
         a_list, c_list = _agm_chain(m, dt)

@@ -7,6 +7,7 @@ central finite differences for the derivative triple.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,9 +131,13 @@ class TestJacobi:
     def test_huge_scalar_argument_rejected_but_not_at_m1(self):
         with pytest.raises(DomainError, match="spans the period"):
             jacobi(1e300, 0.5)
-        # sn = tanh has no period at m = 1 (cosh overflows to give dn = 0)
-        with np.errstate(over="ignore"):
-            assert jacobi(1e300, 1.0) == (1.0, 0.0, 0.0)
+        # sn = tanh has no period at m = 1, and cn = dn = 1/cosh falls to 0
+        # without an overflow on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (800.0, 1e300):
+                assert jacobi(x, 1.0) == (1.0, 0.0, 0.0)
+                assert jacobi(-x, 1.0) == (-1.0, 0.0, 0.0)
 
     def test_bad_modulus_rejected(self):
         with pytest.raises(DomainError):
