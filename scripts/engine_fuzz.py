@@ -29,12 +29,17 @@ wrong answer or a raise.
 
 import argparse
 import math
+import os
 import sys
 
-import numpy as np
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # one BLAS thread, set before numpy loads
 
-from lamesusy import bandsolver
-from lamesusy.errors import NumericalError
+import numpy as np  # noqa: E402
+
+from lamesusy import bandsolver  # noqa: E402
+from lamesusy.errors import NumericalError  # noqa: E402
 
 COUNT = 21
 SETTLED = 1e-8  # Galerkin at basis 256 and 512 within this: the case is settled

@@ -15,10 +15,15 @@ Run:  python scripts/lame_sweep.py
 for j = 1..10 and m in {1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 1 - 1e-6}.
 """
 
+import os
 import time
 
-from lamesusy import bandsolver, susy
-from lamesusy.errors import NumericalError
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # one BLAS thread, set before numpy loads
+
+from lamesusy import bandsolver, susy  # noqa: E402
+from lamesusy.errors import NumericalError  # noqa: E402
 
 M_LIST = (1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 1 - 1e-6)
 ENGINES = {

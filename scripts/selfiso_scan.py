@@ -27,9 +27,7 @@ def main(argv=None):
         for m in (0.1, 0.5, 0.9):
             grid_plus, grid_minus = (verify._grid_of(p, 1024)
                                      for p in reversed(verify.partner_pair(j, m)))
-            coarse = min(
-                float(verify._scan_distance(grid_plus, grid_minus, shifts, r).min())
-                for r in (False, True))
+            coarse = float(verify._scan_distance(grid_plus, grid_minus, shifts).min())
             res = verify.selfiso_distance(grid_plus, grid_minus)
             shift_note = res.best_shift
             if j == 1:

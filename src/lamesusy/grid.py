@@ -31,17 +31,25 @@ def on_fine_grid(coef: np.ndarray, n: int, fine: int) -> np.ndarray:
     return np.fft.irfft(coef, n=fine) * fine  # irfft zero-pads to the fine grid
 
 
+def _mode_weights(n: int) -> np.ndarray:
+    """Weight of each rfft mode k = 0..n//2 in the n-sample interpolant:
+    2 for an interior mode, 1 for the mode 0 and an even n's Nyquist cosine."""
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0
+    return w
+
+
 def series_sum(coef: np.ndarray, n: int, period: float, pts: np.ndarray) -> np.ndarray:
     """The n-sample interpolant with spectrum ``coef`` at the points ``pts``.
 
     ``coef`` may carry one column per series; the result then has one
-    column per series too.  Interior modes carry weight 2 and the mode 0
-    and an even n's Nyquist cosine weight 1; the sum is taken in real
-    cos/sin form, 4096 points at a time to bound its memory.
+    column per series too.  The modes carry their ``_mode_weights``; the
+    sum is taken in real cos/sin form, 4096 points at a time to bound its
+    memory.
     """
-    w = np.full(coef.shape[0] - 1, 2.0)
-    if n % 2 == 0:
-        w[-1] = 1.0
+    w = _mode_weights(n)[1:]
     if coef.ndim > 1:
         w = w[:, None]
     a, b = w * coef[1:].real, w * coef[1:].imag

@@ -25,7 +25,7 @@ import numpy as np
 from . import bandsolver, susy
 from .elliptic import complete_k, jacobi
 from .errors import DomainError, NumericalError, _positive_int
-from .grid import GridFunction, on_fine_grid, series_sum, spectrum
+from .grid import GridFunction, _mode_weights, on_fine_grid, series_sum, spectrum
 
 TOL_SELF = 1e-6          # sup-norm distance below which partners count as equal
 DISTINCT_MIN = 1e-4      # distance every j >= 2 pair must exceed
@@ -75,47 +75,86 @@ class SelfIsoResult:
 
 _SUP_OVERSAMPLE = 8
 _SCAN_ROWS = 32          # shifts per block of the coarse scan (~1 MB at n = 512)
+_SCAN_STRIDE = 16        # every 16th shift is scanned first, to bound the rest
 _NEWTON_STEPS = 8        # steps a shift refinement's Newton solve may take
 SHIFT_SAMPLES = 512      # translations of the coarse distance scan
 
 
-def _spectra(vp: GridFunction, vm: GridFunction, reflect: bool):
-    """Spectra of vp and of vm, the latter conjugated (x -> -x) when ``reflect``."""
-    c = spectrum(vm.samples)
-    return spectrum(vp.samples), (np.conj(c) if reflect else c)
-
-
-def _scan_distance(vp: GridFunction, vm: GridFunction, count: int,
-                   reflect: bool) -> np.ndarray:
-    """max_i |vp(x_i) - vm(r(x_i - a))| for the shifts a = s*L/count.
+def _scan_distance(vp: GridFunction, vm: GridFunction, count: int) -> np.ndarray:
+    """D(s, r) = max_i |vp(x_i) - vm(r(x_i - a))| for the shifts a = s*L/count,
+    row r = 0 unreflected and r = 1 reflected; +inf at each shift that
+    provably cannot hold the minimum over both rows, and so was skipped.
 
     The fine grid has F points, the least multiple of ``count`` that is
     >= 8n, so shift s rolls the upsampled vm by s*F/count points and one
     grid serves every shift.  A parabolic fit refines each max to ~1e-7,
     plenty for ranking candidate shifts.
+
+    Every 16th shift of both rows is evaluated first.  The rows of
+    shifts s and t are rolls of one computed grid of vm, so they differ
+    pointwise by at most lam*|s - t|*L/count (distance taken around the
+    circle; lam = sum_k w_k (2 pi k/L)|c_k| bounds |vm'| in either
+    orientation) plus twice that grid's rounding.  The parabolic bump
+    is >= 0, so D(s) >= y0(t) - lam*|s - t|*L/count - delta for each
+    of the two coarse neighbours t of s, y0 the grid maximum before
+    the bump and delta at least that rounding (Shubert, SIAM J. Numer.
+    Anal. 9:379, 1972).  Best first, in blocks of _SCAN_ROWS, every
+    shift whose bound is <= min*(1 + 1e-12) + delta, min the running
+    minimum over both rows, is evaluated as a full scan evaluates it.
+    A skipped shift then lies strictly above the minimum, so the
+    minimum, the row that holds it (both rows on a tie) and its first
+    index there are those of the full scan.
     """
-    n = vm.n
+    n, L = vm.n, vm.period
     fine = count * -(-_SUP_OVERSAMPLE * n // count)
-    cp, c = _spectra(vp, vm, reflect)
+    cp, c = spectrum(vp.samples), spectrum(vm.samples)
     a_vals = on_fine_grid(cp, n, fine)
-    b_vals = on_fine_grid(c, n, fine)
-    # row s is the window of [B, B] that starts at F - s*F/count
-    rolled = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([b_vals, b_vals]), fine)[fine:0:-(fine // count)]
-    peaks = np.empty((3, count))  # |D| at the argmax and at its two neighbours
+    # row s of each orientation is the window of [B, B] that starts at F - s*F/count
+    rolled = [np.lib.stride_tricks.sliding_window_view(
+        np.tile(on_fine_grid(b, n, fine), 2), fine)[fine:0:-(fine // count)]
+        for b in (c, np.conj(c))]
+    w = _mode_weights(n)
+    lam = float(np.sum(w * (2.0 * np.pi / L) * np.arange(c.size) * np.abs(c)))
+    delta = 64.0 * np.finfo(float).eps * math.log2(fine) * float(
+        np.sum(w * (np.abs(cp) + np.abs(c))))
+
+    peak, dist = np.full((2, count), np.nan), np.full((2, count), np.inf)
     buf = np.empty((_SCAN_ROWS, fine))
-    for lo in range(0, count, _SCAN_ROWS):
-        rows = slice(lo, min(lo + _SCAN_ROWS, count))
-        diff = np.subtract(a_vals, rolled[rows], out=buf[: rows.stop - lo])
+
+    def evaluate(block):
+        """Fill peak (y0) and dist (y0 + parabolic bump) at the flat indices ``block``."""
+        diff = buf[: block.size]
+        for row, (r, s) in zip(diff, zip(*np.divmod(block, count))):
+            np.subtract(a_vals, rolled[r][s], out=row)
         np.abs(diff, out=diff)
         imax = np.argmax(diff, axis=1)
-        r = np.arange(diff.shape[0])
-        peaks[:, rows] = diff[r, imax], diff[r, imax - 1], diff[r, (imax + 1) % fine]
-    y0, ym, yp = peaks
-    den = 2.0 * y0 - ym - yp
-    bump = np.where(den > 1e-12 * np.maximum(y0, 1e-300),
-                    (yp - ym) ** 2 / (8.0 * np.where(den > 0, den, 1.0)), 0.0)
-    return y0 + bump
+        k = np.arange(block.size)
+        y0, ym, yp = diff[k, imax], diff[k, imax - 1], diff[k, (imax + 1) % fine]
+        den = 2.0 * y0 - ym - yp
+        bump = np.where(den > 1e-12 * np.maximum(y0, 1e-300),
+                        (yp - ym) ** 2 / (8.0 * np.where(den > 0, den, 1.0)), 0.0)
+        peak.flat[block], dist.flat[block] = y0, y0 + bump
+
+    s = np.arange(count)
+    coarse = np.concatenate([s[::_SCAN_STRIDE], s[::_SCAN_STRIDE] + count])  # flat, both rows
+    for lo in range(0, coarse.size, _SCAN_ROWS):
+        evaluate(coarse[lo : lo + _SCAN_ROWS])
+    left = s - s % _SCAN_STRIDE
+    right = np.minimum(left + _SCAN_STRIDE, count)  # count: shift 0, one turn on
+    slope = lam * (L / count)
+    bound = np.maximum(peak[:, left] - slope * (s - left),
+                       peak[:, right % count] - slope * (right - s)) - delta
+    todo = np.flatnonzero(np.isinf(dist))
+    todo = todo[np.argsort(bound.flat[todo], kind="stable")]
+    best = dist.min()
+    for lo in range(0, todo.size, _SCAN_ROWS):
+        block = todo[lo : lo + _SCAN_ROWS]
+        block = block[bound.flat[block] <= best * (1.0 + 1e-12) + delta]
+        if not block.size:
+            break
+        evaluate(block)
+        best = min(best, dist.flat[block].min())
+    return dist
 
 
 def _exact_distance(vp: GridFunction, vm: GridFunction, reflect: bool, floor: float):
@@ -131,7 +170,8 @@ def _exact_distance(vp: GridFunction, vm: GridFunction, reflect: bool, floor: fl
     """
     n, L = vm.n, vm.period
     fine = _SUP_OVERSAMPLE * n
-    cp, c = _spectra(vp, vm, reflect)
+    cp, c = spectrum(vp.samples), spectrum(vm.samples)
+    c = np.conj(c) if reflect else c  # x -> -x
     ik = 2j * np.pi / L * np.arange(c.size)  # d/dx of e^{ikx} brings down ik
     h = L / fine
 
@@ -210,7 +250,9 @@ def _newton(at, x: np.ndarray, a: float, lo: float, hi: float) -> tuple:
 
 
 def _refine_shift(survey, at, a0: float, step: float) -> tuple:
-    """(distance, shift) of the sup-norm optimum in [a0 - step, a0 + step].
+    """((distance, shift), stats) of the sup-norm optimum in [a0 - step,
+    a0 + step]; stats are the arguments of the DEBUG record from the
+    active-peak count on.
 
     A minimax optimum in one parameter has two active peaks, equal with
     opposite slopes in the shift, or one, stationary in it (Watson,
@@ -249,11 +291,7 @@ def _refine_shift(survey, at, a0: float, step: float) -> tuple:
         a = shift
         d, xs = survey(a)
         best = min(best, (d, a))
-    bandsolver._debug(
-        __name__, "selfiso refinement: Newton on %d active peak(s), %d steps, %d exchanges, "
-        "%d bisections, stopped: %s; coarse shift kept: %s", n_active, newton,
-        max(solves - 1, 0), bisections, stop, best[1] == a0)
-    return best
+    return best, (n_active, newton, max(solves - 1, 0), bisections, stop, best[1] == a0)
 
 
 def selfiso_distance(vp: GridFunction, vm: GridFunction) -> SelfIsoResult:
@@ -263,10 +301,14 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction) -> SelfIsoResult:
     A coarse scan over SHIFT_SAMPLES translations of both
     orientations feeds a Newton solve for the active peaks of the
     difference at the optimal translation near the best scanned one
-    (_refine_shift), never worse than that shift, and logged at DEBUG.
-    The reflected orientation is taken only if its coarse minimum is
-    strictly smaller, so on a tie (two even potentials tie to rounding)
-    the unreflected one wins.
+    (_refine_shift), never worse than that shift.  The scan evaluates
+    only the shifts a Lipschitz bound from every 16th one cannot rule
+    out (_scan_distance), and returns the minimum, shift and orientation
+    a full scan returns.  The reflected orientation is taken only if its
+    coarse minimum is strictly smaller, so on a tie (two even potentials
+    tie to rounding) the unreflected one wins.  One DEBUG record gives
+    the shifts evaluated in each orientation and how the refinement
+    went.
     """
     if vp.n != vm.n:
         raise DomainError("grids must share the sample count")
@@ -275,16 +317,17 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction) -> SelfIsoResult:
     L = vm.period
     step = L / SHIFT_SAMPLES
 
-    best = None
-    for reflect in (False, True):
-        d = _scan_distance(vp, vm, SHIFT_SAMPLES, reflect)
-        i = int(np.argmin(d))
-        if best is None or d[i] < best[0]:
-            best = (float(d[i]), i * step, reflect)
-
-    _, a0, reflect = best
+    d = _scan_distance(vp, vm, SHIFT_SAMPLES)
+    i = np.argmin(d, axis=1)
+    reflect = bool(d[1, i[1]] < d[0, i[0]])
+    a0 = int(i[int(reflect)]) * step
     floor = 1e-12 * max(1.0, float(np.abs(vm.samples).max()))  # roundoff of the difference
-    dist, a_best = _refine_shift(*_exact_distance(vp, vm, reflect, floor), a0, step)
+    (dist, a_best), stats = _refine_shift(*_exact_distance(vp, vm, reflect, floor), a0, step)
+    evaluated = np.isfinite(d).sum(axis=1)
+    bandsolver._debug(
+        __name__, "selfiso scan: %d unreflected and %d reflected of %d shifts evaluated; "
+        "refinement: Newton on %d active peak(s), %d steps, %d exchanges, %d bisections, "
+        "stopped: %s; coarse shift kept: %s", evaluated[0], evaluated[1], SHIFT_SAMPLES, *stats)
     return SelfIsoResult(
         best_shift=float(a_best % L),
         reflected=bool(reflect),

@@ -13,7 +13,7 @@ import pytest
 from lamesusy import bandsolver, elliptic, susy, verify
 from lamesusy.elliptic import complete_k
 from lamesusy.errors import DomainError
-from lamesusy.grid import GridFunction
+from lamesusy.grid import GridFunction, on_fine_grid, spectrum
 from lamesusy.susy import Family, PotentialSpec
 
 # Frozen by the 4096-shift brute-force scan (scripts/selfiso_scan.py) and
@@ -135,6 +135,61 @@ def scan_reference(vp, vm, count, reflect):
     return out
 
 
+def brute_scan(vp, vm, count):
+    """Every shift of both orientations, each row the fine grid of vp less
+    vm's fine grid rolled by the shift, refined by ``parabolic_peak``:
+    the full scan, with the arithmetic of the pruned one."""
+    n, fine = vm.n, count * -(-8 * vm.n // count)
+    c = spectrum(vm.samples)
+    top = on_fine_grid(spectrum(vp.samples), n, fine)
+    return np.array([[parabolic_peak(np.abs(top - np.roll(vals, s * (fine // count))))
+                      for s in range(count)]
+                     for vals in (on_fine_grid(b, n, fine) for b in (c, np.conj(c)))])
+
+
+def scan_pick(d):
+    """(distance, shift index, reflected) of a scan under selfiso_distance's
+    tie rules: the first index within an orientation, and the reflected
+    orientation only when strictly smaller."""
+    i = np.argmin(d, axis=1)
+    r = int(d[1, i[1]] < d[0, i[0]])
+    return float(d[r, i[r]]), int(i[r]), bool(r)
+
+
+def assert_scan_exact(vp, vm, count, got, rows=(0, 1)):
+    """The pruned scan ``got`` against the full one: every evaluated shift
+    has the value the full scan gives it, and in ``rows`` the value of
+    ``scan_reference`` to 1e-12; every skipped shift lies above the
+    minimum; and the minimum, its shift and orientation are the full
+    scan's."""
+    full = brute_scan(vp, vm, count)
+    kept = np.isfinite(got)
+    assert got.shape == (2, count) and kept[:, ::16].all()
+    assert np.array_equal(got[kept], full[kept])
+    assert np.all(full[~kept] > got.min())
+    assert scan_pick(got) == scan_pick(full)
+    for r in rows:
+        want = scan_reference(vp, vm, count, bool(r))
+        close = np.abs(got[r] - want) <= 1e-12 * np.maximum(1.0, np.abs(want))
+        assert np.all(close[kept[r]])
+        assert np.all(want[~kept[r]] > got.min())
+
+
+def near_translate(eps, n=256):
+    """(vp, vm): vm a five-mode function, vp its translate by 1.2345 (off
+    every shift grid) plus eps cos(5x)."""
+    f = lambda x: (np.sin(x) + 0.25 * np.cos(2 * x) - 0.1 * np.sin(3 * x)
+                   + 0.15 * np.cos(3 * x) + 0.05 * np.cos(7 * x + 1.0))
+    return (GridFunction.from_function(lambda x: f(x - 1.2345) + eps * np.cos(5 * x),
+                                       2 * math.pi, n),
+            GridFunction.from_function(f, 2 * math.pi, n))
+
+
+def noise_grids(n, seed):
+    rng = np.random.default_rng(seed)
+    return GridFunction(2.7, rng.standard_normal(n)), GridFunction(2.7, rng.standard_normal(n))
+
+
 class TestCoarseScan:
     @pytest.mark.parametrize("reflect", [False, True])
     @pytest.mark.parametrize("count", [256, 512, 4096, 300])
@@ -142,20 +197,37 @@ class TestCoarseScan:
     def test_matches_per_shift_reference(self, n, count, reflect):
         # white-noise samples carry a full-size Nyquist mode, which a shift
         # off the sample grid turns partly into a sine
-        rng = np.random.default_rng(n + count)
-        vp = GridFunction(2.7, rng.standard_normal(n))
-        vm = GridFunction(2.7, rng.standard_normal(n))
-        got = verify._scan_distance(vp, vm, count, reflect)
-        want = scan_reference(vp, vm, count, reflect)
-        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        vp, vm = noise_grids(n, n + count)
+        got = verify._scan_distance(vp, vm, count)
+        assert_scan_exact(vp, vm, count, got, rows=(int(reflect),))
+
+    @pytest.mark.parametrize("count", [64, 512])
+    @pytest.mark.parametrize("case", ["eps=0", "eps=1e-14", "eps=1e-8", "eps=1e-3",
+                                      "odd n", "even pair", "j=10 m=0.99", "noise"])
+    def test_exact_on_adversarial_pairs(self, case, count):
+        if case.startswith("eps="):
+            vp, vm = near_translate(float(case[4:]))
+        elif case == "odd n":
+            vp, vm = (GridFunction(g.period, g.resample(255)) for g in pair_grids(3, 0.9))
+        elif case == "even pair":
+            vp, vm = pair_grids(2, 0.5)
+        elif case == "j=10 m=0.99":
+            vp, vm = pair_grids(10, 0.99, 256)
+        else:
+            vp, vm = noise_grids(255, 7)
+        assert_scan_exact(vp, vm, count, verify._scan_distance(vp, vm, count))
 
     def test_orientations_tie_for_even_partners(self):
         # V+ and V- are even, so reflection is a symmetry of the whole
-        # scan; the unreflected orientation wins the tie
+        # scan; both minima are evaluated and the unreflected one wins
         vp, vm = pair_grids(2, 0.5)
-        plain = verify._scan_distance(vp, vm, 512, False).min()
-        mirrored = verify._scan_distance(vp, vm, 512, True).min()
-        assert abs(plain - mirrored) <= 1e-12
+        d = verify._scan_distance(vp, vm, 512)
+        assert abs(d[0].min() - d[1].min()) <= 1e-12
+        assert not scan_pick(d)[2]
+
+    def test_prunes_most_shifts_of_a_partner_pair(self):
+        kept = np.isfinite(verify._scan_distance(*pair_grids(3, 0.5), 512))
+        assert kept.sum() <= 0.25 * kept.size
 
     def test_repeated_calls_identical(self):
         vp, vm = pair_grids(3, 0.5)
@@ -218,11 +290,16 @@ class TestTrueTranslate:
         fine = count * -(-8 * vm.n // count)
         x = np.arange(fine) * (L / fine)
         top = vp.eval(x)
-        got = verify._scan_distance(vp, vm, count, reflect)
+        got = verify._scan_distance(vp, vm, count)
+        row = got[int(reflect)]
         for s in range(1, count, 13):
             y = x - s * (L / count)
             want = parabolic_peak(np.abs(top - vm.eval(-y if reflect else y)))
-            assert got[s] == pytest.approx(want, abs=1e-12 * max(1.0, want))
+            if np.isfinite(row[s]):
+                assert row[s] == pytest.approx(want, abs=1e-12 * max(1.0, want))
+            else:
+                assert want > got.min()
+        assert scan_pick(got) == scan_pick(brute_scan(vp, vm, count))
 
 
 def golden_reference(vp, vm, shift_samples=512):
@@ -233,12 +310,8 @@ def golden_reference(vp, vm, shift_samples=512):
     Returns (distance, shift)."""
     n, L = vm.n, vm.period
     step = L / shift_samples
-    best = None
-    for reflect in (False, True):
-        d = verify._scan_distance(vp, vm, shift_samples, reflect)
-        if best is None or d.min() < best[0]:
-            best = (d.min(), int(np.argmin(d)) * step, reflect)
-    _, a0, reflect = best
+    _, i, reflect = scan_pick(verify._scan_distance(vp, vm, shift_samples))
+    a0 = i * step
     fine = 8 * n
     cp, c = np.fft.rfft(vp.samples), np.fft.rfft(vm.samples)
     c = np.conj(c) if reflect else c
@@ -319,10 +392,14 @@ class TestShiftRefinement:
             assert len(calls) <= 8
 
     def test_refinement_logged_at_debug(self, caplog, capsys):
+        pair = pair_grids(2, 0.5)
         with caplog.at_level(logging.DEBUG, logger="lamesusy.verify"):
-            verify.selfiso_distance(*pair_grids(2, 0.5))
+            verify.selfiso_distance(*pair)
         messages = [rec.getMessage() for rec in caplog.records if rec.name == "lamesusy.verify"]
         assert len(messages) == 1 and "stopped: converged" in messages[0]
+        kept = np.isfinite(verify._scan_distance(*pair, verify.SHIFT_SAMPLES)).sum(axis=1)
+        assert (f"{kept[0]} unreflected and {kept[1]} reflected of "
+                f"{verify.SHIFT_SAMPLES} shifts evaluated") in messages[0]
         assert capsys.readouterr().out == ""
 
 
