@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Time the Floquet layer on fixed inputs and print one JSON line.
+
+Five timings, each taken once per round over ``--repeat`` rounds, one of
+each in turn, so that a drift in machine speed reaches all of them alike.
+The line holds the median of every timing over the rounds:
+
+  * ``jacobi_points_per_s``: ``elliptic.jacobi`` on 4096 float64 points
+    at m = 0.9, 50 calls a round;
+  * ``trace_1_s`` and ``trace_8_s``: the latency of ``monodromy_trace``
+    for a batch of 1 and of 8 energies in the lowest energy range of the
+    closed-form V+ (j = 3, m = 0.9), its step count settled beforehand,
+    the mean of 50 calls a round;
+  * ``scan_257_energies_per_s``: the 257-energy product with the lifted
+    angle that opens every ``band_edges`` scan, on the same warm V+ and
+    over the same window, 10 products a round;
+  * ``band_edges_s``: ``band_edges`` for all 2j + 1 edges of freshly built
+    closed-form potentials, V- for j = 1..5 and V+ for j = 2, 3, at
+    m in {0.1, 0.5, 0.9}: 21 calls a round, step counts settled anew.
+
+Run:  python scripts/bench.py [--repeat N]
+with N rounds (default 7).  Times are wall-clock seconds of this
+process, on one BLAS thread, not rescaled for the machine's speed: to
+compare two source trees, alternate runs of each, and read
+``jacobi_points_per_s`` as the witness of that speed when ``jacobi`` is
+the same in both.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import time
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")  # one BLAS thread, set before numpy loads
+
+import numpy as np  # noqa: E402
+
+from lamesusy import bandsolver  # noqa: E402
+from lamesusy.elliptic import jacobi  # noqa: E402
+from lamesusy.susy import Family, PotentialSpec  # noqa: E402
+
+JACOBI_X = np.linspace(-20.0, 20.0, 4096)
+EDGE_CASES = ([(Family.V_MINUS, j) for j in range(1, 6)]
+              + [(Family.V_PLUS, j) for j in (2, 3)])
+M_LIST = (0.1, 0.5, 0.9)
+
+
+def _warm_potential():
+    """The closed-form V+ (j = 3, m = 0.9) with its scan energies, the
+    first energy range's step counts settled at both tolerances."""
+    pot = PotentialSpec(Family.V_PLUS, 3, 0.9).as_periodic_potential()
+    count = 7
+    scan = np.linspace(bandsolver._span(pot)[0] - 1.0, bandsolver._first_window(pot, count),
+                       bandsolver.DEFAULT_SCAN + 1)
+    bandsolver._monodromy(pot, scan, bandsolver.SCAN_TOL, angle=True)
+    low = np.linspace(scan[0], bandsolver._span(pot)[1], 8)
+    bandsolver.monodromy_trace(pot, low)
+    return pot, scan, low
+
+
+def _timed(fn, calls):
+    start = time.perf_counter()
+    for _ in range(calls):
+        fn()
+    return (time.perf_counter() - start) / calls
+
+
+def _band_edges_grid():
+    for family, j in EDGE_CASES:
+        for m in M_LIST:
+            bandsolver.band_edges(PotentialSpec(family, j, m).as_periodic_potential(), 2 * j + 1)
+
+
+def run(repeat=7):
+    """The medians over ``repeat`` interleaved rounds, as a dict."""
+    pot, scan, low = _warm_potential()
+    timings = {
+        "jacobi_points_per_s": lambda: JACOBI_X.size / _timed(lambda: jacobi(JACOBI_X, 0.9), 50),
+        "trace_1_s": lambda: _timed(lambda: bandsolver.monodromy_trace(pot, low[3]), 50),
+        "trace_8_s": lambda: _timed(lambda: bandsolver.monodromy_trace(pot, low), 50),
+        "scan_257_energies_per_s": lambda: scan.size / _timed(
+            lambda: bandsolver._monodromy(pot, scan, bandsolver.SCAN_TOL, angle=True), 10),
+        "band_edges_s": lambda: _timed(_band_edges_grid, 1),
+    }
+    rounds = {name: [] for name in timings}
+    for _ in range(repeat):
+        for name, measure in timings.items():
+            rounds[name].append(measure())
+    return {name: statistics.median(values) for name, values in rounds.items()} | {
+        "repeat": repeat}
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repeat", type=int, default=7, help="interleaved rounds")
+    print(json.dumps(run(parser.parse_args().repeat)))

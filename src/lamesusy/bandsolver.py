@@ -90,7 +90,7 @@ class PeriodicPotential:
     period: float
     evaluator: Callable
     _validated: bool = field(default=False, init=False, repr=False, compare=False)
-    # node samples, probe products and settled step counts of the Magnus engine
+    # node samples, probe products, step counts and products formed of the Magnus engine
     _magnus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -100,20 +100,26 @@ class PeriodicPotential:
     def __call__(self, x):
         return self.evaluator(x)
 
-    def sample(self, n: int, shift: float = 0.0) -> np.ndarray:
-        """V at (i + shift) * period / n, i = 0..n-1; by FFT when V is a grid."""
+    def sample(self, n: int, shift=0.0) -> np.ndarray:
+        """V at (i + shift) * period / n, i = 0..n-1, a row per shift of an array,
+        in one evaluator call; by FFT, one per shift, when V is a grid."""
         if isinstance(self.evaluator, GridFunction) and self.evaluator.period == self.period:
+            if np.ndim(shift):
+                return np.stack([self.evaluator.resample(n, g) for g in shift])
             return self.evaluator.resample(n, shift)
-        return self._eval_vec((np.arange(n) + shift) * (self.period / n))
+        return self._eval_vec(np.add.outer(shift, np.arange(n)) * (self.period / n))
 
     def _eval_vec(self, xs: np.ndarray) -> np.ndarray:
+        """The evaluator at ``xs``; DomainError names the x where it is not finite."""
         try:
             out = np.asarray(self.evaluator(xs), dtype=float)
             if out.shape != xs.shape:
                 raise TypeError
-            return out
         except TypeError:
-            return np.array([float(self.evaluator(float(x))) for x in xs])
+            out = np.array([float(self.evaluator(float(x))) for x in xs.flat]).reshape(xs.shape)
+        if not np.isfinite(out).all():
+            raise DomainError(f"potential not finite at x = {xs[~np.isfinite(out)][:8]}")
+        return out
 
     def validate(self):
         """Spot-check that evaluator(x + period) == evaluator(x) to 1e-9 at 8 points."""
@@ -150,16 +156,26 @@ class BandEdge:
 # this A the commutators reduce Omega = [[a, b], [c, -a]] to
 #   a = a0 + a1 u,  b = b0,  c = c0 + c1 u,  u = h (V2 - E).
 
+def _bit_reversed(n: int) -> np.ndarray:
+    """0..n-1, n a power of two, in bit-reversed order, its own inverse."""
+    order = np.zeros(1, dtype=int)
+    while order.size < n:
+        order = np.concatenate([2 * order, 2 * order + 1])
+    if order.size != n:
+        raise ValueError(f"step count {n!r} is not a power of two")
+    return order
+
+
 def _step_coefficients(V: PeriodicPotential, n: int) -> tuple:
-    """(h, h V2, a0, a1, b0, c0, c1) of n equal steps; columns of shape (n, 1)."""
+    """(h, h V2, a0, a1, b0, c0, c1) of n equal steps in bit-reversed order; columns (n, 1)."""
     key = ("steps", n)
     if key not in V._magnus:
         h = V.period / n
-        v = np.stack([V.sample(n, g) for g in _GAUSS], axis=1)
-        d2 = (math.sqrt(15.0) * h / 3.0) * (v[:, 2] - v[:, 0])
-        d3 = (10.0 * h / 3.0) * (v[:, 2] - 2.0 * v[:, 1] + v[:, 0])
+        v = V.sample(n, _GAUSS)[:, _bit_reversed(n)]
+        d2 = (math.sqrt(15.0) * h / 3.0) * (v[2] - v[0])
+        d3 = (10.0 * h / 3.0) * (v[2] - 2.0 * v[1] + v[0])
         k = h * d2  # [B1, B2] = [[k, 0], [0, -k]]
-        cols = (h * v[:, 1],
+        cols = (h * v[1],
                 k * (h * d3 / 7200.0 - 1.0 / 12.0),
                 k * (h / 180.0),
                 h + h * (k * k - 20.0 * h * d3) / 3600.0,
@@ -182,41 +198,48 @@ def _step_propagators(coef: tuple, E: np.ndarray, slope: bool = False,
     and dS/dz = (C - S)/(2z), which cancels for small |z| and is summed
     there as its series 1/6 + z/60 + z^2/1680 + z^3/90720 (relative error
     below 1e-13 on either side of |z| = 1e-2).  Only a and c depend on E:
-    da/dE = -h a1, dc/dE = -h c1.
+    da/dE = -h a1, dc/dE = -h c1.  The rows are written into one array.
     """
     h, hv, a0, a1, b0, c0, c1 = coef
+    P = np.empty((4 + 4 * slope + angle, hv.size, E.size))
     u = hv - h * E
-    a = a0 + a1 * u
-    c = c0 + c1 * u
+    a = a1 * u + a0  # IEEE addition commutes: the same as a0 + a1 u
+    c = np.add(np.multiply(c1, u, out=u), c0, out=u)
     z = a * a + b0 * c
     s = np.sqrt(np.abs(z))
     grows = z > 0
-    C = np.cos(s)
-    S = np.sin(s)
-    if grows.any():
-        np.cosh(s, out=C, where=grows)
-        np.sinh(s, out=S, where=grows)
+    C, S, g = np.cos(s), np.sin(s), np.flatnonzero(grows)
+    np.put(C, g, np.cosh(s.take(g)))
+    np.put(S, g, np.sinh(s.take(g)))
+    if angle and np.any((s >= np.pi) & ~grows):
+        raise NumericalError("a Magnus step turns the solution by pi or more")
     S = np.divide(S, s, out=np.ones_like(s), where=s > 0)
-    P = [C + S * a, S * b0, S * c, C - S * a]
+    Sa = np.multiply(S, a, out=s)
+    np.add(C, Sa, out=P[0])
+    np.multiply(S, b0, out=P[1])
+    np.multiply(S, c, out=P[2])
+    np.subtract(C, Sa, out=P[3])
     if angle:
-        if np.any((s >= np.pi) & ~grows):
-            raise NumericalError("a Magnus step turns the solution by pi or more")
-        P.append(np.arctan2(P[3], P[1]))
+        np.arctan2(P[3], P[1], out=P[4])
     if not slope:
-        return np.stack(P)
+        return P
     da, dc = -h * a1, -h * c1
     dz = 2.0 * a * da + b0 * dc
     small = np.abs(z) < 1e-2
     dS = np.divide(C - S, 2.0 * z, out=np.zeros_like(z), where=~small)
     dS = dz * np.where(small, 1.0 / 6.0 + z * (1.0 / 60.0 + z * (1.0 / 1680.0 + z / 90720.0)), dS)
     dC = 0.5 * S * dz
-    return np.stack(P + [dC + dS * a + S * da, dS * b0, dS * c + S * dc, dC - dS * a - S * da])
+    dSa, Sda = dS * a, S * da
+    P[4], P[5], P[6], P[7] = dC + dSa + Sda, dS * b0, dS * c + S * dc, dC - dSa - Sda
+    return P
 
 
-def _mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """2x2 products A @ B of matrices stored as rows (11, 12, 21, 22)."""
-    return np.stack([A[0] * B[0] + A[1] * B[2], A[0] * B[1] + A[1] * B[3],
-                     A[2] * B[0] + A[3] * B[2], A[2] * B[1] + A[3] * B[3]])
+def _mul(A: np.ndarray, B: np.ndarray, out: np.ndarray, tmp: np.ndarray):
+    """2x2 products A @ B of rows (11, 12, 21, 22) into ``out``: A[:, 0] B[0] + A[:, 1] B[1]."""
+    A, B, out, tmp = (x.reshape((2, 2) + x.shape[1:]) for x in (A, B, out, tmp))
+    np.multiply(A[:, :1], B[:1], out=out)
+    np.multiply(A[:, 1:], B[1:], out=tmp)
+    np.add(out, tmp, out=out)
 
 
 def _lift(A: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -232,8 +255,9 @@ def _lift(A: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def _tree_product(P: np.ndarray) -> tuple:
-    """Ordered products P[:, -1] @ ... @ P[:, 0] along axis 1, by pairs;
-    the length of axis 1, a step count, must be a power of two.
+    """Ordered products of the bit-reversed steps along axis 1, by pairs: each
+    level's second half, the later steps, times its first, into one buffer
+    and P's storage in turn.
 
     Returns the products, shape (rows, columns), and per column the
     largest entry of any partial product formed (at least 1, the initial
@@ -241,15 +265,20 @@ def _tree_product(P: np.ndarray) -> tuple:
     follow the product rule (AB)' = A'B + AB'; a row 4 alone is the lifted
     angle of the second column (_lift).  Neither enters the scale.
     """
-    scale = np.ones(P.shape[2])
-    while P.shape[1] > 1:
-        A, B = P[:, 1::2], P[:, 0::2]  # later steps multiply from the left
-        P = _mul(A[:4], B[:4])
-        if A.shape[0] == 8:
-            P = np.concatenate([P, _mul(A[4:], B[:4]) + _mul(A[:4], B[4:])])
-        elif A.shape[0] == 5:
-            P = np.concatenate([P, (A[4] + _lift(A, B[4]))[None]])
-        np.maximum(scale, np.abs(P[:4]).max(axis=(0, 1)), out=scale)
+    rows, n, k = P.shape
+    scale = np.ones(k)
+    buffers, tmp = (np.empty((rows, n // 2, k)), P), np.empty((4, n // 2, k))
+    for h in n >> np.arange(1, n.bit_length()):  # n/2, n/4, ..., 1 products
+        A, B, t = P[:, h:], P[:, :h], tmp[:, :h]  # later steps multiply from the left
+        P, buffers = buffers[0][:, :h], buffers[::-1]  # this level into the free buffer
+        if rows == 8:
+            _mul(A[:4], B[4:], P[:4], t)  # AB', held where AB goes next
+            _mul(A[4:], B[:4], P[4:], t)
+            P[4:] += P[:4]
+        elif rows == 5:
+            np.add(A[4], _lift(A, B[4]), out=P[4])
+        _mul(A[:4], B[:4], P[:4], t)
+        np.maximum(scale, np.abs(P[:4], out=t).max(axis=(0, 1)), out=scale)
     return P[:, 0], scale
 
 
@@ -261,12 +290,12 @@ def _product(V: PeriodicPotential, n: int, E: np.ndarray, slope: bool = False,
     depends on, of at most CHUNK steps x energies, half as many energies
     with ``slope``, so that the live arrays keep one size."""
     coef = _step_coefficients(V, n)
-    M = np.empty((4 + 4 * slope + angle, E.size))
-    scale = np.empty(E.size)
+    M, scale = np.empty((4 + 4 * slope + angle, E.size)), np.empty(E.size)
     per = max(1, CHUNK // (n * (2 if slope else 1)))
     for lo in range(0, E.size, per):
         part = slice(lo, lo + per)
         M[:, part], scale[part] = _tree_product(_step_propagators(coef, E[part], slope, angle))
+    V._magnus.setdefault("formed", np.zeros(2, dtype=int))[:] += (1, n * E.size)
     return M, scale
 
 
@@ -636,6 +665,7 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
     e_min = _span(V)[0] - 1.0
     e_max = _first_window(V, count)
     stats = dict(critical=0, root_steps=0, brackets=0, rescans=0)
+    V._magnus["formed"] = np.zeros(2, dtype=int)  # Magnus products, steps x energies
     try:
         roots, touches = _scan_edges(V, e_min, e_max, DEFAULT_SCAN, count, stats)
         stats["brackets"] = len(roots)  # one root per crossing bracket
@@ -648,9 +678,9 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
             f"found {len(found)} band edges below E={e_max!r}, needed {count}: "
             + ", ".join(f"{e.energy:.6g}({e.boundary[0]})" for e in found), found=found)
     finally:
-        _debug(__name__, "band_edges: %d slope roots in %d root steps, %d crossing brackets, "
-               "%d rescans", stats["critical"], stats["root_steps"], stats["brackets"],
-               stats["rescans"])
+        _debug(__name__, "band_edges: %d slope roots in %d root steps, %d Magnus products of "
+               "%d steps x energies, %d crossing brackets, %d rescans", stats["critical"],
+               stats["root_steps"], *V._magnus["formed"], stats["brackets"], stats["rescans"])
 
 
 # ---------------------------------------------------------------------------

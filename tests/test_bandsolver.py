@@ -1,5 +1,6 @@
 """Tests for the Floquet and Galerkin band-structure engines."""
 
+import json
 import logging
 import math
 import runpy
@@ -83,6 +84,75 @@ def plane_wave_reference(V, basis_n):
     return spectra
 
 
+def natural_propagators(coef, E, slope=False, angle=False):
+    """exp(Omega) of every step, as the engine formed it before the steps
+    were stored in bit-reversed order: one fresh array per term, stacked."""
+    h, hv, a0, a1, b0, c0, c1 = coef
+    u = hv - h * E
+    a = a0 + a1 * u
+    c = c0 + c1 * u
+    z = a * a + b0 * c
+    s = np.sqrt(np.abs(z))
+    grows = z > 0
+    C = np.cos(s)
+    S = np.sin(s)
+    if grows.any():
+        np.cosh(s, out=C, where=grows)
+        np.sinh(s, out=S, where=grows)
+    S = np.divide(S, s, out=np.ones_like(s), where=s > 0)
+    P = [C + S * a, S * b0, S * c, C - S * a]
+    if angle:
+        P.append(np.arctan2(P[3], P[1]))
+    if not slope:
+        return np.stack(P)
+    da, dc = -h * a1, -h * c1
+    dz = 2.0 * a * da + b0 * dc
+    small = np.abs(z) < 1e-2
+    dS = np.divide(C - S, 2.0 * z, out=np.zeros_like(z), where=~small)
+    dS = dz * np.where(small, 1.0 / 6.0 + z * (1.0 / 60.0 + z * (1.0 / 1680.0 + z / 90720.0)), dS)
+    dC = 0.5 * S * dz
+    return np.stack(P + [dC + dS * a + S * da, dS * b0, dS * c + S * dc, dC - dS * a - S * da])
+
+
+def natural_mul(A, B):
+    return np.stack([A[0] * B[0] + A[1] * B[2], A[0] * B[1] + A[1] * B[3],
+                     A[2] * B[0] + A[3] * B[2], A[2] * B[1] + A[3] * B[3]])
+
+
+def natural_tree(P):
+    """The pairwise tree over steps in natural order, through strided views."""
+    scale = np.ones(P.shape[2])
+    while P.shape[1] > 1:
+        A, B = P[:, 1::2], P[:, 0::2]
+        P = natural_mul(A[:4], B[:4])
+        if A.shape[0] == 8:
+            P = np.concatenate([P, natural_mul(A[4:], B[:4]) + natural_mul(A[:4], B[4:])])
+        elif A.shape[0] == 5:
+            P = np.concatenate([P, (A[4] + bs._lift(A, B[4]))[None]])
+        np.maximum(scale, np.abs(P[:4]).max(axis=(0, 1)), out=scale)
+    return P[:, 0], scale
+
+
+def natural_product(V, n, E, slope=False, angle=False):
+    """bs._product, chunked alike, with the natural-order kernel above."""
+    order = bs._bit_reversed(n)
+    coef = bs._step_coefficients(V, n)
+    coef = coef[:1] + tuple(col[order] for col in coef[1:])
+    M = np.empty((4 + 4 * slope + angle, E.size))
+    scale = np.empty(E.size)
+    per = max(1, bs.CHUNK // (n * (2 if slope else 1)))
+    for lo in range(0, E.size, per):
+        part = slice(lo, lo + per)
+        M[:, part], scale[part] = natural_tree(natural_propagators(coef, E[part], slope, angle))
+    return M, scale
+
+
+def fuzz_modes():
+    """A mode sum of scripts/engine_fuzz.py's third family, at seed 3."""
+    script = runpy.run_path(str(Path(__file__).resolve().parents[1] / "scripts" / "engine_fuzz.py"))
+    return script["potential"](script["modes"](np.random.default_rng(3)))
+
+
 class TestPeriodicPotential:
     def test_validation_catches_aperiodic_evaluator(self):
         bad = bs.PeriodicPotential(period=1.0, evaluator=lambda x: np.asarray(x, float))
@@ -121,6 +191,40 @@ class TestPeriodicPotential:
         for n, g in ((512, 0.0), (256, 0.5), (96, 0.1127), (2048, 0.8873)):
             pts = (np.arange(n) + g) * (partner.period / n)
             assert np.max(np.abs(partner.sample(n, g) - partner(pts))) <= 1e-11
+
+
+    @pytest.mark.parametrize("make", [
+        lambda: lame_pot(Family.V_PLUS, 3, 0.5),
+        lambda: bs.numeric_partner(lame_pot(Family.V_MINUS, 2, 0.5), grid_n=512),
+        lambda: bs.PeriodicPotential(period=2.0, evaluator=lambda x: math.cos(math.pi * x)),
+    ], ids=["evaluator", "grid", "scalar_only"])
+    def test_array_of_shifts_samples_one_row_each(self, make):
+        pot = make()
+        for n in (64, 96, 512):
+            want = np.stack([pot.sample(n, g) for g in bs._GAUSS])
+            assert np.array_equal(pot.sample(n, bs._GAUSS), want)
+
+    def test_one_evaluator_call_per_step_count(self):
+        calls = []
+        spec = PotentialSpec(Family.V_MINUS, 3, 0.5)
+        pot = bs.PeriodicPotential(spec.period, lambda x: calls.append(np.shape(x)) or spec(x))
+        for n in (64, 64, 128):
+            bs._step_coefficients(pot, n)
+        assert calls == [(3, 64), (3, 128)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_potential_raises_domain_error(self, bad):
+        # every engine, before any eigensolve or product: not a failed
+        # convergence and not an energy out of range
+        pot = bs.PeriodicPotential(1.0, lambda x: bad + 0.0 * np.asarray(x, float))
+        one_point = bs.PeriodicPotential(1.0, lambda x: np.where(
+            np.asarray(x, float) == 0.25, bad, np.cos(2 * np.pi * np.asarray(x, float))))
+        engines = (lambda V: bs.band_edges(V, 5), lambda V: bs.galerkin_edges(V, 5),
+                   bs.ground_energy, bs.numeric_partner)
+        for engine in engines:
+            for V in (pot, one_point):
+                with pytest.raises(DomainError, match="not finite"):
+                    engine(V)
 
 
 class TestMonodromyTrace:
@@ -248,6 +352,45 @@ class TestSlope:
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
+class TestMagnusKernel:
+    """The steps in bit-reversed order, multiplied as contiguous halves,
+    against the natural-order pairwise tree: the same operations in the
+    same order, so the same bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 4096])
+    def test_bit_reversed_order_is_an_involution(self, n):
+        order = bs._bit_reversed(n)
+        assert np.array_equal(np.sort(order), np.arange(n))
+        assert np.array_equal(order[order], np.arange(n))
+
+    @pytest.mark.parametrize("n", [0, 3, 96])
+    def test_step_count_off_a_power_of_two_raises(self, n):
+        with pytest.raises(ValueError, match="power of two"):
+            bs._bit_reversed(n)
+
+    @pytest.mark.parametrize("make", [lambda: lame_pot(Family.V_PLUS, 3, 0.9), fuzz_modes],
+                             ids=["closed_form_j3_vplus", "fuzz_modes"])
+    @pytest.mark.parametrize("n", [64, 1024, 4096])
+    def test_products_match_the_natural_order_tree(self, make, n):
+        pot = make()
+        lo, hi = bs._span(pot)
+        for k in (1, 3, 17, 257):
+            E = np.linspace(lo - 1.0, hi + 100.0, k)
+            for kind in ({}, {"angle": True}, {"slope": True}):
+                M, scale = bs._product(pot, n, E, **kind)
+                want, want_scale = natural_product(pot, n, E, **kind)
+                assert np.array_equal(M, want) and np.array_equal(scale, want_scale), (k, kind)
+
+    def test_product_beside_angle_is_bit_identical(self):
+        # 1000 energies span chunks of 512
+        pot = lame_pot(Family.V_PLUS, 2, 0.9)
+        E = np.linspace(-3.0, 40.0, 1000)
+        M, scale = bs._product(pot, 64, E)
+        MA, scale_a = bs._product(pot, 64, E, angle=True)
+        assert MA.shape == (5, E.size)
+        assert np.array_equal(MA[:4], M) and np.array_equal(scale_a, scale)
+
+
 class TestBandEdges:
     @pytest.mark.parametrize("m", [0.1, 0.5, 0.9, 0.01, 0.02, 0.05])
     def test_j2_energies(self, m):
@@ -331,8 +474,22 @@ class TestBandEdges:
         # each cell that hides more than one is scanned again
         assert messages[1].endswith(", 1 crossing brackets, 2 rescans")
         # the stand-in scan reports one root and scans nothing again
-        assert messages[2] == ("band_edges: 0 slope roots in 0 root steps, "
-                               "1 crossing brackets, 0 rescans")
+        assert messages[2] == ("band_edges: 0 slope roots in 0 root steps, 0 Magnus products "
+                               "of 0 steps x energies, 1 crossing brackets, 0 rescans")
+
+    def test_products_logged_repeat_on_a_fresh_build(self, caplog):
+        # products are counted where they are formed, so a fresh build of one
+        # potential forms the same ones; a second call on a used one reuses
+        # its cached probe products
+        logger = "lamesusy.bandsolver"
+        used = lame_pot(Family.V_PLUS, 3, 0.9)
+        with caplog.at_level(logging.DEBUG, logger=logger):
+            for pot in (lame_pot(Family.V_PLUS, 3, 0.9), used, used):
+                bs.band_edges(pot, 7)
+        counts = [[int(w) for w in rec.getMessage().split(" root steps, ")[1].split()[:5:4]]
+                  for rec in caplog.records if rec.name == logger]
+        assert counts[0] == counts[1] and counts[0][0] > 0
+        assert counts[2][0] < counts[1][0]
 
     @given(st.floats(0.5, 10.0), st.integers(1, 24),
            st.lists(st.tuples(st.floats(-20.0, 20.0), st.floats(-20.0, 20.0)),
@@ -616,6 +773,22 @@ class TestGeneratedPotentials:
         assert cp.returncode == 0, cp.stdout + cp.stderr
         assert [line.split()[:3] for line in cp.stdout.splitlines()[-3:]] == [
             ["superlattice", "1", "0"], ["multiwell", "1", "0"], ["modes", "1", "0"]]
+
+
+class TestBenchScript:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+
+    def test_one_round_prints_one_json_line(self):
+        cp = subprocess.run([sys.executable, str(self.SCRIPT), "--repeat", "1"],
+                            capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stdout + cp.stderr
+        lines = cp.stdout.splitlines()
+        assert len(lines) == 1
+        result = json.loads(lines[0])
+        assert result.pop("repeat") == 1
+        assert sorted(result) == ["band_edges_s", "jacobi_points_per_s", "scan_257_energies_per_s",
+                                  "trace_1_s", "trace_8_s"]
+        assert all(value > 0.0 for value in result.values())
 
 
 class TestLameSweep:
