@@ -3,7 +3,8 @@
 
 Five timings, each taken once per round over ``--repeat`` rounds, one of
 each in turn, so that a drift in machine speed reaches all of them alike.
-The line holds the median of every timing over the rounds:
+The line holds the median of every timing over the rounds, and under
+``quartiles`` its first and third quartiles:
 
   * ``jacobi_points_per_s``: ``elliptic.jacobi`` on 4096 float64 points
     at m = 0.9, 50 calls a round;
@@ -11,12 +12,16 @@ The line holds the median of every timing over the rounds:
     for a batch of 1 and of 8 energies in the lowest energy range of the
     closed-form V+ (j = 3, m = 0.9), its step count settled beforehand,
     the mean of 50 calls a round;
-  * ``scan_257_energies_per_s``: the 257-energy product with the lifted
-    angle that opens every ``band_edges`` scan, on the same warm V+ and
-    over the same window, 10 products a round;
+  * ``scan_257_energies_per_s``: the 257-energy product with the
+    half-turn count that opens every ``band_edges`` scan, on the same warm
+    V+ and over the same window, 10 products a round;
   * ``band_edges_s``: ``band_edges`` for all 2j + 1 edges of freshly built
     closed-form potentials, V- for j = 1..5 and V+ for j = 2, 3, at
     m in {0.1, 0.5, 0.9}: 21 calls a round, step counts settled anew.
+
+Beside them, two counts that no timing noise moves: the Magnus products
+the 21 ``band_edges`` calls form and their steps x energies
+(``band_edges_products``, ``band_edges_steps_x_energies``).
 
 Run:  python scripts/bench.py [--repeat N]
 with N rounds (default 7).  Times are wall-clock seconds of this
@@ -69,13 +74,19 @@ def _timed(fn, calls):
 
 
 def _band_edges_grid():
+    """The Magnus products and steps x energies that the 21 calls form."""
+    formed = np.zeros(2, dtype=int)
     for family, j in EDGE_CASES:
         for m in M_LIST:
-            bandsolver.band_edges(PotentialSpec(family, j, m).as_periodic_potential(), 2 * j + 1)
+            pot = PotentialSpec(family, j, m).as_periodic_potential()
+            bandsolver.band_edges(pot, 2 * j + 1)
+            formed += pot._magnus["formed"]
+    return formed
 
 
 def run(repeat=7):
-    """The medians over ``repeat`` interleaved rounds, as a dict."""
+    """The medians and quartiles over ``repeat`` interleaved rounds, and
+    the counts, as a dict."""
     pot, scan, low = _warm_potential()
     timings = {
         "jacobi_points_per_s": lambda: JACOBI_X.size / _timed(lambda: jacobi(JACOBI_X, 0.9), 50),
@@ -89,7 +100,11 @@ def run(repeat=7):
     for _ in range(repeat):
         for name, measure in timings.items():
             rounds[name].append(measure())
+    products, steps = (int(c) for c in _band_edges_grid())
     return {name: statistics.median(values) for name, values in rounds.items()} | {
+        "quartiles": {name: np.percentile(values, [25, 75]).tolist()
+                      for name, values in rounds.items()},
+        "band_edges_products": products, "band_edges_steps_x_energies": steps,
         "repeat": repeat}
 
 

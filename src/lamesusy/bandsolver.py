@@ -27,13 +27,13 @@ coincident edges flagged degenerate, so lists keep uniform length.
 The monodromy matrix is a product of sixth-order Magnus steps
 (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009): V is sampled
 once per step count at the three Gauss nodes of every step, each
-step's 2x2 exponential, and where asked its E-derivative or the angle of
-its second column, is formed in closed form for a whole batch of
-energies at once, and the steps are multiplied together by pairwise tree
-reduction, the derivatives by the product rule, the angles by their
-lift.  The step count is settled once per potential, tolerance and
-energy range, from the difference between the n-step and 2n-step
-products at fixed probe energies.
+step's 2x2 exponential, and where asked its E-derivative or the
+half-turn count of its second column, is formed in closed form for a
+whole batch of energies at once, and the steps are multiplied together
+by pairwise tree reduction, the derivatives by the product rule, the
+counts by the signs of three entries.  The step count is settled once
+per potential, tolerance and energy range, from the difference between
+the n-step and 2n-step products at fixed probe energies.
 """
 
 from __future__ import annotations
@@ -189,8 +189,10 @@ def _step_propagators(coef: tuple, E: np.ndarray, slope: bool = False,
                       angle: bool = False) -> np.ndarray:
     """exp(Omega) of every step at every energy, shape (4, steps, energies);
     with ``slope`` its E-derivative follows in rows 4-7, with ``angle`` the
-    angle of its second column in row 4, lifted from pi/2 while a step
-    turns it by less than 3 pi/2: one of phase s >= pi raises NumericalError.
+    half-turn count of its second column in row 4 (_edges_below): exp(t
+    Omega) e2 has a first component b0 sinh(s t)/s, or b0 sin(s t)/s when
+    oscillating, and b0 > 0 while h^2 |V1 - 2 V2 + V3| < 54, so -1 for a
+    growing step, -max(1, ceil(s / pi)) for an oscillating one.
 
     Omega is traceless, so Omega^2 = z I with z = a^2 + b c, and
     exp(Omega) = C I + S Omega with C = cosh(s), S = sinh(s)/s, s = sqrt(z)
@@ -207,20 +209,20 @@ def _step_propagators(coef: tuple, E: np.ndarray, slope: bool = False,
     c = np.add(np.multiply(c1, u, out=u), c0, out=u)
     z = a * a + b0 * c
     s = np.sqrt(np.abs(z))
-    grows = z > 0
-    C, S, g = np.cos(s), np.sin(s), np.flatnonzero(grows)
-    np.put(C, g, np.cosh(s.take(g)))
-    np.put(S, g, np.sinh(s.take(g)))
-    if angle and np.any((s >= np.pi) & ~grows):
-        raise NumericalError("a Magnus step turns the solution by pi or more")
+    osc = z < 0  # the oscillating steps
+    C, S = (f(s, out=np.empty_like(s), where=osc) for f in (np.cos, np.sin))
+    np.cosh(s, out=C, where=~osc)
+    np.sinh(s, out=S, where=~osc)
+    if angle:
+        P[4] = -1.0
+        i = np.flatnonzero(osc & (s > np.pi))  # below pi the count is -1
+        np.put(P[4], i, -np.ceil(s.take(i) / np.pi))
     S = np.divide(S, s, out=np.ones_like(s), where=s > 0)
     Sa = np.multiply(S, a, out=s)
     np.add(C, Sa, out=P[0])
     np.multiply(S, b0, out=P[1])
     np.multiply(S, c, out=P[2])
     np.subtract(C, Sa, out=P[3])
-    if angle:
-        np.arctan2(P[3], P[1], out=P[4])
     if not slope:
         return P
     da, dc = -h * a1, -h * c1
@@ -242,16 +244,14 @@ def _mul(A: np.ndarray, B: np.ndarray, out: np.ndarray, tmp: np.ndarray):
     np.add(out, tmp, out=out)
 
 
-def _lift(A: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """How much further than e2 the products A turn a vector of lifted
-    angle w, so that A after B turns e2 to A[4] + _lift(A, B[4]): with
-    w = pi/2 + k pi + psi, psi in [0, pi), k pi plus the angle from A e2 to
-    A (-sin psi, cos psi), in [0, pi) as det A = 1 (the universal cover of
-    SL(2, R))."""
-    psi = np.mod(w - 0.5 * np.pi, np.pi)
-    s, c = np.sin(psi), np.cos(psi)
-    return (w - 0.5 * np.pi - psi) + np.arctan2(
-        s, c * (A[1] * A[1] + A[3] * A[3]) - s * (A[0] * A[1] + A[2] * A[3]))
+def _wraps(a: tuple, b: tuple, ab: tuple) -> np.ndarray:
+    """Whether A after B turns e2 a half-turn further than A and B apart,
+    from the signs of A12, B12 and (AB)12, each as masks (x > 0, x == 0).
+    With det A = 1 the turn from A e2 to AB e2 has the sign of -B12, so it
+    wraps where the three signs multiply to +1, and where (AB)12 is 0 but
+    A12 is not.  Sign bits only: a float product of the entries
+    underflows, overflows or cancels."""
+    return ~a[1] & (ab[1] | (~b[1] & (a[0] ^ b[0] ^ ab[0])))
 
 
 def _tree_product(P: np.ndarray) -> tuple:
@@ -262,12 +262,14 @@ def _tree_product(P: np.ndarray) -> tuple:
     Returns the products, shape (rows, columns), and per column the
     largest entry of any partial product formed (at least 1, the initial
     data).  Rows 4-7, when present, are E-derivatives of rows 0-3 and
-    follow the product rule (AB)' = A'B + AB'; a row 4 alone is the lifted
-    angle of the second column (_lift).  Neither enters the scale.
+    follow the product rule (AB)' = A'B + AB'; a row 4 alone is the
+    half-turn count of the second column, k_AB = k_A + k_B + _wraps, in
+    float64, exact for integers.  Neither enters the scale.
     """
     rows, n, k = P.shape
     scale = np.ones(k)
     buffers, tmp = (np.empty((rows, n // 2, k)), P), np.empty((4, n // 2, k))
+    signs = (P[1] > 0.0, P[1] == 0.0) if rows == 5 else None  # _wraps' masks, carried
     for h in n >> np.arange(1, n.bit_length()):  # n/2, n/4, ..., 1 products
         A, B, t = P[:, h:], P[:, :h], tmp[:, :h]  # later steps multiply from the left
         P, buffers = buffers[0][:, :h], buffers[::-1]  # this level into the free buffer
@@ -275,9 +277,10 @@ def _tree_product(P: np.ndarray) -> tuple:
             _mul(A[:4], B[4:], P[:4], t)  # AB', held where AB goes next
             _mul(A[4:], B[:4], P[4:], t)
             P[4:] += P[:4]
-        elif rows == 5:
-            np.add(A[4], _lift(A, B[4]), out=P[4])
         _mul(A[:4], B[:4], P[:4], t)
+        if rows == 5:
+            a, b, signs = [m[h:] for m in signs], [m[:h] for m in signs], (P[1] > 0.0, P[1] == 0.0)
+            np.add(A[4] + B[4], _wraps(a, b, signs), out=P[4])
         np.maximum(scale, np.abs(P[:4], out=t).max(axis=(0, 1)), out=scale)
     return P[:, 0], scale
 
@@ -285,8 +288,8 @@ def _tree_product(P: np.ndarray) -> tuple:
 def _product(V: PeriodicPotential, n: int, E: np.ndarray, slope: bool = False,
              angle: bool = False) -> tuple:
     """Monodromy entries (m11, m12, m21, m22) over n steps, with ``slope``
-    followed by their E-derivatives, with ``angle`` by the lifted angle of
-    (m12, m22), and their scale.  Energies go in chunks that no result
+    followed by their E-derivatives, with ``angle`` by the half-turn count
+    of (m12, m22), and their scale.  Energies go in chunks that no result
     depends on, of at most CHUNK steps x energies, half as many energies
     with ``slope``, so that the live arrays keep one size."""
     coef = _step_coefficients(V, n)
@@ -316,14 +319,6 @@ def _energy_range(V: PeriodicPotential, E: np.ndarray) -> np.ndarray:
     """
     waves = np.sqrt(np.maximum(E - _span(V)[1], 0.0)) * V.period / (math.pi * _RANGE_WAVES)
     return np.ceil(np.log2(np.maximum(waves, 1.0))).astype(int)
-
-
-def _turn_steps(V: PeriodicPotential, r: int) -> int:
-    """Fewest power-of-two steps, two or more per free half-wave over min V
-    at the top of range r, so that no step's angle wraps (_step_propagators)."""
-    vmin, vmax = _span(V)
-    half_waves = math.hypot(2.0 ** r * _RANGE_WAVES, V.period * math.sqrt(vmax - vmin) / math.pi)
-    return 1 << (math.ceil(2.0 * half_waves) - 1).bit_length()
 
 
 def _probe_product(V: PeriodicPotential, r: int, n: int) -> tuple:
@@ -366,9 +361,9 @@ def _step_count(V: PeriodicPotential, tol: float, r: int) -> int:
 def _monodromy(V: PeriodicPotential, energies, tol: float = TOL,
                refined: bool = False, slope: bool = False, angle: bool = False) -> tuple:
     """Monodromy entries and scales for a batch of E, with ``slope`` and
-    their E-derivatives in rows 4-7, with ``angle`` and the lifted angle
-    of (m12, m22) in row 4, over _turn_steps steps or more; ``refined``
-    doubles the settled step count, for error estimates."""
+    their E-derivatives in rows 4-7, with ``angle`` and the half-turn count
+    of (m12, m22) in row 4, over the settled step count; ``refined``
+    doubles it, for error estimates."""
     E = np.atleast_1d(np.asarray(energies, dtype=float))
     if not np.all(np.isfinite(E)):
         raise DomainError("energies must be finite")
@@ -378,7 +373,6 @@ def _monodromy(V: PeriodicPotential, energies, tol: float = TOL,
     for r in np.unique(ranges):
         sel = ranges == r
         n = _step_count(V, tol, int(r)) * (2 if refined else 1)
-        n = max(n, _turn_steps(V, int(r))) if angle else n
         M[:, sel], scale[sel] = _product(V, n, E[sel], slope, angle)
     return M, scale
 
@@ -495,16 +489,17 @@ def _slope(V, energies) -> np.ndarray:
     return M[4] + M[7]
 
 
-def _edges_below(w: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """Number of band edges below each energy, from the lifted angle w of
-    the monodromy's second column and the edge residuals.  That column is
-    (s, s') at L of the Dirichlet solution, s(0) = 0, s'(0) = 1, turning
-    clockwise from pi/2 through every zero of s: N = ceil((pi/2 - w) / pi)
-    - 1 zeros in (0, L).  Dirichlet eigenvalue k lies in the closure of gap
-    k (Magnus & Winkler, Hill's Equation, 1966), so 2N + 1 edges lie below
-    a band energy and 2k below one in gap k, where k in {N, N + 1} is odd
-    exactly where Delta < -2 (Johnson & Moser, CMP 84:403, 1982)."""
-    n = np.ceil((0.5 * np.pi - w) / np.pi).astype(int) - 1
+def _edges_below(k: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Number of band edges below each energy, from the half-turn count k
+    of the monodromy's second column and the edge residuals.  That column
+    is (s, s') at L of the Dirichlet solution, s(0) = 0, s'(0) = 1, whose
+    angle w turns clockwise from pi/2 through every zero of s: with
+    k = floor((w - pi/2) / pi), N = -k - 1 zeros in (0, L).  Dirichlet
+    eigenvalue i lies in the closure of gap i (Magnus & Winkler, Hill's
+    Equation, 1966), so 2N + 1 edges lie below a band energy and 2i below
+    one in gap i, where i in {N, N + 1} is odd exactly where Delta < -2
+    (Johnson & Moser, CMP 84:403, 1982)."""
+    n = -1 - k.astype(int)
     odd = res[1] < 0.0
     return np.where(~odd & (res[0] < 0.0), 2 * n + 1, 2 * (n + (n + odd) % 2))
 
@@ -562,14 +557,16 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     M, scale = _monodromy(V, Es, SCAN_TOL, angle=True)
     res = M[0] + M[3] - _TARGETS[:, None]  # the edge residuals, one row per target
     # the scan decides signs only; a sample within its error of +-2 takes
-    # the nearer target's full-accuracy residual and angle
+    # the nearer target's full-accuracy residual and count
     unsure = np.nonzero(np.abs(res).min(axis=0) <= 4.0 * SCAN_TOL * scale)[0]
     row = (M[0, unsure] + M[3, unsure] < 0.0).astype(int)
     full, full_scale = _monodromy(V, Es[unsure], angle=True)
     res[row, unsure], gain = _edge_residual(full, _TARGETS[row])
     M[4, unsure] = full[4]
     touching = unsure[np.abs(res[row, unsure]) <= TOL * full_scale * gain]
-    Es, res, below = (np.delete(a, touching, axis=-1) for a in (Es, res, _edges_below(M[4], res)))
+    below = _edges_below(M[4], res)
+    stats.setdefault("top", int(below[-1]))  # the first scan's, the window's top
+    Es, res, below = (np.delete(a, touching, axis=-1) for a in (Es, res, below))
     above = res >= 0.0
     jump = below[1:] - below[:-1]
     cells = np.nonzero((jump > (above[:, :-1] != above[:, 1:]).sum(axis=0))
@@ -679,8 +676,9 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
             + ", ".join(f"{e.energy:.6g}({e.boundary[0]})" for e in found), found=found)
     finally:
         _debug(__name__, "band_edges: %d slope roots in %d root steps, %d Magnus products of "
-               "%d steps x energies, %d crossing brackets, %d rescans", stats["critical"],
-               stats["root_steps"], *V._magnus["formed"], stats["brackets"], stats["rescans"])
+               "%d steps x energies, %d edges counted below the window's top, %d crossing "
+               "brackets, %d rescans", stats["critical"], stats["root_steps"],
+               *V._magnus["formed"], stats.get("top", 0), stats["brackets"], stats["rescans"])
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,8 @@ def natural_propagators(coef, E, slope=False, angle=False):
     S = np.divide(S, s, out=np.ones_like(s), where=s > 0)
     P = [C + S * a, S * b0, S * c, C - S * a]
     if angle:
+        # the angle of the second column, lifted from pi/2 while no step turns by pi
+        assert not np.any((s >= np.pi) & ~grows)
         P.append(np.arctan2(P[3], P[1]))
     if not slope:
         return np.stack(P)
@@ -119,8 +121,21 @@ def natural_mul(A, B):
                      A[2] * B[0] + A[3] * B[2], A[2] * B[1] + A[3] * B[3]])
 
 
+def lift(A, w):
+    """How much further than e2 the products A turn a vector of lifted
+    angle w, so that A after B turns e2 to A[4] + lift(A, B[4]): with
+    w = pi/2 + k pi + psi, psi in [0, pi), k pi plus the angle from A e2 to
+    A (-sin psi, cos psi), in [0, pi) as det A = 1 (the universal cover of
+    SL(2, R))."""
+    psi = np.mod(w - 0.5 * np.pi, np.pi)
+    s, c = np.sin(psi), np.cos(psi)
+    return (w - 0.5 * np.pi - psi) + np.arctan2(
+        s, c * (A[1] * A[1] + A[3] * A[3]) - s * (A[0] * A[1] + A[2] * A[3]))
+
+
 def natural_tree(P):
-    """The pairwise tree over steps in natural order, through strided views."""
+    """The pairwise tree over steps in natural order, through strided views;
+    a row 4 alone is the lifted angle of the second column."""
     scale = np.ones(P.shape[2])
     while P.shape[1] > 1:
         A, B = P[:, 1::2], P[:, 0::2]
@@ -128,7 +143,7 @@ def natural_tree(P):
         if A.shape[0] == 8:
             P = np.concatenate([P, natural_mul(A[4:], B[:4]) + natural_mul(A[:4], B[4:])])
         elif A.shape[0] == 5:
-            P = np.concatenate([P, (A[4] + bs._lift(A, B[4]))[None]])
+            P = np.concatenate([P, (A[4] + lift(A, B[4]))[None]])
         np.maximum(scale, np.abs(P[:4]).max(axis=(0, 1)), out=scale)
     return P[:, 0], scale
 
@@ -355,7 +370,8 @@ class TestSlope:
 class TestMagnusKernel:
     """The steps in bit-reversed order, multiplied as contiguous halves,
     against the natural-order pairwise tree: the same operations in the
-    same order, so the same bits."""
+    same order, so the same bits; and the half-turn count against the
+    floor of the oracle's lifted angle."""
 
     @pytest.mark.parametrize("n", [1, 2, 8, 64, 4096])
     def test_bit_reversed_order_is_an_involution(self, n):
@@ -379,6 +395,8 @@ class TestMagnusKernel:
             for kind in ({}, {"angle": True}, {"slope": True}):
                 M, scale = bs._product(pot, n, E, **kind)
                 want, want_scale = natural_product(pot, n, E, **kind)
+                if "angle" in kind:
+                    want[4] = np.floor((want[4] - 0.5 * np.pi) / np.pi)
                 assert np.array_equal(M, want) and np.array_equal(scale, want_scale), (k, kind)
 
     def test_product_beside_angle_is_bit_identical(self):
@@ -467,15 +485,20 @@ class TestBandEdges:
         messages = [rec.getMessage() for rec in caplog.records if rec.name == logger]
         assert len(messages) == 3
         # the free particle's ground edge is its one crossing, its touches
-        # at 1 and 4 are slope roots
+        # at 1 and 4 are slope roots, and 7 edges (0, 1, 1, 4, 4, 9, 9) lie
+        # below 11, the top of its window
         assert messages[0].startswith("band_edges: 2 slope roots in ")
-        assert messages[0].endswith(", 1 crossing brackets, 0 rescans")
+        assert messages[0].endswith(", 7 edges counted below the window's top, "
+                                    "1 crossing brackets, 0 rescans")
         # with 121 edges the lowest touches share cells of window/256, and
-        # each cell that hides more than one is scanned again
-        assert messages[1].endswith(", 1 crossing brackets, 2 rescans")
-        # the stand-in scan reports one root and scans nothing again
+        # each cell that hides more than one is scanned again; the top,
+        # 2 + 61^2, lies above the 123 edges up to 61^2
+        assert messages[1].endswith(", 123 edges counted below the window's top, "
+                                    "1 crossing brackets, 2 rescans")
+        # the stand-in scan reports one root, counts nothing and scans nothing again
         assert messages[2] == ("band_edges: 0 slope roots in 0 root steps, 0 Magnus products "
-                               "of 0 steps x energies, 1 crossing brackets, 0 rescans")
+                               "of 0 steps x energies, 0 edges counted below the window's top, "
+                               "1 crossing brackets, 0 rescans")
 
     def test_products_logged_repeat_on_a_fresh_build(self, caplog):
         # products are counted where they are formed, so a fresh build of one
@@ -608,11 +631,70 @@ class TestEdgeCount:
         assert Es[-1] > 224.0 ** 2 and not np.isin(Es, edges).any()
         assert np.array_equal(got, np.searchsorted(edges, Es))
 
-    def test_a_step_turning_by_pi_raises(self):
-        coef = bs._step_coefficients(free_particle(), 64)  # h = pi / 64
-        bs._step_propagators(coef, np.array([63.0 ** 2]), angle=True)
-        with pytest.raises(NumericalError, match="turns the solution by pi"):
-            bs._step_propagators(coef, np.array([64.5 ** 2]), angle=True)
+    QUARTER = np.array([[0.0, 1.0], [-1.0, 0.0]])  # turns e2 clockwise to e1: k = -1
+
+    @pytest.mark.parametrize("A,B,k", [(QUARTER, QUARTER, -1), (-np.eye(2), QUARTER, -2),
+                                       (QUARTER, -np.eye(2), -2)],
+                             ids=["product_12_zero", "later_12_zero", "earlier_12_zero"])
+    def test_wrap_where_a_12_entry_is_zero(self, A, B, k):
+        # two steps, B then A, each a clockwise rotation with its half-turn
+        # count (-I a half-turn, k = -1).  e2 ends on -e2 (w = -pi/2, no zero
+        # inside), on -e1 (w = -pi) and on -e1: a wrap only in the first
+        P = np.empty((5, 2, 1))
+        P[:4, :, 0] = np.stack([B.ravel(), A.ravel()], axis=1)
+        P[4] = -1.0
+        M, _ = bs._tree_product(P)
+        assert np.array_equal(M[:4, 0], (A @ B).ravel()) and M[4, 0] == k
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_free_particle_at_several_half_turns_per_step(self, n):
+        # sqrt(E) h / pi = sqrt(E) / n half-turns per step, up to 3.6; the
+        # zeros of sin(sqrt(E) x) in (0, pi) number floor(sqrt(E)), none below 0
+        root = np.linspace(0.0, 3.6 * n, 20001)
+        root = root[np.abs(root - np.round(root)) > 0.01]  # off the Dirichlet eigenvalues n^2
+        E = np.concatenate([-np.linspace(0.0, 100.0, 101) ** 2, root ** 2])
+        M, _ = bs._product(free_particle(), n, E, angle=True)
+        assert np.array_equal(-1 - M[4], np.floor(np.sqrt(np.maximum(E, 0.0))))
+
+    @pytest.mark.parametrize("tol", [bs.SCAN_TOL, bs.TOL], ids=["scan_tol", "tol"])
+    def test_count_at_a_dirichlet_eigenvalue(self, tol):
+        # at E = 230^2 sin(230 x) vanishes at L = pi: the count is of the
+        # zeros in the open interval (0, L)
+        M, _ = bs._monodromy(free_particle(), [230.0 ** 2], tol, angle=True)
+        assert -1 - M[4, 0] == 229
+
+    @pytest.mark.parametrize("tol", [bs.SCAN_TOL, bs.TOL], ids=["scan_tol", "tol"])
+    def test_raw_lame_near_m1_from_below_the_spectrum(self, tol):
+        # partial products here reach 1e54 (j = 2) to 1e87 (j = 10) below the
+        # spectrum, where a wrap read off a cross product of the computed
+        # entries cancels to the wrong sign
+        for j in range(2, 11):
+            pot = lame_pot(Family.RAW_LAME, j, 1 - 1e-6)
+            edges = [e for e, _, _ in susy._lame(j, 1 - 1e-6)]
+            Es = np.linspace(bs._span(pot)[0] - 50.0, edges[-1], 2049)
+            M, _ = bs._monodromy(pot, Es, tol, angle=True)
+            got = bs._edges_below(M[4], M[0] + M[3] - bs._TARGETS[:, None])
+            assert np.array_equal(got[:-1], np.searchsorted(edges, Es[:-1])), j
+
+    @pytest.mark.parametrize("j,E,dirichlet", [(9, 94.21902010412118, 16),
+                                               (10, 84.99961134727889, 4),
+                                               (10, 100.98488221063053, 6),
+                                               (10, 115.36589649988237, 18)])
+    def test_counts_that_64_steps_miss(self, j, E, dirichlet):
+        # raw Lame at m = 1 - 1e-6: at 64 steps, fewer than the scan
+        # settles, the product counts one or two zeros too many here; the
+        # settled step counts are right, against susy._lame below the top
+        # edge and against 4096 steps above it
+        pot = lame_pot(Family.RAW_LAME, j, 1 - 1e-6)
+        edges = [e for e, _, _ in susy._lame(j, 1 - 1e-6)]
+        M, _ = bs._product(pot, 4096, np.array([E]), angle=True)
+        assert -1 - M[4, 0] == dirichlet
+        for tol in (bs.SCAN_TOL, bs.TOL):
+            M, _ = bs._monodromy(pot, [E], tol, angle=True)
+            assert -1 - M[4, 0] == dirichlet
+            if E < edges[-1]:
+                below = bs._edges_below(M[4], M[0] + M[3] - bs._TARGETS[:, None])
+                assert below[0] == np.searchsorted(edges, E)
 
 
 class TestStepCount:
@@ -786,9 +868,14 @@ class TestBenchScript:
         assert len(lines) == 1
         result = json.loads(lines[0])
         assert result.pop("repeat") == 1
+        quartiles = result.pop("quartiles")
+        counts = [result.pop(key) for key in ("band_edges_products", "band_edges_steps_x_energies")]
         assert sorted(result) == ["band_edges_s", "jacobi_points_per_s", "scan_257_energies_per_s",
                                   "trace_1_s", "trace_8_s"]
         assert all(value > 0.0 for value in result.values())
+        # one round: both quartiles are its one value
+        assert quartiles == {name: [value, value] for name, value in result.items()}
+        assert all(isinstance(c, int) and c > 0 for c in counts)
 
 
 class TestLameSweep:
