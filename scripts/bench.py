@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the Floquet layer on fixed inputs and print one JSON line.
+"""Time the Floquet and Galerkin layers on fixed inputs and print one JSON line.
 
-Five timings, each taken once per round over ``--repeat`` rounds, one of
+Six timings, each taken once per round over ``--repeat`` rounds, one of
 each in turn, so that a drift in machine speed reaches all of them alike.
 The line holds the median of every timing over the rounds, and under
 ``quartiles`` its first and third quartiles:
@@ -17,7 +17,9 @@ The line holds the median of every timing over the rounds, and under
     V+ and over the same window, 10 products a round;
   * ``band_edges_s``: ``band_edges`` for all 2j + 1 edges of freshly built
     closed-form potentials, V- for j = 1..5 and V+ for j = 2, 3, at
-    m in {0.1, 0.5, 0.9}: 21 calls a round, step counts settled anew.
+    m in {0.1, 0.5, 0.9}: 21 calls a round, step counts settled anew;
+  * ``galerkin_edges_s``: ``galerkin_edges`` for the same 2j + 1 edges of
+    the same 21 freshly built potentials, at its default basis.
 
 Beside them, two counts that no timing noise moves: the Magnus products
 the 21 ``band_edges`` calls form and their steps x energies
@@ -73,14 +75,19 @@ def _timed(fn, calls):
     return (time.perf_counter() - start) / calls
 
 
+def _grid():
+    """The 21 cases as (potential, 2j + 1), each potential freshly built."""
+    for family, j in EDGE_CASES:
+        for m in M_LIST:
+            yield PotentialSpec(family, j, m).as_periodic_potential(), 2 * j + 1
+
+
 def _band_edges_grid():
     """The Magnus products and steps x energies that the 21 calls form."""
     formed = np.zeros(2, dtype=int)
-    for family, j in EDGE_CASES:
-        for m in M_LIST:
-            pot = PotentialSpec(family, j, m).as_periodic_potential()
-            bandsolver.band_edges(pot, 2 * j + 1)
-            formed += pot._magnus["formed"]
+    for pot, count in _grid():
+        bandsolver.band_edges(pot, count)
+        formed += pot._magnus["formed"]
     return formed
 
 
@@ -95,6 +102,8 @@ def run(repeat=7):
         "scan_257_energies_per_s": lambda: scan.size / _timed(
             lambda: bandsolver._monodromy(pot, scan, bandsolver.SCAN_TOL, angle=True), 10),
         "band_edges_s": lambda: _timed(_band_edges_grid, 1),
+        "galerkin_edges_s": lambda: _timed(
+            lambda: [bandsolver.galerkin_edges(*case) for case in _grid()], 1),
     }
     rounds = {name: [] for name in timings}
     for _ in range(repeat):

@@ -9,7 +9,10 @@ boundary with the type of its Lamé polynomial: sn^a cn^b dn^c P(sn^2) is
 antiperiodic over the period 2K when a + b is odd.  Errors are reported
 apart for touches, the edges an engine returns as a degenerate pair, and
 for all other edges.  A touch stands for a gap narrower than the engine
-resolves, so its error is half that gap's width.
+resolves, so its error is half that gap's width.  Both engines give an
+edge the boundary of its index, so the boundary column checks that
+rule, and the energy error columns carry the check that each index
+holds the right edge.
 
 Run:  python scripts/lame_sweep.py
 for j = 1..10 and m in {1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 1 - 1e-6}.

@@ -10,16 +10,17 @@ can arbitrate the other's bugs:
     more than the sign changes of Delta - 2 (periodic edge) and Delta + 2
     (antiperiodic) hides a gap: it is split at the gap's critical point,
     a root of Delta', or else scanned again on cells of its own.  Every
-    sign change then brackets one edge, solved to float resolution by
-    bracketed false position; a critical point where Delta only touches
-    +-2 is a closed gap;
+    sign change then brackets one edge, indexed by the count at its end
+    and solved to float resolution by bracketed false position; a
+    critical point where Delta only touches +-2 is a closed gap;
   * a plane-wave Galerkin route: the periodic and antiperiodic
     eigenproblems of V, real as every potential here is, assembled as
     real symmetric matrices in the sqrt2 cos / sqrt2 sin basis from
-    Fourier coefficients of V; the sorted union of their eigenvalues is
-    exactly the edge sequence.
+    Fourier coefficients of V; edge n is eigenvalue n // 2 of its own
+    boundary's problem.
 
-Band edges follow the oscillation-theorem boundary pattern
+Either way an edge is known by its index n, never by a sort of
+energies, and its boundary follows from n by the oscillation theorem:
 periodic, anti, anti, periodic, periodic, anti, anti, ...
 Closed gaps (the trace only touching +-2) are reported as two
 coincident edges flagged degenerate, so lists keep uniform length.
@@ -62,7 +63,6 @@ MAX_STEPS = 2 ** 14  # largest step count the engine accepts
 CHUNK = 2 ** 15      # steps x energies held in memory at once
 _PROBES = 17         # probe energies per range at which a step count is settled
 _RANGE_WAVES = 16    # free half-waves per period above max V in the lowest range
-_BOUNDARY = {2.0: "periodic", -2.0: "antiperiodic"}  # trace value at each edge type
 _TARGETS = np.array([2.0, -2.0])  # the edge residuals' rows: trace - 2, trace + 2
 _STALL = 3           # steps a bracket may go without halving before a safeguard step
 _ROOT_STEPS = 64 * (2 * _STALL + 1)  # enough for 64 halvings of every bracket
@@ -78,9 +78,15 @@ def _debug(logger: str, msg: str, *args):
         logging.getLogger(logger).debug(msg, *args)
 
 
+def _row(n):
+    """Row in _TARGETS of edge n (an int or an int array) by the oscillation
+    theorem: 0, periodic, for n = 0, 3, 4, 7, 8, ..., else 1, antiperiodic."""
+    return (n + 1) // 2 % 2
+
+
 def expected_boundary(n: int) -> str:
     """Boundary type of edge n in the oscillation-theorem pattern."""
-    return "periodic" if ((n + 1) // 2) % 2 == 0 else "antiperiodic"
+    return ("periodic", "antiperiodic")[_row(n)]
 
 
 @dataclass
@@ -339,13 +345,18 @@ def _step_count(V: PeriodicPotential, tol: float, r: int) -> int:
     2n-step product at _PROBES energies spread over the range, entry by
     entry, relative to the largest partial product along the way (a
     final-matrix norm would demand accuracy below roundoff where the
-    entries cancel).  The count depends on V, tol and r only.
+    entries cancel).  The count depends on V, tol and r only.  A probe
+    product that is not finite raises NumericalError at once: more steps
+    cannot bring back solutions that overflow float64.
     """
     key = ("count", tol, r)
     if key not in V._magnus:
         n = MIN_STEPS if r == 0 else _step_count(V, tol, r - 1)
         coarse, scale = _probe_product(V, r, n)
         while True:
+            if not np.isfinite(scale).all():
+                raise NumericalError(f"the solutions overflow float64 over one period at {n} "
+                                     "steps; galerkin_edges solves so deep a potential")
             fine, fine_scale = _probe_product(V, r, 2 * n)
             err = np.max(np.abs(fine - coarse) / np.maximum(scale, fine_scale))
             if err <= tol:
@@ -549,9 +560,16 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     512-sample numeric partner V+ of j = 2 at m = 1e-6 returns its
     7.5e-13 gap as a touch.
 
-    Returns (roots, touches): simple roots as (energy, boundary) and
-    touch points as (energy, boundary) each standing for a coincident
-    pair.  Counts go into ``stats``.
+    Each edge's index comes from the count, its row from its index
+    (_row).  A bracket up from a sample of count c holds edge c, or edge
+    c + 1 where edge c is of the other row.  One up from a critical point,
+    below a sample of count c, holds edge c - 1, or edge c - 2 where edge
+    c - 1 is of the other row.  A touch holds the two edges that follow
+    the count at its cell's lower end and the crossings of its lower
+    piece.  A rescan's counts are absolute, as every count is.
+
+    Returns the edges found as (index, energy, degenerate) triples sorted
+    by index, a touch as two degenerate ones.  Counts go into ``stats``.
     """
     Es = np.linspace(e_min, e_max, n_cells + 1)
     M, scale = _monodromy(V, Es, SCAN_TOL, angle=True)
@@ -582,60 +600,34 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
         is_open, np.sign(targets) * overshoot, -targets)
     # a split cell is done when its two pieces bracket all its count's rise
     lo, at = cells[split], at_x >= 0.0
-    pieces = (above[:, lo] != at).sum(axis=0) + (at != above[:, lo + 1]).sum(axis=0)
-    done = pieces + 2 * ~is_open >= jump[lo]
-    xe, targets, is_open, at_x = xe[done], targets[done], is_open[done], at_x[:, done]
-    touches = [(e, _BOUNDARY[t]) for e, t in zip(xe[~is_open].tolist(), targets[~is_open])]
-    rescan = np.setdiff1d(cells, lo[done])
-    order = np.argsort(np.concatenate([Es, xe]), kind="stable")
-    E_all, res_all = np.concatenate([Es, xe])[order], np.concatenate([res, at_x], axis=1)[:, order]
-    # every sign change of a row between neighbours brackets one edge,
-    # except in the cells scanned again
+    lower = (above[:, lo] != at).sum(axis=0)  # crossings in each lower piece
+    done = lower + (at != above[:, lo + 1]).sum(axis=0) + 2 * ~is_open >= jump[lo]
+    xe, is_open, at_x, lower, lo = xe[done], is_open[done], at_x[:, done], lower[done], lo[done]
+    # a touch's pair follows the count at its cell's lower end and its lower piece's crossings
+    edges = [(n + i, e, True) for n, e in zip((below[lo] + lower)[~is_open].tolist(),
+                                              xe[~is_open].tolist()) for i in (0, 1)]
+    rescan = np.setdiff1d(cells, lo)
+    # the critical points go in after their cells' lower ends.  A bracket
+    # from a sample counts up from its count, one from a critical point
+    # down from the next sample's, and the edge it holds is the first of
+    # its row that way; none is taken from the cells scanned again
+    step = np.ones(Es.size, dtype=int)
+    step[rescan] = 0
+    step, base = np.insert(step, lo + 1, -1), np.insert(below, lo + 1, below[lo + 1] - 1)
+    E_all, res_all = np.insert(Es, lo + 1, xe), np.insert(res, lo + 1, at_x, axis=1)
     above = res_all >= 0.0
-    row, i = np.nonzero((above[:, :-1] != above[:, 1:]) & ~np.isin(E_all[:-1], Es[rescan]))
-    tgt = _TARGETS[row]
-    found = _root_batch(_crossing(V, tgt), E_all[i], E_all[i + 1], res_all[row, i],
+    row, i = np.nonzero((above[:, :-1] != above[:, 1:]) & (step[:-1] != 0))
+    found = _root_batch(_crossing(V, _TARGETS[row]), E_all[i], E_all[i + 1], res_all[row, i],
                         res_all[row, i + 1])
-    roots = [(float(r), _BOUNDARY[g]) for r, g in zip(found, tgt)]
+    index = base[i] + step[i] * (row != _row(base[i]))
+    edges += [(n, e, False) for n, e in zip(index.tolist(), found.tolist())]
     for k in rescan:
         if Es[k + 1] - Es[k] <= 4.0 * np.finfo(float).eps * max(1.0, abs(Es[k]), abs(Es[k + 1])):
             raise NumericalError(f"{jump[k]} band edges hidden in [{Es[k]!r}, {Es[k + 1]!r}], "
                                  "a cell narrower than float resolution")
         stats["rescans"] += 1
-        more, closed = _scan_edges(V, Es[k], Es[k + 1], DEFAULT_SCAN, count, stats)
-        roots, touches = roots + more, touches + closed
-    return sorted(roots), touches
-
-
-def _pattern_order(edges, close):
-    """Put narrow bands in the oscillation-theorem order, in place.
-
-    A band's lower edge lies below its upper edge, and its two edges have
-    different boundaries, so an adjacent pair of entries (energy,
-    boundary, ...) with different boundaries that sits out of the pattern
-    and is ``close`` (a predicate on the two entries: closer than the
-    engine resolves) bounds a band narrower than that, and is swapped.
-    Closed gaps pair equal boundaries, so this rule cannot mistake a gap
-    for a band.
-    """
-    for i in range(len(edges) - 1):
-        x, y = edges[i], edges[i + 1]
-        if x[1] != expected_boundary(i) and y[1] != x[1] and close(x, y):
-            edges[i], edges[i + 1] = y, x
-
-
-def _assemble(roots, touches):
-    """Merge simple roots and degenerate pairs into one sorted edge list.
-
-    A periodic and an antiperiodic root within _root_batch's closing
-    width, 4 eps max(1, |E|), go out in the pattern's order (_pattern_order).
-    """
-    out = [(e, bnd, False) for e, bnd in roots]
-    out += [(e, bnd, True) for e, bnd in touches for _ in range(2)]
-    out.sort()
-    _pattern_order(out, lambda x, y: not x[2] and not y[2] and y[0] - x[0]
-                   <= 4.0 * np.finfo(float).eps * max(1.0, abs(x[0]), abs(y[0])))
-    return out
+        edges += _scan_edges(V, Es[k], Es[k + 1], DEFAULT_SCAN, count, stats)
+    return sorted(edges)
 
 
 def _first_window(V: PeriodicPotential, count: int) -> float:
@@ -647,15 +639,16 @@ def _first_window(V: PeriodicPotential, count: int) -> float:
 
 
 def band_edges(V: PeriodicPotential, count: int) -> list:
-    """First ``count`` band edges of -y'' + V y = E y, sorted by energy.
+    """First ``count`` band edges of -y'' + V y = E y, by index.
 
     Scans DEFAULT_SCAN cells of the window from inf V - 1 to _first_window,
     which holds ``count`` edges: by min-max comparison with the free
     particle, edge n lies at most (pi ceil(n/2) / L)^2 above max V.  Every
-    edge is solved down to a few ulps (_scan_edges, _root_batch).  A result
-    short of ``count`` edges or out of the boundary pattern raises
-    IncompleteSpectrumError.  Each call sends one DEBUG record to this
-    module's logger when ``logging`` is loaded.
+    edge is solved down to a few ulps and indexed by the edge count
+    (_scan_edges, _root_batch); its boundary follows from its index.  An
+    index in 0..count - 1 missing or doubled raises IncompleteSpectrumError,
+    naming them.  Each call sends one DEBUG record to this module's logger
+    when ``logging`` is loaded.
     """
     count = _positive_int(count, "count")
     V.validate()
@@ -664,16 +657,17 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
     stats = dict(critical=0, root_steps=0, brackets=0, rescans=0)
     V._magnus["formed"] = np.zeros(2, dtype=int)  # Magnus products, steps x energies
     try:
-        roots, touches = _scan_edges(V, e_min, e_max, DEFAULT_SCAN, count, stats)
-        stats["brackets"] = len(roots)  # one root per crossing bracket
-        found = [BandEdge(n=i, energy=e, boundary=b, degenerate=d)
-                 for i, (e, b, d) in enumerate(_assemble(roots, touches))]
-        if (len(found) >= count
-                and all(e.boundary == expected_boundary(e.n) for e in found[:count])):
-            return found[:count]
+        edges = _scan_edges(V, e_min, e_max, DEFAULT_SCAN, count, stats)
+        stats["brackets"] = sum(not d for _, _, d in edges)  # one root per crossing bracket
+        found = [BandEdge(n=n, energy=e, boundary=expected_boundary(n), degenerate=d)
+                 for n, e, d in edges if n < count]
+        indices = [e.n for e in found]
+        if indices == list(range(count)):
+            return found
         raise IncompleteSpectrumError(
-            f"found {len(found)} band edges below E={e_max!r}, needed {count}: "
-            + ", ".join(f"{e.energy:.6g}({e.boundary[0]})" for e in found), found=found)
+            f"band edges {sorted(set(range(count)) - set(indices))} missing and "
+            f"{sorted({n for n in indices if indices.count(n) > 1})} doubled below "
+            f"E={e_max!r}: " + ", ".join(f"{e.n}:{e.energy:.6g}" for e in found), found=found)
     finally:
         _debug(__name__, "band_edges: %d slope roots in %d root steps, %d Magnus products of "
                "%d steps x energies, %d edges counted below the window's top, %d crossing "
@@ -721,11 +715,11 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = BASIS_N) -> 
 
     Assembles the two as dense real symmetric matrices in the sqrt2 cos /
     sqrt2 sin basis (_cos_sin_matrix), from Fourier coefficients of V taken
-    by rfft on 4*basis_n samples, and merges the two sorted spectra; their
-    union is the edge sequence, including coincident pairs at closed gaps.
-    Two neighbours of one boundary type that the eigenvalues do not
-    resolve apart are flagged degenerate, a closed gap; a band narrower
-    than that goes out in the boundary pattern (_pattern_order).
+    by rfft on 4*basis_n samples.  Edge n is eigenvalue n // 2 of its own
+    boundary's problem (the oscillation theorem), and by Courant-Fischer
+    that eigenvalue is the Ritz upper bound of exactly that edge.  The two
+    edges of a gap, eigenvalues i - 1 and i of one problem, that the
+    eigenvalues do not resolve apart are flagged degenerate, a closed gap.
     """
     count = _positive_int(count, "count")
     basis_n = _positive_int(basis_n, "basis_n")
@@ -735,24 +729,16 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = BASIS_N) -> 
     V.validate()
     a, b = _potential_modes(V, basis_n)
     try:
-        ev_per = np.linalg.eigvalsh(_cos_sin_matrix(a, b, V.period, True))
-        ev_anti = np.linalg.eigvalsh(_cos_sin_matrix(a, b, V.period, False))
+        spectra = [np.linalg.eigvalsh(_cos_sin_matrix(a, b, V.period, periodic))
+                   for periodic in (True, False)]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Galerkin eigenproblem failed: {exc}") from exc
-
-    labelled = sorted([(float(e), "periodic") for e in ev_per]
-                      + [(float(e), "antiperiodic") for e in ev_anti])
-    if len(labelled) < count:
-        raise IncompleteSpectrumError(
-            f"Galerkin basis produced {len(labelled)} eigenvalues, needed {count}")
     # eigvalsh resolves eigenvalues to a small multiple of eps ||H||
-    resolved = 16.0 * np.finfo(float).eps * max(np.abs(ev_per).max(), np.abs(ev_anti).max())
-    chosen = labelled[: count + 1]
-    _pattern_order(chosen, lambda x, y: y[0] - x[0] <= resolved)
-    chosen = chosen[:count]
-    tied = [x[1] == y[1] and abs(y[0] - x[0]) <= resolved for x, y in zip(chosen, chosen[1:])]
-    return [BandEdge(n=i, energy=e, boundary=bnd, degenerate=any(tied[max(i - 1, 0) : i + 1]))
-            for i, (e, bnd) in enumerate(chosen)]
+    resolved = float(16.0 * np.finfo(float).eps * max(np.abs(ev).max() for ev in spectra))
+    E = [float(spectra[_row(n)][n // 2]) for n in range(count + 1)]
+    closed = [g > 0 and E[2 * g] - E[2 * g - 1] <= resolved for g in range(count // 2 + 1)]
+    return [BandEdge(n=n, energy=E[n], boundary=expected_boundary(n),
+                     degenerate=closed[(n + 1) // 2]) for n in range(count)]
 
 
 # ---------------------------------------------------------------------------

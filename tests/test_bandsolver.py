@@ -65,8 +65,16 @@ def short_scan(cells):
     records the cell count of every scan."""
     def scan(V, e_min, e_max, n_cells, count, stats):
         cells.append(n_cells)
-        return [(0.0, "periodic")], []
+        return [(0, 0.0, False)]
     return scan
+
+
+def roots_and_touches(edges):
+    """_scan_edges' (index, energy, degenerate) triples as the simple roots
+    and the touches, each (energy, boundary), a touch once for its pair."""
+    labelled = [(e, bs.expected_boundary(n), d) for n, e, d in edges]
+    return ([(e, b) for e, b, d in labelled if not d],
+            [(e, b) for e, b, d in labelled if d][::2])
 
 
 def plane_wave_reference(V, basis_n):
@@ -455,6 +463,16 @@ class TestBandEdges:
         assert cells == [256]
         assert exc.value.found == [bs.BandEdge(n=0, energy=0.0, boundary="periodic")]
 
+    def test_count_certificate(self, monkeypatch):
+        # every edge's index comes from the count, so a count one too high
+        # leaves edge 0 missing and puts two edges on one index, where a
+        # sort of the energies would not notice
+        edges_below = bs._edges_below
+        monkeypatch.setattr(bs, "_edges_below", lambda k, res: edges_below(k, res) + 1)
+        with pytest.raises(IncompleteSpectrumError,
+                           match=r"band edges \[0, 1, 3\] missing and \[2, 4\] doubled"):
+            bs.band_edges(lame_pot(Family.V_MINUS, 2, 0.5), 5)
+
     def test_touches_to_float_resolution(self):
         # closed gaps of the free particle at (n pi / L)^2, solved as roots
         # of Delta'; the upper j=2 gap at m = 1e-6 is 7.5e-13 wide
@@ -533,7 +551,8 @@ class TestBandEdges:
         # the free particle's window [-1, 11] holds touches at 1, 4 and 9;
         # the first five edges need the slope roots at 1 and 4 only
         stats = dict(critical=0, root_steps=0)
-        roots, touches = bs._scan_edges(free_particle(), -1.0, 11.0, 256, 5, stats)
+        roots, touches = roots_and_touches(
+            bs._scan_edges(free_particle(), -1.0, 11.0, 256, 5, stats))
         assert [round(e, 9) for e, _ in touches] == [1.0, 4.0]
         assert stats["critical"] == 2 and len(roots) == 1
 
@@ -712,6 +731,19 @@ class TestStepCount:
         assert len(set(formed)) == len(formed)
 
 
+    def test_overflowing_solutions_raise_at_the_first_probe(self):
+        # the growing solutions of V = 1e6 cos 2 pi x overflow float64 over
+        # one period, so the first probe product is not finite; more steps
+        # cannot help, while Galerkin solves this V
+        deep = bs.PeriodicPotential(1.0, lambda x: 1e6 * np.cos(2 * np.pi * np.asarray(x)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="overflow float64.*galerkin_edges"):
+                bs.band_edges(deep, 5)
+        assert deep._magnus["formed"][0] <= 2
+        assert [e.energy for e in bs.galerkin_edges(deep, 5, basis_n=512)] == pytest.approx(
+            [-995559.5858, -995559.5858, -986683.7006, -986683.7006, -977817.7097], abs=1e-3)
+
+
 class TestRootBatch:
     @pytest.mark.parametrize("m", [0.01, 0.1, 0.5, 0.9, 0.99])
     @pytest.mark.parametrize("j", range(1, 11))
@@ -771,7 +803,7 @@ class TestCriticalPoints:
         roots, _, split = bs._critical_points(pot, np.array([-1.0]), np.array([e_max]), stats)
         assert split.tolist() == [len(hidden) % 2 == 1]
         assert all(min(abs(r - t) for t in hidden) <= 1e-12 for r in roots)
-        roots, touches = bs._scan_edges(pot, -1.0, e_max, 1, count, stats)
+        roots, touches = roots_and_touches(bs._scan_edges(pot, -1.0, e_max, 1, count, stats))
         assert stats["rescans"] == 1
         assert [b for _, b in roots] == ["periodic"] and abs(roots[0][0]) <= 1e-12
         assert [b for _, b in sorted(touches)] == [
@@ -792,8 +824,8 @@ class TestCriticalPoints:
         # and no spurious edge at the window's end
         pot = lame_pot(Family.RAW_LAME, 1, 0.9)
         stats = dict(critical=0, root_steps=0)
-        roots, touches = bs._scan_edges(pot, bs._span(pot)[0] - 1.0, 2.7060743335221527,
-                                        256, 7, stats)
+        roots, touches = roots_and_touches(
+            bs._scan_edges(pot, bs._span(pot)[0] - 1.0, 2.7060743335221527, 256, 7, stats))
         assert touches == [] and stats["critical"] == 0
         assert [b for _, b in roots] == ["periodic", "antiperiodic", "antiperiodic"]
         assert max(abs(e - w) for (e, _), w in zip(roots, (0.9, 1.0, 1.9))) <= 1e-12
@@ -870,8 +902,8 @@ class TestBenchScript:
         assert result.pop("repeat") == 1
         quartiles = result.pop("quartiles")
         counts = [result.pop(key) for key in ("band_edges_products", "band_edges_steps_x_energies")]
-        assert sorted(result) == ["band_edges_s", "jacobi_points_per_s", "scan_257_energies_per_s",
-                                  "trace_1_s", "trace_8_s"]
+        assert sorted(result) == ["band_edges_s", "galerkin_edges_s", "jacobi_points_per_s",
+                                  "scan_257_energies_per_s", "trace_1_s", "trace_8_s"]
         assert all(value > 0.0 for value in result.values())
         # one round: both quartiles are its one value
         assert quartiles == {name: [value, value] for name, value in result.items()}
@@ -969,6 +1001,23 @@ class TestGalerkinEdges:
         want = np.sort(np.concatenate([per, anti]))[:9]
         got = [e.energy for e in bs.galerkin_edges(pot, 9)]
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_each_edge_is_its_own_problems_ritz_value(self):
+        # a mode sum whose band between edges 2 and 3 (5.6e-9 wide) is far
+        # narrower than the error of the basis of 64: each edge is still
+        # eigenvalue n // 2 of its own boundary's problem
+        pot = runpy.run_path(str(TestGeneratedPotentials.SCRIPT))["potential"]([
+            (3, 479.6166811219531, 644.4065751835986), (1, -1.0045470325210366, -14.54843415278527),
+            (2, 195.53557207606843, 1.5100093624601971), (19, -563.8850732056593, 800.1287924522554),
+            (5, -388.1381098678549, 335.04744365135343),
+            (6, 1.9821275492673185, -152.19223741824626),
+            (23, 14.210073818452873, -970.9746071396224)])
+        a, b = bs._potential_modes(pot, 64)
+        spectra = {bnd: np.linalg.eigvalsh(bs._cos_sin_matrix(a, b, pot.period, periodic))
+                   for bnd, periodic in (("periodic", True), ("antiperiodic", False))}
+        edges = bs.galerkin_edges(pot, 21, 64)
+        assert [e.boundary for e in edges] == [bs.expected_boundary(n) for n in range(21)]
+        assert all(e.energy == spectra[e.boundary][e.n // 2] for e in edges)
 
     def test_basis_size_validation(self):
         with pytest.raises(DomainError, match="basis_n"):
