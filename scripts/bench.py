@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the Floquet and Galerkin layers on fixed inputs and print one JSON line.
+"""Time the Floquet, Galerkin and partner layers on fixed inputs and print one JSON line.
 
-Six timings, each taken once per round over ``--repeat`` rounds, one of
+Eight timings, each taken once per round over ``--repeat`` rounds, one of
 each in turn, so that a drift in machine speed reaches all of them alike.
 The line holds the median of every timing over the rounds, and under
 ``quartiles`` its first and third quartiles:
@@ -19,11 +19,20 @@ The line holds the median of every timing over the rounds, and under
     closed-form potentials, V- for j = 1..5 and V+ for j = 2, 3, at
     m in {0.1, 0.5, 0.9}: 21 calls a round, step counts settled anew;
   * ``galerkin_edges_s``: ``galerkin_edges`` for the same 2j + 1 edges of
-    the same 21 freshly built potentials, at its default basis.
+    the same 21 freshly built potentials, at its default basis;
+  * ``numeric_partner_s``: ``ground_energy`` of raw Lamé and
+    ``numeric_partner`` of V- for j in {4, 8} x m in {0.5, 0.95}, each
+    potential freshly built: 8 calls a round;
+  * ``selfiso_distance_s``: ``selfiso_distance`` on two fixed pairs of
+    grids, the closed-form V+ and V- of j = 2, m = 0.5 at 512 samples, and
+    a five-mode function of period 2 pi against its translate by 1.2345
+    plus 1e-6 cos 5x at 256 samples: 2 calls a round.
 
-Beside them, two counts that no timing noise moves: the Magnus products
+Beside them, three counts that no timing noise moves: the Magnus products
 the 21 ``band_edges`` calls form and their steps x energies
-(``band_edges_products``, ``band_edges_steps_x_energies``).
+(``band_edges_products``, ``band_edges_steps_x_energies``), and the
+shifts the two ``selfiso_distance`` scans evaluate
+(``selfiso_shifts_evaluated``).
 
 Run:  python scripts/bench.py [--repeat N]
 with N rounds (default 7).  Times are wall-clock seconds of this
@@ -45,14 +54,16 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np  # noqa: E402
 
-from lamesusy import bandsolver  # noqa: E402
+from lamesusy import bandsolver, verify  # noqa: E402
 from lamesusy.elliptic import jacobi  # noqa: E402
+from lamesusy.grid import GridFunction  # noqa: E402
 from lamesusy.susy import Family, PotentialSpec  # noqa: E402
 
 JACOBI_X = np.linspace(-20.0, 20.0, 4096)
 EDGE_CASES = ([(Family.V_MINUS, j) for j in range(1, 6)]
               + [(Family.V_PLUS, j) for j in (2, 3)])
 M_LIST = (0.1, 0.5, 0.9)
+PARTNER_CASES = [(j, m) for j in (4, 8) for m in (0.5, 0.95)]
 
 
 def _warm_potential():
@@ -62,7 +73,7 @@ def _warm_potential():
     count = 7
     scan = np.linspace(bandsolver._span(pot)[0] - 1.0, bandsolver._first_window(pot, count),
                        bandsolver.DEFAULT_SCAN + 1)
-    bandsolver._monodromy(pot, scan, bandsolver.SCAN_TOL, angle=True)
+    bandsolver._monodromy(pot, scan, bandsolver.SCAN_TOL, rows=5)
     low = np.linspace(scan[0], bandsolver._span(pot)[1], 8)
     bandsolver.monodromy_trace(pot, low)
     return pot, scan, low
@@ -91,30 +102,54 @@ def _band_edges_grid():
     return formed
 
 
+def _partners():
+    """ground_energy of raw Lamé and numeric_partner of V- over PARTNER_CASES."""
+    for j, m in PARTNER_CASES:
+        bandsolver.ground_energy(PotentialSpec(Family.RAW_LAME, j, m).as_periodic_potential())
+        bandsolver.numeric_partner(PotentialSpec(Family.V_MINUS, j, m).as_periodic_potential())
+
+
+def _selfiso_pairs():
+    """The two (vp, vm) grid pairs of ``selfiso_distance_s``."""
+    plus, minus = (verify._grid_of(PotentialSpec(f, 2, 0.5).as_periodic_potential())
+                   for f in (Family.V_PLUS, Family.V_MINUS))
+    f = lambda x: (np.sin(x) + 0.25 * np.cos(2 * x) - 0.1 * np.sin(3 * x)
+                   + 0.15 * np.cos(3 * x) + 0.05 * np.cos(7 * x + 1.0))
+    near = GridFunction.from_function(lambda x: f(x - 1.2345) + 1e-6 * np.cos(5 * x),
+                                      2 * np.pi, 256)
+    return [(plus, minus), (near, GridFunction.from_function(f, 2 * np.pi, 256))]
+
+
 def run(repeat=7):
     """The medians and quartiles over ``repeat`` interleaved rounds, and
     the counts, as a dict."""
     pot, scan, low = _warm_potential()
+    pairs = _selfiso_pairs()
     timings = {
         "jacobi_points_per_s": lambda: JACOBI_X.size / _timed(lambda: jacobi(JACOBI_X, 0.9), 50),
         "trace_1_s": lambda: _timed(lambda: bandsolver.monodromy_trace(pot, low[3]), 50),
         "trace_8_s": lambda: _timed(lambda: bandsolver.monodromy_trace(pot, low), 50),
         "scan_257_energies_per_s": lambda: scan.size / _timed(
-            lambda: bandsolver._monodromy(pot, scan, bandsolver.SCAN_TOL, angle=True), 10),
+            lambda: bandsolver._monodromy(pot, scan, bandsolver.SCAN_TOL, rows=5), 10),
         "band_edges_s": lambda: _timed(_band_edges_grid, 1),
         "galerkin_edges_s": lambda: _timed(
             lambda: [bandsolver.galerkin_edges(*case) for case in _grid()], 1),
+        "numeric_partner_s": lambda: _timed(_partners, 1),
+        "selfiso_distance_s": lambda: _timed(
+            lambda: [verify.selfiso_distance(*pair) for pair in pairs], 1),
     }
     rounds = {name: [] for name in timings}
     for _ in range(repeat):
         for name, measure in timings.items():
             rounds[name].append(measure())
     products, steps = (int(c) for c in _band_edges_grid())
+    shifts = sum(int(np.isfinite(verify._scan_distance(*pair, verify.SHIFT_SAMPLES)).sum())
+                 for pair in pairs)
     return {name: statistics.median(values) for name, values in rounds.items()} | {
         "quartiles": {name: np.percentile(values, [25, 75]).tolist()
                       for name, values in rounds.items()},
         "band_edges_products": products, "band_edges_steps_x_energies": steps,
-        "repeat": repeat}
+        "selfiso_shifts_evaluated": shifts, "repeat": repeat}
 
 
 if __name__ == "__main__":

@@ -9,10 +9,11 @@ boundary with the type of its Lamé polynomial: sn^a cn^b dn^c P(sn^2) is
 antiperiodic over the period 2K when a + b is odd.  Errors are reported
 apart for touches, the edges an engine returns as a degenerate pair, and
 for all other edges.  A touch stands for a gap narrower than the engine
-resolves, so its error is half that gap's width.  Both engines give an
-edge the boundary of its index, so the boundary column checks that
-rule, and the energy error columns carry the check that each index
-holds the right edge.
+resolves, so its error is half that gap's width.  An edge's boundary is
+derived from its index n (``expected_boundary``), so the boundary column
+checks that rule against the type of the n-th Lamé polynomial, and the
+energy error columns carry the check that each index holds the right
+edge.
 
 Run:  python scripts/lame_sweep.py
 for j = 1..10 and m in {1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 1 - 1e-6}.
@@ -36,9 +37,10 @@ ENGINES = {
 
 
 def check(j, m, engine):
-    """One engine on raw Lamé (j, m): a dict saying whether every boundary
-    matches the oracle's, and the worst touch and non-touch errors (None
-    when the engine raised, with the reason in ``error``)."""
+    """One engine on raw Lamé (j, m): a dict saying whether the boundary of
+    every index matches the type of the oracle's polynomial there, and the
+    worst touch and non-touch errors (None when the engine raised, with
+    the reason in ``error``)."""
     count = 2 * j + 1
     oracle = susy._lame(j, m)
     pot = susy.PotentialSpec(susy.Family.RAW_LAME, j, m).as_periodic_potential()
@@ -50,8 +52,7 @@ def check(j, m, engine):
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
     row["boundaries_ok"] = len(edges) == count and all(
-        e.boundary == ("antiperiodic" if (a + b) % 2 else "periodic")
-        == bandsolver.expected_boundary(e.n)
+        bandsolver.expected_boundary(e.n) == ("antiperiodic" if (a + b) % 2 else "periodic")
         for e, (_, (a, b, _c), _p) in zip(edges, oracle))
     for kind, degenerate in (("plain", False), ("touch", True)):
         errs = [abs(e.energy - o[0]) for e, o in zip(edges, oracle) if e.degenerate == degenerate]

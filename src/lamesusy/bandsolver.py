@@ -89,19 +89,26 @@ def expected_boundary(n: int) -> str:
     return ("periodic", "antiperiodic")[_row(n)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PeriodicPotential:
-    """A real potential of one period, evaluable on the real line."""
+    """A real potential of one period, evaluable on the real line, built
+    only where evaluator(x + period) == evaluator(x) to 1e-9, both finite,
+    at 8 points (DomainError otherwise), and frozen: every engine takes a
+    checked one."""
 
     period: float
     evaluator: Callable
-    _validated: bool = field(default=False, init=False, repr=False, compare=False)
     # node samples, probe products, step counts and products formed of the Magnus engine
     _magnus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.period > 0) or not math.isfinite(self.period):
             raise DomainError(f"period must be positive and finite, got {self.period!r}")
+        x = (np.arange(8) + 0.37) * (self.period / 8)
+        a = self._eval_vec(x)
+        b = self._eval_vec(x + self.period)
+        if np.max(np.abs(a - b)) > 1e-9 * max(1.0, np.max(np.abs(a))):
+            raise DomainError("evaluator is not periodic with the declared period")
 
     def __call__(self, x):
         return self.evaluator(x)
@@ -127,17 +134,6 @@ class PeriodicPotential:
             raise DomainError(f"potential not finite at x = {xs[~np.isfinite(out)][:8]}")
         return out
 
-    def validate(self):
-        """Spot-check that evaluator(x + period) == evaluator(x) to 1e-9 at 8 points."""
-        if self._validated:
-            return
-        x = (np.arange(8) + 0.37) * (self.period / 8)
-        a = self._eval_vec(x)
-        b = self._eval_vec(x + self.period)
-        if np.max(np.abs(a - b)) > 1e-9 * max(1.0, np.max(np.abs(a))):
-            raise DomainError("evaluator is not periodic with the declared period")
-        self._validated = True
-
 
 @dataclass(frozen=True)
 class BandEdge:
@@ -145,8 +141,12 @@ class BandEdge:
 
     n: int
     energy: float
-    boundary: str  # "periodic" | "antiperiodic"
     degenerate: bool = False
+
+    @property
+    def boundary(self) -> str:
+        """The boundary type of edge n (expected_boundary)."""
+        return expected_boundary(self.n)
 
 
 # ---------------------------------------------------------------------------
@@ -191,14 +191,14 @@ def _step_coefficients(V: PeriodicPotential, n: int) -> tuple:
     return V._magnus[key]
 
 
-def _step_propagators(coef: tuple, E: np.ndarray, slope: bool = False,
-                      angle: bool = False) -> np.ndarray:
-    """exp(Omega) of every step at every energy, shape (4, steps, energies);
-    with ``slope`` its E-derivative follows in rows 4-7, with ``angle`` the
-    half-turn count of its second column in row 4 (_edges_below): exp(t
-    Omega) e2 has a first component b0 sinh(s t)/s, or b0 sin(s t)/s when
-    oscillating, and b0 > 0 while h^2 |V1 - 2 V2 + V3| < 54, so -1 for a
-    growing step, -max(1, ceil(s / pi)) for an oscillating one.
+def _step_propagators(coef: tuple, E: np.ndarray, rows: int = 4) -> np.ndarray:
+    """exp(Omega) of every step at every energy, shape (rows, steps,
+    energies), rows 4, 5 or 8 (ValueError otherwise): with 8 its
+    E-derivative follows in rows 4-7, with 5 the half-turn count of its
+    second column in row 4 (_edges_below): exp(t Omega) e2 has a first
+    component b0 sinh(s t)/s, or b0 sin(s t)/s when oscillating, and b0 > 0
+    while h^2 |V1 - 2 V2 + V3| < 54, so -1 for a growing step,
+    -max(1, ceil(s / pi)) for an oscillating one.
 
     Omega is traceless, so Omega^2 = z I with z = a^2 + b c, and
     exp(Omega) = C I + S Omega with C = cosh(s), S = sinh(s)/s, s = sqrt(z)
@@ -208,8 +208,10 @@ def _step_propagators(coef: tuple, E: np.ndarray, slope: bool = False,
     below 1e-13 on either side of |z| = 1e-2).  Only a and c depend on E:
     da/dE = -h a1, dc/dE = -h c1.  The rows are written into one array.
     """
+    if rows not in (4, 5, 8):
+        raise ValueError(f"rows must be 4, 5 or 8, got {rows!r}")
     h, hv, a0, a1, b0, c0, c1 = coef
-    P = np.empty((4 + 4 * slope + angle, hv.size, E.size))
+    P = np.empty((rows, hv.size, E.size))
     u = hv - h * E
     a = a1 * u + a0  # IEEE addition commutes: the same as a0 + a1 u
     c = np.add(np.multiply(c1, u, out=u), c0, out=u)
@@ -219,7 +221,7 @@ def _step_propagators(coef: tuple, E: np.ndarray, slope: bool = False,
     C, S = (f(s, out=np.empty_like(s), where=osc) for f in (np.cos, np.sin))
     np.cosh(s, out=C, where=~osc)
     np.sinh(s, out=S, where=~osc)
-    if angle:
+    if rows == 5:
         P[4] = -1.0
         i = np.flatnonzero(osc & (s > np.pi))  # below pi the count is -1
         np.put(P[4], i, -np.ceil(s.take(i) / np.pi))
@@ -229,7 +231,7 @@ def _step_propagators(coef: tuple, E: np.ndarray, slope: bool = False,
     np.multiply(S, b0, out=P[1])
     np.multiply(S, c, out=P[2])
     np.subtract(C, Sa, out=P[3])
-    if not slope:
+    if rows != 8:
         return P
     da, dc = -h * a1, -h * c1
     dz = 2.0 * a * da + b0 * dc
@@ -291,19 +293,18 @@ def _tree_product(P: np.ndarray) -> tuple:
     return P[:, 0], scale
 
 
-def _product(V: PeriodicPotential, n: int, E: np.ndarray, slope: bool = False,
-             angle: bool = False) -> tuple:
-    """Monodromy entries (m11, m12, m21, m22) over n steps, with ``slope``
-    followed by their E-derivatives, with ``angle`` by the half-turn count
+def _product(V: PeriodicPotential, n: int, E: np.ndarray, rows: int = 4) -> tuple:
+    """Monodromy entries (m11, m12, m21, m22) over n steps, with rows = 8
+    followed by their E-derivatives, with rows = 5 by the half-turn count
     of (m12, m22), and their scale.  Energies go in chunks that no result
     depends on, of at most CHUNK steps x energies, half as many energies
-    with ``slope``, so that the live arrays keep one size."""
+    with the derivatives, so that the live arrays keep one size."""
     coef = _step_coefficients(V, n)
-    M, scale = np.empty((4 + 4 * slope + angle, E.size)), np.empty(E.size)
-    per = max(1, CHUNK // (n * (2 if slope else 1)))
+    M, scale = np.empty((rows, E.size)), np.empty(E.size)
+    per = max(1, CHUNK // (n * (2 if rows == 8 else 1)))
     for lo in range(0, E.size, per):
         part = slice(lo, lo + per)
-        M[:, part], scale[part] = _tree_product(_step_propagators(coef, E[part], slope, angle))
+        M[:, part], scale[part] = _tree_product(_step_propagators(coef, E[part], rows))
     V._magnus.setdefault("formed", np.zeros(2, dtype=int))[:] += (1, n * E.size)
     return M, scale
 
@@ -370,28 +371,27 @@ def _step_count(V: PeriodicPotential, tol: float, r: int) -> int:
 
 
 def _monodromy(V: PeriodicPotential, energies, tol: float = TOL,
-               refined: bool = False, slope: bool = False, angle: bool = False) -> tuple:
-    """Monodromy entries and scales for a batch of E, with ``slope`` and
-    their E-derivatives in rows 4-7, with ``angle`` and the half-turn count
+               refined: bool = False, rows: int = 4) -> tuple:
+    """Monodromy entries and scales for a batch of E, with rows = 8 and
+    their E-derivatives in rows 4-7, with rows = 5 and the half-turn count
     of (m12, m22) in row 4, over the settled step count; ``refined``
     doubles it, for error estimates."""
     E = np.atleast_1d(np.asarray(energies, dtype=float))
     if not np.all(np.isfinite(E)):
         raise DomainError("energies must be finite")
-    M = np.empty((4 + 4 * slope + angle, E.size))
+    M = np.empty((rows, E.size))
     scale = np.empty(E.size)
     ranges = _energy_range(V, E)
     for r in np.unique(ranges):
         sel = ranges == r
         n = _step_count(V, tol, int(r)) * (2 if refined else 1)
-        M[:, sel], scale[sel] = _product(V, n, E[sel], slope, angle)
+        M[:, sel], scale[sel] = _product(V, n, E[sel], rows)
     return M, scale
 
 
 def monodromy_trace(V: PeriodicPotential, E):
     """Trace of the one-period monodromy matrix of -y'' + V y = E y: a
     float for a scalar E, an array for an array of energies."""
-    V.validate()
     M, _ = _monodromy(V, E)
     trace = M[0] + M[3]
     return float(trace[0]) if np.ndim(E) == 0 else trace
@@ -496,7 +496,7 @@ def _crossing(V, target):
 
 def _slope(V, energies) -> np.ndarray:
     """dDelta/dE, the E-derivative of the trace, at full accuracy."""
-    M, _ = _monodromy(V, energies, slope=True)
+    M, _ = _monodromy(V, energies, rows=8)
     return M[4] + M[7]
 
 
@@ -572,13 +572,13 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     by index, a touch as two degenerate ones.  Counts go into ``stats``.
     """
     Es = np.linspace(e_min, e_max, n_cells + 1)
-    M, scale = _monodromy(V, Es, SCAN_TOL, angle=True)
+    M, scale = _monodromy(V, Es, SCAN_TOL, rows=5)
     res = M[0] + M[3] - _TARGETS[:, None]  # the edge residuals, one row per target
     # the scan decides signs only; a sample within its error of +-2 takes
     # the nearer target's full-accuracy residual and count
     unsure = np.nonzero(np.abs(res).min(axis=0) <= 4.0 * SCAN_TOL * scale)[0]
     row = (M[0, unsure] + M[3, unsure] < 0.0).astype(int)
-    full, full_scale = _monodromy(V, Es[unsure], angle=True)
+    full, full_scale = _monodromy(V, Es[unsure], rows=5)
     res[row, unsure], gain = _edge_residual(full, _TARGETS[row])
     M[4, unsure] = full[4]
     touching = unsure[np.abs(res[row, unsure]) <= TOL * full_scale * gain]
@@ -651,7 +651,6 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
     when ``logging`` is loaded.
     """
     count = _positive_int(count, "count")
-    V.validate()
     e_min = _span(V)[0] - 1.0
     e_max = _first_window(V, count)
     stats = dict(critical=0, root_steps=0, brackets=0, rescans=0)
@@ -659,15 +658,14 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
     try:
         edges = _scan_edges(V, e_min, e_max, DEFAULT_SCAN, count, stats)
         stats["brackets"] = sum(not d for _, _, d in edges)  # one root per crossing bracket
-        found = [BandEdge(n=n, energy=e, boundary=expected_boundary(n), degenerate=d)
-                 for n, e, d in edges if n < count]
+        found = [BandEdge(n=n, energy=e, degenerate=d) for n, e, d in edges if n < count]
         indices = [e.n for e in found]
         if indices == list(range(count)):
             return found
         raise IncompleteSpectrumError(
             f"band edges {sorted(set(range(count)) - set(indices))} missing and "
             f"{sorted({n for n in indices if indices.count(n) > 1})} doubled below "
-            f"E={e_max!r}: " + ", ".join(f"{e.n}:{e.energy:.6g}" for e in found), found=found)
+            f"E={e_max!r}: " + ", ".join(f"{e.n}:{e.energy:.6g}" for e in found))
     finally:
         _debug(__name__, "band_edges: %d slope roots in %d root steps, %d Magnus products of "
                "%d steps x energies, %d edges counted below the window's top, %d crossing "
@@ -726,7 +724,6 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = BASIS_N) -> 
     if basis_n < 2 * count + 8:
         raise DomainError(f"basis_n={basis_n!r} too small for count={count!r}; "
                           f"need >= {2 * count + 8}")
-    V.validate()
     a, b = _potential_modes(V, basis_n)
     try:
         spectra = [np.linalg.eigvalsh(_cos_sin_matrix(a, b, V.period, periodic))
@@ -737,8 +734,7 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = BASIS_N) -> 
     resolved = float(16.0 * np.finfo(float).eps * max(np.abs(ev).max() for ev in spectra))
     E = [float(spectra[_row(n)][n // 2]) for n in range(count + 1)]
     closed = [g > 0 and E[2 * g] - E[2 * g - 1] <= resolved for g in range(count // 2 + 1)]
-    return [BandEdge(n=n, energy=E[n], boundary=expected_boundary(n),
-                     degenerate=closed[(n + 1) // 2]) for n in range(count)]
+    return [BandEdge(n=n, energy=E[n], degenerate=closed[(n + 1) // 2]) for n in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +757,6 @@ def _ground_solve(V: PeriodicPotential, solver):
 
 def ground_energy(V: PeriodicPotential) -> float:
     """Lowest band-edge energy via the periodic plane-wave problem."""
-    V.validate()
     return float(_ground_solve(V, np.linalg.eigvalsh)[0])
 
 
@@ -778,7 +773,6 @@ def numeric_partner(V: PeriodicPotential, grid_n: int = 512) -> PeriodicPotentia
     when ``logging`` is loaded.
     """
     grid_n = _positive_int(grid_n, "grid_n", low=2 * BASIS_N + 2)
-    V.validate()
     L = V.period
     w, U = _ground_solve(V, np.linalg.eigh)
     # the real eigenvector in the basis 1, sqrt2 cos, sqrt2 sin, summed on the grid
@@ -791,5 +785,5 @@ def numeric_partner(V: PeriodicPotential, grid_n: int = 512) -> PeriodicPotentia
     _reject_nodal(psi)
 
     u2 = GridFunction(period=L, samples=np.log(psi)).derivative(2).samples
-    partner = V._eval_vec(np.arange(grid_n) * (L / grid_n)) - 2.0 * u2
+    partner = V.sample(grid_n) - 2.0 * u2
     return PeriodicPotential(period=L, evaluator=GridFunction(period=L, samples=partner))

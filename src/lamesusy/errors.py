@@ -16,14 +16,11 @@ class NumericalError(LamesusyError, RuntimeError):
 
 
 class IncompleteSpectrumError(NumericalError):
-    """Fewer band edges were found than requested.
+    """A requested band edge index is missing or doubled among those found.
 
-    Carries whatever was found so callers can report partial results.
+    The message names those indices and lists every edge found as
+    index:energy.
     """
-
-    def __init__(self, message, found=()):
-        super().__init__(message)
-        self.found = list(found)
 
 
 class InvalidGroundStateError(NumericalError):

@@ -35,28 +35,22 @@ DEFAULT_M_LIST = (0.1, 0.5, 0.9)
 
 @dataclass(frozen=True)
 class ClaimReport:
-    """Outcome of one verified claim: passed iff measured <= tolerance."""
+    """Outcome of one verified claim."""
 
     claim_id: str
     measured: float
     tolerance: float
-    passed: bool
     context: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.passed != (self.measured <= self.tolerance):
-            raise DomainError("ClaimReport invariant violated: passed != (measured <= tolerance)")
+    @property
+    def passed(self) -> bool:
+        """measured <= tolerance; a NaN measure fails."""
+        return bool(self.measured <= self.tolerance)
 
 
 def claim(claim_id: str, measured: float, tolerance: float, **context) -> ClaimReport:
-    measured = float(measured)
-    return ClaimReport(
-        claim_id=claim_id,
-        measured=measured,
-        tolerance=float(tolerance),
-        passed=bool(measured <= tolerance),
-        context=context,
-    )
+    return ClaimReport(claim_id=claim_id, measured=float(measured), tolerance=float(tolerance),
+                       context=context)
 
 
 @dataclass(frozen=True)
@@ -66,7 +60,11 @@ class SelfIsoResult:
     best_shift: float
     reflected: bool
     distance: float
-    verdict: str  # "self_isospectral" | "distinct"
+
+    @property
+    def verdict(self) -> str:
+        """self_isospectral where distance <= TOL_SELF, else distinct."""
+        return "self_isospectral" if self.distance <= TOL_SELF else "distinct"
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +326,7 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction) -> SelfIsoResult:
         __name__, "selfiso scan: %d unreflected and %d reflected of %d shifts evaluated; "
         "refinement: Newton on %d active peak(s), %d steps, %d exchanges, %d bisections, "
         "stopped: %s; coarse shift kept: %s", evaluated[0], evaluated[1], SHIFT_SAMPLES, *stats)
-    return SelfIsoResult(
-        best_shift=float(a_best % L),
-        reflected=bool(reflect),
-        distance=dist,
-        verdict="self_isospectral" if dist <= TOL_SELF else "distinct",
-    )
+    return SelfIsoResult(best_shift=float(a_best % L), reflected=bool(reflect), distance=dist)
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +582,13 @@ def run_isospectrality_suite(j_list: Sequence[int] = (1, 2, 3, 4, 5),
 # ---------------------------------------------------------------------------
 
 def reports_to_json(reports: Iterable[ClaimReport]) -> str:
+    """The reports as strict JSON (RFC 8259): a measure that is not finite
+    is written as its str, "inf", "-inf" or "nan", as any value JSON has
+    no form for is."""
     payload = [
         {
             "claim_id": r.claim_id,
-            "measured": r.measured,
+            "measured": r.measured if math.isfinite(r.measured) else str(r.measured),
             "tolerance": r.tolerance,
             "passed": r.passed,
             "context": r.context,

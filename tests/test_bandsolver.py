@@ -178,9 +178,8 @@ def fuzz_modes():
 
 class TestPeriodicPotential:
     def test_validation_catches_aperiodic_evaluator(self):
-        bad = bs.PeriodicPotential(period=1.0, evaluator=lambda x: np.asarray(x, float))
         with pytest.raises(DomainError, match="periodic"):
-            bad.validate()
+            bs.PeriodicPotential(period=1.0, evaluator=lambda x: np.asarray(x, float))
 
     def test_bad_constructor_arguments(self):
         with pytest.raises(DomainError):
@@ -190,14 +189,20 @@ class TestPeriodicPotential:
         with pytest.raises(TypeError):
             bs.PeriodicPotential(1.0, lambda x: np.asarray(x, float), True)
 
+    def test_checked_fields_cannot_be_reassigned(self):
+        # the check holds for the evaluator and period it saw: a ramp put in
+        # after it would reach every engine and selfiso_claims unchecked
+        pot = bs.PeriodicPotential(2 * math.pi, np.cos)
+        for name, value in (("evaluator", lambda x: np.asarray(x, float)), ("period", 1.0)):
+            with pytest.raises(AttributeError):
+                setattr(pot, name, value)
+
     def test_validation_leaves_equality_alone(self):
         a, b = (bs.PeriodicPotential(2 * math.pi, np.cos) for _ in range(2))
-        a.validate()
         assert a == b
 
     def test_scalar_only_evaluator_is_accepted(self):
         pot = bs.PeriodicPotential(period=2.0, evaluator=lambda x: math.cos(math.pi * x))
-        pot.validate()
         assert pot.sample(64).shape == (64,)
 
     def test_shifted_sample_of_closed_form_is_exact(self):
@@ -231,23 +236,26 @@ class TestPeriodicPotential:
         calls = []
         spec = PotentialSpec(Family.V_MINUS, 3, 0.5)
         pot = bs.PeriodicPotential(spec.period, lambda x: calls.append(np.shape(x)) or spec(x))
+        calls.clear()
         for n in (64, 64, 128):
             bs._step_coefficients(pot, n)
         assert calls == [(3, 64), (3, 128)]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_potential_raises_domain_error(self, bad):
-        # every engine, before any eigensolve or product: not a failed
-        # convergence and not an energy out of range
-        pot = bs.PeriodicPotential(1.0, lambda x: bad + 0.0 * np.asarray(x, float))
+        # a V non-finite at the construction check's points is refused when
+        # built; one non-finite elsewhere by every engine, before any
+        # eigensolve or product: not a failed convergence and not an energy
+        # out of range
+        with pytest.raises(DomainError, match="not finite"):
+            bs.PeriodicPotential(1.0, lambda x: bad + 0.0 * np.asarray(x, float))
         one_point = bs.PeriodicPotential(1.0, lambda x: np.where(
             np.asarray(x, float) == 0.25, bad, np.cos(2 * np.pi * np.asarray(x, float))))
         engines = (lambda V: bs.band_edges(V, 5), lambda V: bs.galerkin_edges(V, 5),
                    bs.ground_energy, bs.numeric_partner)
         for engine in engines:
-            for V in (pot, one_point):
-                with pytest.raises(DomainError, match="not finite"):
-                    engine(V)
+            with pytest.raises(DomainError, match="not finite"):
+                engine(one_point)
 
 
 class TestMonodromyTrace:
@@ -357,7 +365,7 @@ class TestSlope:
         pot = lame_pot(Family.V_PLUS, 2, 0.9)
         E = np.linspace(-3.0, 40.0, 1000)
         M, scale = bs._product(pot, 64, E)
-        MD, scale_d = bs._product(pot, 64, E, slope=True)
+        MD, scale_d = bs._product(pot, 64, E, rows=8)
         assert MD.shape == (8, E.size)
         assert np.array_equal(MD[:4], M) and np.array_equal(scale_d, scale)
 
@@ -400,8 +408,8 @@ class TestMagnusKernel:
         lo, hi = bs._span(pot)
         for k in (1, 3, 17, 257):
             E = np.linspace(lo - 1.0, hi + 100.0, k)
-            for kind in ({}, {"angle": True}, {"slope": True}):
-                M, scale = bs._product(pot, n, E, **kind)
+            for rows, kind in ((4, {}), (5, {"angle": True}), (8, {"slope": True})):
+                M, scale = bs._product(pot, n, E, rows)
                 want, want_scale = natural_product(pot, n, E, **kind)
                 if "angle" in kind:
                     want[4] = np.floor((want[4] - 0.5 * np.pi) / np.pi)
@@ -412,9 +420,15 @@ class TestMagnusKernel:
         pot = lame_pot(Family.V_PLUS, 2, 0.9)
         E = np.linspace(-3.0, 40.0, 1000)
         M, scale = bs._product(pot, 64, E)
-        MA, scale_a = bs._product(pot, 64, E, angle=True)
+        MA, scale_a = bs._product(pot, 64, E, rows=5)
         assert MA.shape == (5, E.size)
         assert np.array_equal(MA[:4], M) and np.array_equal(scale_a, scale)
+
+    @pytest.mark.parametrize("rows", [0, 6, 9])
+    def test_row_count_other_than_4_5_8_raises(self, rows):
+        # 4 rows plain, 5 with the half-turn count, 8 with E-derivatives
+        with pytest.raises(ValueError, match="rows must be 4, 5 or 8"):
+            bs._monodromy(lame_pot(Family.V_MINUS, 2, 0.5), [0.5, 3.0], rows=rows)
 
 
 class TestBandEdges:
@@ -446,6 +460,12 @@ class TestBandEdges:
             assert [e.boundary for e in edges] == [bs.expected_boundary(i)
                                                    for i in range(count)]
 
+    def test_boundary_follows_the_index(self):
+        assert bs.BandEdge(n=3, energy=0.0).boundary == "periodic"
+        assert bs.BandEdge(n=2, energy=0.0).boundary == "antiperiodic"
+        with pytest.raises(TypeError):
+            bs.BandEdge(n=3, energy=0.0, boundary="antiperiodic")
+
     def test_free_particle_degenerate_pairs(self):
         edges = bs.band_edges(free_particle(), 5)
         want = (0.0, 1.0, 1.0, 4.0, 4.0)
@@ -455,13 +475,13 @@ class TestBandEdges:
 
     def test_incomplete_spectrum_error(self, monkeypatch):
         # a scan that finds one edge of five is not retried, and the error
-        # carries what it found
+        # lists what it found
         cells = []
         monkeypatch.setattr(bs, "_scan_edges", short_scan(cells))
         with pytest.raises(IncompleteSpectrumError) as exc:
             bs.band_edges(lame_pot(Family.V_MINUS, 2, 0.5), 5)
         assert cells == [256]
-        assert exc.value.found == [bs.BandEdge(n=0, energy=0.0, boundary="periodic")]
+        assert str(exc.value).endswith(": 0:0")
 
     def test_count_certificate(self, monkeypatch):
         # every edge's index comes from the count, so a count one too high
@@ -584,6 +604,7 @@ class TestBandEdges:
         # rejected before any sample of V is taken
         calls = []
         pot = bs.PeriodicPotential(1.0, lambda x: calls.append(x) or 0.0 * x)
+        calls.clear()
         for solve in (bs.band_edges, bs.galerkin_edges):
             for count in (0, 2.5):
                 with pytest.raises(DomainError, match="count"):
@@ -624,7 +645,7 @@ class TestEdgeCount:
     @staticmethod
     def counts(pot, count, tol):
         Es = np.linspace(bs._span(pot)[0] - 1.0, bs._first_window(pot, count), bs.DEFAULT_SCAN + 1)
-        M, _ = bs._monodromy(pot, Es, tol, angle=True)
+        M, _ = bs._monodromy(pot, Es, tol, rows=5)
         return Es, bs._edges_below(M[4], M[0] + M[3] - bs._TARGETS[:, None])
 
     @pytest.mark.parametrize("tol", [bs.SCAN_TOL, bs.TOL], ids=["scan_tol", "tol"])
@@ -672,14 +693,14 @@ class TestEdgeCount:
         root = np.linspace(0.0, 3.6 * n, 20001)
         root = root[np.abs(root - np.round(root)) > 0.01]  # off the Dirichlet eigenvalues n^2
         E = np.concatenate([-np.linspace(0.0, 100.0, 101) ** 2, root ** 2])
-        M, _ = bs._product(free_particle(), n, E, angle=True)
+        M, _ = bs._product(free_particle(), n, E, rows=5)
         assert np.array_equal(-1 - M[4], np.floor(np.sqrt(np.maximum(E, 0.0))))
 
     @pytest.mark.parametrize("tol", [bs.SCAN_TOL, bs.TOL], ids=["scan_tol", "tol"])
     def test_count_at_a_dirichlet_eigenvalue(self, tol):
         # at E = 230^2 sin(230 x) vanishes at L = pi: the count is of the
         # zeros in the open interval (0, L)
-        M, _ = bs._monodromy(free_particle(), [230.0 ** 2], tol, angle=True)
+        M, _ = bs._monodromy(free_particle(), [230.0 ** 2], tol, rows=5)
         assert -1 - M[4, 0] == 229
 
     @pytest.mark.parametrize("tol", [bs.SCAN_TOL, bs.TOL], ids=["scan_tol", "tol"])
@@ -691,7 +712,7 @@ class TestEdgeCount:
             pot = lame_pot(Family.RAW_LAME, j, 1 - 1e-6)
             edges = [e for e, _, _ in susy._lame(j, 1 - 1e-6)]
             Es = np.linspace(bs._span(pot)[0] - 50.0, edges[-1], 2049)
-            M, _ = bs._monodromy(pot, Es, tol, angle=True)
+            M, _ = bs._monodromy(pot, Es, tol, rows=5)
             got = bs._edges_below(M[4], M[0] + M[3] - bs._TARGETS[:, None])
             assert np.array_equal(got[:-1], np.searchsorted(edges, Es[:-1])), j
 
@@ -706,10 +727,10 @@ class TestEdgeCount:
         # edge and against 4096 steps above it
         pot = lame_pot(Family.RAW_LAME, j, 1 - 1e-6)
         edges = [e for e, _, _ in susy._lame(j, 1 - 1e-6)]
-        M, _ = bs._product(pot, 4096, np.array([E]), angle=True)
+        M, _ = bs._product(pot, 4096, np.array([E]), rows=5)
         assert -1 - M[4, 0] == dirichlet
         for tol in (bs.SCAN_TOL, bs.TOL):
-            M, _ = bs._monodromy(pot, [E], tol, angle=True)
+            M, _ = bs._monodromy(pot, [E], tol, rows=5)
             assert -1 - M[4, 0] == dirichlet
             if E < edges[-1]:
                 below = bs._edges_below(M[4], M[0] + M[3] - bs._TARGETS[:, None])
@@ -900,9 +921,11 @@ class TestBenchScript:
         result = json.loads(lines[0])
         assert result.pop("repeat") == 1
         quartiles = result.pop("quartiles")
-        counts = [result.pop(key) for key in ("band_edges_products", "band_edges_steps_x_energies")]
+        counts = [result.pop(key) for key in ("band_edges_products", "band_edges_steps_x_energies",
+                                              "selfiso_shifts_evaluated")]
         assert sorted(result) == ["band_edges_s", "galerkin_edges_s", "jacobi_points_per_s",
-                                  "scan_257_energies_per_s", "trace_1_s", "trace_8_s"]
+                                  "numeric_partner_s", "scan_257_energies_per_s",
+                                  "selfiso_distance_s", "trace_1_s", "trace_8_s"]
         assert all(value > 0.0 for value in result.values())
         # one round: both quartiles are its one value
         assert quartiles == {name: [value, value] for name, value in result.items()}
@@ -1084,6 +1107,7 @@ class TestNumericPartner:
         # rejected before any sample of V is taken
         calls = []
         pot = bs.PeriodicPotential(1.0, lambda x: calls.append(x) or 0.0 * x)
+        calls.clear()
         for grid_n in (32, 129, 0, 512.5):
             with pytest.raises(DomainError, match="grid_n must be an integer >= 130"):
                 bs.numeric_partner(pot, grid_n=grid_n)

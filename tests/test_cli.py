@@ -316,6 +316,26 @@ class TestVerify:
         ids = [r["claim_id"] for r in json.loads(cp.stdout)]
         assert len(ids) == 20 and len(set(ids)) == 20
 
+    def test_failed_claim_writes_strict_json(self, monkeypatch, capsys):
+        # a claim failed by exception measures inf, which RFC 8259 has no
+        # number for: it is written as a string, as nan and -inf are
+        from lamesusy import bandsolver, cli
+        from lamesusy.errors import NumericalError
+
+        def fail(V, count):
+            raise NumericalError("no edges")
+
+        def strict(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        monkeypatch.setattr(bandsolver, "band_edges", fail)
+        assert cli.main(["verify", "--scope", "iso", "-m", "0.5", "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out, parse_constant=strict)
+        assert [(r["measured"], r["passed"]) for r in payload] == [("inf", False)] * 5
+        reports = [verify.claim("x", value, 1.0) for value in (-np.inf, np.nan)]
+        payload = json.loads(verify.reports_to_json(reports), parse_constant=strict)
+        assert [r["measured"] for r in payload] == ["-inf", "nan"]
+
     def test_bad_modulus_usage_error(self):
         cp = run_cli("verify", "--scope", "limits", "-m", "1.0")
         assert cp.returncode == 2

@@ -351,5 +351,4 @@ class TestPotentialSpec:
         spec = PotentialSpec(Family.V_MINUS, 2, 0.5)
         assert spec.period == pytest.approx(2 * complete_k(0.5))
         pp = spec.as_periodic_potential()
-        pp.validate()
         assert pp.period == spec.period

@@ -64,6 +64,13 @@ class TestSelfIsoDistance:
         assert r.verdict == "self_isospectral"
         assert r.best_shift == pytest.approx(complete_k(0.5), abs=1e-6)
 
+    def test_verdict_follows_the_distance(self):
+        for distance, verdict in ((2e-6, "distinct"), (verify.TOL_SELF, "self_isospectral")):
+            r = verify.SelfIsoResult(best_shift=0.0, reflected=False, distance=distance)
+            assert r.verdict == verdict
+        with pytest.raises(TypeError):
+            verify.SelfIsoResult(best_shift=0.0, reflected=False, distance=2e-6, verdict="distinct")
+
     @pytest.mark.parametrize("j,m", sorted(FROZEN_DISTANCES))
     def test_distinct_partner_regression(self, j, m):
         vp, vm = pair_grids(j, m)
@@ -405,8 +412,10 @@ class TestShiftRefinement:
 
 class TestClaimReport:
     def test_invariant_enforced(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             verify.ClaimReport("x", measured=2.0, tolerance=1.0, passed=True)
+        for measured, passed in ((2.0, False), (1.0, True), (0.5, True), (math.nan, False)):
+            assert verify.ClaimReport("x", measured=measured, tolerance=1.0).passed is passed
 
     def test_claim_factory(self):
         r = verify.claim("demo", 0.5, 1.0, j=2)
@@ -483,20 +492,26 @@ class TestEdgeStateSuite:
         # float64 grid), so its calls are left out of the count
         sweeps, in_solver = [], []
         original, original_band_edges = elliptic.jacobi, bandsolver.band_edges
+        original_build = susy.PotentialSpec.as_periodic_potential
 
         def spy(x, m):
             if not in_solver:
                 sweeps.append(np.array(x))
             return original(x, m)
 
-        def band_edges(*args, **kwargs):
-            in_solver.append(True)
-            try:
-                return original_band_edges(*args, **kwargs)
-            finally:
-                in_solver.pop()
+        def in_solver_too(solve):
+            def wrapped(*args, **kwargs):
+                in_solver.append(True)
+                try:
+                    return solve(*args, **kwargs)
+                finally:
+                    in_solver.pop()
+            return wrapped
 
-        monkeypatch.setattr(bandsolver, "band_edges", band_edges)
+        monkeypatch.setattr(bandsolver, "band_edges", in_solver_too(original_band_edges))
+        # so is the construction check of V-, which samples it at 8 + 8 points
+        monkeypatch.setattr(susy.PotentialSpec, "as_periodic_potential",
+                            in_solver_too(original_build))
         for module in (elliptic, susy, verify):
             for name, value in list(vars(module).items()):
                 if value is original:
@@ -541,6 +556,14 @@ class TestIsospectralitySuite:
         assert by_id["selfiso/j=1/m=0.5/self_isospectral"].context["verdict"] == "self_isospectral"
         assert by_id["selfiso/j=2/m=0.5/distinct_partner"].context["verdict"] == "distinct"
         assert by_id["selfiso/j=3/m=0.5/distinct_partner"].context["verdict"] == "distinct"
+
+    def test_aperiodic_partner_cannot_reach_the_claims(self):
+        # selfiso_claims samples its potentials with no check of its own; the
+        # ramp V(x) = x is refused when built, as every engine refuses it
+        pot_minus = PotentialSpec(Family.V_MINUS, 2, 0.5).as_periodic_potential()
+        with pytest.raises(DomainError, match="periodic"):
+            verify.selfiso_claims(2, 0.5, pot_minus, bandsolver.PeriodicPotential(
+                pot_minus.period, lambda x: np.asarray(x, float)))
 
     def test_deterministic_reports(self):
         a = verify.reports_to_json(verify.run_selfiso_suite(m_list=(0.3,)))
