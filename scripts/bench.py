@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Time the Floquet, Galerkin and partner layers on fixed inputs and print one JSON line.
+"""Time the Floquet, Galerkin, partner and verify layers on fixed inputs and print one JSON line.
 
-Eight timings, each taken once per round over ``--repeat`` rounds, one of
-each in turn, so that a drift in machine speed reaches all of them alike.
+Thirteen timings, each taken once per round over ``--repeat`` rounds, one
+of each in turn, so that a drift in machine speed reaches all of them alike.
 The line holds the median of every timing over the rounds, and under
 ``quartiles`` its first and third quartiles:
 
@@ -26,13 +26,19 @@ The line holds the median of every timing over the rounds, and under
   * ``selfiso_distance_s``: ``selfiso_distance`` on two fixed pairs of
     grids, the closed-form V+ and V- of j = 2, m = 0.5 at 512 samples, and
     a five-mode function of period 2 pi against its translate by 1.2345
-    plus 1e-6 cos 5x at 256 samples: 2 calls a round.
+    plus 1e-6 cos 5x at 256 samples: 2 calls a round;
+  * ``verify_edgestates_s``, ``verify_limits_s``, ``verify_iso_s`` and
+    ``verify_selfiso_s``: each suite of ``lamesusy verify --scope all``
+    alone, called as the command calls it at ``verify.DEFAULT_M_LIST``,
+    once a round; ``verify_all_s`` is their sum plus ``reports_to_json``
+    of all their reports, the release job without its process start.
 
-Beside them, three counts that no timing noise moves: the Magnus products
+Beside them, four counts that no timing noise moves: the Magnus products
 the 21 ``band_edges`` calls form and their steps x energies
-(``band_edges_products``, ``band_edges_steps_x_energies``), and the
-shifts the two ``selfiso_distance`` scans evaluate
-(``selfiso_shifts_evaluated``).
+(``band_edges_products``, ``band_edges_steps_x_energies``), the shifts
+the two ``selfiso_distance`` scans evaluate
+(``selfiso_shifts_evaluated``), and the lines of the measured package's
+modules (``src_lines``).
 
 Run:  python scripts/bench.py [--repeat N]
 with N rounds (default 7).  Times are wall-clock seconds of this
@@ -47,6 +53,7 @@ import json
 import os
 import statistics
 import time
+from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
@@ -120,6 +127,26 @@ def _selfiso_pairs():
     return [(plus, minus), (near, GridFunction.from_function(f, 2 * np.pi, 256))]
 
 
+def _verify_round():
+    """The verify suites of the release job, each timed alone, and
+    verify_all_s: their sum plus the JSON rendering of their reports."""
+    m_list = verify.DEFAULT_M_LIST
+    suites = {
+        "verify_edgestates_s": lambda: [r for m in m_list for r in verify.run_edge_state_suite(m)],
+        "verify_limits_s": verify.run_limit_suite,
+        "verify_iso_s": lambda: verify.run_isospectrality_suite(m_list=m_list),
+        "verify_selfiso_s": lambda: verify.run_selfiso_suite(m_list=m_list),
+    }
+    times, reports = {}, []
+    for name, suite in suites.items():
+        start = time.perf_counter()
+        reports += suite()
+        times[name] = time.perf_counter() - start
+    start = time.perf_counter()
+    verify.reports_to_json(reports)
+    return times | {"verify_all_s": sum(times.values()) + time.perf_counter() - start}
+
+
 def run(repeat=7):
     """The medians and quartiles over ``repeat`` interleaved rounds, and
     the counts, as a dict."""
@@ -138,10 +165,11 @@ def run(repeat=7):
         "selfiso_distance_s": lambda: _timed(
             lambda: [verify.selfiso_distance(*pair) for pair in pairs], 1),
     }
-    rounds = {name: [] for name in timings}
+    rounds = {}
     for _ in range(repeat):
-        for name, measure in timings.items():
-            rounds[name].append(measure())
+        measured = {name: measure() for name, measure in timings.items()} | _verify_round()
+        for name, value in measured.items():
+            rounds.setdefault(name, []).append(value)
     products, steps = (int(c) for c in _band_edges_grid())
     shifts = sum(int(np.isfinite(verify._scan_distance(*pair, verify.SHIFT_SAMPLES)).sum())
                  for pair in pairs)
@@ -149,7 +177,9 @@ def run(repeat=7):
         "quartiles": {name: np.percentile(values, [25, 75]).tolist()
                       for name, values in rounds.items()},
         "band_edges_products": products, "band_edges_steps_x_energies": steps,
-        "selfiso_shifts_evaluated": shifts, "repeat": repeat}
+        "selfiso_shifts_evaluated": shifts, "repeat": repeat,
+        "src_lines": sum(len(p.read_text().splitlines())
+                         for p in Path(verify.__file__).parent.glob("*.py"))}
 
 
 if __name__ == "__main__":

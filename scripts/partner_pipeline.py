@@ -23,7 +23,7 @@ def main(argv=None):
     for j in (2, 3):
         pot, partner = verify.partner_pair(j, m, numeric=True)
         x = np.linspace(0.0, pot.period, 600, endpoint=False)
-        gap = np.max(np.abs(partner._eval_vec(x) - v_plus_closed(j, m, x)))
+        gap = np.max(np.abs(partner(x) - v_plus_closed(j, m, x)))
         print(f"j={j} m={m}: pipeline vs closed-form partner, max |diff| = {gap:.3e}")
 
     for j in (4, 5):

@@ -67,6 +67,7 @@ _TARGETS = np.array([2.0, -2.0])  # the edge residuals' rows: trace - 2, trace +
 _STALL = 3           # steps a bracket may go without halving before a safeguard step
 _ROOT_STEPS = 64 * (2 * _STALL + 1)  # enough for 64 halvings of every bracket
 BASIS_N = 64         # plane waves per boundary type of the ground-state problems
+PARTNER_N = 512      # samples of a numeric partner's grid
 _GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 
 
@@ -91,10 +92,10 @@ def expected_boundary(n: int) -> str:
 
 @dataclass(frozen=True)
 class PeriodicPotential:
-    """A real potential of one period, evaluable on the real line, built
-    only where evaluator(x + period) == evaluator(x) to 1e-9, both finite,
-    at 8 points (DomainError otherwise), and frozen: every engine takes a
-    checked one."""
+    """A real potential of one period, evaluable on arrays of points, built
+    only where ``sample`` reads evaluator(x + period) == evaluator(x) to
+    1e-9 at 8 points (DomainError otherwise), and frozen: every engine
+    takes a checked one."""
 
     period: float
     evaluator: Callable
@@ -104,9 +105,7 @@ class PeriodicPotential:
     def __post_init__(self):
         if not (self.period > 0) or not math.isfinite(self.period):
             raise DomainError(f"period must be positive and finite, got {self.period!r}")
-        x = (np.arange(8) + 0.37) * (self.period / 8)
-        a = self._eval_vec(x)
-        b = self._eval_vec(x + self.period)
+        a, b = self.sample(8, np.array([0.37, 8.37]))  # 8 points x and x + period
         if np.max(np.abs(a - b)) > 1e-9 * max(1.0, np.max(np.abs(a))):
             raise DomainError("evaluator is not periodic with the declared period")
 
@@ -114,22 +113,21 @@ class PeriodicPotential:
         return self.evaluator(x)
 
     def sample(self, n: int, shift=0.0) -> np.ndarray:
-        """V at (i + shift) * period / n, i = 0..n-1, a row per shift of an array,
-        in one evaluator call; by FFT, one per shift, when V is a grid."""
-        if isinstance(self.evaluator, GridFunction) and self.evaluator.period == self.period:
-            if np.ndim(shift):
-                return np.stack([self.evaluator.resample(n, g) for g in shift])
-            return self.evaluator.resample(n, shift)
-        return self._eval_vec(np.add.outer(shift, np.arange(n)) * (self.period / n))
-
-    def _eval_vec(self, xs: np.ndarray) -> np.ndarray:
-        """The evaluator at ``xs``; DomainError names the x where it is not finite."""
-        try:
-            out = np.asarray(self.evaluator(xs), dtype=float)
+        """V at (i + shift) * period / n, i = 0..n-1, a row per shift of an array:
+        by FFT, one per shift, when V is a grid, else in one evaluator call.
+        DomainError if the evaluator maps no array of points to one of its
+        shape, or names the x where V is not finite."""
+        xs = np.add.outer(shift, np.arange(n)) * (self.period / n)
+        f = self.evaluator
+        if isinstance(f, GridFunction) and f.period == self.period:
+            out = np.stack([f.resample(n, g) for g in np.ravel(shift)]).reshape(xs.shape)
+        else:
+            try:
+                out = np.asarray(f(xs), dtype=float)
+            except TypeError as exc:
+                raise DomainError(f"evaluator does not take an array of points: {exc}") from exc
             if out.shape != xs.shape:
-                raise TypeError
-        except TypeError:
-            out = np.array([float(self.evaluator(float(x))) for x in xs.flat]).reshape(xs.shape)
+                raise DomainError(f"evaluator returns shape {out.shape} for {xs.shape} points")
         if not np.isfinite(out).all():
             raise DomainError(f"potential not finite at x = {xs[~np.isfinite(out)][:8]}")
         return out
@@ -760,8 +758,9 @@ def ground_energy(V: PeriodicPotential) -> float:
     return float(_ground_solve(V, np.linalg.eigvalsh)[0])
 
 
-def numeric_partner(V: PeriodicPotential, grid_n: int = 512) -> PeriodicPotential:
-    """SUSY partner of V built numerically from its ground band edge.
+def numeric_partner(V: PeriodicPotential) -> PeriodicPotential:
+    """SUSY partner of V built numerically from its ground band edge, as
+    a grid of PARTNER_N samples.
 
     The nodeless ground state psi_0 is computed spectrally, u = log
     psi_0 is differentiated in Fourier space, and the partner is
@@ -772,18 +771,17 @@ def numeric_partner(V: PeriodicPotential, grid_n: int = 512) -> PeriodicPotentia
     psi_0, the range log psi_0 must resolve) to this module's logger
     when ``logging`` is loaded.
     """
-    grid_n = _positive_int(grid_n, "grid_n", low=2 * BASIS_N + 2)
     L = V.period
     w, U = _ground_solve(V, np.linalg.eigh)
     # the real eigenvector in the basis 1, sqrt2 cos, sqrt2 sin, summed on the grid
     c = U[:, 0]
     psi = np.fft.irfft(np.concatenate(([math.sqrt(2.0) * c[0]],
-                                       c[1 : BASIS_N + 1] - 1j * c[BASIS_N + 1 :])), grid_n)
+                                       c[1 : BASIS_N + 1] - 1j * c[BASIS_N + 1 :])), PARTNER_N)
     psi = psi / psi[int(np.argmax(np.abs(psi)))]  # peak at +1
     _debug(__name__, "numeric_partner: basis_n %d, ground energy %.17g, min/max psi_0 %.3g",
            BASIS_N, w[0], psi.min())
     _reject_nodal(psi)
 
     u2 = GridFunction(period=L, samples=np.log(psi)).derivative(2).samples
-    partner = V.sample(grid_n) - 2.0 * u2
+    partner = V.sample(PARTNER_N) - 2.0 * u2
     return PeriodicPotential(period=L, evaluator=GridFunction(period=L, samples=partner))

@@ -101,7 +101,7 @@ def cmd_potential(args) -> int:
     n = _positive_int(args.grid_n, "--grid-n")
     f = _potential(args.j, args.m, susy.Family(args.family), args.numeric)
     xs = np.arange(n) * (f.period / n)
-    _rows_to_output(["x", "value"], zip(xs, f._eval_vec(xs)), args.format, args.precision,
+    _rows_to_output(["x", "value"], zip(xs, f.sample(n)), args.format, args.precision,
                     args.output)
     return EXIT_OK
 

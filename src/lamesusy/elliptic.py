@@ -83,13 +83,13 @@ def jacobi(x, m: float) -> JacobiTriple:
     """Jacobi elliptic functions (sn, cn, dn) at (x, m).
 
     ``x`` may be a scalar or an ndarray; array input keeps its dtype
-    (float64 or longdouble).  The argument is reduced modulo 4K before
-    the backward amplitude recurrence, but that reduction cannot undo
-    the rounding of x itself: the error grows as |x| eps, with eps the
-    machine epsilon of the dtype (at m = 0.5 in float64, ~5e-13 at
-    |x| = 1e4 and ~1e-4 at 1e12).  Where one float step of x spans a
-    whole period, |x| eps >= 4K for m < 1, the value is noise, so that
-    raises DomainError.
+    (float64 or longdouble).  The argument is reduced modulo 4K, with pi
+    and K in the argument's dtype, before the backward amplitude
+    recurrence, but that reduction cannot undo the rounding of x itself:
+    the error grows as |x| eps, with eps the machine epsilon of the dtype
+    (at m = 0.5 in float64, ~5e-13 at |x| = 1e4 and ~1e-4 at 1e12).
+    Where one float step of x spans a whole period, |x| eps >= 4K for
+    m < 1, the value is noise, so that raises DomainError.
     """
     m = _check_m(m)
     scalar = np.isscalar(x) or np.ndim(x) == 0
@@ -107,7 +107,7 @@ def jacobi(x, m: float) -> JacobiTriple:
         cn = dn
     else:
         a_list, c_list = _agm_chain(m, dt)
-        quarter = dt(math.pi) / (2.0 * a_list[-1])
+        quarter = 2.0 * np.arctan(dt(1.0)) / a_list[-1]  # pi / 2 in x's dtype
         top = np.abs(xa).max(initial=0.0)
         if top * np.finfo(dt).eps >= 4.0 * quarter:
             raise DomainError(

@@ -90,10 +90,6 @@ class GridFunction:
     def n(self) -> int:
         return self.samples.size
 
-    @property
-    def x(self) -> np.ndarray:
-        return np.arange(self.n) * (self.period / self.n)
-
     def eval(self, pts) -> np.ndarray:
         """Evaluate the trigonometric interpolant at arbitrary points."""
         scalar = np.isscalar(pts) or np.ndim(pts) == 0

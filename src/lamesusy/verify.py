@@ -24,13 +24,15 @@ import numpy as np
 
 from . import bandsolver, susy
 from .elliptic import complete_k, jacobi
-from .errors import DomainError, NumericalError, _positive_int
+from .errors import DomainError, NumericalError
 from .grid import GridFunction, _mode_weights, on_fine_grid, series_sum, spectrum
 
 TOL_SELF = 1e-6          # sup-norm distance below which partners count as equal
 DISTINCT_MIN = 1e-4      # distance every j >= 2 pair must exceed
 DEGENERATE_M = 1e-6      # |m| or |1-m| below this: closed-gap regime
 DEFAULT_M_LIST = (0.1, 0.5, 0.9)
+RESIDUAL_N = 1024        # points of the residual grid over one period
+RESIDUAL_H = 1e-4        # step of the residual's central second difference
 
 
 @dataclass(frozen=True)
@@ -333,12 +335,11 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction) -> SelfIsoResult:
 # residual machinery
 # ---------------------------------------------------------------------------
 
-def schrodinger_residual(v: Callable, psi: Callable, energy: float,
-                         period: float, grid_n: int = 1024, h: float = 1e-4) -> float:
-    """max |-psi'' + (V - E) psi| / max |psi| on a uniform period grid.
+def schrodinger_residual(v: Callable, psi: Callable, energy: float, period: float) -> float:
+    """max |-psi'' + (V - E) psi| / max |psi| on RESIDUAL_N uniform points of a period.
 
     The second derivative is the central finite difference with step
-    ``h``.  The stencil is evaluated in extended precision so the
+    RESIDUAL_H.  The stencil is evaluated in extended precision so the
     reported number reflects h^2 truncation, not float64 roundoff.  The
     edge-state suite runs the same stencil (_stencil_residuals) on sn,
     cn and dn evaluated once per grid.
@@ -347,25 +348,23 @@ def schrodinger_residual(v: Callable, psi: Callable, energy: float,
         lo, x, hi = grids
         return [(psi(lo), psi(x), psi(hi), v(x))]
 
-    return _stencil_residuals(period, grid_n, h, [energy], sample)[0]
+    return _stencil_residuals(period, [energy], sample)[0]
 
 
-def _stencil_residuals(period: float, grid_n: int, h: float, energies, sample) -> list:
+def _stencil_residuals(period: float, energies, sample) -> list:
     """schrodinger_residual of one state per energy, on shared grids.
 
-    ``sample`` maps the longdouble grids (x - h, x, x + h), x uniform
-    on [0, period), to one (psi(x - h), psi(x), psi(x + h), V(x)) per
-    energy.  Every argument is checked before ``sample`` is called.
+    ``sample`` maps the longdouble grids (x - h, x, x + h), x on
+    RESIDUAL_N uniform points of [0, period) and h = RESIDUAL_H, to one
+    (psi(x - h), psi(x), psi(x + h), V(x)) per energy.  Every argument is
+    checked before ``sample`` is called.
     """
-    grid_n = _positive_int(grid_n, "grid_n")
-    if not 0.0 < h < math.inf:
-        raise DomainError(f"h must be positive and finite, got {h!r}")
     if not 0.0 < period < math.inf:
         raise DomainError(f"period must be positive and finite, got {period!r}")
     if not all(math.isfinite(e) for e in energies):
         raise DomainError(f"energy must be finite, got {list(energies)!r}")
-    x = (np.arange(grid_n) * (period / grid_n)).astype(np.longdouble)
-    hh = np.longdouble(h)
+    x = (np.arange(RESIDUAL_N) * (period / RESIDUAL_N)).astype(np.longdouble)
+    hh = np.longdouble(RESIDUAL_H)
     out = []
     for energy, (p_lo, p0, p_hi, v0) in zip(energies, sample((x - hh, x, x + hh))):
         second = (p_hi - 2.0 * p0 + p_lo) / (hh * hh)
@@ -393,14 +392,13 @@ def run_edge_state_suite(m: float) -> list:
 
     Per edge n = 0..4: the closed-form energy against the blind
     Floquet solver, Schrodinger residuals of both partner
-    eigenfunctions on 1024 points, and the intertwining map between them.
+    eigenfunctions on RESIDUAL_N points, and the intertwining map between them.
     sn, cn and dn are evaluated once per grid, the three longdouble
     stencil grids and the float64 one of the intertwining checks, and
     every psi, W and V here comes from those values.
     """
     if not (0.0 < m < 1.0):
         raise DomainError(f"edge-state suite needs m in (0, 1), got {m!r}")
-    grid_n = 1024
     degenerate = m <= DEGENERATE_M or m >= 1.0 - DEGENERATE_M
     energy_tol = 1e-4 if degenerate else 1e-6
     j = 2
@@ -410,7 +408,7 @@ def run_edge_state_suite(m: float) -> list:
     energies = susy.band_edge_energies(j, m)
     pot_minus = susy.PotentialSpec(susy.Family.V_MINUS, j, m).as_periodic_potential()
     solver_edges = bandsolver.band_edges(pot_minus, 2 * j + 1)
-    ctx = {"j": j, "m": m, "grid_n": grid_n, "degenerate_regime": degenerate}
+    ctx = {"j": j, "m": m, "grid_n": RESIDUAL_N, "degenerate_regime": degenerate}
 
     def states(grids):
         """(psi at x - h, x, x + h, V at x) of V- then V+, per edge."""
@@ -420,9 +418,9 @@ def run_edge_state_suite(m: float) -> list:
             yield (*(susy._psi_minus(j, n, m, *t) for t in (lo, mid, hi)), v_minus)
             yield (*(susy._psi_plus(j, n, m, *t) for t in (lo, mid, hi)), v_plus)
 
-    residuals = _stencil_residuals(L, grid_n, 1e-4, np.repeat(energies, 2), states)
+    residuals = _stencil_residuals(L, np.repeat(energies, 2), states)
 
-    on_xs = jacobi(np.arange(grid_n) * (L / grid_n), m)
+    on_xs = jacobi(np.arange(RESIDUAL_N) * (L / RESIDUAL_N), m)
     w = susy._ground_w(j, m, *on_xs)[0]
     for n in range(2 * j + 1):
         reports.append(claim(

@@ -60,6 +60,7 @@ def test_criterion_1_closed_form_edge_energies():
 
 
 def test_criterion_2_eigenfunction_residuals():
+    assert (verify.RESIDUAL_N, verify.RESIDUAL_H) == (1024, 1e-4)
     for m in M_LIST:
         L = 2.0 * complete_k(m)
         energies = band_edge_energies(2, m)
@@ -67,12 +68,12 @@ def test_criterion_2_eigenfunction_residuals():
             res_minus = verify.schrodinger_residual(
                 lambda x: v_minus(2, m, x),
                 lambda x, _n=n: psi_minus(2, _n, m, x),
-                energies[n], L, grid_n=1024, h=1e-4)
+                energies[n], L)
             assert res_minus <= 1e-7, (m, n, "minus", res_minus)
             res_plus = verify.schrodinger_residual(
                 lambda x: v_plus_closed(2, m, x),
                 lambda x, _n=n: psi_plus(2, _n, m, x),
-                energies[n], L, grid_n=1024, h=1e-4)
+                energies[n], L)
             assert res_plus <= 1e-7, (m, n, "plus", res_plus)
     announce(2, "Schrodinger residuals of all edge states")
 
@@ -130,11 +131,12 @@ def test_criterion_6_hyperbolic_limit():
 
 
 def test_criterion_7_higher_j_pipeline():
+    assert bandsolver.PARTNER_N == 512
     for j in (2, 3):
         pm = pot(Family.V_MINUS, j, 0.5)
-        partner = bandsolver.numeric_partner(pm, grid_n=512)
+        partner = bandsolver.numeric_partner(pm)
         x = np.linspace(0.0, pm.period, 600, endpoint=False)
-        gap = np.max(np.abs(partner._eval_vec(x) - v_plus_closed(j, 0.5, x)))
+        gap = np.max(np.abs(partner(x) - v_plus_closed(j, 0.5, x)))
         assert gap <= 1e-6, (j, gap)
     for j in (4, 5):
         start = time.perf_counter()

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamesusy import bandsolver as bs
-from lamesusy import susy, verify
-from lamesusy.elliptic import complete_k
+from lamesusy import grid, susy, verify
+from lamesusy.elliptic import complete_k, jacobi
 from lamesusy.errors import (
     DomainError,
     IncompleteSpectrumError,
@@ -201,9 +201,33 @@ class TestPeriodicPotential:
         a, b = (bs.PeriodicPotential(2 * math.pi, np.cos) for _ in range(2))
         assert a == b
 
-    def test_scalar_only_evaluator_is_accepted(self):
-        pot = bs.PeriodicPotential(period=2.0, evaluator=lambda x: math.cos(math.pi * x))
-        assert pot.sample(64).shape == (64,)
+    def test_scalar_only_evaluator_is_refused(self):
+        with pytest.raises(DomainError, match="array of points"):
+            bs.PeriodicPotential(period=2.0, evaluator=lambda x: math.cos(math.pi * x))
+
+    def test_evaluator_of_another_shape_is_refused(self):
+        with pytest.raises(DomainError, match="shape"):
+            bs.PeriodicPotential(1.0, lambda x: np.zeros(3))
+
+    def test_evaluator_domain_error_keeps_its_message(self):
+        # DomainError is a ValueError; it passes through sample untouched
+        with pytest.raises(DomainError, match="too large"):
+            bs.PeriodicPotential(1.0, lambda x: jacobi(x + 1e300, 0.5).sn)
+
+    def test_grid_partner_is_built_without_pointwise_reads(self, monkeypatch):
+        # the construction check reads a grid through sample's FFT resample
+        def refuse(*args, **kwargs):
+            raise AssertionError("pointwise read of the interpolant")
+        monkeypatch.setattr(GridFunction, "eval", refuse)
+        monkeypatch.setattr(grid, "series_sum", refuse)
+        partner = bs.numeric_partner(lame_pot(Family.V_MINUS, 4, 0.5))
+        assert isinstance(partner.evaluator, GridFunction)
+
+    def test_grid_partner_refuses_a_non_finite_shift(self):
+        partner = verify.partner_pair(4, 0.5)[1]
+        assert isinstance(partner.evaluator, GridFunction)
+        with pytest.raises(DomainError, match="not finite"):
+            partner.sample(4, np.nan)
 
     def test_shifted_sample_of_closed_form_is_exact(self):
         # the Magnus nodes of a closed form are the abscissae (i + g) h themselves
@@ -211,10 +235,10 @@ class TestPeriodicPotential:
         n = 256
         nodes = (np.arange(n)[:, None] + bs._GAUSS) * (pot.period / n)
         for k, g in enumerate(bs._GAUSS):
-            assert np.array_equal(pot.sample(n, g), pot._eval_vec(nodes[:, k]))
+            assert np.array_equal(pot.sample(n, g), pot(nodes[:, k]))
 
     def test_grid_backed_sample_resamples_the_interpolant(self):
-        partner = bs.numeric_partner(lame_pot(Family.V_MINUS, 2, 0.5), grid_n=512)
+        partner = bs.numeric_partner(lame_pot(Family.V_MINUS, 2, 0.5))
         assert isinstance(partner.evaluator, GridFunction)
         for n, g in ((512, 0.0), (256, 0.5), (96, 0.1127), (2048, 0.8873)):
             pts = (np.arange(n) + g) * (partner.period / n)
@@ -223,9 +247,8 @@ class TestPeriodicPotential:
 
     @pytest.mark.parametrize("make", [
         lambda: lame_pot(Family.V_PLUS, 3, 0.5),
-        lambda: bs.numeric_partner(lame_pot(Family.V_MINUS, 2, 0.5), grid_n=512),
-        lambda: bs.PeriodicPotential(period=2.0, evaluator=lambda x: math.cos(math.pi * x)),
-    ], ids=["evaluator", "grid", "scalar_only"])
+        lambda: bs.numeric_partner(lame_pot(Family.V_MINUS, 2, 0.5)),
+    ], ids=["evaluator", "grid"])
     def test_array_of_shifts_samples_one_row_each(self, make):
         pot = make()
         for n in (64, 96, 512):
@@ -922,11 +945,15 @@ class TestBenchScript:
         assert result.pop("repeat") == 1
         quartiles = result.pop("quartiles")
         counts = [result.pop(key) for key in ("band_edges_products", "band_edges_steps_x_energies",
-                                              "selfiso_shifts_evaluated")]
+                                              "selfiso_shifts_evaluated", "src_lines")]
         assert sorted(result) == ["band_edges_s", "galerkin_edges_s", "jacobi_points_per_s",
                                   "numeric_partner_s", "scan_257_energies_per_s",
-                                  "selfiso_distance_s", "trace_1_s", "trace_8_s"]
+                                  "selfiso_distance_s", "trace_1_s", "trace_8_s",
+                                  "verify_all_s", "verify_edgestates_s", "verify_iso_s",
+                                  "verify_limits_s", "verify_selfiso_s"]
         assert all(value > 0.0 for value in result.values())
+        suites = ("verify_edgestates_s", "verify_limits_s", "verify_iso_s", "verify_selfiso_s")
+        assert result["verify_all_s"] >= sum(result[name] for name in suites)
         # one round: both quartiles are its one value
         assert quartiles == {name: [value, value] for name, value in result.items()}
         assert all(isinstance(c, int) and c > 0 for c in counts)
@@ -1055,23 +1082,23 @@ class TestNumericPartner:
     @pytest.mark.parametrize("m", [0.1, 0.5, 0.9])
     def test_reproduces_closed_form_j2(self, m):
         pot = lame_pot(Family.V_MINUS, 2, m)
-        partner = bs.numeric_partner(pot, grid_n=512)
+        partner = bs.numeric_partner(pot)
         x = np.linspace(0, pot.period, 600, endpoint=False)
-        assert np.max(np.abs(partner._eval_vec(x) - v_plus_closed(2, m, x))) <= 1e-6
+        assert np.max(np.abs(partner(x) - v_plus_closed(2, m, x))) <= 1e-6
 
     def test_reproduces_closed_form_j3(self):
         pot = lame_pot(Family.V_MINUS, 3, 0.5)
-        partner = bs.numeric_partner(pot, grid_n=512)
+        partner = bs.numeric_partner(pot)
         x = np.linspace(0, pot.period, 600, endpoint=False)
-        assert np.max(np.abs(partner._eval_vec(x) - v_plus_closed(3, 0.5, x))) <= 1e-6
+        assert np.max(np.abs(partner(x) - v_plus_closed(3, 0.5, x))) <= 1e-6
 
     def test_j1_partner_is_half_period_translate(self):
         m = 0.5
         K = complete_k(m)
         pot = lame_pot(Family.V_MINUS, 1, m)
-        partner = bs.numeric_partner(pot, grid_n=512)
+        partner = bs.numeric_partner(pot)
         x = np.linspace(0, pot.period, 300, endpoint=False)
-        assert np.max(np.abs(partner._eval_vec(x) - v_minus(1, m, x - K))) <= 1e-6
+        assert np.max(np.abs(partner(x) - v_minus(1, m, x - K))) <= 1e-6
 
     def test_j4_shifted_lame_isospectral(self):
         m = 0.5
@@ -1080,7 +1107,7 @@ class TestNumericPartner:
         ground = e_raw[0].energy
         shifted = bs.PeriodicPotential(
             period=raw.period, evaluator=lambda x: raw_lame(4, m, x) - ground)
-        partner = bs.numeric_partner(shifted, grid_n=512)
+        partner = bs.numeric_partner(shifted)
         e_partner = bs.band_edges(partner, 9)
         for a, b in zip(e_raw, e_partner):
             assert b.energy == pytest.approx(a.energy - ground, abs=1e-5)
@@ -1088,7 +1115,7 @@ class TestNumericPartner:
     def test_unshifted_input_keeps_spectrum(self):
         # the ground energy is carried through, so no pre-shift is needed
         pot = lame_pot(Family.RAW_LAME, 2, 0.5)
-        partner = bs.numeric_partner(pot, grid_n=512)
+        partner = bs.numeric_partner(pot)
         e_in = bs.band_edges(pot, 5)
         e_out = bs.band_edges(partner, 5)
         assert max(abs(a.energy - b.energy) for a, b in zip(e_in, e_out)) <= 1e-6
@@ -1102,16 +1129,6 @@ class TestNumericPartner:
         assert not np.any(g.samples[:-1] * g.samples[1:] < 0)
         with pytest.raises(InvalidGroundStateError):
             bs._reject_nodal(samples)
-
-    def test_grid_requirements(self):
-        # rejected before any sample of V is taken
-        calls = []
-        pot = bs.PeriodicPotential(1.0, lambda x: calls.append(x) or 0.0 * x)
-        calls.clear()
-        for grid_n in (32, 129, 0, 512.5):
-            with pytest.raises(DomainError, match="grid_n must be an integer >= 130"):
-                bs.numeric_partner(pot, grid_n=grid_n)
-        assert calls == []
 
     def test_partner_pipeline_script_runs(self, capsys):
         script = Path(__file__).resolve().parents[1] / "scripts" / "partner_pipeline.py"

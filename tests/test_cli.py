@@ -92,6 +92,17 @@ class TestPotential:
         xs = np.arange(64) * (pot.period / 64)
         assert np.max(np.abs(rows[:, 1] - pot(xs))) <= 1e-12
 
+    def test_numeric_route_prints_the_partner_samples(self):
+        # the grid partner's values are its FFT resample, digit for digit
+        from lamesusy.cli import _fmt
+
+        cp = run_cli("potential", "-j", "4", "-m", "0.5", "--family", "vplus",
+                     "--numeric", "--precision", "17")
+        assert cp.returncode == 0, cp.stderr
+        values = [r.split(",")[1] for r in cp.stdout.strip().splitlines()[1:]]
+        partner = verify.partner_pair(4, 0.5, numeric=True)[1]
+        assert values == [_fmt(v, 17) for v in partner.sample(512)]
+
     def test_j4_without_numeric_flag_is_usage_error(self):
         cp = run_cli("potential", "-j", "4", "-m", "0.5", "--family", "vplus")
         assert cp.returncode == 2

@@ -195,6 +195,18 @@ class TestIdentities:
         d1, d2 = jacobi(x, m).dn, jacobi(x + 2 * k, m).dn
         assert np.max(np.abs(d1 - d2)) <= 1e-10
 
+    @pytest.mark.parametrize("m", [0.1, 0.5, 0.9])
+    def test_longdouble_periodicity_past_one_period(self, m):
+        # the reduction modulo 4K carries pi in x's dtype, not float64's pi
+        a = _agm_chain(m, np.longdouble)[0][-1]
+        k = np.arccos(np.longdouble(-1.0)) / (2 * a)
+        x = np.linspace(-2.0, 2.0, 65, dtype=np.longdouble)
+        base = jacobi(x, m)
+        for turns in (1, 3, 10):
+            moved = jacobi(x + 4 * turns * k, m)
+            gap = max(float(np.max(np.abs(p - q))) for p, q in zip(base, moved))
+            assert gap <= 1e-16, (turns, gap)
+
     def test_degeneration_limits(self):
         x = np.linspace(-5.0, 5.0, 701)
         assert np.max(np.abs(jacobi(x, 1e-12).sn - np.sin(x))) <= 1e-9
