@@ -33,12 +33,14 @@ The line holds the median of every timing over the rounds, and under
     once a round; ``verify_all_s`` is their sum plus ``reports_to_json``
     of all their reports, the release job without its process start.
 
-Beside them, four counts that no timing noise moves: the Magnus products
+Beside them, six counts that no timing noise moves: the Magnus products
 the 21 ``band_edges`` calls form and their steps x energies
-(``band_edges_products``, ``band_edges_steps_x_energies``), the shifts
-the two ``selfiso_distance`` scans evaluate
-(``selfiso_shifts_evaluated``), and the lines of the measured package's
-modules (``src_lines``).
+(``band_edges_products``, ``band_edges_steps_x_energies``), the
+plane-wave problems of the 21 ``galerkin_edges`` calls solved as cos and
+sin blocks, against all of them (``galerkin_problems_split``,
+``galerkin_problems``), the shifts the two ``selfiso_distance`` scans
+evaluate (``selfiso_shifts_evaluated``), and the lines of the measured
+package's modules (``src_lines``).
 
 Run:  python scripts/bench.py [--repeat N]
 with N rounds (default 7).  Times are wall-clock seconds of this
@@ -109,6 +111,14 @@ def _band_edges_grid():
     return formed
 
 
+def _galerkin_split():
+    """How many of the 42 plane-wave problems of the 21 cases split, and 42."""
+    split = [len(bandsolver._cos_sin_blocks(*bandsolver._potential_modes(pot, bandsolver.BASIS_N),
+                                            pot.period, periodic)[0]) == 2
+             for pot, _ in _grid() for periodic in (True, False)]
+    return sum(split), len(split)
+
+
 def _partners():
     """ground_energy of raw Lamé and numeric_partner of V- over PARTNER_CASES."""
     for j, m in PARTNER_CASES:
@@ -171,12 +181,14 @@ def run(repeat=7):
         for name, value in measured.items():
             rounds.setdefault(name, []).append(value)
     products, steps = (int(c) for c in _band_edges_grid())
+    split, problems = _galerkin_split()
     shifts = sum(int(np.isfinite(verify._scan_distance(*pair, verify.SHIFT_SAMPLES)).sum())
                  for pair in pairs)
     return {name: statistics.median(values) for name, values in rounds.items()} | {
         "quartiles": {name: np.percentile(values, [25, 75]).tolist()
                       for name, values in rounds.items()},
         "band_edges_products": products, "band_edges_steps_x_energies": steps,
+        "galerkin_problems_split": split, "galerkin_problems": problems,
         "selfiso_shifts_evaluated": shifts, "repeat": repeat,
         "src_lines": sum(len(p.read_text().splitlines())
                          for p in Path(verify.__file__).parent.glob("*.py"))}

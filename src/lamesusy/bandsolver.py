@@ -16,8 +16,8 @@ can arbitrate the other's bugs:
   * a plane-wave Galerkin route: the periodic and antiperiodic
     eigenproblems of V, real as every potential here is, assembled as
     real symmetric matrices in the sqrt2 cos / sqrt2 sin basis from
-    Fourier coefficients of V; edge n is eigenvalue n // 2 of its own
-    boundary's problem.
+    Fourier coefficients of V, split into cos and sin blocks for an even
+    V; edge n is eigenvalue n // 2 of its own boundary's problem.
 
 Either way an edge is known by its index n, never by a sort of
 energies, and its boundary follows from n by the oscillation theorem:
@@ -114,13 +114,13 @@ class PeriodicPotential:
 
     def sample(self, n: int, shift=0.0) -> np.ndarray:
         """V at (i + shift) * period / n, i = 0..n-1, a row per shift of an array:
-        by FFT, one per shift, when V is a grid, else in one evaluator call.
+        by one FFT resample when V is a grid, else in one evaluator call.
         DomainError if the evaluator maps no array of points to one of its
         shape, or names the x where V is not finite."""
         xs = np.add.outer(shift, np.arange(n)) * (self.period / n)
         f = self.evaluator
         if isinstance(f, GridFunction) and f.period == self.period:
-            out = np.stack([f.resample(n, g) for g in np.ravel(shift)]).reshape(xs.shape)
+            out = f.resample(n, shift)
         else:
             try:
                 out = np.asarray(f(xs), dtype=float)
@@ -685,7 +685,7 @@ def _potential_modes(V: PeriodicPotential, basis_n: int) -> tuple:
     return v.real, v.imag
 
 
-def _cos_sin_matrix(a: np.ndarray, b: np.ndarray, L: float, periodic: bool) -> np.ndarray:
+def _cos_sin_blocks(a: np.ndarray, b: np.ndarray, L: float, periodic: bool) -> tuple:
     """H = k^2 + V, real symmetric, in the orthonormal basis sqrt2 cos kx,
     sqrt2 sin kx, k = pi t / L, led by the constant when ``periodic``:
     t = 2, 4, .., 2N (periodic) or 1, 3, .., 2N - 1 (antiperiodic), with
@@ -694,28 +694,33 @@ def _cos_sin_matrix(a: np.ndarray, b: np.ndarray, L: float, periodic: bool) -> n
     cs = sign(p - p') b_|p-p'| - b_(p+p'), and the constant's row a_0,
     sqrt2 a_p, -sqrt2 b_p.  For a real V this is unitarily similar to the
     complex Hermitian e^{ikx} problem (A. Lee, Linear Algebra Appl. 29,
-    1980), and half as dear to solve."""
+    1980).  Returns (blocks, ||cs||_F, bound = 16 eps max|diag H|): [cc, ss]
+    where ||cs||_F <= bound, as for an even V, whose eigenvalues are H's to
+    within ||cs||_2 <= 16 eps ||H|| (Weyl), what eigvalsh resolves; else [H]."""
     t = np.arange(1 + periodic, a.size, 2)
     d, s = (t[:, None] - t) // 2, (t[:, None] + t) // 2
     toeplitz = a[np.abs(d)] + np.diag((np.pi / L * t) ** 2)
-    cs = np.sign(d) * b[np.abs(d)] - b[s]
-    H = np.block([[toeplitz + a[s], cs], [cs.T, toeplitz - a[s]]])
-    if not periodic:
-        return H
-    edge = math.sqrt(2.0) * np.concatenate([a[t // 2], -b[t // 2]])
-    return np.block([[np.array([[a[0]]]), edge[None, :]], [edge[:, None], H]])
+    cc, ss, cs = toeplitz + a[s], toeplitz - a[s], np.sign(d) * b[np.abs(d)] - b[s]
+    if periodic:  # the constant's row leads cc and cs
+        edge = math.sqrt(2.0) * a[t // 2]
+        cc = np.block([[a[:1, None], edge[None, :]], [edge[:, None], cc]])
+        cs = np.vstack([-math.sqrt(2.0) * b[t // 2], cs])
+    coupling, diag = float(np.linalg.norm(cs)), np.concatenate([np.diag(cc), np.diag(ss)])
+    bound = float(16.0 * np.finfo(float).eps * np.abs(diag).max())
+    return [cc, ss] if coupling <= bound else [np.block([[cc, cs], [cs.T, ss]])], coupling, bound
 
 
 def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = BASIS_N) -> list:
     """Band edges from the periodic and antiperiodic plane-wave problems.
 
     Assembles the two as dense real symmetric matrices in the sqrt2 cos /
-    sqrt2 sin basis (_cos_sin_matrix), from Fourier coefficients of V taken
-    by rfft on 4*basis_n samples.  Edge n is eigenvalue n // 2 of its own
-    boundary's problem (the oscillation theorem), and by Courant-Fischer
-    that eigenvalue is the Ritz upper bound of exactly that edge.  The two
-    edges of a gap, eigenvalues i - 1 and i of one problem, that the
-    eigenvalues do not resolve apart are flagged degenerate, a closed gap.
+    sqrt2 sin basis (_cos_sin_blocks, split where V is even), from Fourier
+    coefficients of V taken by rfft on 4*basis_n samples.  Edge n is
+    eigenvalue n // 2 of its own boundary's problem (the oscillation
+    theorem), and by Courant-Fischer that eigenvalue is the Ritz upper
+    bound of exactly that edge.  The two edges of a gap, eigenvalues i - 1
+    and i of one problem, that the eigenvalues do not resolve apart are
+    flagged degenerate, a closed gap.  One DEBUG record per call.
     """
     count = _positive_int(count, "count")
     basis_n = _positive_int(basis_n, "basis_n")
@@ -723,11 +728,14 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = BASIS_N) -> 
         raise DomainError(f"basis_n={basis_n!r} too small for count={count!r}; "
                           f"need >= {2 * count + 8}")
     a, b = _potential_modes(V, basis_n)
+    problems = [_cos_sin_blocks(a, b, V.period, periodic) for periodic in (True, False)]
     try:
-        spectra = [np.linalg.eigvalsh(_cos_sin_matrix(a, b, V.period, periodic))
-                   for periodic in (True, False)]
+        spectra = [np.sort(np.concatenate([np.linalg.eigvalsh(H) for H in blocks]))
+                   for blocks, _, _ in problems]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Galerkin eigenproblem failed: {exc}") from exc
+    _debug(__name__, "galerkin_edges: %d, %d blocks; ||cs|| %.2g against %.2g, %.2g against %.2g",
+           *(len(p[0]) for p in problems), *(x for p in problems for x in p[1:]))
     # eigvalsh resolves eigenvalues to a small multiple of eps ||H||
     resolved = float(16.0 * np.finfo(float).eps * max(np.abs(ev).max() for ev in spectra))
     E = [float(spectra[_row(n)][n // 2]) for n in range(count + 1)]
@@ -746,9 +754,9 @@ def _reject_nodal(psi: np.ndarray):
 
 
 def _ground_solve(V: PeriodicPotential, solver):
-    """``solver`` (eigvalsh or eigh) on the periodic cos/sin problem of BASIS_N modes."""
+    """``solver`` (eigvalsh or eigh) on the periodic problem of BASIS_N modes, or its cos block."""
     try:
-        return solver(_cos_sin_matrix(*_potential_modes(V, BASIS_N), V.period, True))
+        return solver(_cos_sin_blocks(*_potential_modes(V, BASIS_N), V.period, True)[0][0])
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"ground-state eigenproblem failed: {exc}") from exc
 
@@ -768,18 +776,18 @@ def numeric_partner(V: PeriodicPotential) -> PeriodicPotential:
     automatically, so the output is isospectral to V whether or not V
     was shifted to put its ground edge at zero energy.  Each call sends
     one DEBUG record (BASIS_N, the ground energy and min psi_0 / max
-    psi_0, the range log psi_0 must resolve) to this module's logger
-    when ``logging`` is loaded.
+    psi_0, the range log psi_0 must resolve, and the block it came from)
+    to this module's logger when ``logging`` is loaded.
     """
     L = V.period
     w, U = _ground_solve(V, np.linalg.eigh)
-    # the real eigenvector in the basis 1, sqrt2 cos, sqrt2 sin, summed on the grid
-    c = U[:, 0]
+    # psi_0 from its coefficients on 1, sqrt2 cos and sqrt2 sin (all 0 on sin from the cos block)
+    c = np.pad(U[:, 0], (0, 2 * BASIS_N + 1 - len(U)))
     psi = np.fft.irfft(np.concatenate(([math.sqrt(2.0) * c[0]],
                                        c[1 : BASIS_N + 1] - 1j * c[BASIS_N + 1 :])), PARTNER_N)
     psi = psi / psi[int(np.argmax(np.abs(psi)))]  # peak at +1
-    _debug(__name__, "numeric_partner: basis_n %d, ground energy %.17g, min/max psi_0 %.3g",
-           BASIS_N, w[0], psi.min())
+    _debug(__name__, "numeric_partner: basis_n %d, ground energy %.17g of the %s, min/max psi_0 "
+           "%.3g", BASIS_N, w[0], ("whole problem", "cos block")[len(U) <= BASIS_N + 1], psi.min())
     _reject_nodal(psi)
 
     u2 = GridFunction(period=L, samples=np.log(psi)).derivative(2).samples

@@ -24,10 +24,10 @@ def spectrum(samples: np.ndarray) -> np.ndarray:
 
 
 def on_fine_grid(coef: np.ndarray, n: int, fine: int) -> np.ndarray:
-    """The n-sample interpolant with spectrum ``coef`` at j*period/fine,
-    j = 0..fine-1, for fine >= n."""
+    """The n-sample interpolant with spectrum ``coef`` (a row per series
+    along the last axis) at j*period/fine, j = 0..fine-1, for fine >= n."""
     if n % 2 == 0 and fine > n:  # the Nyquist cosine splits over the modes +-n/2 of the fine grid
-        coef = np.concatenate([coef[:-1], 0.5 * coef[-1:]])
+        coef = np.concatenate([coef[..., :-1], 0.5 * coef[..., -1:]], axis=-1)
     return np.fft.irfft(coef, n=fine) * fine  # irfft zero-pads to the fine grid
 
 
@@ -102,16 +102,16 @@ class GridFunction:
     def __call__(self, pts):
         return self.eval(pts)
 
-    def resample(self, count: int, shift: float = 0.0) -> np.ndarray:
-        """The interpolant at (i + shift) * period / count, i = 0..count-1.
+    def resample(self, count: int, shift=0.0) -> np.ndarray:
+        """The interpolant at (i + shift) * period / count, i = 0..count-1, a row per shift.
 
-        One phase-shifted spectrum, zero-padded onto the least multiple of
-        ``count`` that is >= n and read at every (fine/count)-th point.
+        One spectrum, phase-shifted per shift, zero-padded onto the least multiple
+        of ``count`` that is >= n and read at every (fine/count)-th point.
         """
         count, n = _positive_int(count, "count"), self.n
         fine = count * -(-n // count)
-        c = spectrum(self.samples) * np.exp(2j * np.pi * np.arange(n // 2 + 1) * (shift / count))
-        return on_fine_grid(c, n, fine)[:: fine // count]
+        phase = np.multiply.outer(np.divide(shift, count), 2j * np.pi * np.arange(n // 2 + 1))
+        return on_fine_grid(spectrum(self.samples) * np.exp(phase), n, fine)[..., :: fine // count]
 
     def derivative(self, order: int = 1) -> "GridFunction":
         """Spectral derivative of the interpolant, as a new GridFunction."""

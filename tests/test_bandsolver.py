@@ -945,7 +945,10 @@ class TestBenchScript:
         assert result.pop("repeat") == 1
         quartiles = result.pop("quartiles")
         counts = [result.pop(key) for key in ("band_edges_products", "band_edges_steps_x_energies",
+                                              "galerkin_problems_split", "galerkin_problems",
                                               "selfiso_shifts_evaluated", "src_lines")]
+        # every case of the grid is even: each of its 42 problems splits
+        assert counts[2:4] == [42, 42]
         assert sorted(result) == ["band_edges_s", "galerkin_edges_s", "jacobi_points_per_s",
                                   "numeric_partner_s", "scan_257_energies_per_s",
                                   "selfiso_distance_s", "trace_1_s", "trace_8_s",
@@ -1045,7 +1048,8 @@ class TestGalerkinEdges:
         pot = uneven_trig()
         a, b = bs._potential_modes(pot, 64)
         for periodic, want in zip((True, False), plane_wave_reference(pot, 64)):
-            H = bs._cos_sin_matrix(a, b, pot.period, periodic)
+            (H,), coupling, bound = bs._cos_sin_blocks(a, b, pot.period, periodic)
+            assert coupling > bound  # uneven: solved whole
             assert H.dtype == np.float64 and H.shape == (want.size, want.size)
             got = np.linalg.eigvalsh(H)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -1067,11 +1071,72 @@ class TestGalerkinEdges:
             (6, 1.9821275492673185, -152.19223741824626),
             (23, 14.210073818452873, -970.9746071396224)])
         a, b = bs._potential_modes(pot, 64)
-        spectra = {bnd: np.linalg.eigvalsh(bs._cos_sin_matrix(a, b, pot.period, periodic))
+        spectra = {bnd: np.linalg.eigvalsh(bs._cos_sin_blocks(a, b, pot.period, periodic)[0][0])
                    for bnd, periodic in (("periodic", True), ("antiperiodic", False))}
+        assert all(len(H) == 2 * 64 + (bnd == "periodic") for bnd, H in spectra.items())
         edges = bs.galerkin_edges(pot, 21, 64)
         assert [e.boundary for e in edges] == [bs.expected_boundary(n) for n in range(21)]
         assert all(e.energy == spectra[e.boundary][e.n // 2] for e in edges)
+
+    @pytest.mark.parametrize("family, j", [(Family.RAW_LAME, 4), (Family.V_MINUS, 5),
+                                           (Family.V_PLUS, 3)])
+    @pytest.mark.parametrize("m", [0.1, 0.9])
+    def test_even_potentials_split_on_both_boundaries(self, family, j, m):
+        pot = lame_pot(family, j, m)
+        a, b = bs._potential_modes(pot, 64)
+        for periodic in (True, False):
+            blocks, coupling, bound = bs._cos_sin_blocks(a, b, pot.period, periodic)
+            assert [len(H) for H in blocks] == [64 + periodic, 64] and coupling <= bound
+
+    def test_split_turns_off_above_the_bound(self):
+        # an even V plus eps sin(2 pi x / L): the coupling grows as eps,
+        # and the problem is solved whole once it passes the bound
+        raw = lame_pot(Family.RAW_LAME, 2, 0.5)
+        L = raw.period
+
+        def problem(eps):
+            pot = bs.PeriodicPotential(L, lambda x: raw_lame(2, 0.5, x)
+                                       + eps * np.sin(2 * np.pi * np.asarray(x) / L))
+            return bs._cos_sin_blocks(*bs._potential_modes(pot, 64), L, True)
+
+        per_eps = problem(1e-6)[1] / 1e-6
+        bound = problem(0.0)[2]
+        below, above = (problem(f * bound / per_eps) for f in (0.9, 1.1))
+        assert below[1] <= bound < above[1]
+        assert [len(below[0]), len(above[0])] == [2, 1]
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
+    def test_split_spectra_match_the_whole_problem(self, monkeypatch, j):
+        # by Weyl's inequality the merged block spectra are the whole
+        # problem's to within ||cs||, below the resolved width
+        whole = {}
+        for m in verify.DEFAULT_M_LIST:
+            pots = [lame_pot(Family.RAW_LAME, j, m), lame_pot(Family.V_MINUS, j, m)]
+            pots += [lame_pot(Family.V_PLUS, j, m)] if j <= 3 else []
+            for k, pot in enumerate(pots):
+                a, b = bs._potential_modes(pot, 64)
+                for periodic in (True, False):
+                    blocks, _, _ = bs._cos_sin_blocks(a, b, pot.period, periodic)
+                    split = np.sort(np.concatenate([np.linalg.eigvalsh(H) for H in blocks]))
+                    whole[m, k, periodic] = (split, a, b, pot.period)
+        monkeypatch.setattr(np.linalg, "norm", lambda x: np.inf)  # the rule off: solve whole
+        for (m, k, periodic), (split, a, b, L) in whole.items():
+            (H,), _, _ = bs._cos_sin_blocks(a, b, L, periodic)
+            want = np.linalg.eigvalsh(H)
+            resolved = 16.0 * np.finfo(float).eps * np.abs(want).max()
+            assert np.max(np.abs(split - want)) <= resolved
+
+    def test_blocks_logged_at_debug(self, caplog):
+        logger = "lamesusy.bandsolver"
+        with caplog.at_level(logging.DEBUG, logger=logger):
+            bs.galerkin_edges(lame_pot(Family.V_MINUS, 3, 0.5), 7)
+            bs.galerkin_edges(uneven_trig(), 7)
+        messages = [rec.getMessage() for rec in caplog.records if rec.name == logger]
+        assert len(messages) == 2
+        for message, blocks in zip(messages, ("2, 2 blocks", "1, 1 blocks")):
+            assert message.startswith(f"galerkin_edges: {blocks}; ||cs|| ")
+            pairs = [p.split(" against ") for p in message.split("||cs|| ")[1].split(", ")]
+            assert [float(c) <= float(b) for c, b in pairs] == [blocks[0] == "2"] * 2
 
     def test_basis_size_validation(self):
         with pytest.raises(DomainError, match="basis_n"):
@@ -1147,12 +1212,13 @@ class TestNumericPartner:
 
     def test_pipeline_solves_real_matrices(self, monkeypatch):
         # ground energy, partner, then both partners' edges, as the
-        # partners workload runs them: 5 eigvalsh and 1 eigh, all real
+        # partners workload runs them: all real, all split, the ground
+        # state from the 65-row cos block alone, no complex solve
         calls = []
 
         def spy(name, solver):
             def wrapped(H, *args, **kwargs):
-                calls.append((name, H.dtype))
+                calls.append((name, H.dtype, len(H)))
                 return solver(H, *args, **kwargs)
             return wrapped
 
@@ -1164,9 +1230,9 @@ class TestNumericPartner:
         partner = bs.numeric_partner(pot)
         bs.galerkin_edges(pot, 7)
         bs.galerkin_edges(partner, 7)
-        names = [name for name, _ in calls]
-        assert all(dtype == np.float64 for _, dtype in calls)
-        assert (names.count("eigvalsh"), names.count("eigh")) == (5, 1)
+        assert all(dtype == np.float64 for _, dtype, _ in calls)
+        assert [n for name, _, n in calls if name == "eigvalsh"] == [65] + [65, 64, 64, 64] * 2
+        assert [n for name, _, n in calls if name == "eigh"] == [65]
 
     @pytest.mark.parametrize("j, m, lo, hi", [(2, 0.5, 3e-6, 1.0), (10, 0.99, 0.0, 1.1e-7)])
     def test_ground_state_range_logged_at_debug(self, caplog, j, m, lo, hi):
@@ -1177,7 +1243,42 @@ class TestNumericPartner:
         messages = [rec.getMessage() for rec in caplog.records if rec.name == logger]
         assert len(messages) == 1
         assert messages[0].startswith("numeric_partner: basis_n 64, ground energy ")
+        assert " of the cos block, " in messages[0]
         assert lo <= float(messages[0].rsplit(" ", 1)[1]) <= hi
+
+    def test_uneven_ground_state_logged_from_the_whole_problem(self, caplog):
+        logger = "lamesusy.bandsolver"
+        with caplog.at_level(logging.DEBUG, logger=logger):
+            bs.numeric_partner(uneven_trig())
+        messages = [rec.getMessage() for rec in caplog.records if rec.name == logger]
+        assert len(messages) == 1 and " of the whole problem, " in messages[0]
+
+    def test_even_ground_state_has_no_sine_part(self, monkeypatch):
+        # psi_0 comes from the cos block, padded with sine coefficients
+        # exactly 0; its energy is the whole problem's to the resolved width
+        pot = lame_pot(Family.V_MINUS, 4, 0.5)
+        spectra, solved = [], []
+        irfft = np.fft.irfft
+
+        def spy(c, *args, **kwargs):
+            spectra.append(np.array(c))
+            return irfft(c, *args, **kwargs)
+
+        def eigh(H):
+            solved.append(np.linalg.eigvalsh(H)[0])
+            return eigh_(H)
+
+        eigh_ = np.linalg.eigh
+        monkeypatch.setattr(np.fft, "irfft", spy)
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        bs.numeric_partner(pot)
+        assert spectra[0].size == bs.BASIS_N + 1
+        assert np.all(spectra[0].imag == 0.0)
+        monkeypatch.setattr(np.linalg, "norm", lambda x: np.inf)  # the rule off: solve whole
+        (H,), _, _ = bs._cos_sin_blocks(*bs._potential_modes(pot, bs.BASIS_N), pot.period, True)
+        want = np.linalg.eigvalsh(H)
+        assert len(solved) == 1
+        assert abs(solved[0] - want[0]) <= 16.0 * np.finfo(float).eps * np.abs(want).max()
 
     def test_ground_energy_helper(self):
         pot = lame_pot(Family.V_MINUS, 2, 0.5)

@@ -56,6 +56,18 @@ class TestGridFunction:
             pts = (np.arange(count) + shift) * (2.7 / count)
             assert np.max(np.abs(g.resample(count, shift) - g.eval(pts))) <= 1e-12
 
+    @pytest.mark.parametrize("n", [511, 512])
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_array_of_shifts_matches_one_call_per_shift(self, n, factor):
+        # one spectrum and one irfft along the last axis serve every row;
+        # 2n halves an even n's Nyquist cosine on every row
+        g = GridFunction(2.7, np.random.default_rng(n).standard_normal(n))
+        shifts = np.array([[0.0, 0.1127], [0.5, -0.3], [0.8873, 8.37]])
+        rows = g.resample(factor * n, shifts)
+        assert rows.shape == shifts.shape + (factor * n,)
+        for i in np.ndindex(shifts.shape):
+            assert np.array_equal(rows[i], g.resample(factor * n, shifts[i]))
+
     def test_size_arguments_validated(self):
         g = GridFunction.from_function(trig_poly, 2 * math.pi, 64)
         for count in (0, -3, 10.5):

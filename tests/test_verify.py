@@ -587,18 +587,19 @@ class TestPartnerPair:
                               bandsolver.numeric_partner(pm).evaluator.samples)
 
     def test_numeric_pair_solves_no_ground_energy(self, monkeypatch):
-        # V-'s ground energy is exact, so the partner's eigh and two
-        # eigvalsh per Galerkin edge list are all; raw Lamé less a Galerkin
-        # ground energy took one eigvalsh more
+        # V-'s ground energy is exact, so the partner's eigh on its cos
+        # block and the two split problems per Galerkin edge list are all;
+        # raw Lamé less a Galerkin ground energy took one eigvalsh more
         calls = []
         for name in ("eigvalsh", "eigh"):
             def spy(H, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
-                calls.append(_name)
+                calls.append((_name, len(H)))
                 return _solve(H, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, spy)
         for pot in verify.partner_pair(3, 0.5, numeric=True):
             bandsolver.galerkin_edges(pot, 7)
-        assert (calls.count("eigvalsh"), calls.count("eigh")) == (4, 1)
+        assert [n for name, n in calls if name == "eigvalsh"] == [65, 64, 64, 64] * 2
+        assert [n for name, n in calls if name == "eigh"] == [65]
 
 
 class TestResidualHelper:
