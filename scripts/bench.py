@@ -33,9 +33,12 @@ The line holds the median of every timing over the rounds, and under
     once a round; ``verify_all_s`` is their sum plus ``reports_to_json``
     of all their reports, the release job without its process start.
 
-Beside them, six counts that no timing noise moves: the Magnus products
+Beside them, eight counts that no timing noise moves: the Magnus products
 the 21 ``band_edges`` calls form and their steps x energies
-(``band_edges_products``, ``band_edges_steps_x_energies``), the
+(``band_edges_products``, ``band_edges_steps_x_energies``), the same two
+for the release job, summed over the ``band_edges`` DEBUG records of the
+last verify round (``release_band_edges_products``,
+``release_band_edges_steps_x_energies``), the
 plane-wave problems of the 21 ``galerkin_edges`` calls solved as cos and
 sin blocks, against all of them (``galerkin_problems_split``,
 ``galerkin_problems``), the shifts the two ``selfiso_distance`` scans
@@ -52,7 +55,9 @@ the same in both.
 
 import argparse
 import json
+import logging
 import os
+import re
 import statistics
 import time
 from pathlib import Path
@@ -137,9 +142,30 @@ def _selfiso_pairs():
     return [(plus, minus), (near, GridFunction.from_function(f, 2 * np.pi, 256))]
 
 
-def _verify_round():
+class _Formed(logging.Handler):
+    """Sums the Magnus products and steps x energies of the band_edges
+    DEBUG records it receives."""
+
+    PATTERN = re.compile(r"band_edges: .* (\d+) Magnus products of (\d+) steps x energies")
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.formed = np.zeros(2, dtype=int)
+
+    def emit(self, record):
+        found = self.PATTERN.match(record.getMessage())
+        if found:
+            self.formed += [int(g) for g in found.groups()]
+
+
+def _verify_round(formed):
     """The verify suites of the release job, each timed alone, and
-    verify_all_s: their sum plus the JSON rendering of their reports."""
+    verify_all_s: their sum plus the JSON rendering of their reports.
+    ``formed`` receives the round's band_edges DEBUG records."""
+    logger = logging.getLogger(bandsolver.__name__)
+    level = logger.level
+    logger.setLevel(logging.DEBUG)
+    logger.addHandler(formed)
     m_list = verify.DEFAULT_M_LIST
     suites = {
         "verify_edgestates_s": lambda: [r for m in m_list for r in verify.run_edge_state_suite(m)],
@@ -154,7 +180,10 @@ def _verify_round():
         times[name] = time.perf_counter() - start
     start = time.perf_counter()
     verify.reports_to_json(reports)
-    return times | {"verify_all_s": sum(times.values()) + time.perf_counter() - start}
+    times["verify_all_s"] = sum(times.values()) + time.perf_counter() - start
+    logger.removeHandler(formed)
+    logger.setLevel(level)
+    return times
 
 
 def run(repeat=7):
@@ -177,7 +206,8 @@ def run(repeat=7):
     }
     rounds = {}
     for _ in range(repeat):
-        measured = {name: measure() for name, measure in timings.items()} | _verify_round()
+        release = _Formed()
+        measured = {name: measure() for name, measure in timings.items()} | _verify_round(release)
         for name, value in measured.items():
             rounds.setdefault(name, []).append(value)
     products, steps = (int(c) for c in _band_edges_grid())
@@ -188,6 +218,8 @@ def run(repeat=7):
         "quartiles": {name: np.percentile(values, [25, 75]).tolist()
                       for name, values in rounds.items()},
         "band_edges_products": products, "band_edges_steps_x_energies": steps,
+        "release_band_edges_products": int(release.formed[0]),
+        "release_band_edges_steps_x_energies": int(release.formed[1]),
         "galerkin_problems_split": split, "galerkin_problems": problems,
         "selfiso_shifts_evaluated": shifts, "repeat": repeat,
         "src_lines": sum(len(p.read_text().splitlines())

@@ -13,7 +13,8 @@ resolves, so its error is half that gap's width.  An edge's boundary is
 derived from its index n (``expected_boundary``), so the boundary column
 checks that rule against the type of the n-th Lamé polynomial, and the
 energy error columns carry the check that each index holds the right
-edge.
+edge.  Each engine's summary gives its cases in the pattern, how many
+cases returned a touch, and its worst errors.
 
 Run:  python scripts/lame_sweep.py
 for j = 1..10 and m in {1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 1 - 1e-6}.
@@ -89,6 +90,7 @@ def main(j_list=range(1, 11), m_list=M_LIST):
         failed = sum(1 for r in mine if r["error"] or not r["boundaries_ok"])
         print(f"\n{engine}: {len(mine) - failed} of {len(mine)} cases in the boundary pattern, "
               f"{sum(r['time_s'] for r in mine):.1f} s")
+        print(f"   cases with a touch: {sum(r['touch'] is not None for r in mine)}")
         for kind, label in (("plain", "non-touch"), ("touch", "touch")):
             worst = _worst(mine, kind)
             print(f"   worst {label} error: " + ("none" if worst is None else

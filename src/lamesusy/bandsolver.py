@@ -8,11 +8,12 @@ can arbitrate the other's bugs:
     window with the number of band edges below each sample, read off the
     Dirichlet solution's oscillation count.  A cell whose count rises by
     more than the sign changes of Delta - 2 (periodic edge) and Delta + 2
-    (antiperiodic) hides a gap: it is split at the gap's critical point,
-    a root of Delta', or else scanned again on cells of its own.  Every
-    sign change then brackets one edge, indexed by the count at its end
-    and solved to float resolution by bracketed false position; a
-    critical point where Delta only touches +-2 is a closed gap;
+    (antiperiodic) hides a gap: it is split at the gap's Dirichlet
+    eigenvalue, a root of m12, or else scanned again on cells of its own.
+    Every sign change then brackets one edge, indexed by the count at its
+    end and solved to float resolution by bracketed false position; a
+    gap between whose two edges Delta does not measurably pass +-2 is
+    closed;
   * a plane-wave Galerkin route: the periodic and antiperiodic
     eigenproblems of V, real as every potential here is, assembled as
     real symmetric matrices in the sqrt2 cos / sqrt2 sin basis from
@@ -28,13 +29,13 @@ coincident edges flagged degenerate, so lists keep uniform length.
 The monodromy matrix is a product of sixth-order Magnus steps
 (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009): V is sampled
 once per step count at the three Gauss nodes of every step, each
-step's 2x2 exponential, and where asked its E-derivative or the
-half-turn count of its second column, is formed in closed form for a
-whole batch of energies at once, and the steps are multiplied together
-by pairwise tree reduction, the derivatives by the product rule, the
-counts by the signs of three entries.  The step count is settled once
-per potential, tolerance and energy range, from the difference between
-the n-step and 2n-step products at fixed probe energies.
+step's 2x2 exponential, and where asked the half-turn count of its
+second column, is formed in closed form for a whole batch of energies
+at once, and the steps are multiplied together by pairwise tree
+reduction, the counts by the signs of three entries.  The step count is
+settled once per potential, tolerance and energy range, from the
+difference between the n-step and 2n-step products at fixed probe
+energies.
 """
 
 from __future__ import annotations
@@ -191,23 +192,19 @@ def _step_coefficients(V: PeriodicPotential, n: int) -> tuple:
 
 def _step_propagators(coef: tuple, E: np.ndarray, rows: int = 4) -> np.ndarray:
     """exp(Omega) of every step at every energy, shape (rows, steps,
-    energies), rows 4, 5 or 8 (ValueError otherwise): with 8 its
-    E-derivative follows in rows 4-7, with 5 the half-turn count of its
-    second column in row 4 (_edges_below): exp(t Omega) e2 has a first
-    component b0 sinh(s t)/s, or b0 sin(s t)/s when oscillating, and b0 > 0
-    while h^2 |V1 - 2 V2 + V3| < 54, so -1 for a growing step,
-    -max(1, ceil(s / pi)) for an oscillating one.
+    energies), rows 4 or 5 (ValueError otherwise): with 5 the half-turn
+    count of its second column follows in row 4 (_edges_below): exp(t
+    Omega) e2 has a first component b0 sinh(s t)/s, or b0 sin(s t)/s when
+    oscillating, and b0 > 0 while h^2 |V1 - 2 V2 + V3| < 54, so -1 for a
+    growing step, -max(1, ceil(s / pi)) for an oscillating one.
 
     Omega is traceless, so Omega^2 = z I with z = a^2 + b c, and
     exp(Omega) = C I + S Omega with C = cosh(s), S = sinh(s)/s, s = sqrt(z)
-    (cos and sin of sqrt(-z) when z < 0).  As functions of z, dC/dz = S/2
-    and dS/dz = (C - S)/(2z), which cancels for small |z| and is summed
-    there as its series 1/6 + z/60 + z^2/1680 + z^3/90720 (relative error
-    below 1e-13 on either side of |z| = 1e-2).  Only a and c depend on E:
-    da/dE = -h a1, dc/dE = -h c1.  The rows are written into one array.
+    (cos and sin of sqrt(-z) when z < 0).  The rows are written into one
+    array.
     """
-    if rows not in (4, 5, 8):
-        raise ValueError(f"rows must be 4, 5 or 8, got {rows!r}")
+    if rows not in (4, 5):
+        raise ValueError(f"rows must be 4 or 5, got {rows!r}")
     h, hv, a0, a1, b0, c0, c1 = coef
     P = np.empty((rows, hv.size, E.size))
     u = hv - h * E
@@ -229,16 +226,6 @@ def _step_propagators(coef: tuple, E: np.ndarray, rows: int = 4) -> np.ndarray:
     np.multiply(S, b0, out=P[1])
     np.multiply(S, c, out=P[2])
     np.subtract(C, Sa, out=P[3])
-    if rows != 8:
-        return P
-    da, dc = -h * a1, -h * c1
-    dz = 2.0 * a * da + b0 * dc
-    small = np.abs(z) < 1e-2
-    dS = np.divide(C - S, 2.0 * z, out=np.zeros_like(z), where=~small)
-    dS = dz * np.where(small, 1.0 / 6.0 + z * (1.0 / 60.0 + z * (1.0 / 1680.0 + z / 90720.0)), dS)
-    dC = 0.5 * S * dz
-    dSa, Sda = dS * a, S * da
-    P[4], P[5], P[6], P[7] = dC + dSa + Sda, dS * b0, dS * c + S * dc, dC - dSa - Sda
     return P
 
 
@@ -267,10 +254,9 @@ def _tree_product(P: np.ndarray) -> tuple:
 
     Returns the products, shape (rows, columns), and per column the
     largest entry of any partial product formed (at least 1, the initial
-    data).  Rows 4-7, when present, are E-derivatives of rows 0-3 and
-    follow the product rule (AB)' = A'B + AB'; a row 4 alone is the
-    half-turn count of the second column, k_AB = k_A + k_B + _wraps, in
-    float64, exact for integers.  Neither enters the scale.
+    data).  A row 4 is the half-turn count of the second column, k_AB =
+    k_A + k_B + _wraps, in float64, exact for integers; it does not enter
+    the scale.
     """
     rows, n, k = P.shape
     scale = np.ones(k)
@@ -279,10 +265,6 @@ def _tree_product(P: np.ndarray) -> tuple:
     for h in n >> np.arange(1, n.bit_length()):  # n/2, n/4, ..., 1 products
         A, B, t = P[:, h:], P[:, :h], tmp[:, :h]  # later steps multiply from the left
         P, buffers = buffers[0][:, :h], buffers[::-1]  # this level into the free buffer
-        if rows == 8:
-            _mul(A[:4], B[4:], P[:4], t)  # AB', held where AB goes next
-            _mul(A[4:], B[:4], P[4:], t)
-            P[4:] += P[:4]
         _mul(A[:4], B[:4], P[:4], t)
         if rows == 5:
             a, b, signs = [m[h:] for m in signs], [m[:h] for m in signs], (P[1] > 0.0, P[1] == 0.0)
@@ -292,14 +274,13 @@ def _tree_product(P: np.ndarray) -> tuple:
 
 
 def _product(V: PeriodicPotential, n: int, E: np.ndarray, rows: int = 4) -> tuple:
-    """Monodromy entries (m11, m12, m21, m22) over n steps, with rows = 8
-    followed by their E-derivatives, with rows = 5 by the half-turn count
-    of (m12, m22), and their scale.  Energies go in chunks that no result
-    depends on, of at most CHUNK steps x energies, half as many energies
-    with the derivatives, so that the live arrays keep one size."""
+    """Monodromy entries (m11, m12, m21, m22) over n steps, with rows = 5
+    followed by the half-turn count of (m12, m22), and their scale.
+    Energies go in chunks that no result depends on, of at most CHUNK
+    steps x energies, so that the live arrays keep one size."""
     coef = _step_coefficients(V, n)
     M, scale = np.empty((rows, E.size)), np.empty(E.size)
-    per = max(1, CHUNK // (n * (2 if rows == 8 else 1)))
+    per = max(1, CHUNK // n)
     for lo in range(0, E.size, per):
         part = slice(lo, lo + per)
         M[:, part], scale[part] = _tree_product(_step_propagators(coef, E[part], rows))
@@ -370,10 +351,9 @@ def _step_count(V: PeriodicPotential, tol: float, r: int) -> int:
 
 def _monodromy(V: PeriodicPotential, energies, tol: float = TOL,
                refined: bool = False, rows: int = 4) -> tuple:
-    """Monodromy entries and scales for a batch of E, with rows = 8 and
-    their E-derivatives in rows 4-7, with rows = 5 and the half-turn count
-    of (m12, m22) in row 4, over the settled step count; ``refined``
-    doubles it, for error estimates."""
+    """Monodromy entries and scales for a batch of E, with rows = 5 and the
+    half-turn count of (m12, m22) in row 4, over the settled step count;
+    ``refined`` doubles it, for error estimates."""
     E = np.atleast_1d(np.asarray(energies, dtype=float))
     if not np.all(np.isfinite(E)):
         raise DomainError("energies must be finite")
@@ -416,14 +396,13 @@ def _edge_residual(M: np.ndarray, target) -> tuple:
 
 def _overshoot(V: PeriodicPotential, energies, targets) -> tuple:
     """How far the trace passes each +-2 target (positive in a gap) by the
-    2n-step product, the error of that value (its distance to the n-step
-    value plus a roundoff allowance) and the 2n-step trace."""
+    2n-step product, and the error of that value: its distance to the
+    n-step value plus a roundoff allowance."""
     coarse, _ = _monodromy(V, energies)
     fine, scale = _monodromy(V, energies, refined=True)
     over, gain = _edge_residual(fine, targets)
     noise = np.abs(over - _edge_residual(coarse, targets)[0])
-    return (np.sign(targets) * over, noise + 64.0 * np.finfo(float).eps * scale * gain,
-            fine[0] + fine[3])
+    return np.sign(targets) * over, noise + 64.0 * np.finfo(float).eps * scale * gain
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +413,7 @@ def _root_batch(residual, lo, hi, f_lo, f_hi):
     """Roots of a residual on brackets [lo, hi], to float resolution.
 
     ``residual(x, i)`` evaluates brackets ``i`` at points ``x`` in one
-    batch (_crossing, or the slope in _critical_points).  ``f_lo`` and
+    batch (_crossing, or m12 for a Dirichlet eigenvalue).  ``f_lo`` and
     ``f_hi`` are its values at the ends.  Their signs must be those the
     residual gives; their values only weight the first interpolation, so
     the scan's serve.
@@ -492,12 +471,6 @@ def _crossing(V, target):
     return lambda x, i: _edge_residual(_monodromy(V, x)[0], target[i])[0]
 
 
-def _slope(V, energies) -> np.ndarray:
-    """dDelta/dE, the E-derivative of the trace, at full accuracy."""
-    M, _ = _monodromy(V, energies, rows=8)
-    return M[4] + M[7]
-
-
 def _edges_below(k: np.ndarray, res: np.ndarray) -> np.ndarray:
     """Number of band edges below each energy, from the half-turn count k
     of the monodromy's second column and the edge residuals.  That column
@@ -513,58 +486,52 @@ def _edges_below(k: np.ndarray, res: np.ndarray) -> np.ndarray:
     return np.where(~odd & (res[0] < 0.0), 2 * n + 1, 2 * (n + (n + odd) % 2))
 
 
-def _critical_points(V, lo, hi, stats):
-    """Roots of dDelta/dE in the cells [lo, hi] whose ends' full-accuracy
-    slopes bracket one, to float resolution: the roots, their targets
-    (+2 at a maximum, -2 at a minimum) and the mask of cells split."""
-    def slope(x, i):
-        stats["root_steps"] += 1
-        return _slope(V, x)
-
-    f_lo, f_hi = np.split(_slope(V, np.concatenate([lo, hi])), 2)
-    split = f_lo * f_hi <= 0
-    stats["critical"] += int(split.sum())
-    return (_root_batch(slope, lo[split], hi[split], f_lo[split], f_hi[split]),
-            np.where(f_lo[split] > f_hi[split], 2.0, -2.0), split)
-
-
 def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     """Every edge in [e_min, e_max] among the first ``count``, from the
     edge residuals Delta -+ 2 and the edge count (_edges_below) at the
     ends of n_cells equal cells.
 
     A cell whose count rises by more than its residuals change sign hides
-    a gap.  Every gap holds one critical point (Magnus & Winkler, 1966), a
-    maximum at +2 or a minimum at -2, and Delta is monotone between them.
-    Where the full-accuracy Delta' at a hiding cell's ends brackets one,
-    it is solved as a root of Delta' and judged by _overshoot: open where
-    the trace measurably passes +-2, else a touch, a closed gap.  There
-    the own target's residual is the overshoot's when open and -target,
-    on the bands' side, at a touch; the other's is the plain trace -
-    target.  A cell whose two pieces still bracket fewer edges than its
-    count is scanned again on DEFAULT_SCAN cells of its own; one narrower
-    than float resolution raises NumericalError.  A sample within the
-    product's error of a touch, where no count is sure, is left out, and
-    the cells on its two sides are judged as one.  Every sign change of a
-    residual between neighbours then brackets one edge, and all are
-    solved in one _root_batch.
+    a gap.  Where its half-turn count drops by one, the cell holds one
+    Dirichlet eigenvalue mu, a root of m12, in the closure of its gap
+    (Magnus & Winkler, 1966), and is split there: mu goes in twice, ending
+    the lower piece and starting the upper one.  With m12 = 0 and det M =
+    1, Delta(mu) - 2 s = (m11 - s)^2 / m11, s = sgn(m11), is never on the
+    bands' side, and that is the own target's residual at both; the other
+    target's is the plain trace - target.  So each piece brackets one of
+    the gap's edges.  Where m11 lies within its error of s, mu is itself
+    an edge (an even V's mu always is) and the residual next to it is
+    noise.  To first order Delta^2 - 4 = 4 m12' m21 (E - mu) there, so the
+    gap lies on the side of mu where m12 m21 > 0, unless m21 too is 0 up
+    to its error (M = +-I, a touch).  That piece's end at mu takes a
+    value on the gap's side that starts false position at the root of
+    m21 interpolated linearly from mu to the piece's other end, which is
+    the gap's far edge for an even V, or at the piece's middle where m21
+    keeps its sign there: not in the noise next to mu.  A cell that
+    holds no or several Dirichlet eigenvalues, or whose two pieces still
+    bracket fewer edges than its count, is scanned again on DEFAULT_SCAN
+    cells of its own; one narrower than float resolution raises
+    NumericalError.  A sample within the product's error of a touch,
+    where no count is sure, is left out, and the cells on its two sides
+    are judged as one.  Every sign change of a residual between
+    neighbours then brackets one edge, and all are solved in one
+    _root_batch.  A split cell's gap is closed where the trace does not
+    measurably pass +-2 at the middle of its two edges (_overshoot), and
+    both edges are reported there.
 
     Resolution limit: a gap so narrow that its overshoot stays within the
-    product's noise comes back as a touch at its Delta' root, each edge
-    within half the gap's width of its true value.  On the closed forms
-    that happens only below the float spacing: at j = 2, m = 1e-9 the
-    3e-9 gap between edges 1 and 2 comes back open, both edges within
-    4e-16, and the 7.5e-19 gap between edges 3 and 4 as a touch.  The
-    512-sample numeric partner V+ of j = 2 at m = 1e-6 returns its
-    7.5e-13 gap as a touch.
+    product's noise comes back as a touch, each edge within half the
+    gap's width of its true value.  On the closed forms that happens only
+    below the float spacing: at j = 2, m = 1e-9 the 3e-9 gap between
+    edges 1 and 2 comes back open, both edges within 4.5e-16, and the
+    7.5e-19 gap between edges 3 and 4 as a touch.  The 512-sample numeric
+    partner V+ of j = 2 at m = 1e-6 returns its 7.5e-13 gap as a touch.
 
     Each edge's index comes from the count, its row from its index
     (_row).  A bracket up from a sample of count c holds edge c, or edge
-    c + 1 where edge c is of the other row.  One up from a critical point,
-    below a sample of count c, holds edge c - 1, or edge c - 2 where edge
-    c - 1 is of the other row.  A touch holds the two edges that follow
-    the count at its cell's lower end and the crossings of its lower
-    piece.  A rescan's counts are absolute, as every count is.
+    c + 1 where edge c is of the other row.  One up from mu, below a
+    sample of count c, holds edge c - 1, or edge c - 2 where edge c - 1 is
+    of the other row.  A rescan's counts are absolute, as every count is.
 
     Returns the edges found as (index, energy, degenerate) triples sorted
     by index, a touch as two degenerate ones.  Counts go into ``stats``.
@@ -572,59 +539,83 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     Es = np.linspace(e_min, e_max, n_cells + 1)
     M, scale = _monodromy(V, Es, SCAN_TOL, rows=5)
     res = M[0] + M[3] - _TARGETS[:, None]  # the edge residuals, one row per target
-    # the scan decides signs only; a sample within its error of +-2 takes
-    # the nearer target's full-accuracy residual and count
-    unsure = np.nonzero(np.abs(res).min(axis=0) <= 4.0 * SCAN_TOL * scale)[0]
+    # the scan decides signs only; a sample within its error of +-2 or of
+    # m12 = 0 takes the nearer target's full-accuracy residual, m12 and count
+    noise = 4.0 * SCAN_TOL * scale
+    unsure = np.nonzero((np.abs(res).min(axis=0) <= noise) | (np.abs(M[1]) <= noise))[0]
     row = (M[0, unsure] + M[3, unsure] < 0.0).astype(int)
     full, full_scale = _monodromy(V, Es[unsure], rows=5)
     res[row, unsure], gain = _edge_residual(full, _TARGETS[row])
-    M[4, unsure] = full[4]
+    M[1, unsure], M[4, unsure] = full[1], full[4]
     touching = unsure[np.abs(res[row, unsure]) <= TOL * full_scale * gain]
     below = _edges_below(M[4], res)
     stats.setdefault("top", int(below[-1]))  # the first scan's, the window's top
-    Es, res, below = (np.delete(a, touching, axis=-1) for a in (Es, res, below))
+    Es, res, below, m12, m21, k = (np.delete(a, touching, axis=-1)
+                                   for a in (Es, res, below, M[1], M[2], M[4]))
     above = res >= 0.0
     jump = below[1:] - below[:-1]
     cells = np.nonzero((jump > (above[:, :-1] != above[:, 1:]).sum(axis=0))
                        & (below[:-1] < count))[0]
-    xe, targets, split = _critical_points(V, Es[cells], Es[cells + 1], stats)
-    overshoot, noise, trace = _overshoot(V, xe, targets)
-    # the trace measurably passes +-2 at an open gap's critical point.
-    # Otherwise it touches +-2 there, a closed gap (M = +-I), or one
-    # narrower than the product resolves: the overshoot is 0 up to noise.
-    is_open = overshoot > noise
-    at_x = trace - _TARGETS[:, None]
-    at_x[(targets < 0).astype(int), np.arange(xe.size)] = np.where(
-        is_open, np.sign(targets) * overshoot, -targets)
+    lo = cells[k[cells] - k[cells + 1] == 1]  # one Dirichlet eigenvalue in the cell
+
+    def dirichlet(x, i):
+        stats["root_steps"] += 1
+        return _monodromy(V, x)[0][1]
+
+    xe = _root_batch(dirichlet, Es[lo], Es[lo + 1], m12[lo], m12[lo + 1])
+    stats["splits"] += xe.size
+    M, scale = _monodromy(V, xe)
+    sign, cols, err = np.sign(M[0]), np.arange(xe.size), TOL * scale
+    own = (sign < 0).astype(int)
+    exact = sign * np.maximum((M[0] - sign) ** 2 / np.abs(M[0]), np.finfo(float).tiny)
+    # the side of mu that holds the gap, where mu is an edge but M is not +-I
+    side = np.where((np.abs(M[0] - sign) <= 2.0 * err) & (np.abs(M[2]) > err),
+                    np.sign(m12[lo + 1] * M[2]), 0.0)
+    far = np.where(side > 0, lo + 1, lo)  # the gap piece's sample end
+    t = M[2] / (M[2] - m21[far])  # where the seed lies, as a share of the piece
+    t = np.where((t > 0.0) & (t < 1.0), t, 0.5)
+    seed = sign * np.abs(res[own, far]) * t / (1.0 - t)
+    ends = np.repeat(M[0] + M[3] - _TARGETS[:, None], 2, axis=1)  # each piece's end at mu
+    ends[own, 2 * cols] = np.where(side < 0, seed, exact)
+    ends[own, 2 * cols + 1] = np.where(side > 0, seed, exact)
     # a split cell is done when its two pieces bracket all its count's rise
-    lo, at = cells[split], at_x >= 0.0
-    lower = (above[:, lo] != at).sum(axis=0)  # crossings in each lower piece
-    done = lower + (at != above[:, lo + 1]).sum(axis=0) + 2 * ~is_open >= jump[lo]
-    xe, is_open, at_x, lower, lo = xe[done], is_open[done], at_x[:, done], lower[done], lo[done]
-    # a touch's pair follows the count at its cell's lower end and its lower piece's crossings
-    edges = [(n + i, e, True) for n, e in zip((below[lo] + lower)[~is_open].tolist(),
-                                              xe[~is_open].tolist()) for i in (0, 1)]
+    up = ends >= 0.0
+    done = ((above[:, lo] != up[:, ::2]).sum(axis=0)
+            + (up[:, 1::2] != above[:, lo + 1]).sum(axis=0) >= jump[lo])
+    xe, ends, lo, own = xe[done], ends[:, np.repeat(done, 2)], lo[done], own[done]
     rescan = np.setdiff1d(cells, lo)
-    # the critical points go in after their cells' lower ends.  A bracket
-    # from a sample counts up from its count, one from a critical point
-    # down from the next sample's, and the edge it holds is the first of
-    # its row that way; none is taken from the cells scanned again
+    # mu goes in twice after its cell's lower end; no bracket is taken from
+    # the cells scanned again
+    at = np.repeat(lo + 1, 2)
     step = np.ones(Es.size, dtype=int)
     step[rescan] = 0
-    step, base = np.insert(step, lo + 1, -1), np.insert(below, lo + 1, below[lo + 1] - 1)
-    E_all, res_all = np.insert(Es, lo + 1, xe), np.insert(res, lo + 1, at_x, axis=1)
+    step, base = np.insert(step, at, -1), np.insert(below, at, below[at] - 1)
+    E_all, res_all = np.insert(Es, at, np.repeat(xe, 2)), np.insert(res, at, ends, axis=1)
     above = res_all >= 0.0
     row, i = np.nonzero((above[:, :-1] != above[:, 1:]) & (step[:-1] != 0))
     found = _root_batch(_crossing(V, _TARGETS[row]), E_all[i], E_all[i + 1], res_all[row, i],
                         res_all[row, i + 1])
     index = base[i] + step[i] * (row != _row(base[i]))
-    edges += [(n, e, False) for n, e in zip(index.tolist(), found.tolist())]
-    for k in rescan:
-        if Es[k + 1] - Es[k] <= 4.0 * np.finfo(float).eps * max(1.0, abs(Es[k]), abs(Es[k + 1])):
-            raise NumericalError(f"{jump[k]} band edges hidden in [{Es[k]!r}, {Es[k + 1]!r}], "
+    # the own row's roots on the two sides of mu are its gap's edges
+    slot = np.full(above.shape, -1)
+    slot[row, i] = np.arange(i.size)
+    at += np.arange(at.size)  # mu's columns in E_all
+    lower, upper = slot[own, at[::2] - 1], slot[own, at[1::2]]
+    both = (lower >= 0) & (upper >= 0)
+    lower, upper, own = lower[both], upper[both], own[both]
+    mid = 0.5 * (found[lower] + found[upper])
+    over, noise = _overshoot(V, mid, _TARGETS[own])
+    touch = over <= noise
+    degenerate = np.zeros(found.size, dtype=bool)
+    for piece in (lower[touch], upper[touch]):
+        found[piece], degenerate[piece] = mid[touch], True
+    edges = list(zip(index.tolist(), found.tolist(), degenerate.tolist()))
+    for c in rescan:
+        if Es[c + 1] - Es[c] <= 4.0 * np.finfo(float).eps * max(1.0, abs(Es[c]), abs(Es[c + 1])):
+            raise NumericalError(f"{jump[c]} band edges hidden in [{Es[c]!r}, {Es[c + 1]!r}], "
                                  "a cell narrower than float resolution")
         stats["rescans"] += 1
-        edges += _scan_edges(V, Es[k], Es[k + 1], DEFAULT_SCAN, count, stats)
+        edges += _scan_edges(V, Es[c], Es[c + 1], DEFAULT_SCAN, count, stats)
     return sorted(edges)
 
 
@@ -651,11 +642,11 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
     count = _positive_int(count, "count")
     e_min = _span(V)[0] - 1.0
     e_max = _first_window(V, count)
-    stats = dict(critical=0, root_steps=0, brackets=0, rescans=0)
+    stats = dict(splits=0, root_steps=0, brackets=0, rescans=0)
     V._magnus["formed"] = np.zeros(2, dtype=int)  # Magnus products, steps x energies
     try:
         edges = _scan_edges(V, e_min, e_max, DEFAULT_SCAN, count, stats)
-        stats["brackets"] = sum(not d for _, _, d in edges)  # one root per crossing bracket
+        stats["brackets"] = len(edges)  # one root per crossing bracket
         found = [BandEdge(n=n, energy=e, degenerate=d) for n, e, d in edges if n < count]
         indices = [e.n for e in found]
         if indices == list(range(count)):
@@ -665,9 +656,9 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
             f"{sorted({n for n in indices if indices.count(n) > 1})} doubled below "
             f"E={e_max!r}: " + ", ".join(f"{e.n}:{e.energy:.6g}" for e in found))
     finally:
-        _debug(__name__, "band_edges: %d slope roots in %d root steps, %d Magnus products of "
-               "%d steps x energies, %d edges counted below the window's top, %d crossing "
-               "brackets, %d rescans", stats["critical"], stats["root_steps"],
+        _debug(__name__, "band_edges: %d Dirichlet splits in %d root steps, %d Magnus products "
+               "of %d steps x energies, %d edges counted below the window's top, %d crossing "
+               "brackets, %d rescans", stats["splits"], stats["root_steps"],
                *V._magnus["formed"], stats.get("top", 0), stats["brackets"], stats["rescans"])
 
 

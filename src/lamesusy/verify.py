@@ -80,6 +80,14 @@ _NEWTON_STEPS = 8        # steps a shift refinement's Newton solve may take
 SHIFT_SAMPLES = 512      # translations of the coarse distance scan
 
 
+def _scan_grid(vp: GridFunction, vm: GridFunction, count: int) -> tuple:
+    """(F, delta) of the coarse shift scan: F points, the least multiple of
+    ``count`` >= 8n, and a bound delta on twice the interpolants' rounding."""
+    fine = count * -(-_SUP_OVERSAMPLE * vm.n // count)
+    weighted = _mode_weights(vm.n) * (np.abs(spectrum(vp.samples)) + np.abs(spectrum(vm.samples)))
+    return fine, 64.0 * np.finfo(float).eps * math.log2(fine) * float(np.sum(weighted))
+
+
 def _scan_distance(vp: GridFunction, vm: GridFunction, count: int) -> np.ndarray:
     """D(s, r) = max_i |vp(x_i) - vm(r(x_i - a))| for the shifts a = s*L/count,
     row r = 0 unreflected and r = 1 reflected; +inf at each shift that
@@ -106,7 +114,7 @@ def _scan_distance(vp: GridFunction, vm: GridFunction, count: int) -> np.ndarray
     index there are those of the full scan.
     """
     n, L = vm.n, vm.period
-    fine = count * -(-_SUP_OVERSAMPLE * n // count)
+    fine, delta = _scan_grid(vp, vm, count)
     cp, c = spectrum(vp.samples), spectrum(vm.samples)
     a_vals = on_fine_grid(cp, n, fine)
     # row s of each orientation is the window of [B, B] that starts at F - s*F/count
@@ -115,8 +123,6 @@ def _scan_distance(vp: GridFunction, vm: GridFunction, count: int) -> np.ndarray
         for b in (c, np.conj(c))]
     w = _mode_weights(n)
     lam = float(np.sum(w * (2.0 * np.pi / L) * np.arange(c.size) * np.abs(c)))
-    delta = 64.0 * np.finfo(float).eps * math.log2(fine) * float(
-        np.sum(w * (np.abs(cp) + np.abs(c))))
 
     peak, dist = np.full((2, count), np.nan), np.full((2, count), np.inf)
     buf = np.empty((_SCAN_ROWS, fine))
@@ -305,8 +311,9 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction) -> SelfIsoResult:
     only the shifts a Lipschitz bound from every 16th one cannot rule
     out (_scan_distance), and returns the minimum, shift and orientation
     a full scan returns.  The reflected orientation is taken only if its
-    coarse minimum is strictly smaller, so on a tie (two even potentials
-    tie to rounding) the unreflected one wins.  One DEBUG record gives
+    coarse minimum is smaller by more than the scan's rounding allowance
+    delta (_scan_grid), so on a tie to rounding, as an even vm ties the
+    two, the unreflected one wins.  One DEBUG record gives
     the shifts evaluated in each orientation and how the refinement
     went.
     """
@@ -319,7 +326,7 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction) -> SelfIsoResult:
 
     d = _scan_distance(vp, vm, SHIFT_SAMPLES)
     i = np.argmin(d, axis=1)
-    reflect = bool(d[1, i[1]] < d[0, i[0]])
+    reflect = bool(d[1, i[1]] < d[0, i[0]] - _scan_grid(vp, vm, SHIFT_SAMPLES)[1])
     a0 = int(i[int(reflect)]) * step
     floor = 1e-12 * max(1.0, float(np.abs(vm.samples).max()))  # roundoff of the difference
     (dist, a_best), stats = _refine_shift(*_exact_distance(vp, vm, reflect, floor), a0, step)

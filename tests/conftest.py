@@ -1,9 +1,10 @@
-"""One BLAS/OpenMP thread for the whole test run.
+"""One BLAS/OpenMP thread for the whole test run, and the frozen
+self-isospectrality distances that more than one test file pins.
 
-Set before numpy is first imported, which happens after pytest loads
-this file: threaded BLAS oversubscribes a small machine as soon as a
-second numpy process runs beside the tests.  A value already in the
-environment is kept.
+The thread count is set before numpy is first imported, which happens
+after pytest loads this file: threaded BLAS oversubscribes a small
+machine as soon as a second numpy process runs beside the tests.  A
+value already in the environment is kept.
 """
 
 import os
@@ -11,3 +12,15 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+# Frozen by the 4096-shift brute-force scan (scripts/selfiso_scan.py) and
+# golden refinement on 512-sample grids: regression anchors, to 1e-6, for
+# the distinctness half of the dichotomy.
+FROZEN_DISTANCES = {
+    (2, 0.1): 1.576224658207e-02,
+    (2, 0.5): 4.699416125638e-01,
+    (2, 0.9): 1.706248814988e+00,
+    (3, 0.1): 7.825039721364e-02,
+    (3, 0.5): 1.967330310675e+00,
+    (3, 0.9): 5.610146151474e+00,
+}

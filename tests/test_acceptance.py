@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import FROZEN_DISTANCES
 from lamesusy import bandsolver, verify
 from lamesusy.elliptic import complete_k, jacobi
 from lamesusy.susy import (
@@ -27,17 +28,6 @@ from lamesusy.susy import (
 )
 
 M_LIST = (0.1, 0.5, 0.9)
-
-# frozen by scripts/selfiso_scan.py (brute force over 4096 shifts and both
-# reflections, then shift refinement); see tests/test_verify.py as well
-FROZEN_DISTANCES = {
-    (2, 0.1): 1.576224658207e-02,
-    (2, 0.5): 4.699416125638e-01,
-    (2, 0.9): 1.706248814988e+00,
-    (3, 0.1): 7.825039721364e-02,
-    (3, 0.5): 1.967330310675e+00,
-    (3, 0.9): 5.610146151474e+00,
-}
 
 
 def announce(number, label):

@@ -69,14 +69,6 @@ def short_scan(cells):
     return scan
 
 
-def roots_and_touches(edges):
-    """_scan_edges' (index, energy, degenerate) triples as the simple roots
-    and the touches, each (energy, boundary), a touch once for its pair."""
-    labelled = [(e, bs.expected_boundary(n), d) for n, e, d in edges]
-    return ([(e, b) for e, b, d in labelled if not d],
-            [(e, b) for e, b, d in labelled if d][::2])
-
-
 def plane_wave_reference(V, basis_n):
     """Periodic and antiperiodic spectra of H = k^2 + V in the complex basis
     e^{ikx}, from a full FFT: the Hermitian form the cos/sin matrices
@@ -92,7 +84,7 @@ def plane_wave_reference(V, basis_n):
     return spectra
 
 
-def natural_propagators(coef, E, slope=False, angle=False):
+def natural_propagators(coef, E, angle=False):
     """exp(Omega) of every step, as the engine formed it before the steps
     were stored in bit-reversed order: one fresh array per term, stacked."""
     h, hv, a0, a1, b0, c0, c1 = coef
@@ -113,15 +105,7 @@ def natural_propagators(coef, E, slope=False, angle=False):
         # the angle of the second column, lifted from pi/2 while no step turns by pi
         assert not np.any((s >= np.pi) & ~grows)
         P.append(np.arctan2(P[3], P[1]))
-    if not slope:
-        return np.stack(P)
-    da, dc = -h * a1, -h * c1
-    dz = 2.0 * a * da + b0 * dc
-    small = np.abs(z) < 1e-2
-    dS = np.divide(C - S, 2.0 * z, out=np.zeros_like(z), where=~small)
-    dS = dz * np.where(small, 1.0 / 6.0 + z * (1.0 / 60.0 + z * (1.0 / 1680.0 + z / 90720.0)), dS)
-    dC = 0.5 * S * dz
-    return np.stack(P + [dC + dS * a + S * da, dS * b0, dS * c + S * dc, dC - dS * a - S * da])
+    return np.stack(P)
 
 
 def natural_mul(A, B):
@@ -148,25 +132,23 @@ def natural_tree(P):
     while P.shape[1] > 1:
         A, B = P[:, 1::2], P[:, 0::2]
         P = natural_mul(A[:4], B[:4])
-        if A.shape[0] == 8:
-            P = np.concatenate([P, natural_mul(A[4:], B[:4]) + natural_mul(A[:4], B[4:])])
-        elif A.shape[0] == 5:
+        if A.shape[0] == 5:
             P = np.concatenate([P, (A[4] + lift(A, B[4]))[None]])
         np.maximum(scale, np.abs(P[:4]).max(axis=(0, 1)), out=scale)
     return P[:, 0], scale
 
 
-def natural_product(V, n, E, slope=False, angle=False):
+def natural_product(V, n, E, angle=False):
     """bs._product, chunked alike, with the natural-order kernel above."""
     order = bs._bit_reversed(n)
     coef = bs._step_coefficients(V, n)
     coef = coef[:1] + tuple(col[order] for col in coef[1:])
-    M = np.empty((4 + 4 * slope + angle, E.size))
+    M = np.empty((4 + angle, E.size))
     scale = np.empty(E.size)
-    per = max(1, bs.CHUNK // (n * (2 if slope else 1)))
+    per = max(1, bs.CHUNK // n)
     for lo in range(0, E.size, per):
         part = slice(lo, lo + per)
-        M[:, part], scale[part] = natural_tree(natural_propagators(coef, E[part], slope, angle))
+        M[:, part], scale[part] = natural_tree(natural_propagators(coef, E[part], angle))
     return M, scale
 
 
@@ -346,64 +328,13 @@ class TestMonodromyTrace:
         # the free particle's gaps at E = 1, 4 are closed (M = -I, +I); the
         # upper j=2 gap at m = 0.01 is open but only 7.5e-5 wide, so at its
         # middle the trace passes +2 by just ~9e-10
-        over, noise, _ = bs._overshoot(free_particle(), [1.0, 4.0], [-2.0, 2.0])
+        over, noise = bs._overshoot(free_particle(), [1.0, 4.0], [-2.0, 2.0])
         assert np.all(np.abs(over) <= noise)
         e = band_edge_energies(2, 0.01)
-        over, noise, _ = bs._overshoot(lame_pot(Family.V_MINUS, 2, 0.01),
-                                       [0.5 * (e[3] + e[4])], [2.0])
+        over, noise = bs._overshoot(lame_pot(Family.V_MINUS, 2, 0.01),
+                                    [0.5 * (e[3] + e[4])], [2.0])
         assert over[0] == pytest.approx(8.8e-10, rel=0.05)
         assert over[0] > 1e3 * noise[0]
-
-
-class TestSlope:
-    """dDelta/dE carried through the Magnus product by the product rule."""
-
-    @staticmethod
-    def inside_bands(edges):
-        # 30% and 70% into every band, and below the lowest: |Delta'| > 0.3
-        e = np.asarray(edges)
-        lo = np.concatenate([[e[0]], e[2::2]])[: (e.size + 1) // 2]
-        hi = np.concatenate([e[1::2], [e[-1] + 2.0]])
-        return np.concatenate([[e[0] - 0.5], lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo)])
-
-    @pytest.mark.parametrize("make,edges", [
-        (lambda: lame_pot(Family.V_MINUS, 1, 0.5), lambda: band_edge_energies(1, 0.5)),
-        (lambda: lame_pot(Family.V_MINUS, 2, 0.5), lambda: band_edge_energies(2, 0.5)),
-        (lambda: lame_pot(Family.V_MINUS, 3, 0.5), lambda: band_edge_energies(3, 0.5)),
-        (lambda: lame_pot(Family.V_PLUS, 3, 0.9), lambda: band_edge_energies(3, 0.9)),
-        (lambda: verify.partner_pair(4, 0.5)[1],
-         lambda: [e.energy for e in bs.band_edges(verify.partner_pair(4, 0.5)[0], 9)]),
-    ], ids=["j1", "j2", "j3", "j3_vplus_m0.9", "numeric_j4_vplus"])
-    def test_matches_central_difference(self, make, edges):
-        pot = make()
-        E = self.inside_bands(edges())
-        h = 1e-3
-        f = [bs.monodromy_trace(pot, E + k * h) for k in (-2, -1, 1, 2)]
-        central = (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
-        slope = bs._slope(pot, E)
-        assert np.max(np.abs(slope - central) / np.abs(slope)) <= 1e-8
-
-    def test_product_beside_slope_is_bit_identical(self):
-        # 1000 energies span chunks of 512 plain and 256 with the slope
-        pot = lame_pot(Family.V_PLUS, 2, 0.9)
-        E = np.linspace(-3.0, 40.0, 1000)
-        M, scale = bs._product(pot, 64, E)
-        MD, scale_d = bs._product(pot, 64, E, rows=8)
-        assert MD.shape == (8, E.size)
-        assert np.array_equal(MD[:4], M) and np.array_equal(scale_d, scale)
-
-    def test_constant_potential_closed_form(self):
-        # z = h^2 (V - E) is below 1e-2 within 10.24 of V = 1.5 (h = 1/32),
-        # and 0 at E = V, where only the series is defined
-        L, v = 2.0, 1.5
-        pot = bs.PeriodicPotential(period=L, evaluator=lambda x: v + 0.0 * np.asarray(x, float))
-        d = np.array([-20.0, -1e-3, 0.0, 1e-6, 0.5, 20.0])
-        k = np.sqrt(np.abs(d))
-        kk = np.where(k > 0, k, 1.0)
-        want = np.where(d > 0, -L * np.sin(k * L) / kk, -L * np.sinh(k * L) / kk)
-        want[d == 0] = -L * L
-        got = bs._slope(pot, v + d)
-        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
 class TestMagnusKernel:
@@ -431,7 +362,7 @@ class TestMagnusKernel:
         lo, hi = bs._span(pot)
         for k in (1, 3, 17, 257):
             E = np.linspace(lo - 1.0, hi + 100.0, k)
-            for rows, kind in ((4, {}), (5, {"angle": True}), (8, {"slope": True})):
+            for rows, kind in ((4, {}), (5, {"angle": True})):
                 M, scale = bs._product(pot, n, E, rows)
                 want, want_scale = natural_product(pot, n, E, **kind)
                 if "angle" in kind:
@@ -449,9 +380,11 @@ class TestMagnusKernel:
 
     @pytest.mark.parametrize("rows", [0, 6, 9])
     def test_row_count_other_than_4_5_8_raises(self, rows):
-        # 4 rows plain, 5 with the half-turn count, 8 with E-derivatives
-        with pytest.raises(ValueError, match="rows must be 4, 5 or 8"):
-            bs._monodromy(lame_pot(Family.V_MINUS, 2, 0.5), [0.5, 3.0], rows=rows)
+        # 4 rows plain, 5 with the half-turn count; any other count raises,
+        # 8 included
+        for count in (rows, 8):
+            with pytest.raises(ValueError, match="rows must be 4 or 5"):
+                bs._monodromy(lame_pot(Family.V_MINUS, 2, 0.5), [0.5, 3.0], rows=count)
 
 
 class TestBandEdges:
@@ -517,8 +450,9 @@ class TestBandEdges:
             bs.band_edges(lame_pot(Family.V_MINUS, 2, 0.5), 5)
 
     def test_touches_to_float_resolution(self):
-        # closed gaps of the free particle at (n pi / L)^2, solved as roots
-        # of Delta'; the upper j=2 gap at m = 1e-6 is 7.5e-13 wide
+        # closed gaps of the free particle at (n pi / L)^2, each split at
+        # its Dirichlet eigenvalue; the upper j=2 gap at m = 1e-6 is 7.5e-13
+        # wide
         edges = bs.band_edges(free_particle(), 5)
         assert [e.degenerate for e in edges] == [False, True, True, True, True]
         for got, w in zip(edges, (0.0, 1.0, 1.0, 4.0, 4.0)):
@@ -545,19 +479,21 @@ class TestBandEdges:
                 bs.band_edges(lame_pot(Family.V_MINUS, 2, 0.5), 5)
         messages = [rec.getMessage() for rec in caplog.records if rec.name == logger]
         assert len(messages) == 3
-        # the free particle's ground edge is its one crossing, its touches
-        # at 1 and 4 are slope roots, and 7 edges (0, 1, 1, 4, 4, 9, 9) lie
-        # below 11, the top of its window
-        assert messages[0].startswith("band_edges: 2 slope roots in ")
+        # the free particle's cells at its touches 1 and 4 are split at
+        # their Dirichlet eigenvalues, so each touch is two crossing
+        # brackets beside the ground edge's one, and 7 edges (0, 1, 1, 4,
+        # 4, 9, 9) lie below 11, the top of its window
+        assert messages[0].startswith("band_edges: 2 Dirichlet splits in ")
         assert messages[0].endswith(", 7 edges counted below the window's top, "
-                                    "1 crossing brackets, 0 rescans")
+                                    "5 crossing brackets, 0 rescans")
         # with 121 edges the lowest touches share cells of window/256, and
         # each cell that hides more than one is scanned again; the top,
-        # 2 + 61^2, lies above the 123 edges up to 61^2
+        # 2 + 61^2, lies above the 123 edges up to 61^2, and the scans
+        # bracket the 121 edges up to 60^2
         assert messages[1].endswith(", 123 edges counted below the window's top, "
-                                    "1 crossing brackets, 2 rescans")
+                                    "121 crossing brackets, 2 rescans")
         # the stand-in scan reports one root, counts nothing and scans nothing again
-        assert messages[2] == ("band_edges: 0 slope roots in 0 root steps, 0 Magnus products "
+        assert messages[2] == ("band_edges: 0 Dirichlet splits in 0 root steps, 0 Magnus products "
                                "of 0 steps x energies, 0 edges counted below the window's top, "
                                "1 crossing brackets, 0 rescans")
 
@@ -592,12 +528,12 @@ class TestBandEdges:
 
     def test_gaps_above_count_are_not_solved(self):
         # the free particle's window [-1, 11] holds touches at 1, 4 and 9;
-        # the first five edges need the slope roots at 1 and 4 only
-        stats = dict(critical=0, root_steps=0)
-        roots, touches = roots_and_touches(
-            bs._scan_edges(free_particle(), -1.0, 11.0, 256, 5, stats))
-        assert [round(e, 9) for e, _ in touches] == [1.0, 4.0]
-        assert stats["critical"] == 2 and len(roots) == 1
+        # the first five edges need the splits at 1 and 4 only
+        stats = dict(splits=0, root_steps=0)
+        edges = bs._scan_edges(free_particle(), -1.0, 11.0, 256, 5, stats)
+        assert [(n, round(e, 9), d) for n, e, d in edges] == [
+            (0, 0.0, False), (1, 1.0, True), (2, 1.0, True), (3, 4.0, True), (4, 4.0, True)]
+        assert stats["splits"] == 2
 
     @pytest.mark.parametrize("count", [81, 121, 201, 451])
     def test_many_edges_of_the_free_particle(self, count):
@@ -613,7 +549,8 @@ class TestBandEdges:
     @pytest.mark.parametrize("family", [Family.RAW_LAME, Family.V_MINUS])
     def test_one_crossing_batch_per_scan(self, family, monkeypatch):
         # j = 2, m = 0.1: three crossings the samples bracket and one open
-        # gap whose slope root splits its cell, all solved in one batch
+        # gap whose Dirichlet eigenvalue splits its cell, all solved in one
+        # batch after the eigenvalue's
         sizes = []
         root_batch = bs._root_batch
         monkeypatch.setattr(bs, "_root_batch", lambda f, lo, *rest:
@@ -833,45 +770,68 @@ class TestRootBatch:
 
 
 class TestCriticalPoints:
+    """Cells whose edge count rises by more than their residuals change
+    sign: split at the one Dirichlet eigenvalue they hold, or scanned
+    again."""
+
+    def test_cell_hiding_one_touch_is_split(self):
+        # the free particle's Dirichlet eigenvalues are its touches 1, 4,
+        # 9, ...: one cell from -1 to 2 holds the ground edge and the touch
+        # at 1, split there into two pieces that bracket one edge each
+        stats = dict(splits=0, root_steps=0, rescans=0)
+        edges = bs._scan_edges(free_particle(), -1.0, 2.0, 1, 3, stats)
+        assert stats["splits"] == 1 and stats["rescans"] == 0
+        assert [(n, d) for n, _, d in edges] == [(0, False), (1, True), (2, True)]
+        assert max(abs(e - w) for (_, e, _), w in zip(edges, (0.0, 1.0, 1.0))) <= 1e-12
+
     @pytest.mark.parametrize("e_max,count,hidden", [
         (5.0, 5, (1.0, 4.0)), (11.0, 7, (1.0, 4.0, 9.0))], ids=["two", "three"])
     def test_cell_hiding_several_touches_is_scanned_again(self, e_max, count, hidden):
-        # the free particle's slope changes sign at its touches 1, 4, 9 and
-        # nowhere else: a single cell from -1 holds the ground edge and
-        # ``hidden``.  Delta' at its ends brackets none of two touches (the
-        # cell is left out) and one of three (the cell is still short after
-        # its split), so either cell is scanned again on cells of its own
-        pot = free_particle()
-        stats = dict(critical=0, root_steps=0, rescans=0)
-        roots, _, split = bs._critical_points(pot, np.array([-1.0]), np.array([e_max]), stats)
-        assert split.tolist() == [len(hidden) % 2 == 1]
-        assert all(min(abs(r - t) for t in hidden) <= 1e-12 for r in roots)
-        roots, touches = roots_and_touches(bs._scan_edges(pot, -1.0, e_max, 1, count, stats))
-        assert stats["rescans"] == 1
-        assert [b for _, b in roots] == ["periodic"] and abs(roots[0][0]) <= 1e-12
-        assert [b for _, b in sorted(touches)] == [
-            "antiperiodic", "periodic", "antiperiodic"][: len(hidden)]
-        assert max(abs(e - t) for (e, _), t in zip(sorted(touches), hidden)) <= 1e-12
+        # a single cell from -1 holds the ground edge and ``hidden``, each
+        # a Dirichlet eigenvalue: the cell holds two or three, so it is not
+        # split but scanned again, and there each touch's cell is split
+        stats = dict(splits=0, root_steps=0, rescans=0)
+        edges = bs._scan_edges(free_particle(), -1.0, e_max, 1, count, stats)
+        assert stats["rescans"] == 1 and stats["splits"] == len(hidden)
+        assert [(n, d) for n, _, d in edges] == [(n, n > 0) for n in range(count)]
+        want = (0.0,) + tuple(t for t in hidden for _ in (0, 1))
+        assert max(abs(e - w) for (_, e, _), w in zip(edges, want)) <= 1e-12
+
+    def test_sample_at_a_dirichlet_eigenvalue(self):
+        # a sample where the scan's m12 lies within its error of 0 takes the
+        # full-accuracy m12 and count: here the eigenvalue mu of the uneven
+        # V's lowest gap, 1.3e-4 above its lower edge, is the middle sample
+        pot = uneven_trig()
+        want = [e.energy for e in bs.galerkin_edges(pot, 5)]
+        mu = bs._root_batch(lambda x, i: bs._monodromy(pot, x)[0][1], [want[1]], [want[2]],
+                            *bs._monodromy(pot, want[1:3])[0][1].reshape(2, 1))[0]
+        Es = np.linspace(mu - 0.02, mu + 0.02, 3)
+        M, scale = bs._monodromy(pot, Es, bs.SCAN_TOL, rows=5)
+        assert abs(M[1, 1]) <= 4.0 * bs.SCAN_TOL * scale[1]
+        stats = dict(splits=0, root_steps=0, rescans=0)
+        edges = bs._scan_edges(pot, Es[0], Es[2], 2, 5, stats)
+        assert [(n, d) for n, _, d in edges] == [(1, False)]
+        assert abs(edges[0][1] - want[1]) <= 1e-9
 
     def test_hiding_cell_below_float_resolution_raises(self, monkeypatch):
         # a count that rises across one ulp can be neither split nor scanned again
         monkeypatch.setattr(bs, "_edges_below", lambda w, res: np.array([1, 3]))
-        stats = dict(critical=0, root_steps=0, rescans=0)
+        stats = dict(splits=0, root_steps=0, rescans=0)
         with pytest.raises(NumericalError, match="float resolution"):
             bs._scan_edges(free_particle(), 0.5, np.nextafter(0.5, 1.0), 1, 5, stats)
 
     def test_window_ending_at_a_touch(self):
         # the window of raw Lamé j = 1, m = 0.9 ends at its touch at
-        # 2.70607433352215 (Galerkin): the touch's slope root lies past
-        # the last scan cell, so the scan reports the three edges below it
-        # and no spurious edge at the window's end
+        # 2.70607433352215 (Galerkin): the touch's sample is left out and
+        # its Dirichlet eigenvalue lies past the last cell, so the scan
+        # reports the three edges below it and no spurious edge at the
+        # window's end
         pot = lame_pot(Family.RAW_LAME, 1, 0.9)
-        stats = dict(critical=0, root_steps=0)
-        roots, touches = roots_and_touches(
-            bs._scan_edges(pot, bs._span(pot)[0] - 1.0, 2.7060743335221527, 256, 7, stats))
-        assert touches == [] and stats["critical"] == 0
-        assert [b for _, b in roots] == ["periodic", "antiperiodic", "antiperiodic"]
-        assert max(abs(e - w) for (e, _), w in zip(roots, (0.9, 1.0, 1.9))) <= 1e-12
+        stats = dict(splits=0, root_steps=0)
+        edges = bs._scan_edges(pot, bs._span(pot)[0] - 1.0, 2.7060743335221527, 256, 7, stats)
+        assert stats["splits"] == 0 and [(n, d) for n, _, d in edges] == [
+            (0, False), (1, False), (2, False)]
+        assert max(abs(e - w) for (_, e, _), w in zip(edges, (0.9, 1.0, 1.9))) <= 1e-12
 
 
 class TestGeneratedPotentials:
@@ -894,15 +854,17 @@ class TestGeneratedPotentials:
          (20, -159.86572379644417)],
     ], ids=["modes_1_5", "modes_1_8", "seven_modes"])
     def test_four_edges_around_one_critical_point(self, terms):
-        # a scan cell holds p a a p (or a p p a) around one solved critical
-        # point, narrower than a cell even at MAX_SCAN: the two crossings of
-        # the other target are bracketed by the critical point's trace
+        # a scan cell holds p a a p (or a p p a), a gap narrower than a
+        # cell even at MAX_SCAN: split at its Dirichlet eigenvalue, the two
+        # crossings of the other target are bracketed by the trace there
+        # (modes_1_5 and modes_1_8 hold cells with two eigenvalues, which
+        # are scanned again)
         self.assert_galerkin_edges(cos_series(terms))
 
     def test_three_unequal_wells(self):
-        # two critical points of a three-band cluster share a cell whose
-        # ends' slopes agree; unnoticed, edges 2-5 are lost and every edge
-        # from n = 2 on is off by up to 654, in the boundary pattern
+        # two gaps of a three-band cluster share a cell; unnoticed, edges
+        # 2-5 are lost and every edge from n = 2 on is off by up to 654, in
+        # the boundary pattern
         self.assert_galerkin_edges(cos_series([(3, -800.0), (1, 1.0)]))
 
     @pytest.mark.parametrize("terms", [
@@ -916,9 +878,11 @@ class TestGeneratedPotentials:
     ], ids=["multiwell_601", "multiwell_793", "multiwell_748", "seven_modes_sin"])
     def test_hidden_band_clusters(self, terms):
         # engine_fuzz cases at seed 0 where one cell holds a whole band and
-        # the critical points on both its sides, so Delta' at its ends
-        # agrees in sign; unnoticed, every edge above is off by 1.9-2.7
-        # relative
+        # the gaps on both its sides; unnoticed, every edge above is off by
+        # 1.9-2.7 relative.  In multiwell_601 a split cell's Dirichlet
+        # eigenvalue is the upper edge of its gap, whose lower edge the
+        # lower piece brackets only if its root solve starts away from the
+        # noise next to that eigenvalue
         pot = runpy.run_path(str(self.SCRIPT))["potential"](terms)
         self.assert_galerkin_edges(pot, 512)
 
@@ -946,7 +910,9 @@ class TestBenchScript:
         quartiles = result.pop("quartiles")
         counts = [result.pop(key) for key in ("band_edges_products", "band_edges_steps_x_energies",
                                               "galerkin_problems_split", "galerkin_problems",
-                                              "selfiso_shifts_evaluated", "src_lines")]
+                                              "selfiso_shifts_evaluated", "src_lines",
+                                              "release_band_edges_products",
+                                              "release_band_edges_steps_x_energies")]
         # every case of the grid is even: each of its 42 problems splits
         assert counts[2:4] == [42, 42]
         assert sorted(result) == ["band_edges_s", "galerkin_edges_s", "jacobi_points_per_s",
@@ -986,6 +952,10 @@ class TestLameSweep:
         runpy.run_path(str(self.SCRIPT))["main"]([2, 3], [1e-6, 0.5])
         out = capsys.readouterr().out
         assert out.count("4 of 4 cases in the boundary pattern") == 2
+        # at m = 1e-6 the 7.5e-13 gap of j = 2 is below Galerkin's resolution
+        # only, and one gap of j = 3 is closed to float spacing
+        assert out.count("cases with a touch: ") == 2
+        assert "cases with a touch: 1\n" in out and "cases with a touch: 2\n" in out
         worst = [float(line.split(":")[1].split()[0]) for line in out.splitlines()
                  if "worst non-touch error" in line]
         assert len(worst) == 2 and max(worst) <= 1e-9

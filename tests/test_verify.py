@@ -10,23 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import FROZEN_DISTANCES
 from lamesusy import bandsolver, elliptic, susy, verify
 from lamesusy.elliptic import complete_k
 from lamesusy.errors import DomainError
 from lamesusy.grid import GridFunction, on_fine_grid, spectrum
 from lamesusy.susy import Family, PotentialSpec
-
-# Frozen by the 4096-shift brute-force scan (scripts/selfiso_scan.py) and
-# golden refinement on 512-sample grids; regression anchors for the
-# distinctness half of the dichotomy.
-FROZEN_DISTANCES = {
-    (2, 0.1): 1.576224658207e-02,
-    (2, 0.5): 4.699416125638e-01,
-    (2, 0.9): 1.706248814988e+00,
-    (3, 0.1): 7.825039721364e-02,
-    (3, 0.5): 1.967330310675e+00,
-    (3, 0.9): 5.610146151474e+00,
-}
 
 
 def pair_grids(j, m, n=512):
@@ -70,6 +59,14 @@ class TestSelfIsoDistance:
             assert r.verdict == verdict
         with pytest.raises(TypeError):
             verify.SelfIsoResult(best_shift=0.0, reflected=False, distance=2e-6, verdict="distinct")
+
+    def test_even_release_pairs_are_not_reflected(self):
+        # every closed-form pair of the release job's selfiso suite is even,
+        # so its two orientations tie to the scan's rounding: the
+        # unreflected one is taken, not the one rounding makes smaller
+        flags = [r.context["reflected"] for r in verify.run_selfiso_suite()
+                 if "reflected" in r.context]
+        assert len(flags) == 12 and not any(flags)
 
     @pytest.mark.parametrize("j,m", sorted(FROZEN_DISTANCES))
     def test_distinct_partner_regression(self, j, m):
@@ -155,9 +152,9 @@ def brute_scan(vp, vm, count):
 
 
 def scan_pick(d):
-    """(distance, shift index, reflected) of a scan under selfiso_distance's
-    tie rules: the first index within an orientation, and the reflected
-    orientation only when strictly smaller."""
+    """(distance, shift index, reflected) of a scan's minimum: the first
+    index within an orientation, and the reflected orientation only when
+    strictly smaller."""
     i = np.argmin(d, axis=1)
     r = int(d[1, i[1]] < d[0, i[0]])
     return float(d[r, i[r]]), int(i[r]), bool(r)
