@@ -378,6 +378,18 @@ class TestMagnusKernel:
         assert MA.shape == (5, E.size)
         assert np.array_equal(MA[:4], M) and np.array_equal(scale_a, scale)
 
+    @pytest.mark.parametrize("offset", [1, 301, 511])
+    def test_product_beside_angle_is_bit_identical_across_chunkings(self, offset):
+        # the scan's rows = 5 samples and the Dirichlet solve's rows = 4
+        # products meet at energies that sit in different chunks
+        pot = lame_pot(Family.V_PLUS, 2, 0.9)
+        E = np.linspace(-3.0, 40.0, 1000)
+        M, scale = bs._product(pot, 64, E)
+        MA, scale_a = bs._product(pot, 64, E[offset:], rows=5)
+        assert np.array_equal(MA[:4], M[:, offset:]) and np.array_equal(scale_a, scale[offset:])
+        one, one_scale = bs._product(pot, 64, E[offset:offset + 1])
+        assert np.array_equal(one[:, 0], M[:, offset]) and one_scale[0] == scale[offset]
+
     @pytest.mark.parametrize("rows", [0, 6, 9])
     def test_row_count_other_than_4_5_8_raises(self, rows):
         # 4 rows plain, 5 with the half-turn count; any other count raises,
