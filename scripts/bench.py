@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the Floquet, Galerkin, partner and verify layers on fixed inputs and print one JSON line.
 
-Thirteen timings, each taken once per round over ``--repeat`` rounds, one
+Fourteen timings, each taken once per round over ``--repeat`` rounds, one
 of each in turn, so that a drift in machine speed reaches all of them alike.
 The line holds the median of every timing over the rounds, and under
 ``quartiles`` its first and third quartiles:
@@ -17,7 +17,11 @@ The line holds the median of every timing over the rounds, and under
     V+ and over the same window, 10 products a round;
   * ``band_edges_s``: ``band_edges`` for all 2j + 1 edges of freshly built
     closed-form potentials, V- for j = 1..5 and V+ for j = 2, 3, at
-    m in {0.1, 0.5, 0.9}: 21 calls a round, step counts settled anew;
+    m in {0.1, 0.5, 0.9}: 21 calls a round, step counts settled anew.
+    Every one of them is even, so its products run over the half period;
+  * ``band_edges_uneven_s``: ``band_edges`` for the first 21 edges of the
+    uneven mode sum that ``scripts/engine_fuzz.py``'s third family draws
+    at seed 3, freshly built: the full-period route, one call a round;
   * ``galerkin_edges_s``: ``galerkin_edges`` for the same 2j + 1 edges of
     the same 21 freshly built potentials, at its default basis;
   * ``numeric_partner_s``: ``ground_energy`` of raw Lamé and
@@ -33,22 +37,28 @@ The line holds the median of every timing over the rounds, and under
     once a round; ``verify_all_s`` is their sum plus ``reports_to_json``
     of all their reports, the release job without its process start.
 
-Beside them, eight counts that no timing noise moves: the Magnus products
-the 21 ``band_edges`` calls form and their steps x energies
-(``band_edges_products``, ``band_edges_steps_x_energies``), the same two
-for the release job, summed over the ``band_edges`` DEBUG records of the
-last verify round (``release_band_edges_products``,
-``release_band_edges_steps_x_energies``), the
+Beside them, ten counts that no timing noise moves: the Magnus products
+the 21 ``band_edges`` calls form, their steps x energies and the products
+formed over the half period (``band_edges_products``,
+``band_edges_steps_x_energies``, ``band_edges_half_period_products``),
+the same three for the release job, summed over the ``band_edges`` DEBUG
+records of the last verify round (``release_band_edges_products``,
+``release_band_edges_steps_x_energies``,
+``release_band_edges_half_period_products``), the
 plane-wave problems of the 21 ``galerkin_edges`` calls solved as cos and
 sin blocks, against all of them (``galerkin_problems_split``,
 ``galerkin_problems``), the shifts the two ``selfiso_distance`` scans
 evaluate (``selfiso_shifts_evaluated``), and the lines of the measured
 package's modules (``src_lines``).
 
-Run:  python scripts/bench.py [--repeat N]
-with N rounds (default 7).  Times are wall-clock seconds of this
-process, on one BLAS thread, not rescaled for the machine's speed: to
-compare two source trees, alternate runs of each, and read
+Run:  python scripts/bench.py [--repeat N] [--tier1]
+with N rounds (default 7).  ``--tier1`` also runs the Tier-1 test suite
+once, after the rounds, as ROADMAP.md gives it (pytest -q
+--continue-on-collection-errors from the repository root, this tree's
+``src`` first on PYTHONPATH), and adds its wall time ``tier1_s`` and the
+last line of its report ``tier1_summary``.  Times are wall-clock seconds
+of this process, on one BLAS thread, not rescaled for the machine's
+speed: to compare two source trees, alternate runs of each, and read
 ``jacobi_points_per_s`` as the witness of that speed when ``jacobi`` is
 the same in both.
 """
@@ -58,7 +68,10 @@ import json
 import logging
 import os
 import re
+import runpy
 import statistics
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -78,6 +91,9 @@ EDGE_CASES = ([(Family.V_MINUS, j) for j in range(1, 6)]
               + [(Family.V_PLUS, j) for j in (2, 3)])
 M_LIST = (0.1, 0.5, 0.9)
 PARTNER_CASES = [(j, m) for j in (4, 8) for m in (0.5, 0.95)]
+ROOT = Path(__file__).resolve().parents[1]
+FUZZ = runpy.run_path(str(ROOT / "scripts" / "engine_fuzz.py"))
+UNEVEN_TERMS = FUZZ["modes"](np.random.default_rng(3))
 
 
 def _warm_potential():
@@ -108,8 +124,9 @@ def _grid():
 
 
 def _band_edges_grid():
-    """The Magnus products and steps x energies that the 21 calls form."""
-    formed = np.zeros(2, dtype=int)
+    """The Magnus products, steps x energies and half-period products that
+    the 21 calls form."""
+    formed = np.zeros(3, dtype=int)
     for pot, count in _grid():
         bandsolver.band_edges(pot, count)
         formed += pot._magnus["formed"]
@@ -143,14 +160,15 @@ def _selfiso_pairs():
 
 
 class _Formed(logging.Handler):
-    """Sums the Magnus products and steps x energies of the band_edges
-    DEBUG records it receives."""
+    """Sums the Magnus products, steps x energies and half-period products
+    of the band_edges DEBUG records it receives."""
 
-    PATTERN = re.compile(r"band_edges: .* (\d+) Magnus products of (\d+) steps x energies")
+    PATTERN = re.compile(r"band_edges: .* (\d+) Magnus products of (\d+) steps x energies, "
+                         r"\w+-period route with (\d+) products over L/2")
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.formed = np.zeros(2, dtype=int)
+        self.formed = np.zeros(3, dtype=int)
 
     def emit(self, record):
         found = self.PATTERN.match(record.getMessage())
@@ -186,9 +204,20 @@ def _verify_round(formed):
     return times
 
 
-def run(repeat=7):
-    """The medians and quartiles over ``repeat`` interleaved rounds, and
-    the counts, as a dict."""
+def _tier1():
+    """Wall time and last report line of the Tier-1 suite, run once."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                          cwd=ROOT, env=env, capture_output=True, text=True)
+    return {"tier1_s": time.perf_counter() - start,
+            "tier1_summary": done.stdout.strip().splitlines()[-1]}
+
+
+def run(repeat=7, tier1=False):
+    """The medians and quartiles over ``repeat`` interleaved rounds, the
+    counts and, with ``tier1``, the Tier-1 suite's wall time, as a dict."""
     pot, scan, low = _warm_potential()
     pairs = _selfiso_pairs()
     timings = {
@@ -198,6 +227,8 @@ def run(repeat=7):
         "scan_257_energies_per_s": lambda: scan.size / _timed(
             lambda: bandsolver._monodromy(pot, scan, bandsolver.SCAN_TOL, rows=5), 10),
         "band_edges_s": lambda: _timed(_band_edges_grid, 1),
+        "band_edges_uneven_s": lambda: _timed(
+            lambda: bandsolver.band_edges(FUZZ["potential"](UNEVEN_TERMS), FUZZ["COUNT"]), 1),
         "galerkin_edges_s": lambda: _timed(
             lambda: [bandsolver.galerkin_edges(*case) for case in _grid()], 1),
         "numeric_partner_s": lambda: _timed(_partners, 1),
@@ -210,7 +241,7 @@ def run(repeat=7):
         measured = {name: measure() for name, measure in timings.items()} | _verify_round(release)
         for name, value in measured.items():
             rounds.setdefault(name, []).append(value)
-    products, steps = (int(c) for c in _band_edges_grid())
+    products, steps, half = (int(c) for c in _band_edges_grid())
     split, problems = _galerkin_split()
     shifts = sum(int(np.isfinite(verify._scan_distance(*pair, verify.SHIFT_SAMPLES)).sum())
                  for pair in pairs)
@@ -218,15 +249,20 @@ def run(repeat=7):
         "quartiles": {name: np.percentile(values, [25, 75]).tolist()
                       for name, values in rounds.items()},
         "band_edges_products": products, "band_edges_steps_x_energies": steps,
+        "band_edges_half_period_products": half,
         "release_band_edges_products": int(release.formed[0]),
         "release_band_edges_steps_x_energies": int(release.formed[1]),
+        "release_band_edges_half_period_products": int(release.formed[2]),
         "galerkin_problems_split": split, "galerkin_problems": problems,
         "selfiso_shifts_evaluated": shifts, "repeat": repeat,
         "src_lines": sum(len(p.read_text().splitlines())
-                         for p in Path(verify.__file__).parent.glob("*.py"))}
+                         for p in Path(verify.__file__).parent.glob("*.py"))} | (
+        _tier1() if tier1 else {})
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeat", type=int, default=7, help="interleaved rounds")
-    print(json.dumps(run(parser.parse_args().repeat)))
+    parser.add_argument("--tier1", action="store_true", help="also time the Tier-1 test suite")
+    args = parser.parse_args()
+    print(json.dumps(run(args.repeat, args.tier1)))

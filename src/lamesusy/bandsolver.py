@@ -32,8 +32,11 @@ once per step count at the three Gauss nodes of every step, each
 step's 2x2 exponential, and where asked the half-turn count of its
 second column, is formed in closed form for a whole batch of energies
 at once, and the steps are multiplied together by pairwise tree
-reduction, the counts by the signs of three entries.  The step count is
-settled once per potential, tolerance and energy range, from the
+reduction, the counts by the signs of three entries.  An even V, every
+closed form of the paper among them, is multiplied over the half period
+only and the monodromy unfolded from that product (_unfold); V's own
+samples decide the route, each against its mirror image.  The step count
+is settled once per potential, tolerance and energy range, from the
 difference between the n-step and 2n-step products at fixed probe
 energies.
 """
@@ -70,6 +73,7 @@ _ROOT_STEPS = 64 * (2 * _STALL + 1)  # enough for 64 halvings of every bracket
 BASIS_N = 64         # plane waves per boundary type of the ground-state problems
 PARTNER_N = 512      # samples of a numeric partner's grid
 _GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
+_EVEN = 256.0        # an even V's node samples match their mirror images to _EVEN eps max|V|
 
 
 def _debug(logger: str, msg: str, *args):
@@ -171,22 +175,45 @@ def _bit_reversed(n: int) -> np.ndarray:
     return order
 
 
+def _coefficients(v: np.ndarray, h: float) -> tuple:
+    """(h, h V2, a0, a1, b0, c0, c1) of the steps of length h whose Gauss-node
+    values are v's columns, in their order; columns (steps, 1)."""
+    d2 = (math.sqrt(15.0) * h / 3.0) * (v[2] - v[0])
+    d3 = (10.0 * h / 3.0) * (v[2] - 2.0 * v[1] + v[0])
+    k = h * d2  # [B1, B2] = [[k, 0], [0, -k]]
+    cols = (h * v[1],
+            k * (h * d3 / 7200.0 - 1.0 / 12.0),
+            k * (h / 180.0),
+            h + h * (k * k - 20.0 * h * d3) / 3600.0,
+            d3 / 12.0 + h * d3 * d3 / 3600.0 - k * d2 / 120.0,
+            1.0 + h * d3 / 180.0 + k * k / 3600.0)
+    return (h,) + tuple(c[:, None] for c in cols)
+
+
 def _step_coefficients(V: PeriodicPotential, n: int) -> tuple:
-    """(h, h V2, a0, a1, b0, c0, c1) of n equal steps in bit-reversed order; columns (n, 1)."""
+    """_coefficients of n equal steps in bit-reversed order, or, for an even
+    V, of the first n / 2 of them, the half period (_unfold); cached.
+
+    x -> L - x maps Gauss node (i, g) of the n steps onto node (n - 1 - i,
+    2 - g).  V is even where no sample differs from its mirror image by
+    more than _EVEN eps max|V|, the size of the samples' own rounding: the
+    half product is then exact for samples as close to an even V as its
+    own.  Lame and V- (j <= 5, m <= 1 - 1e-6) are even to 54 eps max|V| so
+    sampled, V+ to 143 up to m = 0.95, and there the two routes' products
+    agree to 6e-13 of their scale, against TOL = 1e-11.  Larger mirror
+    errors take the whole period, as the routes may part by more than
+    TOL: V+ at m = 0.99 (850, 1.1e-11) and 0.999 (7800, 4.7e-10), the
+    grid-sampled numeric partners (over 1e5) and any V with a sine part.
+    The largest ratio met is kept for band_edges' DEBUG record.
+    """
     key = ("steps", n)
     if key not in V._magnus:
-        h = V.period / n
-        v = V.sample(n, _GAUSS)[:, _bit_reversed(n)]
-        d2 = (math.sqrt(15.0) * h / 3.0) * (v[2] - v[0])
-        d3 = (10.0 * h / 3.0) * (v[2] - 2.0 * v[1] + v[0])
-        k = h * d2  # [B1, B2] = [[k, 0], [0, -k]]
-        cols = (h * v[1],
-                k * (h * d3 / 7200.0 - 1.0 / 12.0),
-                k * (h / 180.0),
-                h + h * (k * k - 20.0 * h * d3) / 3600.0,
-                d3 / 12.0 + h * d3 * d3 / 3600.0 - k * d2 / 120.0,
-                1.0 + h * d3 / 180.0 + k * k / 3600.0)
-        V._magnus[key] = (h,) + tuple(c[:, None] for c in cols)
+        v = V.sample(n, _GAUSS)
+        peak, mirror = np.max(np.abs(v)), np.max(np.abs(v - v[::-1, ::-1]))
+        ratio = mirror / (np.finfo(float).eps * peak) if peak > 0.0 else 0.0
+        V._magnus["asymmetry"] = max(V._magnus.get("asymmetry", 0.0), ratio)
+        steps = n // 2 if ratio <= _EVEN else n
+        V._magnus[key] = _coefficients(v[:, _bit_reversed(steps)], V.period / n)
     return V._magnus[key]
 
 
@@ -273,19 +300,42 @@ def _tree_product(P: np.ndarray) -> tuple:
     return P[:, 0], scale
 
 
+def _unfold(T: np.ndarray, scale: np.ndarray) -> tuple:
+    """An even V's monodromy and scale from its product T = [[a, b], [c,
+    d]] over [0, L/2] (rows as _product's) and T's scale.  x -> L - x
+    makes T' = [[d, b], [c, a]] the propagator over [L/2, L], so M = T'T =
+    [[ad + bc, 2bd], [2ac, ad + bc]] (Magnus & Winkler, Hill's Equation,
+    1966, ch. 1).  Solutions vanishing at either end of [0, L/2] have as
+    many zeros inside it (Sturm separation), so T' turns e2 by T's count,
+    and M's is twice it plus _wraps(T', T, M), T'12 = T12 = b: one where b
+    is not 0 and d is 0 or of b's sign."""
+    a, b, c, d = T[:4]
+    M = np.empty_like(T)
+    M[0] = a * d + b * c
+    M[1] = 2.0 * b * d
+    M[2] = 2.0 * a * c
+    M[3] = M[0]
+    if T.shape[0] == 5:
+        M[4] = 2.0 * T[4] + ((b != 0.0) & ((d == 0.0) | ((b > 0.0) == (d > 0.0))))
+    return M, np.maximum(scale, np.abs(M[:4]).max(axis=0))
+
+
 def _product(V: PeriodicPotential, n: int, E: np.ndarray, rows: int = 4) -> tuple:
     """Monodromy entries (m11, m12, m21, m22) over n steps, with rows = 5
-    followed by the half-turn count of (m12, m22), and their scale.
+    followed by the half-turn count of (m12, m22), and their scale; for an
+    even V unfolded from the product over the first n / 2 (_unfold).
     Energies go in chunks that no result depends on, of at most CHUNK
     steps x energies, so that the live arrays keep one size."""
     coef = _step_coefficients(V, n)
+    steps = coef[1].shape[0]
     M, scale = np.empty((rows, E.size)), np.empty(E.size)
-    per = max(1, CHUNK // n)
+    per = max(1, CHUNK // steps)
     for lo in range(0, E.size, per):
         part = slice(lo, lo + per)
         M[:, part], scale[part] = _tree_product(_step_propagators(coef, E[part], rows))
-    V._magnus.setdefault("formed", np.zeros(2, dtype=int))[:] += (1, n * E.size)
-    return M, scale
+    # products, steps x energies, products over the half period
+    V._magnus.setdefault("formed", np.zeros(3, dtype=int))[:] += (1, steps * E.size, steps < n)
+    return _unfold(M, scale) if steps < n else (M, scale)
 
 
 def _span(V: PeriodicPotential) -> tuple:
@@ -643,7 +693,7 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
     e_min = _span(V)[0] - 1.0
     e_max = _first_window(V, count)
     stats = dict(splits=0, root_steps=0, brackets=0, rescans=0)
-    V._magnus["formed"] = np.zeros(2, dtype=int)  # Magnus products, steps x energies
+    V._magnus["formed"] = np.zeros(3, dtype=int)  # products, steps x energies, half-period ones
     try:
         edges = _scan_edges(V, e_min, e_max, DEFAULT_SCAN, count, stats)
         stats["brackets"] = len(edges)  # one root per crossing bracket
@@ -656,10 +706,14 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
             f"{sorted({n for n in indices if indices.count(n) > 1})} doubled below "
             f"E={e_max!r}: " + ", ".join(f"{e.n}:{e.energy:.6g}" for e in found))
     finally:
+        products, units, half = V._magnus["formed"]
+        route = "half" if half == products > 0 else "full" if half == 0 else "mixed"
         _debug(__name__, "band_edges: %d Dirichlet splits in %d root steps, %d Magnus products "
-               "of %d steps x energies, %d edges counted below the window's top, %d crossing "
-               "brackets, %d rescans", stats["splits"], stats["root_steps"],
-               *V._magnus["formed"], stats.get("top", 0), stats["brackets"], stats["rescans"])
+               "of %d steps x energies, %s-period route with %d products over L/2 (asymmetry %.3g "
+               "against %g eps max|V|), %d edges counted below the window's top, %d crossing "
+               "brackets, %d rescans", stats["splits"], stats["root_steps"], products, units,
+               route, half, V._magnus.get("asymmetry", math.nan), _EVEN, stats.get("top", 0),
+               stats["brackets"], stats["rescans"])
 
 
 # ---------------------------------------------------------------------------

@@ -139,17 +139,23 @@ def natural_tree(P):
 
 
 def natural_product(V, n, E, angle=False):
-    """bs._product, chunked alike, with the natural-order kernel above."""
-    order = bs._bit_reversed(n)
+    """bs._product, chunked alike, with the natural-order kernel above over
+    the steps that bs._step_coefficients keeps: all n, or the first n / 2
+    of an even V, whose product T is unfolded by bs._unfold.  A row 4 is
+    the floor of the lifted angle's half-turns, as bs._product counts."""
     coef = bs._step_coefficients(V, n)
+    steps = coef[1].shape[0]
+    order = bs._bit_reversed(steps)
     coef = coef[:1] + tuple(col[order] for col in coef[1:])
     M = np.empty((4 + angle, E.size))
     scale = np.empty(E.size)
-    per = max(1, bs.CHUNK // n)
+    per = max(1, bs.CHUNK // steps)
     for lo in range(0, E.size, per):
         part = slice(lo, lo + per)
         M[:, part], scale[part] = natural_tree(natural_propagators(coef, E[part], angle))
-    return M, scale
+    if angle:
+        M[4] = np.floor((M[4] - 0.5 * np.pi) / np.pi)
+    return bs._unfold(M, scale) if steps < n else (M, scale)
 
 
 def fuzz_modes():
@@ -354,41 +360,50 @@ class TestMagnusKernel:
         with pytest.raises(ValueError, match="power of two"):
             bs._bit_reversed(n)
 
-    @pytest.mark.parametrize("make", [lambda: lame_pot(Family.V_PLUS, 3, 0.9), fuzz_modes],
+    @pytest.mark.parametrize("make,steps", [(lambda: lame_pot(Family.V_PLUS, 3, 0.9), 0.5),
+                                            (fuzz_modes, 1.0)],
                              ids=["closed_form_j3_vplus", "fuzz_modes"])
     @pytest.mark.parametrize("n", [64, 1024, 4096])
-    def test_products_match_the_natural_order_tree(self, make, n):
+    def test_products_match_the_natural_order_tree(self, make, steps, n):
+        # the even closed form's product T over the half period, and the
+        # uneven mode sum's over the whole
         pot = make()
+        assert bs._step_coefficients(pot, n)[1].shape[0] == steps * n
         lo, hi = bs._span(pot)
         for k in (1, 3, 17, 257):
             E = np.linspace(lo - 1.0, hi + 100.0, k)
             for rows, kind in ((4, {}), (5, {"angle": True})):
                 M, scale = bs._product(pot, n, E, rows)
                 want, want_scale = natural_product(pot, n, E, **kind)
-                if "angle" in kind:
-                    want[4] = np.floor((want[4] - 0.5 * np.pi) / np.pi)
                 assert np.array_equal(M, want) and np.array_equal(scale, want_scale), (k, kind)
+
+    @staticmethod
+    def assert_bit_identical_across_chunkings(pot, n, offset):
+        # the scan's rows = 5 samples and the Dirichlet solve's rows = 4
+        # products meet at energies that sit in different chunks; 64 steps,
+        # over the whole period or over an even V's half of 128, take
+        # chunks of 512 energies
+        assert bs._step_coefficients(pot, n)[1].shape[0] == 64
+        E = np.linspace(-3.0, 40.0, 1000)
+        M, scale = bs._product(pot, n, E)
+        MA, scale_a = bs._product(pot, n, E[offset:], rows=5)
+        assert MA.shape == (5, E.size - offset)
+        assert np.array_equal(MA[:4], M[:, offset:]) and np.array_equal(scale_a, scale[offset:])
+        one, one_scale = bs._product(pot, n, E[offset:offset + 1])
+        assert np.array_equal(one[:, 0], M[:, offset]) and one_scale[0] == scale[offset]
 
     def test_product_beside_angle_is_bit_identical(self):
         # 1000 energies span chunks of 512
-        pot = lame_pot(Family.V_PLUS, 2, 0.9)
-        E = np.linspace(-3.0, 40.0, 1000)
-        M, scale = bs._product(pot, 64, E)
-        MA, scale_a = bs._product(pot, 64, E, rows=5)
-        assert MA.shape == (5, E.size)
-        assert np.array_equal(MA[:4], M) and np.array_equal(scale_a, scale)
+        self.assert_bit_identical_across_chunkings(lame_pot(Family.V_PLUS, 2, 0.9), 128, 0)
 
     @pytest.mark.parametrize("offset", [1, 301, 511])
     def test_product_beside_angle_is_bit_identical_across_chunkings(self, offset):
-        # the scan's rows = 5 samples and the Dirichlet solve's rows = 4
-        # products meet at energies that sit in different chunks
-        pot = lame_pot(Family.V_PLUS, 2, 0.9)
-        E = np.linspace(-3.0, 40.0, 1000)
-        M, scale = bs._product(pot, 64, E)
-        MA, scale_a = bs._product(pot, 64, E[offset:], rows=5)
-        assert np.array_equal(MA[:4], M[:, offset:]) and np.array_equal(scale_a, scale[offset:])
-        one, one_scale = bs._product(pot, 64, E[offset:offset + 1])
-        assert np.array_equal(one[:, 0], M[:, offset]) and one_scale[0] == scale[offset]
+        self.assert_bit_identical_across_chunkings(lame_pot(Family.V_PLUS, 2, 0.9), 128, offset)
+
+    @pytest.mark.parametrize("offset", [0, 1, 301, 511])
+    def test_full_period_product_beside_angle_across_chunkings(self, offset):
+        # the same on an uneven V, whose products run over the whole period
+        self.assert_bit_identical_across_chunkings(fuzz_modes(), 64, offset)
 
     @pytest.mark.parametrize("rows", [0, 6, 9])
     def test_row_count_other_than_4_5_8_raises(self, rows):
@@ -397,6 +412,59 @@ class TestMagnusKernel:
         for count in (rows, 8):
             with pytest.raises(ValueError, match="rows must be 4 or 5"):
                 bs._monodromy(lame_pot(Family.V_MINUS, 2, 0.5), [0.5, 3.0], rows=count)
+
+
+class TestHalfPeriod:
+    """An even V's monodromy unfolded from the product over the half period
+    (bs._unfold), against the product over the whole period, and the
+    evenness decision that picks the route."""
+
+    @staticmethod
+    def full_period(pot, n, E):
+        """The n-step rows = 5 product over the whole period, whatever the route."""
+        v = pot.sample(n, bs._GAUSS)[:, bs._bit_reversed(n)]
+        return bs._tree_product(bs._step_propagators(bs._coefficients(v, pot.period / n), E, 5))
+
+    @pytest.mark.parametrize("m", [0.1, 0.5, 0.9, 0.999])
+    @pytest.mark.parametrize("family,j", [(Family.V_MINUS, j) for j in range(1, 6)]
+                             + [(Family.V_PLUS, j) for j in range(1, 4)])
+    def test_half_period_matches_the_full_period_product(self, family, j, m):
+        pot = lame_pot(family, j, m)
+        E = np.linspace(bs._span(pot)[0] - 1.0, bs._first_window(pot, 2 * j + 2), 513)
+        assert not bs._energy_range(pot, E).any()
+        for tol in (bs.SCAN_TOL, bs.TOL):
+            n = bs._step_count(pot, tol, 0)
+            M, scale = bs._product(pot, n, E, rows=5)
+            want, want_scale = self.full_period(pot, n, E)
+            # V+ near m = 1 is even only to 4e3 eps max|V| as sampled
+            half = not (family == Family.V_PLUS and j > 1 and m == 0.999)
+            assert (bs._step_coefficients(pot, n)[1].shape[0] < n) == half
+            assert np.array_equal(M[4], want[4])
+            assert np.max(np.abs(M[:4] - want[:4]) / want_scale) <= 1e-12
+            assert scale == pytest.approx(want_scale, rel=1e-6)
+
+    def test_near_even_potential_takes_the_full_route(self):
+        # a sine part of 1e-9 is far above the samples' rounding: the full
+        # period, whose edges still match Galerkin's
+        terms = [(1, 40.0), (2, -15.0), (3, 6.0)]
+        even = cos_series(terms)
+        near = bs.PeriodicPotential(1.0, lambda x: even(x) + 1e-9 * np.sin(2 * np.pi * x))
+        found = [bs.band_edges(pot, 11) for pot in (even, near)]
+        assert even._magnus["formed"][2] == even._magnus["formed"][0] > 0
+        assert near._magnus["formed"][2] == 0 and near._magnus["asymmetry"] > 1e5
+        for got, want, other in zip(found[1], bs.galerkin_edges(near, 11, 256), found[0]):
+            assert got.n == want.n == other.n
+            assert got.energy == pytest.approx(want.energy, abs=1e-9 * max(1.0, abs(want.energy)))
+            assert got.energy == pytest.approx(other.energy, abs=1e-8)
+
+    def test_numeric_j4_partner_takes_the_full_route(self):
+        # the 512-sample numeric V+ is even only to about 1e5 eps max|V|
+        plus = verify.partner_pair(4, 0.5)[1]
+        edges = bs.band_edges(plus, 9)
+        assert plus._magnus["formed"][0] > 0 and plus._magnus["formed"][2] == 0
+        assert plus._magnus["asymmetry"] > 1e4
+        for got, want in zip(edges, band_edge_energies(4, 0.5)):
+            assert got.energy == pytest.approx(want, abs=1e-9)
 
 
 class TestBandEdges:
@@ -496,6 +564,10 @@ class TestBandEdges:
         # brackets beside the ground edge's one, and 7 edges (0, 1, 1, 4,
         # 4, 9, 9) lie below 11, the top of its window
         assert messages[0].startswith("band_edges: 2 Dirichlet splits in ")
+        # V = 0 is even: every product is formed over the half period
+        products = messages[0].split(" root steps, ")[1].split()[0]
+        assert (f"half-period route with {products} products over L/2 (asymmetry 0 against "
+                "256 eps max|V|)") in messages[0]
         assert messages[0].endswith(", 7 edges counted below the window's top, "
                                     "5 crossing brackets, 0 rescans")
         # with 121 edges the lowest touches share cells of window/256, and
@@ -504,10 +576,12 @@ class TestBandEdges:
         # bracket the 121 edges up to 60^2
         assert messages[1].endswith(", 123 edges counted below the window's top, "
                                     "121 crossing brackets, 2 rescans")
-        # the stand-in scan reports one root, counts nothing and scans nothing again
+        # the stand-in scan reports one root, counts nothing, samples no
+        # step and scans nothing again
         assert messages[2] == ("band_edges: 0 Dirichlet splits in 0 root steps, 0 Magnus products "
-                               "of 0 steps x energies, 0 edges counted below the window's top, "
-                               "1 crossing brackets, 0 rescans")
+                               "of 0 steps x energies, full-period route with 0 products over L/2 "
+                               "(asymmetry nan against 256 eps max|V|), 0 edges counted below "
+                               "the window's top, 1 crossing brackets, 0 rescans")
 
     def test_products_logged_repeat_on_a_fresh_build(self, caplog):
         # products are counted where they are formed, so a fresh build of one
@@ -906,6 +980,9 @@ class TestGeneratedPotentials:
         assert cp.returncode == 0, cp.stdout + cp.stderr
         assert [line.split()[:3] for line in cp.stdout.splitlines()[-3:]] == [
             ["superlattice", "1", "0"], ["multiwell", "1", "0"], ["modes", "1", "0"]]
+        # the cosine sums run over the half period, the mode sum with sine
+        # parts over the whole
+        assert [line.split()[-1] for line in cp.stdout.splitlines()[-3:]] == ["1", "1", "0"]
 
 
 class TestBenchScript:
@@ -924,10 +1001,17 @@ class TestBenchScript:
                                               "galerkin_problems_split", "galerkin_problems",
                                               "selfiso_shifts_evaluated", "src_lines",
                                               "release_band_edges_products",
-                                              "release_band_edges_steps_x_energies")]
-        # every case of the grid is even: each of its 42 problems splits
+                                              "release_band_edges_steps_x_energies",
+                                              "band_edges_half_period_products",
+                                              "release_band_edges_half_period_products")]
+        # every case of the grid is even: each of its 42 problems splits,
+        # and each of its products runs over the half period
         assert counts[2:4] == [42, 42]
-        assert sorted(result) == ["band_edges_s", "galerkin_edges_s", "jacobi_points_per_s",
+        assert counts[8] == counts[0]
+        # the release job's numeric partners of j = 4, 5 take the full period
+        assert 0 < counts[9] < counts[6]
+        assert sorted(result) == ["band_edges_s", "band_edges_uneven_s", "galerkin_edges_s",
+                                  "jacobi_points_per_s",
                                   "numeric_partner_s", "scan_257_energies_per_s",
                                   "selfiso_distance_s", "trace_1_s", "trace_8_s",
                                   "verify_all_s", "verify_edgestates_s", "verify_iso_s",
@@ -938,6 +1022,12 @@ class TestBenchScript:
         # one round: both quartiles are its one value
         assert quartiles == {name: [value, value] for name, value in result.items()}
         assert all(isinstance(c, int) and c > 0 for c in counts)
+
+    def test_tier1_flag(self):
+        # the Tier-1 run itself is too long for Tier-1; its option is listed
+        cp = subprocess.run([sys.executable, str(self.SCRIPT), "--help"],
+                            capture_output=True, text=True)
+        assert cp.returncode == 0 and "--tier1" in cp.stdout
 
 
 class TestLameSweep:
