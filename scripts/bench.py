@@ -41,33 +41,35 @@ Beside them, ten counts that no timing noise moves: the Magnus products
 the 21 ``band_edges`` calls form, their steps x energies and the products
 formed over the half period (``band_edges_products``,
 ``band_edges_steps_x_energies``, ``band_edges_half_period_products``),
-the same three for the release job, summed over the ``band_edges`` DEBUG
-records of the last verify round (``release_band_edges_products``,
+the same three for the release job, counted over the last verify round
+(``release_band_edges_products``,
 ``release_band_edges_steps_x_energies``,
 ``release_band_edges_half_period_products``), the
 plane-wave problems of the 21 ``galerkin_edges`` calls solved as cos and
 sin blocks, against all of them (``galerkin_problems_split``,
 ``galerkin_problems``), the shifts the two ``selfiso_distance`` scans
 evaluate (``selfiso_shifts_evaluated``), and the lines of the measured
-package's modules (``src_lines``).
+package's modules (``src_lines``).  The products are counted by wrapping
+``bandsolver._product``, with the steps ``_step_coefficients`` keeps, so
+no count depends on the text of a log record.
 
-Run:  python scripts/bench.py [--repeat N] [--tier1]
-with N rounds (default 7).  ``--tier1`` also runs the Tier-1 test suite
-once, after the rounds, as ROADMAP.md gives it (pytest -q
---continue-on-collection-errors from the repository root, this tree's
-``src`` first on PYTHONPATH), and adds its wall time ``tier1_s`` and the
-last line of its report ``tier1_summary``.  Times are wall-clock seconds
-of this process, on one BLAS thread, not rescaled for the machine's
-speed: to compare two source trees, alternate runs of each, and read
-``jacobi_points_per_s`` as the witness of that speed when ``jacobi`` is
-the same in both.
+Run:  PYTHONPATH=<tree>/src python scripts/bench.py [--repeat N] [--tier1]
+with N rounds (default 7), on the ``lamesusy`` package that PYTHONPATH
+finds.  ``--tier1`` also runs that package's repository's Tier-1 test
+suite once, after the rounds, as ROADMAP.md gives it (pytest -q
+--continue-on-collection-errors from the repository root, its ``src``
+first on PYTHONPATH), and adds its wall time ``tier1_s`` and the last
+line of its report ``tier1_summary``.  Times are wall-clock seconds of
+this process, on one BLAS thread, not rescaled for the machine's speed:
+to compare two source trees, run this one script alternately with each
+tree's ``src`` on PYTHONPATH, and read ``jacobi_points_per_s`` as the
+witness of that speed when ``jacobi`` is the same in both.
 """
 
 import argparse
+import contextlib
 import json
-import logging
 import os
-import re
 import runpy
 import statistics
 import subprocess
@@ -91,8 +93,7 @@ EDGE_CASES = ([(Family.V_MINUS, j) for j in range(1, 6)]
               + [(Family.V_PLUS, j) for j in (2, 3)])
 M_LIST = (0.1, 0.5, 0.9)
 PARTNER_CASES = [(j, m) for j in (4, 8) for m in (0.5, 0.95)]
-ROOT = Path(__file__).resolve().parents[1]
-FUZZ = runpy.run_path(str(ROOT / "scripts" / "engine_fuzz.py"))
+FUZZ = runpy.run_path(str(Path(__file__).resolve().parent / "engine_fuzz.py"))
 UNEVEN_TERMS = FUZZ["modes"](np.random.default_rng(3))
 
 
@@ -124,13 +125,9 @@ def _grid():
 
 
 def _band_edges_grid():
-    """The Magnus products, steps x energies and half-period products that
-    the 21 calls form."""
-    formed = np.zeros(3, dtype=int)
+    """The 21 calls."""
     for pot, count in _grid():
         bandsolver.band_edges(pot, count)
-        formed += pot._magnus["formed"]
-    return formed
 
 
 def _galerkin_split():
@@ -159,31 +156,29 @@ def _selfiso_pairs():
     return [(plus, minus), (near, GridFunction.from_function(f, 2 * np.pi, 256))]
 
 
-class _Formed(logging.Handler):
-    """Sums the Magnus products, steps x energies and half-period products
-    of the band_edges DEBUG records it receives."""
+@contextlib.contextmanager
+def _counting():
+    """Within ``with``, counts the Magnus products formed, their steps x
+    energies and those over the half period into the array it yields: a
+    wrapper of bandsolver._product that reads the steps _step_coefficients
+    keeps (cached, so formed once either way)."""
+    formed, product = np.zeros(3, dtype=int), bandsolver._product
 
-    PATTERN = re.compile(r"band_edges: .* (\d+) Magnus products of (\d+) steps x energies, "
-                         r"\w+-period route with (\d+) products over L/2")
+    def counted(V, n, E, *rows):
+        steps = bandsolver._step_coefficients(V, n)[1].shape[0]
+        formed[:] += (1, steps * np.size(E), steps < n)
+        return product(V, n, E, *rows)
 
-    def __init__(self):
-        super().__init__(logging.DEBUG)
-        self.formed = np.zeros(3, dtype=int)
-
-    def emit(self, record):
-        found = self.PATTERN.match(record.getMessage())
-        if found:
-            self.formed += [int(g) for g in found.groups()]
+    bandsolver._product = counted
+    try:
+        yield formed
+    finally:
+        bandsolver._product = product
 
 
-def _verify_round(formed):
+def _verify_round():
     """The verify suites of the release job, each timed alone, and
-    verify_all_s: their sum plus the JSON rendering of their reports.
-    ``formed`` receives the round's band_edges DEBUG records."""
-    logger = logging.getLogger(bandsolver.__name__)
-    level = logger.level
-    logger.setLevel(logging.DEBUG)
-    logger.addHandler(formed)
+    verify_all_s: their sum plus the JSON rendering of their reports."""
     m_list = verify.DEFAULT_M_LIST
     suites = {
         "verify_edgestates_s": lambda: [r for m in m_list for r in verify.run_edge_state_suite(m)],
@@ -199,18 +194,18 @@ def _verify_round(formed):
     start = time.perf_counter()
     verify.reports_to_json(reports)
     times["verify_all_s"] = sum(times.values()) + time.perf_counter() - start
-    logger.removeHandler(formed)
-    logger.setLevel(level)
     return times
 
 
 def _tier1():
-    """Wall time and last report line of the Tier-1 suite, run once."""
+    """Wall time and last report line of the measured package's Tier-1
+    suite, run once."""
+    root = Path(verify.__file__).resolve().parents[2]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
-                          cwd=ROOT, env=env, capture_output=True, text=True)
+                          cwd=root, env=env, capture_output=True, text=True)
     return {"tier1_s": time.perf_counter() - start,
             "tier1_summary": done.stdout.strip().splitlines()[-1]}
 
@@ -237,11 +232,14 @@ def run(repeat=7, tier1=False):
     }
     rounds = {}
     for _ in range(repeat):
-        release = _Formed()
-        measured = {name: measure() for name, measure in timings.items()} | _verify_round(release)
+        measured = {name: measure() for name, measure in timings.items()}
+        with _counting() as release:  # the last round's count is kept
+            measured |= _verify_round()
         for name, value in measured.items():
             rounds.setdefault(name, []).append(value)
-    products, steps, half = (int(c) for c in _band_edges_grid())
+    with _counting() as grid:
+        _band_edges_grid()
+    products, steps, half = (int(c) for c in grid)
     split, problems = _galerkin_split()
     shifts = sum(int(np.isfinite(verify._scan_distance(*pair, verify.SHIFT_SAMPLES)).sum())
                  for pair in pairs)
@@ -250,9 +248,9 @@ def run(repeat=7, tier1=False):
                       for name, values in rounds.items()},
         "band_edges_products": products, "band_edges_steps_x_energies": steps,
         "band_edges_half_period_products": half,
-        "release_band_edges_products": int(release.formed[0]),
-        "release_band_edges_steps_x_energies": int(release.formed[1]),
-        "release_band_edges_half_period_products": int(release.formed[2]),
+        "release_band_edges_products": int(release[0]),
+        "release_band_edges_steps_x_energies": int(release[1]),
+        "release_band_edges_half_period_products": int(release[2]),
         "galerkin_problems_split": split, "galerkin_problems": problems,
         "selfiso_shifts_evaluated": shifts, "repeat": repeat,
         "src_lines": sum(len(p.read_text().splitlines())

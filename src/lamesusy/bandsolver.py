@@ -200,10 +200,11 @@ def _step_coefficients(V: PeriodicPotential, n: int) -> tuple:
     half product is then exact for samples as close to an even V as its
     own.  Lame and V- (j <= 5, m <= 1 - 1e-6) are even to 54 eps max|V| so
     sampled, V+ to 143 up to m = 0.95, and there the two routes' products
-    agree to 6e-13 of their scale, against TOL = 1e-11.  Larger mirror
-    errors take the whole period, as the routes may part by more than
-    TOL: V+ at m = 0.99 (850, 1.1e-11) and 0.999 (7800, 4.7e-10), the
-    grid-sampled numeric partners (over 1e5) and any V with a sine part.
+    agree to 6e-13 of their scale, against TOL = 1e-11.  The numeric
+    partner of an even V, kept even on its grid by numeric_partner, is
+    even to 5 eps max|V| so resampled.  Larger mirror errors take the
+    whole period, as the routes may part by more than TOL: V+ at m = 0.99
+    (850, 1.1e-11) and 0.999 (7800, 4.7e-10), and any V with a sine part.
     The largest ratio met is kept for band_edges' DEBUG record.
     """
     key = ("steps", n)
@@ -819,10 +820,19 @@ def numeric_partner(V: PeriodicPotential) -> PeriodicPotential:
     psi_0 is differentiated in Fourier space, and the partner is
     V - 2 u''.  That expression carries the ground energy through
     automatically, so the output is isospectral to V whether or not V
-    was shifted to put its ground edge at zero energy.  Each call sends
-    one DEBUG record (BASIS_N, the ground energy and min psi_0 / max
-    psi_0, the range log psi_0 must resolve, and the block it came from)
-    to this module's logger when ``logging`` is loaded.
+    was shifted to put its ground edge at zero energy.
+
+    Where psi_0 comes from the cos block, V is even to the split rule of
+    _cos_sin_blocks, and so are psi_0 and the partner: its samples p are
+    replaced by their even part (p + p(-x)) / 2, mirror-symmetric bit for
+    bit, and the odd part dropped is noise of u''.  An even partner then
+    takes band_edges' half-period route and galerkin_edges' split, as V
+    does.  A V with a sine part keeps its partner whole.
+
+    Each call sends one DEBUG record (BASIS_N, the ground energy, the
+    block it came from, the odd part removed as max|p - p(-x)| / max|p|,
+    and min psi_0 / max psi_0, the range log psi_0 must resolve) to this
+    module's logger when ``logging`` is loaded.
     """
     L = V.period
     w, U = _ground_solve(V, np.linalg.eigh)
@@ -831,10 +841,19 @@ def numeric_partner(V: PeriodicPotential) -> PeriodicPotential:
     psi = np.fft.irfft(np.concatenate(([math.sqrt(2.0) * c[0]],
                                        c[1 : BASIS_N + 1] - 1j * c[BASIS_N + 1 :])), PARTNER_N)
     psi = psi / psi[int(np.argmax(np.abs(psi)))]  # peak at +1
-    _debug(__name__, "numeric_partner: basis_n %d, ground energy %.17g of the %s, min/max psi_0 "
-           "%.3g", BASIS_N, w[0], ("whole problem", "cos block")[len(U) <= BASIS_N + 1], psi.min())
-    _reject_nodal(psi)
-
-    u2 = GridFunction(period=L, samples=np.log(psi)).derivative(2).samples
-    partner = V.sample(PARTNER_N) - 2.0 * u2
+    even, odd = len(U) <= BASIS_N + 1, math.nan
+    try:
+        _reject_nodal(psi)
+        u2 = GridFunction(period=L, samples=np.log(psi)).derivative(2).samples
+        partner = V.sample(PARTNER_N) - 2.0 * u2
+        if even:  # keep the even part: partner(-x_i) = partner(x_(N - i))
+            mirror = np.roll(partner[::-1], 1)
+            peak = np.max(np.abs(partner))
+            odd = float(np.max(np.abs(partner - mirror)) / peak) if peak > 0.0 else 0.0
+            partner = 0.5 * (partner + mirror)
+    finally:
+        _debug(__name__, "numeric_partner: basis_n %d, ground energy %.17g of the %s, odd part "
+               "removed %s, min/max psi_0 %.3g", BASIS_N, w[0],
+               ("whole problem", "cos block")[even],
+               f"{odd:.3g} max|V+|" if even else "none", psi.min())
     return PeriodicPotential(period=L, evaluator=GridFunction(period=L, samples=partner))

@@ -88,10 +88,21 @@ def _scan_grid(vp: GridFunction, vm: GridFunction, count: int) -> tuple:
     return fine, 64.0 * np.finfo(float).eps * math.log2(fine) * float(np.sum(weighted))
 
 
+def _sine_bound(vm: GridFunction) -> float:
+    """2 sum_k w_k |Im c_k| of vm's spectrum c, a bound on |vm(y) - vm(-y)|:
+    the sine part of the interpolant, which reflection turns over."""
+    return 2.0 * float(np.sum(_mode_weights(vm.n) * np.abs(spectrum(vm.samples).imag)))
+
+
 def _scan_distance(vp: GridFunction, vm: GridFunction, count: int) -> np.ndarray:
     """D(s, r) = max_i |vp(x_i) - vm(r(x_i - a))| for the shifts a = s*L/count,
     row r = 0 unreflected and r = 1 reflected; +inf at each shift that
-    provably cannot hold the minimum over both rows, and so was skipped.
+    provably cannot hold the minimum over both rows, and so was skipped,
+    and over all of row 1 where vm's sine bound (_sine_bound) is at most
+    the rounding allowance delta (_scan_grid).  Reflection then moves no
+    value of vm by more than delta, so the reflected row could beat the
+    unreflected one only by a tie to rounding, which selfiso_distance
+    gives to the unreflected row anyway: only that row is scanned.
 
     The fine grid has F points, the least multiple of ``count`` that is
     >= 8n, so shift s rolls the upsampled vm by s*F/count points and one
@@ -111,16 +122,17 @@ def _scan_distance(vp: GridFunction, vm: GridFunction, count: int) -> np.ndarray
     minimum over both rows, is evaluated as a full scan evaluates it.
     A skipped shift then lies strictly above the minimum, so the
     minimum, the row that holds it (both rows on a tie) and its first
-    index there are those of the full scan.
+    index there are those of the full scan of the rows scanned.
     """
     n, L = vm.n, vm.period
     fine, delta = _scan_grid(vp, vm, count)
     cp, c = spectrum(vp.samples), spectrum(vm.samples)
     a_vals = on_fine_grid(cp, n, fine)
+    orientations = (c, np.conj(c))[: 1 if _sine_bound(vm) <= delta else 2]
     # row s of each orientation is the window of [B, B] that starts at F - s*F/count
     rolled = [np.lib.stride_tricks.sliding_window_view(
         np.tile(on_fine_grid(b, n, fine), 2), fine)[fine:0:-(fine // count)]
-        for b in (c, np.conj(c))]
+        for b in orientations]
     w = _mode_weights(n)
     lam = float(np.sum(w * (2.0 * np.pi / L) * np.arange(c.size) * np.abs(c)))
 
@@ -142,7 +154,7 @@ def _scan_distance(vp: GridFunction, vm: GridFunction, count: int) -> np.ndarray
         peak.flat[block], dist.flat[block] = y0, y0 + bump
 
     s = np.arange(count)
-    coarse = np.concatenate([s[::_SCAN_STRIDE], s[::_SCAN_STRIDE] + count])  # flat, both rows
+    coarse = np.concatenate([s[::_SCAN_STRIDE] + r * count for r in range(len(rolled))])  # flat
     for lo in range(0, coarse.size, _SCAN_ROWS):
         evaluate(coarse[lo : lo + _SCAN_ROWS])
     left = s - s % _SCAN_STRIDE
@@ -150,7 +162,7 @@ def _scan_distance(vp: GridFunction, vm: GridFunction, count: int) -> np.ndarray
     slope = lam * (L / count)
     bound = np.maximum(peak[:, left] - slope * (s - left),
                        peak[:, right % count] - slope * (right - s)) - delta
-    todo = np.flatnonzero(np.isinf(dist))
+    todo = np.flatnonzero(np.isinf(dist[: len(rolled)]))
     todo = todo[np.argsort(bound.flat[todo], kind="stable")]
     best = dist.min()
     for lo in range(0, todo.size, _SCAN_ROWS):
@@ -313,8 +325,10 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction) -> SelfIsoResult:
     a full scan returns.  The reflected orientation is taken only if its
     coarse minimum is smaller by more than the scan's rounding allowance
     delta (_scan_grid), so on a tie to rounding, as an even vm ties the
-    two, the unreflected one wins.  One DEBUG record gives
-    the shifts evaluated in each orientation and how the refinement
+    two, the unreflected one wins; where vm's sine bound is within delta
+    the reflected row is not scanned at all.  One DEBUG record gives the
+    shifts evaluated in each orientation, whether the reflected row was
+    scanned, with the sine bound against delta, and how the refinement
     went.
     """
     if vp.n != vm.n:
@@ -325,16 +339,19 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction) -> SelfIsoResult:
     step = L / SHIFT_SAMPLES
 
     d = _scan_distance(vp, vm, SHIFT_SAMPLES)
+    delta, sine = _scan_grid(vp, vm, SHIFT_SAMPLES)[1], _sine_bound(vm)
     i = np.argmin(d, axis=1)
-    reflect = bool(d[1, i[1]] < d[0, i[0]] - _scan_grid(vp, vm, SHIFT_SAMPLES)[1])
+    reflect = bool(d[1, i[1]] < d[0, i[0]] - delta)
     a0 = int(i[int(reflect)]) * step
     floor = 1e-12 * max(1.0, float(np.abs(vm.samples).max()))  # roundoff of the difference
     (dist, a_best), stats = _refine_shift(*_exact_distance(vp, vm, reflect, floor), a0, step)
     evaluated = np.isfinite(d).sum(axis=1)
     bandsolver._debug(
-        __name__, "selfiso scan: %d unreflected and %d reflected of %d shifts evaluated; "
-        "refinement: Newton on %d active peak(s), %d steps, %d exchanges, %d bisections, "
-        "stopped: %s; coarse shift kept: %s", evaluated[0], evaluated[1], SHIFT_SAMPLES, *stats)
+        __name__, "selfiso scan: %d unreflected and %d reflected of %d shifts evaluated, "
+        "reflected row %s (sine bound %.3g against delta %.3g); refinement: Newton on %d active "
+        "peak(s), %d steps, %d exchanges, %d bisections, stopped: %s; coarse shift kept: %s",
+        evaluated[0], evaluated[1], SHIFT_SAMPLES, "scanned" if sine > delta else "skipped",
+        sine, delta, *stats)
     return SelfIsoResult(best_shift=float(a_best % L), reflected=bool(reflect), distance=dist)
 
 

@@ -427,9 +427,11 @@ class TestHalfPeriod:
 
     @pytest.mark.parametrize("m", [0.1, 0.5, 0.9, 0.999])
     @pytest.mark.parametrize("family,j", [(Family.V_MINUS, j) for j in range(1, 6)]
-                             + [(Family.V_PLUS, j) for j in range(1, 4)])
+                             + [(Family.V_PLUS, j) for j in range(1, 4)]
+                             + [("numeric V+", j) for j in (4, 5)])
     def test_half_period_matches_the_full_period_product(self, family, j, m):
-        pot = lame_pot(family, j, m)
+        # the numeric V+ is grid-backed, sampled by FFT resampling
+        pot = verify.partner_pair(j, m)[1] if family == "numeric V+" else lame_pot(family, j, m)
         E = np.linspace(bs._span(pot)[0] - 1.0, bs._first_window(pot, 2 * j + 2), 513)
         assert not bs._energy_range(pot, E).any()
         for tol in (bs.SCAN_TOL, bs.TOL):
@@ -457,12 +459,13 @@ class TestHalfPeriod:
             assert got.energy == pytest.approx(want.energy, abs=1e-9 * max(1.0, abs(want.energy)))
             assert got.energy == pytest.approx(other.energy, abs=1e-8)
 
-    def test_numeric_j4_partner_takes_the_full_route(self):
-        # the 512-sample numeric V+ is even only to about 1e5 eps max|V|
+    def test_numeric_j4_partner_takes_the_half_route(self):
+        # the 512-sample numeric V+ of an even V- is kept even, so its
+        # FFT-resampled node samples are even to their rounding
         plus = verify.partner_pair(4, 0.5)[1]
         edges = bs.band_edges(plus, 9)
-        assert plus._magnus["formed"][0] > 0 and plus._magnus["formed"][2] == 0
-        assert plus._magnus["asymmetry"] > 1e4
+        assert plus._magnus["formed"][2] == plus._magnus["formed"][0] > 0
+        assert plus._magnus["asymmetry"] <= bs._EVEN
         for got, want in zip(edges, band_edge_energies(4, 0.5)):
             assert got.energy == pytest.approx(want, abs=1e-9)
 
@@ -1008,8 +1011,8 @@ class TestBenchScript:
         # and each of its products runs over the half period
         assert counts[2:4] == [42, 42]
         assert counts[8] == counts[0]
-        # the release job's numeric partners of j = 4, 5 take the full period
-        assert 0 < counts[9] < counts[6]
+        # the release job's numeric partners of j = 4, 5 are kept even too
+        assert counts[9] == counts[6]
         assert sorted(result) == ["band_edges_s", "band_edges_uneven_s", "galerkin_edges_s",
                                   "jacobi_points_per_s",
                                   "numeric_partner_s", "scan_257_energies_per_s",
@@ -1022,6 +1025,20 @@ class TestBenchScript:
         # one round: both quartiles are its one value
         assert quartiles == {name: [value, value] for name, value in result.items()}
         assert all(isinstance(c, int) and c > 0 for c in counts)
+
+    def test_counts_read_no_log_record(self):
+        # the products are counted by wrapping bandsolver._product, not
+        # read from a log record, and match the engine's own counter
+        script = runpy.run_path(str(self.SCRIPT))
+        pot, other = lame_pot(Family.V_PLUS, 3, 0.5), fuzz_modes()
+        with script["_counting"]() as formed:
+            bs.band_edges(pot, 7)
+        assert np.array_equal(formed, pot._magnus["formed"])
+        with script["_counting"]() as formed:
+            bs.band_edges(other, 9)
+        assert np.array_equal(formed, other._magnus["formed"])
+        assert formed[0] > 0 == formed[2]
+        assert bs._product.__name__ == "_product"
 
     def test_tier1_flag(self):
         # the Tier-1 run itself is too long for Tier-1; its option is listed
@@ -1276,6 +1293,34 @@ class TestNumericPartner:
         assert len(closed) == 2 and max(closed) <= 1e-6
         assert len(defects) == 2 and max(defects) <= 1e-6
 
+    @pytest.mark.parametrize("j, m", [(2, 0.5), (4, 0.5), (5, 0.9), (8, 0.95)])
+    def test_partner_of_even_potential_is_mirror_symmetric(self, j, m):
+        # the cos block's partner keeps its even part: p(x_i) = p(x_(N - i))
+        # bit for bit, so the Floquet route takes the half period and the
+        # Galerkin route splits both problems
+        plus = bs.numeric_partner(lame_pot(Family.V_MINUS, j, m))
+        p = plus.evaluator.samples
+        assert np.array_equal(p, np.roll(p[::-1], 1))
+        assert bs._step_coefficients(plus, 256)[1].shape[0] == 128
+        a, b = bs._potential_modes(plus, bs.BASIS_N)
+        assert all(len(bs._cos_sin_blocks(a, b, plus.period, periodic)[0]) == 2
+                   for periodic in (True, False))
+
+    def test_partner_of_cos_sin_series_is_not_projected(self):
+        # a potential with a sine part has its ground state from the whole
+        # problem: its partner keeps its odd part, and its spectrum
+        terms = [(1, 40.0), (2, -15.0), (3, 6.0)]
+        even = cos_series(terms)
+        pot = bs.PeriodicPotential(1.0, lambda x: even(x) + 5.0 * np.sin(2 * np.pi * x)
+                                   + 3.0 * np.sin(4 * np.pi * x))
+        plus = bs.numeric_partner(pot)
+        p = plus.evaluator.samples
+        assert np.max(np.abs(p - np.roll(p[::-1], 1))) >= 0.1 * np.max(np.abs(p))
+        for got, want in zip(bs.band_edges(plus, 9), bs.band_edges(pot, 9)):
+            assert got.n == want.n
+            assert got.energy == pytest.approx(want.energy, abs=1e-9)
+        assert plus._magnus["formed"][2] == 0
+
     def test_partner_of_uneven_potential_isospectral(self):
         pot = uneven_trig()
         e_in = bs.band_edges(pot, 9)
@@ -1306,8 +1351,11 @@ class TestNumericPartner:
         assert [n for name, _, n in calls if name == "eigvalsh"] == [65] + [65, 64, 64, 64] * 2
         assert [n for name, _, n in calls if name == "eigh"] == [65]
 
-    @pytest.mark.parametrize("j, m, lo, hi", [(2, 0.5, 3e-6, 1.0), (10, 0.99, 0.0, 1.1e-7)])
-    def test_ground_state_range_logged_at_debug(self, caplog, j, m, lo, hi):
+    # the odd part removed grows as min psi_0 falls: at j = 10, m = 0.99
+    # log psi_0 resolves so little that it is a tenth of max|V+|
+    @pytest.mark.parametrize("j, m, lo, hi, odd_max", [(2, 0.5, 3e-6, 1.0, 1e-9),
+                                                       (10, 0.99, 0.0, 1.1e-7, 1.0)])
+    def test_ground_state_range_logged_at_debug(self, caplog, j, m, lo, hi, odd_max):
         logger = "lamesusy.bandsolver"
         raw = lame_pot(Family.RAW_LAME, j, m)
         with caplog.at_level(logging.DEBUG, logger=logger):
@@ -1317,13 +1365,16 @@ class TestNumericPartner:
         assert messages[0].startswith("numeric_partner: basis_n 64, ground energy ")
         assert " of the cos block, " in messages[0]
         assert lo <= float(messages[0].rsplit(" ", 1)[1]) <= hi
+        # the odd part removed, relative to max|V+|: noise of u''
+        odd = float(messages[0].split("odd part removed ")[1].split(" max|V+|")[0])
+        assert 0.0 < odd <= odd_max
 
     def test_uneven_ground_state_logged_from_the_whole_problem(self, caplog):
         logger = "lamesusy.bandsolver"
         with caplog.at_level(logging.DEBUG, logger=logger):
             bs.numeric_partner(uneven_trig())
         messages = [rec.getMessage() for rec in caplog.records if rec.name == logger]
-        assert len(messages) == 1 and " of the whole problem, " in messages[0]
+        assert len(messages) == 1 and " of the whole problem, odd part removed none," in messages[0]
 
     def test_even_ground_state_has_no_sine_part(self, monkeypatch):
         # psi_0 comes from the cos block, padded with sine coefficients

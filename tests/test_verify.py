@@ -160,23 +160,54 @@ def scan_pick(d):
     return float(d[r, i[r]]), int(i[r]), bool(r)
 
 
-def assert_scan_exact(vp, vm, count, got, rows=(0, 1)):
-    """The pruned scan ``got`` against the full one: every evaluated shift
-    has the value the full scan gives it, and in ``rows`` the value of
-    ``scan_reference`` to 1e-12; every skipped shift lies above the
-    minimum; and the minimum, its shift and orientation are the full
-    scan's."""
+def assert_scan_exact(vp, vm, count, got, rows=(0, 1), scanned=2):
+    """The pruned scan ``got`` of its first ``scanned`` rows against the
+    full one: every evaluated shift has the value the full scan gives it,
+    and in ``rows`` the value of ``scan_reference`` to 1e-12; every
+    skipped shift lies above the minimum; and the minimum, its shift and
+    orientation are the full scan's.  A row not scanned is +inf
+    throughout, and the full scan's minimum there lies no more than the
+    rounding allowance delta below the scanned row's, so the tie rule of
+    selfiso_distance would not have taken it."""
     full = brute_scan(vp, vm, count)
     kept = np.isfinite(got)
-    assert got.shape == (2, count) and kept[:, ::16].all()
+    assert got.shape == (2, count) and kept[:scanned, ::16].all() and not kept[scanned:].any()
+    if scanned == 1:
+        delta = verify._scan_grid(vp, vm, count)[1]
+        assert full[1].min() >= full[0].min() - delta
+        full[1] = np.inf
     assert np.array_equal(got[kept], full[kept])
-    assert np.all(full[~kept] > got.min())
+    assert np.all(full[:scanned][~kept[:scanned]] > got.min())
     assert scan_pick(got) == scan_pick(full)
     for r in rows:
         want = scan_reference(vp, vm, count, bool(r))
         close = np.abs(got[r] - want) <= 1e-12 * np.maximum(1.0, np.abs(want))
         assert np.all(close[kept[r]])
         assert np.all(want[~kept[r]] > got.min())
+
+
+def two_row_reference(monkeypatch, vp, vm):
+    """selfiso_distance with both rows of its scan evaluated whatever vm's
+    sine bound: the result the one-row scan must reproduce."""
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "_sine_bound", lambda vm: np.inf)
+        assert np.isfinite(verify._scan_distance(vp, vm, verify.SHIFT_SAMPLES)[1]).any()
+        return verify.selfiso_distance(vp, vm)
+
+
+def sine_pair(ratio, n=512):
+    """(vp, vm): the closed-form V+ and V- of j = 2, m = 0.5, with vm plus
+    t sin(2 pi x / L), t set so that vm's sine bound is ``ratio`` times the
+    scan's rounding allowance delta at SHIFT_SAMPLES shifts."""
+    vp, even = pair_grids(2, 0.5, n)
+    x = np.arange(n) * (even.period / n)
+    t = 0.0
+    for _ in range(4):  # delta moves with t only in its last digits
+        vm = GridFunction(even.period, even.samples + t * np.sin(2 * np.pi * x / even.period))
+        delta = verify._scan_grid(vp, vm, verify.SHIFT_SAMPLES)[1]
+        # the sine adds 2 t to the bound, the rest of it is even's rounding
+        t += 0.5 * (ratio * delta - verify._sine_bound(vm))
+    return vp, vm
 
 
 def near_translate(eps, n=256):
@@ -207,8 +238,11 @@ class TestCoarseScan:
 
     @pytest.mark.parametrize("count", [64, 512])
     @pytest.mark.parametrize("case", ["eps=0", "eps=1e-14", "eps=1e-8", "eps=1e-3",
-                                      "odd n", "even pair", "j=10 m=0.99", "noise"])
-    def test_exact_on_adversarial_pairs(self, case, count):
+                                      "odd n", "even pair", "j=10 m=0.99", "noise",
+                                      "sine above delta"])
+    def test_exact_on_adversarial_pairs(self, monkeypatch, case, count):
+        # an even vm (the partner pairs) scans the unreflected row alone,
+        # with the result of both rows; every other vm scans both
         if case.startswith("eps="):
             vp, vm = near_translate(float(case[4:]))
         elif case == "odd n":
@@ -217,17 +251,49 @@ class TestCoarseScan:
             vp, vm = pair_grids(2, 0.5)
         elif case == "j=10 m=0.99":
             vp, vm = pair_grids(10, 0.99, 256)
-        else:
+        elif case == "noise":
             vp, vm = noise_grids(255, 7)
-        assert_scan_exact(vp, vm, count, verify._scan_distance(vp, vm, count))
+        else:
+            vp, vm = sine_pair(1.01)
+        even = case in ("odd n", "even pair", "j=10 m=0.99")
+        assert_scan_exact(vp, vm, count, verify._scan_distance(vp, vm, count),
+                          rows=(0,) if even else (0, 1), scanned=1 if even else 2)
+        if even:
+            assert verify.selfiso_distance(vp, vm) == two_row_reference(monkeypatch, vp, vm)
 
-    def test_orientations_tie_for_even_partners(self):
+    @pytest.mark.parametrize("ratio, scanned", [(0.99, 1), (1.01, 2)])
+    def test_reflected_row_turns_on_at_delta(self, monkeypatch, ratio, scanned):
+        # a sine part just below the rounding allowance leaves the
+        # reflected row out, one just above it scans both rows
+        vp, vm = sine_pair(ratio)
+        delta = verify._scan_grid(vp, vm, verify.SHIFT_SAMPLES)[1]
+        assert verify._sine_bound(vm) == pytest.approx(ratio * delta, rel=1e-3)
+        d = verify._scan_distance(vp, vm, verify.SHIFT_SAMPLES)
+        assert np.isfinite(d).any(axis=1).tolist() == [True, scanned == 2]
+        assert verify.selfiso_distance(vp, vm) == two_row_reference(monkeypatch, vp, vm)
+
+    def test_sine_bound_caps_the_reflection(self):
+        # |vm(y) - vm(-y)| on a dense grid never exceeds the bound, and
+        # reaches most of it for one sine mode
+        x = np.linspace(0.0, 2.7, 4001)
+        for vm in (noise_grids(256, 3)[1], noise_grids(255, 3)[1],
+                   GridFunction.from_function(lambda y: 0.3 * np.sin(2 * np.pi * y / 2.7),
+                                              2.7, 256)):
+            gap = np.max(np.abs(vm.eval(x) - vm.eval(-x)))
+            assert gap <= verify._sine_bound(vm) * (1.0 + 1e-12)
+        assert gap == pytest.approx(verify._sine_bound(vm), rel=1e-6)
+
+    def test_orientations_tie_for_even_partners(self, monkeypatch):
         # V+ and V- are even, so reflection is a symmetry of the whole
-        # scan; both minima are evaluated and the unreflected one wins
+        # scan: in the full scan both minima tie, and the one-row scan
+        # keeps the unreflected row's minimum and the two-row result
         vp, vm = pair_grids(2, 0.5)
+        full = brute_scan(vp, vm, 512)
+        assert abs(full[0].min() - full[1].min()) <= 1e-12
         d = verify._scan_distance(vp, vm, 512)
-        assert abs(d[0].min() - d[1].min()) <= 1e-12
+        assert np.isinf(d[1]).all() and d[0].min() == full[0].min()
         assert not scan_pick(d)[2]
+        assert verify.selfiso_distance(vp, vm) == two_row_reference(monkeypatch, vp, vm)
 
     def test_prunes_most_shifts_of_a_partner_pair(self):
         kept = np.isfinite(verify._scan_distance(*pair_grids(3, 0.5), 512))
@@ -404,6 +470,11 @@ class TestShiftRefinement:
         kept = np.isfinite(verify._scan_distance(*pair, verify.SHIFT_SAMPLES)).sum(axis=1)
         assert (f"{kept[0]} unreflected and {kept[1]} reflected of "
                 f"{verify.SHIFT_SAMPLES} shifts evaluated") in messages[0]
+        # V- is even: its sine bound is rounding, and the reflected row is left out
+        assert kept[1] == 0 and "reflected row skipped (sine bound " in messages[0]
+        sine, delta = (float(v) for v in
+                       messages[0].split("(sine bound ")[1].split(")")[0].split(" against delta "))
+        assert sine <= delta
         assert capsys.readouterr().out == ""
 
 
