@@ -22,8 +22,10 @@ Run:  python scripts/engine_fuzz.py [--cases N] [--seed S]
 with N cases per family (default 104) from the seed S (default 0).  It
 prints each wrong answer and raise as it meets it, then one row per
 family: cases, unsettled, raises, wrong answers, the worst disagreement
-with a settled Galerkin and the cases whose every Magnus product ran over
-the half period (``half``), the route of an even V.  The superlattice
+with a settled Galerkin, the cells ``band_edges`` scanned again
+(``rescans``) and the steps x energies of its Magnus products (``steps``),
+and the cases whose every Magnus product ran over the half period
+(``half``), the route of an even V.  The superlattice
 and multiwell families are cosine sums, so even, and take it; a modes
 case with a sine part takes the whole period.  It exits 1 when any case
 is wrong or raises, else 0, so a job can gate on it.  At seed 0 no
@@ -88,21 +90,28 @@ def _distance(edges, reference):
 def check(terms):
     """One potential: a dict with the Floquet engine's ``error`` (None
     unless it raised), whether Galerkin is ``settled`` and the Floquet
-    ``distance`` to it (None when unsettled or raised), and whether every
-    product it formed ran over the ``half`` period."""
+    ``distance`` to it (None when unsettled or raised), the cells scanned
+    again (``rescans``, the calls of bandsolver._scan_edges past the
+    first, wrapped here since its recursion goes through the module), the
+    ``steps`` x energies of the products formed and whether every one ran
+    over the ``half`` period."""
     pot = potential(terms)
     row = {"terms": terms, "error": None, "settled": False, "distance": None, "half": False}
     coarse = bandsolver.galerkin_edges(pot, COUNT, 256)
     fine = bandsolver.galerkin_edges(pot, COUNT, 512)
     row["settled"] = _distance(coarse, fine) <= SETTLED
+    scans, scan = [], bandsolver._scan_edges
+    bandsolver._scan_edges = lambda *args: scans.append(1) or scan(*args)
     try:
         edges = bandsolver.band_edges(pot, COUNT)
     except NumericalError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
     finally:
-        products, _, half = pot._magnus.get("formed", (0, 0, 0))
+        bandsolver._scan_edges = scan
+        products, steps, half = pot._magnus.get("formed", (0, 0, 0))
         row["half"] = bool(products) and half == products
+        row["rescans"], row["steps"] = max(len(scans) - 1, 0), int(steps)
     if row["settled"]:
         row["distance"] = _distance(edges, fine)
     return row
@@ -120,13 +129,14 @@ def main(cases=104, seed=0):
             elif row["distance"] is not None and row["distance"] > WRONG:
                 print(f"{name}: wrong by {row['distance']:.3g}\n   terms {row['terms']}")
     print(f"{'family':>12} {'cases':>5} {'unsettled':>9} {'raises':>6} {'wrong':>5} {'worst':>9} "
-          f"{'half':>5}")
+          f"{'rescans':>7} {'steps':>11} {'half':>5}")
     for name, rows in report.items():
         found = [r["distance"] for r in rows if r["distance"] is not None]
         print(f"{name:>12} {len(rows):>5} {sum(not r['settled'] for r in rows):>9} "
               f"{sum(r['error'] is not None for r in rows):>6} "
               f"{sum(d > WRONG for d in found):>5} "
               + (f"{max(found):>9.2e}" if found else f"{'-':>9}")
+              + f" {sum(r['rescans'] for r in rows):>7} {sum(r['steps'] for r in rows):>11}"
               + f" {sum(r['half'] for r in rows):>5}")
     return report
 

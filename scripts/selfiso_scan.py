@@ -5,8 +5,8 @@ For each (j, m) this evaluates D(a, r) = sup_x |V+(x) - V-(r(x - a))|
 over 4096 translations and both reflections, beside selfiso_distance,
 which refines the best of its own 512 shifts by Newton on the active
 peaks of the difference.  The j >= 2 distances printed here are the
-regression constants frozen into tests/test_verify.py and
-tests/test_acceptance.py.
+regression constants frozen in tests/conftest.py (FROZEN_DISTANCES),
+which tests/test_verify.py and tests/test_acceptance.py read.
 
 Run:  python scripts/selfiso_scan.py [shifts]
 """

@@ -579,10 +579,11 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     partner V+ of j = 2 at m = 1e-6 returns its 7.5e-13 gap as a touch.
 
     Each edge's index comes from the count, its row from its index
-    (_row).  A bracket up from a sample of count c holds edge c, or edge
-    c + 1 where edge c is of the other row.  One up from mu, below a
-    sample of count c, holds edge c - 1, or edge c - 2 where edge c - 1 is
-    of the other row.  A rescan's counts are absolute, as every count is.
+    (_row).  mu is gap g's Dirichlet eigenvalue, g = -1 - k with k the
+    half-turn count of the sample above it: both its copies count 2g, and
+    the gap's edges are those indexed 2g - 1 and 2g.  A bracket up from a
+    count c holds edge c, or edge c + 1 where edge c is of the other row.
+    A rescan's counts are absolute, as every count is.
 
     Returns the edges found as (index, energy, degenerate) triples sorted
     by index, a touch as two degenerate ones.  Counts go into ``stats``.
@@ -616,8 +617,8 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     xe = _root_batch(dirichlet, Es[lo], Es[lo + 1], m12[lo], m12[lo + 1])
     stats["splits"] += xe.size
     M, scale = _monodromy(V, xe)
-    sign, cols, err = np.sign(M[0]), np.arange(xe.size), TOL * scale
-    own = (sign < 0).astype(int)
+    gap = -1 - k[lo + 1].astype(int)  # mu is gap g's Dirichlet eigenvalue
+    sign, own, cols, err = np.sign(M[0]), _row(2 * gap), np.arange(xe.size), TOL * scale
     exact = sign * np.maximum((M[0] - sign) ** 2 / np.abs(M[0]), np.finfo(float).tiny)
     # the side of mu that holds the gap, where mu is an edge but M is not +-I
     side = np.where((np.abs(M[0] - sign) <= 2.0 * err) & (np.abs(M[2]) > err),
@@ -633,29 +634,27 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     up = ends >= 0.0
     done = ((above[:, lo] != up[:, ::2]).sum(axis=0)
             + (up[:, 1::2] != above[:, lo + 1]).sum(axis=0) >= jump[lo])
-    xe, ends, lo, own = xe[done], ends[:, np.repeat(done, 2)], lo[done], own[done]
+    xe, ends, lo, gap = xe[done], ends[:, np.repeat(done, 2)], lo[done], gap[done]
     rescan = np.setdiff1d(cells, lo)
-    # mu goes in twice after its cell's lower end; no bracket is taken from
-    # the cells scanned again
+    # mu goes in twice after its cell's lower end, counting 2g; no bracket
+    # is taken from the cells scanned again
     at = np.repeat(lo + 1, 2)
-    step = np.ones(Es.size, dtype=int)
-    step[rescan] = 0
-    step, base = np.insert(step, at, -1), np.insert(below, at, below[at] - 1)
+    again = np.insert(np.isin(np.arange(Es.size), rescan), at, False)
+    base = np.insert(below, at, np.repeat(2 * gap, 2))
     E_all, res_all = np.insert(Es, at, np.repeat(xe, 2)), np.insert(res, at, ends, axis=1)
     above = res_all >= 0.0
-    row, i = np.nonzero((above[:, :-1] != above[:, 1:]) & (step[:-1] != 0))
+    row, i = np.nonzero((above[:, :-1] != above[:, 1:]) & ~again[:-1])
     found = _root_batch(_crossing(V, _TARGETS[row]), E_all[i], E_all[i + 1], res_all[row, i],
                         res_all[row, i + 1])
-    index = base[i] + step[i] * (row != _row(base[i]))
-    # the own row's roots on the two sides of mu are its gap's edges
-    slot = np.full(above.shape, -1)
-    slot[row, i] = np.arange(i.size)
-    at += np.arange(at.size)  # mu's columns in E_all
-    lower, upper = slot[own, at[::2] - 1], slot[own, at[1::2]]
+    index = base[i] + (row != _row(base[i]))
+    # a split gap's edges are those indexed 2g - 1 and 2g
+    slot = np.full(base.max(initial=0) + 2, -1)
+    slot[index] = np.arange(index.size)
+    lower, upper = slot[2 * gap - 1], slot[2 * gap]
     both = (lower >= 0) & (upper >= 0)
-    lower, upper, own = lower[both], upper[both], own[both]
+    lower, upper, gap = lower[both], upper[both], gap[both]
     mid = 0.5 * (found[lower] + found[upper])
-    over, noise = _overshoot(V, mid, _TARGETS[own])
+    over, noise = _overshoot(V, mid, _TARGETS[_row(2 * gap)])
     touch = over <= noise
     degenerate = np.zeros(found.size, dtype=bool)
     for piece in (lower[touch], upper[touch]):

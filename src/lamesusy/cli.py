@@ -88,11 +88,11 @@ def _require_closed_form(j, numeric):
 def _potential(j, m, family, numeric):
     """The family as a PeriodicPotential: closed form, or with ``numeric``
     the pipeline's V+ (raw and vminus are closed forms for any j)."""
-    if family not in (susy.Family.RAW_LAME, susy.Family.V_MINUS):
+    if family is susy.Family.SUPERPOTENTIAL and (numeric or j > 3):
+        raise DomainError(f"w has a closed form for j <= 3 only and no numeric route, got j={j}")
+    if family is susy.Family.V_PLUS:
         _require_closed_form(j, numeric)
         if numeric:
-            if family is not susy.Family.V_PLUS:
-                raise DomainError("the numeric route provides vminus and vplus families only")
             return verify.partner_pair(j, m, numeric=True)[1]
     return susy.PotentialSpec(family, j, m).as_periodic_potential()
 

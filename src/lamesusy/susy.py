@@ -51,8 +51,8 @@ def _check_closed_j(j: int) -> int:
     j = _check_j(j)
     if j > 3:
         raise DomainError(
-            f"W, V+ and the edge states have closed forms for j <= 3 only, got "
-            f"j={j}; use the numeric partner pipeline (bandsolver.numeric_partner)"
+            f"W, V+ and the edge states have closed forms for j <= 3 only, got j={j}; "
+            f"bandsolver.numeric_partner builds V+, but W and the states have no numeric route"
         )
     return j
 

@@ -291,6 +291,12 @@ class TestMonodromyTrace:
         pot = lame_pot(Family.V_MINUS, 2, 0.5)
         assert bs.monodromy_trace(pot, 0.0) == pytest.approx(2.0, abs=1e-7)
 
+    @pytest.mark.parametrize("E", [float("nan"), float("inf"), [0.5, -float("inf")]],
+                             ids=["nan", "inf", "batch"])
+    def test_non_finite_energy_raises(self, E):
+        with pytest.raises(DomainError, match="energies must be finite"):
+            bs.monodromy_trace(lame_pot(Family.V_MINUS, 2, 0.5), E)
+
     def test_discriminant_band_gap_dichotomy(self):
         # |trace| <= 2 inside allowed bands, >= 2 inside gaps
         pot = lame_pot(Family.V_MINUS, 2, 0.5)
@@ -850,6 +856,14 @@ class TestRootBatch:
         assert np.all((lo <= roots) & (roots <= hi))
         assert np.max(np.abs(roots - np.array(band_edge_energies(3, 0.5)))) <= 1e-11
 
+    def test_bracket_that_never_closes_raises(self, monkeypatch):
+        # one false-position step cannot close a bracket of width 1
+        monkeypatch.setattr(bs, "_ROOT_STEPS", 1)
+        pot = lame_pot(Family.V_MINUS, 3, 0.5)
+        f = bs.monodromy_trace(pot, [-0.5, 0.5]) - 2.0
+        with pytest.raises(NumericalError, match="1 root brackets did not close in 1 steps"):
+            bs._root_batch(bs._crossing(pot, [2.0]), [-0.5], [0.5], f[:1], f[1:])
+
     def test_bracket_without_sign_change_raises(self):
         # both ends inside the lowest band: no edge between them
         pot = lame_pot(Family.V_MINUS, 3, 0.5)
@@ -858,7 +872,7 @@ class TestRootBatch:
             bs._root_batch(bs._crossing(pot, [2.0]), [0.01], [0.05], f[:1], f[1:])
 
 
-class TestCriticalPoints:
+class TestHiddenCells:
     """Cells whose edge count rises by more than their residuals change
     sign: split at the one Dirichlet eigenvalue they hold, or scanned
     again."""
@@ -885,6 +899,53 @@ class TestCriticalPoints:
         assert [(n, d) for n, _, d in edges] == [(n, n > 0) for n in range(count)]
         want = (0.0,) + tuple(t for t in hidden for _ in (0, 1))
         assert max(abs(e - w) for (_, e, _), w in zip(edges, want)) <= 1e-12
+
+    def test_piece_above_mu_holds_two_crossings(self):
+        # one cell from band 0 of the uneven V to inside gap 2, below that
+        # gap's Dirichlet eigenvalue 0.921: it holds gap 1's mu = -0.40116
+        # and edges 1 to 3.  The piece above mu brackets edge 2 and the
+        # other target's edge 3, both indexed up from mu's count 2g = 2
+        pot = uneven_trig()
+        want = [e.energy for e in bs.galerkin_edges(pot, 5)]
+        stats = dict(splits=0, root_steps=0, rescans=0)
+        edges = bs._scan_edges(pot, -0.415, 0.9, 1, 5, stats)
+        assert stats["splits"] == 1 and stats["rescans"] == 0
+        assert [(n, d) for n, _, d in edges] == [(1, False), (2, False), (3, False)]
+        assert max(abs(e - want[n]) for n, e, _ in edges) <= 1e-9
+
+    @pytest.mark.parametrize("pot,cells,count", [
+        (uneven_trig, 8, 9), (lambda: lame_pot(Family.RAW_LAME, 3, 0.1), 4, 7)],
+        ids=["uneven", "raw_lame"])
+    def test_split_gap_edges_are_indexed_2g_minus_1_and_2g(self, monkeypatch, pot, cells,
+                                                           count):
+        # three cells of each scan are split, each at a mu in the closure of
+        # gap g of the Galerkin edges; the touch judge measures the middle
+        # of the returned edges indexed 2g - 1 and 2g, at gap g's target
+        pot, mus, judged = pot(), [], []
+        root_batch, overshoot = bs._root_batch, bs._overshoot
+
+        def record_mu(residual, *ends):
+            roots = root_batch(residual, *ends)
+            if residual.__name__ == "dirichlet":
+                mus.extend(roots.tolist())
+            return roots
+
+        def record_judge(V, mid, targets):
+            judged.extend(zip(mid.tolist(), targets.tolist()))
+            return overshoot(V, mid, targets)
+
+        monkeypatch.setattr(bs, "_root_batch", record_mu)
+        monkeypatch.setattr(bs, "_overshoot", record_judge)
+        ref = [e.energy for e in bs.galerkin_edges(pot, count)]
+        stats = dict(splits=0, root_steps=0, rescans=0)
+        edges = bs._scan_edges(pot, bs._span(pot)[0] - 1.0, bs._first_window(pot, count),
+                               cells, count, stats)
+        got = {n: e for n, e, _ in edges}
+        gaps = [g for mu in mus for g in range(1, count // 2 + 1)
+                if ref[2 * g - 1] - 1e-9 <= mu <= ref[2 * g] + 1e-9]
+        assert stats["splits"] == len(gaps) == len(mus) == 3
+        assert sorted(judged) == sorted(
+            (0.5 * (got[2 * g - 1] + got[2 * g]), bs._TARGETS[bs._row(2 * g)]) for g in gaps)
 
     def test_sample_at_a_dirichlet_eigenvalue(self):
         # a sample where the scan's m12 lies within its error of 0 takes the
@@ -986,6 +1047,9 @@ class TestGeneratedPotentials:
         # the cosine sums run over the half period, the mode sum with sine
         # parts over the whole
         assert [line.split()[-1] for line in cp.stdout.splitlines()[-3:]] == ["1", "1", "0"]
+        # the rescans and steps x energies columns come before it
+        assert cp.stdout.splitlines()[-4].split()[-3:] == ["rescans", "steps", "half"]
+        assert all(int(line.split()[-2]) > 0 for line in cp.stdout.splitlines()[-3:])
 
 
 class TestBenchScript:
@@ -1104,6 +1168,14 @@ class TestGalerkinEdges:
         # the last edge of an even count is flagged by its partner beyond
         # the count, as band_edges flags it
         assert [e.degenerate for e in bs.galerkin_edges(free_particle(), 4)] == flags[:4]
+
+    def test_eigensolver_failure_is_numerical_error(self, monkeypatch):
+        def fail(H):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericalError, match="Galerkin eigenproblem failed: Eigenvalues"):
+            bs.galerkin_edges(lame_pot(Family.V_MINUS, 2, 0.5), 5)
 
     def test_agrees_with_floquet_on_j2(self):
         pot = lame_pot(Family.V_MINUS, 2, 0.5)
@@ -1402,6 +1474,13 @@ class TestNumericPartner:
         want = np.linalg.eigvalsh(H)
         assert len(solved) == 1
         assert abs(solved[0] - want[0]) <= 16.0 * np.finfo(float).eps * np.abs(want).max()
+
+    def test_ground_solver_failure_is_numerical_error(self):
+        def fail(H):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        with pytest.raises(NumericalError, match="ground-state eigenproblem failed: Eigenvalues"):
+            bs._ground_solve(lame_pot(Family.V_MINUS, 2, 0.5), fail)
 
     def test_ground_energy_helper(self):
         pot = lame_pot(Family.V_MINUS, 2, 0.5)

@@ -112,6 +112,17 @@ class TestPotential:
             assert cp.returncode == 2 and cp.stdout == ""
             assert "--grid-n must be a positive integer" in cp.stderr
 
+    def test_superpotential_beyond_j3_suggests_no_numeric_route(self):
+        # --numeric builds vplus only, so w is not told to rerun with it
+        for extra in ((), ("--numeric",)):
+            cp = run_cli("potential", "-j", "4", "-m", "0.5", "--family", "w", *extra)
+            assert cp.returncode == 2 and cp.stdout == ""
+            assert "no numeric route" in cp.stderr and "rerun" not in cp.stderr
+        cp = run_cli("potential", "-j", "2", "-m", "0.5", "--family", "w", "--numeric")
+        assert cp.returncode == 2 and "no numeric route" in cp.stderr
+        cp = run_cli("potential", "-j", "2", "-m", "0.5", "--family", "w", "-n", "4")
+        assert cp.returncode == 0 and len(cp.stdout.splitlines()) == 5
+
     def test_json_and_table_formats(self, capsys):
         from lamesusy import cli
 

@@ -670,6 +670,18 @@ class TestPartnerPair:
         assert [n for name, n in calls if name == "eigh"] == [65]
 
 
+class TestRatioSpread:
+    def test_spread_relative_to_the_median_ratio(self):
+        # denominators under 5% of the largest are left out
+        numer, denom = np.array([2.0, 3.0, 4.4, 9.0]), np.array([1.0, 1.0, 2.0, 0.01])
+        assert verify._ratio_spread(numer, denom) == pytest.approx((3.0 - 2.0) / 2.2)
+
+    @pytest.mark.parametrize("numer", [[0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]],
+                             ids=["zeros", "signs"])
+    def test_zero_median_is_infinite_spread(self, numer):
+        assert verify._ratio_spread(np.array(numer), np.ones(3)) == math.inf
+
+
 class TestResidualHelper:
     def test_exact_eigenpair_gives_truncation_level_residual(self):
         spec = PotentialSpec(Family.V_MINUS, 2, 0.5)
