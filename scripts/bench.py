@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the Floquet, Galerkin, partner and verify layers on fixed inputs and print one JSON line.
 
-Fourteen timings, each taken once per round over ``--repeat`` rounds, one
+Fifteen timings, each taken once per round over ``--repeat`` rounds, one
 of each in turn, so that a drift in machine speed reaches all of them alike.
 The line holds the median of every timing over the rounds, and under
 ``quartiles`` its first and third quartiles:
@@ -35,23 +35,29 @@ The line holds the median of every timing over the rounds, and under
     ``verify_selfiso_s``: each suite of ``lamesusy verify --scope all``
     alone, called as the command calls it at ``verify.DEFAULT_M_LIST``,
     once a round; ``verify_all_s`` is their sum plus ``reports_to_json``
-    of all their reports, the release job without its process start.
+    of all their reports, the release job without its process start;
+  * ``calib_s``: the speed witness, the median of 20 calls a round of
+    ``perfbench/calib.py``'s ``sample()``, a fixed kernel of interpreted
+    Python and small LAPACK calls that runs no package code.
 
-Beside them, ten counts that no timing noise moves: the Magnus products
-the 21 ``band_edges`` calls form, their steps x energies and the products
-formed over the half period (``band_edges_products``,
-``band_edges_steps_x_energies``, ``band_edges_half_period_products``),
-the same three for the release job, counted over the last verify round
+Beside them, twelve counts that no timing noise moves: the Magnus
+products the 21 ``band_edges`` calls form, their steps x energies, the
+products formed over the half period and the rounds of the root solver
+(``band_edges_products``, ``band_edges_steps_x_energies``,
+``band_edges_half_period_products``, ``band_edges_root_rounds``), the
+same four for the release job, counted over the last verify round
 (``release_band_edges_products``,
 ``release_band_edges_steps_x_energies``,
-``release_band_edges_half_period_products``), the
-plane-wave problems of the 21 ``galerkin_edges`` calls solved as cos and
-sin blocks, against all of them (``galerkin_problems_split``,
-``galerkin_problems``), the shifts the two ``selfiso_distance`` scans
-evaluate (``selfiso_shifts_evaluated``), and the lines of the measured
-package's modules (``src_lines``).  The products are counted by wrapping
-``bandsolver._product``, with the steps ``_step_coefficients`` keeps, so
-no count depends on the text of a log record.
+``release_band_edges_half_period_products``,
+``release_band_edges_root_rounds``), the plane-wave problems of the 21
+``galerkin_edges`` calls solved as cos and sin blocks, against all of
+them (``galerkin_problems_split``, ``galerkin_problems``), the shifts the
+two ``selfiso_distance`` scans evaluate (``selfiso_shifts_evaluated``),
+and the lines of the measured package's modules (``src_lines``).  The
+products are counted by wrapping ``bandsolver._product``, with the steps
+``_step_coefficients`` keeps, and the rounds by wrapping the residual of
+``bandsolver._root_batch``, so no count depends on the text of a log
+record.
 
 Run:  PYTHONPATH=<tree>/src python scripts/bench.py [--repeat N] [--tier1]
 with N rounds (default 7), on the ``lamesusy`` package that PYTHONPATH
@@ -62,8 +68,10 @@ first on PYTHONPATH), and adds its wall time ``tier1_s`` and the last
 line of its report ``tier1_summary``.  Times are wall-clock seconds of
 this process, on one BLAS thread, not rescaled for the machine's speed:
 to compare two source trees, run this one script alternately with each
-tree's ``src`` on PYTHONPATH, and read ``jacobi_points_per_s`` as the
-witness of that speed when ``jacobi`` is the same in both.
+tree's ``src`` on PYTHONPATH.  Two trees' raw layer seconds compare after
+dividing each by its run's ``calib_s``, not by ``jacobi_points_per_s``:
+``jacobi`` is package code, which a change may move, and it does not
+follow the machine's drift as the kernel does.
 """
 
 import argparse
@@ -95,6 +103,7 @@ M_LIST = (0.1, 0.5, 0.9)
 PARTNER_CASES = [(j, m) for j in (4, 8) for m in (0.5, 0.95)]
 FUZZ = runpy.run_path(str(Path(__file__).resolve().parent / "engine_fuzz.py"))
 UNEVEN_TERMS = FUZZ["modes"](np.random.default_rng(3))
+CALIB = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "calib.py"))
 
 
 def _warm_potential():
@@ -159,21 +168,30 @@ def _selfiso_pairs():
 @contextlib.contextmanager
 def _counting():
     """Within ``with``, counts the Magnus products formed, their steps x
-    energies and those over the half period into the array it yields: a
-    wrapper of bandsolver._product that reads the steps _step_coefficients
-    keeps (cached, so formed once either way)."""
-    formed, product = np.zeros(3, dtype=int), bandsolver._product
+    energies, those over the half period and the root solver's rounds
+    into the array it yields: a wrapper of bandsolver._product that reads
+    the steps _step_coefficients keeps (cached, so formed once either
+    way), and one of bandsolver._root_batch that counts the calls of its
+    residual, one a round."""
+    formed = np.zeros(4, dtype=int)
+    product, root_batch = bandsolver._product, bandsolver._root_batch
 
     def counted(V, n, E, *rows):
         steps = bandsolver._step_coefficients(V, n)[1].shape[0]
-        formed[:] += (1, steps * np.size(E), steps < n)
+        formed[:3] += (1, steps * np.size(E), steps < n)
         return product(V, n, E, *rows)
 
-    bandsolver._product = counted
+    def counted_roots(residual, *ends):
+        def rounded(x, i):
+            formed[3] += 1
+            return residual(x, i)
+        return root_batch(rounded, *ends)
+
+    bandsolver._product, bandsolver._root_batch = counted, counted_roots
     try:
         yield formed
     finally:
-        bandsolver._product = product
+        bandsolver._product, bandsolver._root_batch = product, root_batch
 
 
 def _verify_round():
@@ -229,6 +247,7 @@ def run(repeat=7, tier1=False):
         "numeric_partner_s": lambda: _timed(_partners, 1),
         "selfiso_distance_s": lambda: _timed(
             lambda: [verify.selfiso_distance(*pair) for pair in pairs], 1),
+        "calib_s": lambda: statistics.median(CALIB["sample"]() for _ in range(20)),
     }
     rounds = {}
     for _ in range(repeat):
@@ -239,7 +258,7 @@ def run(repeat=7, tier1=False):
             rounds.setdefault(name, []).append(value)
     with _counting() as grid:
         _band_edges_grid()
-    products, steps, half = (int(c) for c in grid)
+    products, steps, half, root_rounds = (int(c) for c in grid)
     split, problems = _galerkin_split()
     shifts = sum(int(np.isfinite(verify._scan_distance(*pair, verify.SHIFT_SAMPLES)).sum())
                  for pair in pairs)
@@ -247,10 +266,11 @@ def run(repeat=7, tier1=False):
         "quartiles": {name: np.percentile(values, [25, 75]).tolist()
                       for name, values in rounds.items()},
         "band_edges_products": products, "band_edges_steps_x_energies": steps,
-        "band_edges_half_period_products": half,
+        "band_edges_half_period_products": half, "band_edges_root_rounds": root_rounds,
         "release_band_edges_products": int(release[0]),
         "release_band_edges_steps_x_energies": int(release[1]),
         "release_band_edges_half_period_products": int(release[2]),
+        "release_band_edges_root_rounds": int(release[3]),
         "galerkin_problems_split": split, "galerkin_problems": problems,
         "selfiso_shifts_evaluated": shifts, "repeat": repeat,
         "src_lines": sum(len(p.read_text().splitlines())

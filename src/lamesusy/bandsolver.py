@@ -11,7 +11,7 @@ can arbitrate the other's bugs:
     (antiperiodic) hides a gap: it is split at the gap's Dirichlet
     eigenvalue, a root of m12, or else scanned again on cells of its own.
     Every sign change then brackets one edge, indexed by the count at its
-    end and solved to float resolution by bracketed false position; a
+    end and solved to float resolution by Anderson-Bjorck false position; a
     gap between whose two edges Delta does not measurably pass +-2 is
     closed;
   * a plane-wave Galerkin route: the periodic and antiperiodic
@@ -469,18 +469,21 @@ def _root_batch(residual, lo, hi, f_lo, f_hi):
     residual gives; their values only weight the first interpolation, so
     the scan's serve.
 
-    Illinois false position (Dowell & Jarratt 1971): every step evaluates
-    the false-position point of each open bracket in one batch, kept half
-    the stopping width inside the bracket, and keeps the sign change; an
-    end kept twice in a row has its residual halved, which makes the
-    convergence superlinear.  The safeguards: a bracket that has not
-    halved in _STALL steps steps at least 1/64 of its width away from
-    both ends (false position creeps along a flat end, e.g. next to a
-    narrow gap's extremum), and one that has not halved in 2 _STALL steps
-    is bisected.  A bracket closes at a width of 4 eps max(1, |E|) or on
-    a residual of exactly 0, so every root lies inside its bracket;
-    brackets never interact.  Raises NumericalError if an end pair has no
-    sign change or a bracket never closes.
+    Anderson-Bjorck false position (Anderson & Bjorck, BIT 13:253, 1973):
+    every step evaluates the false-position point x of each open bracket
+    in one batch, kept half the stopping width inside the bracket, and
+    keeps the sign change; an end kept twice in a row has its residual
+    scaled by g = 1 - f(x) / f(end replaced), or halved where g <= 0 (the
+    Illinois rule of Dowell & Jarratt 1971), which makes the convergence
+    superlinear without Illinois' second point across the root.  The
+    safeguards: a bracket that has not halved in _STALL steps steps at
+    least 1/64 of its width away from both ends (false position creeps
+    along a flat end, e.g. next to a narrow gap's extremum), and one that
+    has not halved in 2 _STALL steps is bisected.  A bracket closes at a
+    width of 4 eps max(1, |E|) or on a residual of exactly 0, so every
+    root lies inside its bracket; brackets never interact.  Raises
+    NumericalError if an end pair has no sign change or a bracket never
+    closes.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
     if np.any(fa * fb > 0):
@@ -504,8 +507,11 @@ def _root_batch(residual, lo, hi, f_lo, f_hi):
         root[i[fx == 0.0]] = x[fx == 0.0]
         up = np.sign(fx) == np.sign(fa[i])  # the root lies in [x, b]
         lo_i, hi_i = i[up], i[~up]
-        fb[lo_i[kept[lo_i] == 1]] *= 0.5
-        fa[hi_i[kept[hi_i] == -1]] *= 0.5
+        # an end kept twice in a row is weighted by g = 1 - f(x) / f(replaced end)
+        g = 1.0 - fx / np.where(up, fa[i], fb[i])
+        g = np.where(kept[i] != np.where(up, 1, -1), 1.0, np.where(g > 0.0, g, 0.5))
+        fb[lo_i] *= g[up]
+        fa[hi_i] *= g[~up]
         a[lo_i], fa[lo_i], kept[lo_i] = x[up], fx[up], 1
         b[hi_i], fb[hi_i], kept[hi_i] = x[~up], fx[~up], -1
         shrunk = b[i] - a[i] <= 0.5 * halved[i]
@@ -610,11 +616,14 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
                        & (below[:-1] < count))[0]
     lo = cells[k[cells] - k[cells + 1] == 1]  # one Dirichlet eigenvalue in the cell
 
-    def dirichlet(x, i):
-        stats["root_steps"] += 1
-        return _monodromy(V, x)[0][1]
+    def counted(key, residual):  # a residual for _root_batch that counts its rounds
+        def rounds(x, i):
+            stats[key] += 1
+            return residual(x, i)
+        return rounds
 
-    xe = _root_batch(dirichlet, Es[lo], Es[lo + 1], m12[lo], m12[lo + 1])
+    xe = _root_batch(counted("dirichlet_rounds", lambda x, i: _monodromy(V, x)[0][1]),
+                     Es[lo], Es[lo + 1], m12[lo], m12[lo + 1])
     stats["splits"] += xe.size
     M, scale = _monodromy(V, xe)
     gap = -1 - k[lo + 1].astype(int)  # mu is gap g's Dirichlet eigenvalue
@@ -644,8 +653,8 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     E_all, res_all = np.insert(Es, at, np.repeat(xe, 2)), np.insert(res, at, ends, axis=1)
     above = res_all >= 0.0
     row, i = np.nonzero((above[:, :-1] != above[:, 1:]) & ~again[:-1])
-    found = _root_batch(_crossing(V, _TARGETS[row]), E_all[i], E_all[i + 1], res_all[row, i],
-                        res_all[row, i + 1])
+    found = _root_batch(counted("crossing_rounds", _crossing(V, _TARGETS[row])), E_all[i],
+                        E_all[i + 1], res_all[row, i], res_all[row, i + 1])
     index = base[i] + (row != _row(base[i]))
     # a split gap's edges are those indexed 2g - 1 and 2g
     slot = np.full(base.max(initial=0) + 2, -1)
@@ -692,7 +701,7 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
     count = _positive_int(count, "count")
     e_min = _span(V)[0] - 1.0
     e_max = _first_window(V, count)
-    stats = dict(splits=0, root_steps=0, brackets=0, rescans=0)
+    stats = dict(splits=0, dirichlet_rounds=0, brackets=0, crossing_rounds=0, rescans=0)
     V._magnus["formed"] = np.zeros(3, dtype=int)  # products, steps x energies, half-period ones
     try:
         edges = _scan_edges(V, e_min, e_max, DEFAULT_SCAN, count, stats)
@@ -708,12 +717,13 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
     finally:
         products, units, half = V._magnus["formed"]
         route = "half" if half == products > 0 else "full" if half == 0 else "mixed"
-        _debug(__name__, "band_edges: %d Dirichlet splits in %d root steps, %d Magnus products "
+        _debug(__name__, "band_edges: %d Dirichlet splits in %d root rounds, %d Magnus products "
                "of %d steps x energies, %s-period route with %d products over L/2 (asymmetry %.3g "
                "against %g eps max|V|), %d edges counted below the window's top, %d crossing "
-               "brackets, %d rescans", stats["splits"], stats["root_steps"], products, units,
-               route, half, V._magnus.get("asymmetry", math.nan), _EVEN, stats.get("top", 0),
-               stats["brackets"], stats["rescans"])
+               "brackets in %d root rounds, %d rescans", stats["splits"],
+               stats["dirichlet_rounds"], products, units, route, half,
+               V._magnus.get("asymmetry", math.nan), _EVEN, stats.get("top", 0),
+               stats["brackets"], stats["crossing_rounds"], stats["rescans"])
 
 
 # ---------------------------------------------------------------------------

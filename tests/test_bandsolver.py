@@ -574,23 +574,23 @@ class TestBandEdges:
         # 4, 9, 9) lie below 11, the top of its window
         assert messages[0].startswith("band_edges: 2 Dirichlet splits in ")
         # V = 0 is even: every product is formed over the half period
-        products = messages[0].split(" root steps, ")[1].split()[0]
+        products = messages[0].split(" root rounds, ")[1].split()[0]
         assert (f"half-period route with {products} products over L/2 (asymmetry 0 against "
                 "256 eps max|V|)") in messages[0]
-        assert messages[0].endswith(", 7 edges counted below the window's top, "
-                                    "5 crossing brackets, 0 rescans")
+        assert ", 7 edges counted below the window's top, 5 crossing brackets in " in messages[0]
+        assert messages[0].endswith(" root rounds, 0 rescans")
         # with 121 edges the lowest touches share cells of window/256, and
         # each cell that hides more than one is scanned again; the top,
         # 2 + 61^2, lies above the 123 edges up to 61^2, and the scans
         # bracket the 121 edges up to 60^2
-        assert messages[1].endswith(", 123 edges counted below the window's top, "
-                                    "121 crossing brackets, 2 rescans")
+        assert ", 123 edges counted below the window's top, 121 crossing brackets in " in messages[1]
+        assert messages[1].endswith(" root rounds, 2 rescans")
         # the stand-in scan reports one root, counts nothing, samples no
-        # step and scans nothing again
-        assert messages[2] == ("band_edges: 0 Dirichlet splits in 0 root steps, 0 Magnus products "
+        # step, solves nothing and scans nothing again
+        assert messages[2] == ("band_edges: 0 Dirichlet splits in 0 root rounds, 0 Magnus products "
                                "of 0 steps x energies, full-period route with 0 products over L/2 "
                                "(asymmetry nan against 256 eps max|V|), 0 edges counted below "
-                               "the window's top, 1 crossing brackets, 0 rescans")
+                               "the window's top, 1 crossing brackets in 0 root rounds, 0 rescans")
 
     def test_products_logged_repeat_on_a_fresh_build(self, caplog):
         # products are counted where they are formed, so a fresh build of one
@@ -601,7 +601,7 @@ class TestBandEdges:
         with caplog.at_level(logging.DEBUG, logger=logger):
             for pot in (lame_pot(Family.V_PLUS, 3, 0.9), used, used):
                 bs.band_edges(pot, 7)
-        counts = [[int(w) for w in rec.getMessage().split(" root steps, ")[1].split()[:5:4]]
+        counts = [[int(w) for w in rec.getMessage().split(" root rounds, ")[1].split()[:5:4]]
                   for rec in caplog.records if rec.name == logger]
         assert counts[0] == counts[1] and counts[0][0] > 0
         assert counts[2][0] < counts[1][0]
@@ -624,7 +624,7 @@ class TestBandEdges:
     def test_gaps_above_count_are_not_solved(self):
         # the free particle's window [-1, 11] holds touches at 1, 4 and 9;
         # the first five edges need the splits at 1 and 4 only
-        stats = dict(splits=0, root_steps=0)
+        stats = dict(splits=0, dirichlet_rounds=0, crossing_rounds=0)
         edges = bs._scan_edges(free_particle(), -1.0, 11.0, 256, 5, stats)
         assert [(n, round(e, 9), d) for n, e, d in edges] == [
             (0, 0.0, False), (1, 1.0, True), (2, 1.0, True), (3, 4.0, True), (4, 4.0, True)]
@@ -871,6 +871,53 @@ class TestRootBatch:
         with pytest.raises(NumericalError, match="sign change"):
             bs._root_batch(bs._crossing(pot, [2.0]), [0.01], [0.05], f[:1], f[1:])
 
+    @staticmethod
+    def solve(f, lo, hi):
+        """The root of f on [lo, hi] and the residuals of its rounds, in order."""
+        values = []
+
+        def residual(x, i):
+            fx = f(x)
+            values.append(float(fx[0]))
+            return fx
+
+        root = bs._root_batch(residual, [lo], [hi], f(np.array([lo])), f(np.array([hi])))
+        return root[0], values
+
+    @pytest.mark.parametrize("f, lo, hi, want, rounds", [
+        (lambda x: np.exp(x) - 2.0, 0.0, 3.0, math.log(2.0), 8),
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0, 2.0945514815423265, 7),
+    ])
+    def test_smooth_roots_close_in_few_rounds(self, f, lo, hi, want, rounds):
+        # Anderson-Bjorck takes 8 and 7 rounds where Illinois took 10 and 9
+        root, values = self.solve(f, lo, hi)
+        assert abs(root - want) <= 4.0 * np.finfo(float).eps * want
+        assert len(values) <= rounds
+
+    def test_weight_not_positive_falls_back_to_half(self):
+        # on [-1, 2] x^3 - x - 1 is negative up to its root, the plastic
+        # number, and falls from -1/sqrt(3) to its minimum at 1/sqrt(3): a
+        # round on the low side can have a larger residual than the one
+        # before, so g = 1 - f(x) / f(replaced end) <= 0 and the kept end's
+        # residual is halved.  Illinois took 14 rounds; using g <= 0 as it
+        # is takes 16
+        root, values = self.solve(lambda x: x ** 3 - x - 1.0, -1.0, 2.0)
+        assert any(new / old >= 1.0 for old, new in zip(values, values[1:]))
+        assert abs(root - 1.324717957244746) <= 4.0 * np.finfo(float).eps * root
+        assert len(values) <= 12
+
+    def test_rounds_of_v_minus_pinned(self, caplog):
+        # V- (j = 5, m = 0.9) has no split cell; its 11 crossing brackets
+        # closed in 10 rounds with Illinois' halving, 8 with the
+        # Anderson-Bjorck weight
+        logger = "lamesusy.bandsolver"
+        with caplog.at_level(logging.DEBUG, logger=logger):
+            bs.band_edges(lame_pot(Family.V_MINUS, 5, 0.9), 11)
+        message, = [rec.getMessage() for rec in caplog.records if rec.name == logger]
+        dirichlet = int(message.split(" root rounds, ")[0].split()[-1])
+        crossing = int(message.split(" crossing brackets in ")[1].split()[0])
+        assert dirichlet + crossing <= 8
+
 
 class TestHiddenCells:
     """Cells whose edge count rises by more than their residuals change
@@ -881,7 +928,7 @@ class TestHiddenCells:
         # the free particle's Dirichlet eigenvalues are its touches 1, 4,
         # 9, ...: one cell from -1 to 2 holds the ground edge and the touch
         # at 1, split there into two pieces that bracket one edge each
-        stats = dict(splits=0, root_steps=0, rescans=0)
+        stats = dict(splits=0, dirichlet_rounds=0, crossing_rounds=0, rescans=0)
         edges = bs._scan_edges(free_particle(), -1.0, 2.0, 1, 3, stats)
         assert stats["splits"] == 1 and stats["rescans"] == 0
         assert [(n, d) for n, _, d in edges] == [(0, False), (1, True), (2, True)]
@@ -893,7 +940,7 @@ class TestHiddenCells:
         # a single cell from -1 holds the ground edge and ``hidden``, each
         # a Dirichlet eigenvalue: the cell holds two or three, so it is not
         # split but scanned again, and there each touch's cell is split
-        stats = dict(splits=0, root_steps=0, rescans=0)
+        stats = dict(splits=0, dirichlet_rounds=0, crossing_rounds=0, rescans=0)
         edges = bs._scan_edges(free_particle(), -1.0, e_max, 1, count, stats)
         assert stats["rescans"] == 1 and stats["splits"] == len(hidden)
         assert [(n, d) for n, _, d in edges] == [(n, n > 0) for n in range(count)]
@@ -907,7 +954,7 @@ class TestHiddenCells:
         # other target's edge 3, both indexed up from mu's count 2g = 2
         pot = uneven_trig()
         want = [e.energy for e in bs.galerkin_edges(pot, 5)]
-        stats = dict(splits=0, root_steps=0, rescans=0)
+        stats = dict(splits=0, dirichlet_rounds=0, crossing_rounds=0, rescans=0)
         edges = bs._scan_edges(pot, -0.415, 0.9, 1, 5, stats)
         assert stats["splits"] == 1 and stats["rescans"] == 0
         assert [(n, d) for n, _, d in edges] == [(1, False), (2, False), (3, False)]
@@ -923,10 +970,12 @@ class TestHiddenCells:
         # of the returned edges indexed 2g - 1 and 2g, at gap g's target
         pot, mus, judged = pot(), [], []
         root_batch, overshoot = bs._root_batch, bs._overshoot
+        stats = dict(splits=0, dirichlet_rounds=0, crossing_rounds=0, rescans=0)
 
-        def record_mu(residual, *ends):
+        def record_mu(residual, *ends):  # a batch that counts Dirichlet rounds solves mu
+            before = stats["dirichlet_rounds"]
             roots = root_batch(residual, *ends)
-            if residual.__name__ == "dirichlet":
+            if stats["dirichlet_rounds"] > before:
                 mus.extend(roots.tolist())
             return roots
 
@@ -937,7 +986,6 @@ class TestHiddenCells:
         monkeypatch.setattr(bs, "_root_batch", record_mu)
         monkeypatch.setattr(bs, "_overshoot", record_judge)
         ref = [e.energy for e in bs.galerkin_edges(pot, count)]
-        stats = dict(splits=0, root_steps=0, rescans=0)
         edges = bs._scan_edges(pot, bs._span(pot)[0] - 1.0, bs._first_window(pot, count),
                                cells, count, stats)
         got = {n: e for n, e, _ in edges}
@@ -958,7 +1006,7 @@ class TestHiddenCells:
         Es = np.linspace(mu - 0.02, mu + 0.02, 3)
         M, scale = bs._monodromy(pot, Es, bs.SCAN_TOL, rows=5)
         assert abs(M[1, 1]) <= 4.0 * bs.SCAN_TOL * scale[1]
-        stats = dict(splits=0, root_steps=0, rescans=0)
+        stats = dict(splits=0, dirichlet_rounds=0, crossing_rounds=0, rescans=0)
         edges = bs._scan_edges(pot, Es[0], Es[2], 2, 5, stats)
         assert [(n, d) for n, _, d in edges] == [(1, False)]
         assert abs(edges[0][1] - want[1]) <= 1e-9
@@ -966,7 +1014,7 @@ class TestHiddenCells:
     def test_hiding_cell_below_float_resolution_raises(self, monkeypatch):
         # a count that rises across one ulp can be neither split nor scanned again
         monkeypatch.setattr(bs, "_edges_below", lambda w, res: np.array([1, 3]))
-        stats = dict(splits=0, root_steps=0, rescans=0)
+        stats = dict(splits=0, dirichlet_rounds=0, crossing_rounds=0, rescans=0)
         with pytest.raises(NumericalError, match="float resolution"):
             bs._scan_edges(free_particle(), 0.5, np.nextafter(0.5, 1.0), 1, 5, stats)
 
@@ -977,7 +1025,7 @@ class TestHiddenCells:
         # reports the three edges below it and no spurious edge at the
         # window's end
         pot = lame_pot(Family.RAW_LAME, 1, 0.9)
-        stats = dict(splits=0, root_steps=0)
+        stats = dict(splits=0, dirichlet_rounds=0, crossing_rounds=0)
         edges = bs._scan_edges(pot, bs._span(pot)[0] - 1.0, 2.7060743335221527, 256, 7, stats)
         assert stats["splits"] == 0 and [(n, d) for n, _, d in edges] == [
             (0, False), (1, False), (2, False)]
@@ -1070,15 +1118,19 @@ class TestBenchScript:
                                               "release_band_edges_products",
                                               "release_band_edges_steps_x_energies",
                                               "band_edges_half_period_products",
-                                              "release_band_edges_half_period_products")]
+                                              "release_band_edges_half_period_products",
+                                              "band_edges_root_rounds",
+                                              "release_band_edges_root_rounds")]
         # every case of the grid is even: each of its 42 problems splits,
         # and each of its products runs over the half period
         assert counts[2:4] == [42, 42]
         assert counts[8] == counts[0]
         # the release job's numeric partners of j = 4, 5 are kept even too
         assert counts[9] == counts[6]
-        assert sorted(result) == ["band_edges_s", "band_edges_uneven_s", "galerkin_edges_s",
-                                  "jacobi_points_per_s",
+        # every root round forms at least one product, and the scans form more
+        assert counts[10] < counts[0] and counts[11] < counts[6]
+        assert sorted(result) == ["band_edges_s", "band_edges_uneven_s", "calib_s",
+                                  "galerkin_edges_s", "jacobi_points_per_s",
                                   "numeric_partner_s", "scan_257_energies_per_s",
                                   "selfiso_distance_s", "trace_1_s", "trace_8_s",
                                   "verify_all_s", "verify_edgestates_s", "verify_iso_s",
@@ -1090,19 +1142,33 @@ class TestBenchScript:
         assert quartiles == {name: [value, value] for name, value in result.items()}
         assert all(isinstance(c, int) and c > 0 for c in counts)
 
-    def test_counts_read_no_log_record(self):
-        # the products are counted by wrapping bandsolver._product, not
-        # read from a log record, and match the engine's own counter
+    def test_counts_read_no_log_record(self, caplog):
+        # the products and root rounds are counted by wrapping
+        # bandsolver._product and _root_batch, not read from a log record,
+        # and match the engine's own counters
         script = runpy.run_path(str(self.SCRIPT))
         pot, other = lame_pot(Family.V_PLUS, 3, 0.5), fuzz_modes()
-        with script["_counting"]() as formed:
-            bs.band_edges(pot, 7)
-        assert np.array_equal(formed, pot._magnus["formed"])
-        with script["_counting"]() as formed:
-            bs.band_edges(other, 9)
-        assert np.array_equal(formed, other._magnus["formed"])
-        assert formed[0] > 0 == formed[2]
+        with caplog.at_level(logging.DEBUG, logger="lamesusy.bandsolver"):
+            with script["_counting"]() as formed:
+                bs.band_edges(pot, 7)
+            assert np.array_equal(formed[:3], pot._magnus["formed"])
+            with script["_counting"]() as other_formed:
+                bs.band_edges(other, 9)
+        assert np.array_equal(other_formed[:3], other._magnus["formed"])
+        assert other_formed[0] > 0 == other_formed[2]
+        # the record names the Dirichlet rounds and then the crossing rounds
+        rounds = [sum(int(part.split()[0]) for part in rec.getMessage().split(" in ")[1:])
+                  for rec in caplog.records if rec.name == "lamesusy.bandsolver"]
+        assert rounds == [formed[3], other_formed[3]] and min(rounds) > 0
         assert bs._product.__name__ == "_product"
+        assert bs._root_batch.__name__ == "_root_batch"
+
+    def test_calib_runs_no_package_code(self):
+        # the speed witness is perfbench's kernel as that file defines it
+        script = runpy.run_path(str(self.SCRIPT))
+        calib = script["CALIB"]
+        assert "lamesusy" not in calib["sample"].__globals__
+        assert calib["sample"]() > 0.0
 
     def test_tier1_flag(self):
         # the Tier-1 run itself is too long for Tier-1; its option is listed
