@@ -90,28 +90,24 @@ def _distance(edges, reference):
 def check(terms):
     """One potential: a dict with the Floquet engine's ``error`` (None
     unless it raised), whether Galerkin is ``settled`` and the Floquet
-    ``distance`` to it (None when unsettled or raised), the cells scanned
-    again (``rescans``, the calls of bandsolver._scan_edges past the
-    first, wrapped here since its recursion goes through the module), the
-    ``steps`` x energies of the products formed and whether every one ran
-    over the ``half`` period."""
+    ``distance`` to it (None when unsettled or raised), and from the
+    counts ``band_edges`` keeps on the potential the cells scanned again
+    (``rescans``), the ``steps`` x energies of the products formed and
+    whether every one ran over the ``half`` period."""
     pot = potential(terms)
     row = {"terms": terms, "error": None, "settled": False, "distance": None, "half": False}
     coarse = bandsolver.galerkin_edges(pot, COUNT, 256)
     fine = bandsolver.galerkin_edges(pot, COUNT, 512)
     row["settled"] = _distance(coarse, fine) <= SETTLED
-    scans, scan = [], bandsolver._scan_edges
-    bandsolver._scan_edges = lambda *args: scans.append(1) or scan(*args)
     try:
         edges = bandsolver.band_edges(pot, COUNT)
     except NumericalError as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
     finally:
-        bandsolver._scan_edges = scan
-        products, steps, half = pot._magnus.get("formed", (0, 0, 0))
+        products, steps, half = pot._magnus["formed"]
         row["half"] = bool(products) and half == products
-        row["rescans"], row["steps"] = max(len(scans) - 1, 0), int(steps)
+        row["rescans"], row["steps"] = pot._magnus["scan"]["rescans"], int(steps)
     if row["settled"]:
         row["distance"] = _distance(edges, fine)
     return row

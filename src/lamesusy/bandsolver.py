@@ -9,11 +9,11 @@ can arbitrate the other's bugs:
     Dirichlet solution's oscillation count.  A cell whose count rises by
     more than the sign changes of Delta - 2 (periodic edge) and Delta + 2
     (antiperiodic) hides a gap: it is split at the gap's Dirichlet
-    eigenvalue, a root of m12, or else scanned again on cells of its own.
-    Every sign change then brackets one edge, indexed by the count at its
-    end and solved to float resolution by Anderson-Bjorck false position; a
-    gap between whose two edges Delta does not measurably pass +-2 is
-    closed;
+    eigenvalue, a root of m12, or else cut into 256 cells of the same grid,
+    which is judged again.  Every sign change then brackets one edge,
+    indexed by the count at its end and solved to float resolution by
+    Anderson-Bjorck false position; a gap between whose two edges Delta
+    does not measurably pass +-2 is closed;
   * a plane-wave Galerkin route: the periodic and antiperiodic
     eigenproblems of V, real as every potential here is, assembled as
     real symmetric matrices in the sqrt2 cos / sqrt2 sin basis from
@@ -104,7 +104,7 @@ class PeriodicPotential:
 
     period: float
     evaluator: Callable
-    # node samples, probe products, step counts and products formed of the Magnus engine
+    # the Magnus engine's caches, and the last band_edges call's counts ("formed", "scan")
     _magnus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -546,7 +546,7 @@ def _edges_below(k: np.ndarray, res: np.ndarray) -> np.ndarray:
 def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     """Every edge in [e_min, e_max] among the first ``count``, from the
     edge residuals Delta -+ 2 and the edge count (_edges_below) at the
-    ends of n_cells equal cells.
+    samples of one grid, at first the ends of n_cells equal cells.
 
     A cell whose count rises by more than its residuals change sign hides
     a gap.  Where its half-turn count drops by one, the cell holds one
@@ -566,15 +566,14 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     the gap's far edge for an even V, or at the piece's middle where m21
     keeps its sign there: not in the noise next to mu.  A cell that
     holds no or several Dirichlet eigenvalues, or whose two pieces still
-    bracket fewer edges than its count, is scanned again on DEFAULT_SCAN
-    cells of its own; one narrower than float resolution raises
-    NumericalError.  A sample within the product's error of a touch,
-    where no count is sure, is left out, and the cells on its two sides
-    are judged as one.  Every sign change of a residual between
-    neighbours then brackets one edge, and all are solved in one
-    _root_batch.  A split cell's gap is closed where the trace does not
-    measurably pass +-2 at the middle of its two edges (_overshoot), and
-    both edges are reported there.
+    bracket fewer edges than its count, is cut into DEFAULT_SCAN cells of
+    the grid, which is judged again; NumericalError where no cut adds a
+    float.  A sample within the product's error of a touch, where no count
+    is sure, is left out, and the cells on its two sides are judged as
+    one.  Every sign change of a residual between neighbours then brackets
+    one edge, and all are solved in one _root_batch.  A split cell's gap
+    is closed where the trace does not measurably pass +-2 at the middle
+    of its two edges (_overshoot), and both edges are reported there.
 
     Resolution limit: a gap so narrow that its overshoot stays within the
     product's noise comes back as a touch, each edge within half the
@@ -589,70 +588,76 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     half-turn count of the sample above it: both its copies count 2g, and
     the gap's edges are those indexed 2g - 1 and 2g.  A bracket up from a
     count c holds edge c, or edge c + 1 where edge c is of the other row.
-    A rescan's counts are absolute, as every count is.
 
     Returns the edges found as (index, energy, degenerate) triples sorted
     by index, a touch as two degenerate ones.  Counts go into ``stats``.
     """
-    Es = np.linspace(e_min, e_max, n_cells + 1)
-    M, scale = _monodromy(V, Es, SCAN_TOL, rows=5)
-    res = M[0] + M[3] - _TARGETS[:, None]  # the edge residuals, one row per target
-    # the scan decides signs only; a sample within its error of +-2 or of
-    # m12 = 0 takes the nearer target's full-accuracy residual, m12 and count
-    noise = 4.0 * SCAN_TOL * scale
-    unsure = np.nonzero((np.abs(res).min(axis=0) <= noise) | (np.abs(M[1]) <= noise))[0]
-    row = (M[0, unsure] + M[3, unsure] < 0.0).astype(int)
-    full, full_scale = _monodromy(V, Es[unsure], rows=5)
-    res[row, unsure], gain = _edge_residual(full, _TARGETS[row])
-    M[1, unsure], M[4, unsure] = full[1], full[4]
-    touching = unsure[np.abs(res[row, unsure]) <= TOL * full_scale * gain]
-    below = _edges_below(M[4], res)
-    stats.setdefault("top", int(below[-1]))  # the first scan's, the window's top
-    Es, res, below, m12, m21, k = (np.delete(a, touching, axis=-1)
-                                   for a in (Es, res, below, M[1], M[2], M[4]))
-    above = res >= 0.0
-    jump = below[1:] - below[:-1]
-    cells = np.nonzero((jump > (above[:, :-1] != above[:, 1:]).sum(axis=0))
-                       & (below[:-1] < count))[0]
-    lo = cells[k[cells] - k[cells + 1] == 1]  # one Dirichlet eigenvalue in the cell
-
     def counted(key, residual):  # a residual for _root_batch that counts its rounds
         def rounds(x, i):
             stats[key] += 1
             return residual(x, i)
         return rounds
 
-    xe = _root_batch(counted("dirichlet_rounds", lambda x, i: _monodromy(V, x)[0][1]),
-                     Es[lo], Es[lo + 1], m12[lo], m12[lo + 1])
+    Es = np.linspace(e_min, e_max, n_cells + 1)
+    while True:
+        M, scale = _monodromy(V, Es, SCAN_TOL, rows=5)
+        res = M[0] + M[3] - _TARGETS[:, None]  # the edge residuals, one row per target
+        # the scan decides signs only; a sample within its error of +-2 or of
+        # m12 = 0 takes the nearer target's full-accuracy residual, m12 and count
+        noise = 4.0 * SCAN_TOL * scale
+        unsure = np.nonzero((np.abs(res).min(axis=0) <= noise) | (np.abs(M[1]) <= noise))[0]
+        row = (M[0, unsure] + M[3, unsure] < 0.0).astype(int)
+        full, full_scale = _monodromy(V, Es[unsure], rows=5)
+        res[row, unsure], gain = _edge_residual(full, _TARGETS[row])
+        M[1, unsure], M[4, unsure] = full[1], full[4]
+        touching = unsure[np.abs(res[row, unsure]) <= TOL * full_scale * gain]
+        below = _edges_below(M[4], res)
+        stats["top"] = int(below[-1])  # the window's top
+        Es, res, below, m12, m21, k = (np.delete(a, touching, axis=-1)
+                                       for a in (Es, res, below, M[1], M[2], M[4]))
+        above = res >= 0.0
+        jump = below[1:] - below[:-1]
+        cells = np.nonzero((jump > (above[:, :-1] != above[:, 1:]).sum(axis=0))
+                           & (below[:-1] < count))[0]
+        lo = cells[k[cells] - k[cells + 1] == 1]  # one Dirichlet eigenvalue in the cell
+        xe = _root_batch(counted("dirichlet_rounds", lambda x, i: _monodromy(V, x)[0][1]),
+                         Es[lo], Es[lo + 1], m12[lo], m12[lo + 1])
+        M, scale = _monodromy(V, xe)
+        gap = -1 - k[lo + 1].astype(int)  # mu is gap g's Dirichlet eigenvalue
+        sign, own, cols, err = np.sign(M[0]), _row(2 * gap), np.arange(xe.size), TOL * scale
+        exact = sign * np.maximum((M[0] - sign) ** 2 / np.abs(M[0]), np.finfo(float).tiny)
+        # the side of mu that holds the gap, where mu is an edge but M is not +-I
+        side = np.where((np.abs(M[0] - sign) <= 2.0 * err) & (np.abs(M[2]) > err),
+                        np.sign(m12[lo + 1] * M[2]), 0.0)
+        far = np.where(side > 0, lo + 1, lo)  # the gap piece's sample end
+        t = M[2] / (M[2] - m21[far])  # where the seed lies, as a share of the piece
+        t = np.where((t > 0.0) & (t < 1.0), t, 0.5)
+        seed = sign * np.abs(res[own, far]) * t / (1.0 - t)
+        ends = np.repeat(M[0] + M[3] - _TARGETS[:, None], 2, axis=1)  # each piece's end at mu
+        ends[own, 2 * cols] = np.where(side < 0, seed, exact)
+        ends[own, 2 * cols + 1] = np.where(side > 0, seed, exact)
+        # a split cell is done when its two pieces bracket all its count's rise
+        up = ends >= 0.0
+        done = ((above[:, lo] != up[:, ::2]).sum(axis=0)
+                + (up[:, 1::2] != above[:, lo + 1]).sum(axis=0) >= jump[lo])
+        rescan = np.setdiff1d(cells, lo[done])
+        if rescan.size == 0:
+            break
+        stats["splits"] += int((~done).sum())  # split cells that are cut
+        stats["rescans"] += rescan.size
+        grid = np.union1d(Es, np.linspace(Es[rescan], Es[rescan + 1], DEFAULT_SCAN + 1))
+        if grid.size == Es.size:
+            c = rescan[0]
+            raise NumericalError(f"{jump[c]} band edges hidden in [{Es[c]!r}, {Es[c + 1]!r}], "
+                                 "a cell narrower than float resolution")
+        Es = grid
     stats["splits"] += xe.size
-    M, scale = _monodromy(V, xe)
-    gap = -1 - k[lo + 1].astype(int)  # mu is gap g's Dirichlet eigenvalue
-    sign, own, cols, err = np.sign(M[0]), _row(2 * gap), np.arange(xe.size), TOL * scale
-    exact = sign * np.maximum((M[0] - sign) ** 2 / np.abs(M[0]), np.finfo(float).tiny)
-    # the side of mu that holds the gap, where mu is an edge but M is not +-I
-    side = np.where((np.abs(M[0] - sign) <= 2.0 * err) & (np.abs(M[2]) > err),
-                    np.sign(m12[lo + 1] * M[2]), 0.0)
-    far = np.where(side > 0, lo + 1, lo)  # the gap piece's sample end
-    t = M[2] / (M[2] - m21[far])  # where the seed lies, as a share of the piece
-    t = np.where((t > 0.0) & (t < 1.0), t, 0.5)
-    seed = sign * np.abs(res[own, far]) * t / (1.0 - t)
-    ends = np.repeat(M[0] + M[3] - _TARGETS[:, None], 2, axis=1)  # each piece's end at mu
-    ends[own, 2 * cols] = np.where(side < 0, seed, exact)
-    ends[own, 2 * cols + 1] = np.where(side > 0, seed, exact)
-    # a split cell is done when its two pieces bracket all its count's rise
-    up = ends >= 0.0
-    done = ((above[:, lo] != up[:, ::2]).sum(axis=0)
-            + (up[:, 1::2] != above[:, lo + 1]).sum(axis=0) >= jump[lo])
-    xe, ends, lo, gap = xe[done], ends[:, np.repeat(done, 2)], lo[done], gap[done]
-    rescan = np.setdiff1d(cells, lo)
-    # mu goes in twice after its cell's lower end, counting 2g; no bracket
-    # is taken from the cells scanned again
+    # mu goes in twice after its cell's lower end, counting 2g
     at = np.repeat(lo + 1, 2)
-    again = np.insert(np.isin(np.arange(Es.size), rescan), at, False)
     base = np.insert(below, at, np.repeat(2 * gap, 2))
     E_all, res_all = np.insert(Es, at, np.repeat(xe, 2)), np.insert(res, at, ends, axis=1)
     above = res_all >= 0.0
-    row, i = np.nonzero((above[:, :-1] != above[:, 1:]) & ~again[:-1])
+    row, i = np.nonzero(above[:, :-1] != above[:, 1:])
     found = _root_batch(counted("crossing_rounds", _crossing(V, _TARGETS[row])), E_all[i],
                         E_all[i + 1], res_all[row, i], res_all[row, i + 1])
     index = base[i] + (row != _row(base[i]))
@@ -668,14 +673,7 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     degenerate = np.zeros(found.size, dtype=bool)
     for piece in (lower[touch], upper[touch]):
         found[piece], degenerate[piece] = mid[touch], True
-    edges = list(zip(index.tolist(), found.tolist(), degenerate.tolist()))
-    for c in rescan:
-        if Es[c + 1] - Es[c] <= 4.0 * np.finfo(float).eps * max(1.0, abs(Es[c]), abs(Es[c + 1])):
-            raise NumericalError(f"{jump[c]} band edges hidden in [{Es[c]!r}, {Es[c + 1]!r}], "
-                                 "a cell narrower than float resolution")
-        stats["rescans"] += 1
-        edges += _scan_edges(V, Es[c], Es[c + 1], DEFAULT_SCAN, count, stats)
-    return sorted(edges)
+    return sorted(zip(index.tolist(), found.tolist(), degenerate.tolist()))
 
 
 def _first_window(V: PeriodicPotential, count: int) -> float:
@@ -699,10 +697,11 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
     when ``logging`` is loaded.
     """
     count = _positive_int(count, "count")
+    stats = V._magnus["scan"] = dict(splits=0, dirichlet_rounds=0, brackets=0,
+                                     crossing_rounds=0, rescans=0)  # this call's counts
+    V._magnus["formed"] = np.zeros(3, dtype=int)  # products, steps x energies, half-period ones
     e_min = _span(V)[0] - 1.0
     e_max = _first_window(V, count)
-    stats = dict(splits=0, dirichlet_rounds=0, brackets=0, crossing_rounds=0, rescans=0)
-    V._magnus["formed"] = np.zeros(3, dtype=int)  # products, steps x energies, half-period ones
     try:
         edges = _scan_edges(V, e_min, e_max, DEFAULT_SCAN, count, stats)
         stats["brackets"] = len(edges)  # one root per crossing bracket

@@ -91,13 +91,11 @@ class GridFunction:
         return self.samples.size
 
     def eval(self, pts) -> np.ndarray:
-        """Evaluate the trigonometric interpolant at arbitrary points."""
-        scalar = np.isscalar(pts) or np.ndim(pts) == 0
-        out = series_sum(spectrum(self.samples), self.n, self.period,
-                         np.atleast_1d(np.asarray(pts, dtype=float)))
-        if scalar:
-            return float(out[0])
-        return out
+        """Evaluate the trigonometric interpolant at arbitrary points: a float
+        for a scalar, else an array of the points' shape."""
+        pts = np.asarray(pts, dtype=float)
+        out = series_sum(spectrum(self.samples), self.n, self.period, pts.ravel())
+        return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 
     def __call__(self, pts):
         return self.eval(pts)

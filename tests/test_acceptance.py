@@ -5,15 +5,18 @@ failure prints nothing and fails loudly).  Timing limits are asserted,
 not just measured.
 """
 
+import hashlib
+import json
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import FROZEN_DISTANCES
-from lamesusy import bandsolver, verify
+from lamesusy import bandsolver, cli, verify
 from lamesusy.elliptic import complete_k, jacobi
 from lamesusy.susy import (
     Family,
@@ -163,3 +166,18 @@ def test_criterion_8_property_suites_and_full_verify():
     assert cp.returncode == 0, cp.stdout[-2000:] + cp.stderr[-2000:]
     assert elapsed <= 300.0, f"full verification took {elapsed:.0f}s"
     announce(8, "property suites and full verification run")
+
+
+def test_release_job_claim_ids_are_pinned(tmp_path):
+    # the release job's 159 claims by id, in output order, all passing: a
+    # suite that drops, renames or reorders a claim changes the digest
+    out = tmp_path / "verify.json"
+    assert cli.main(["verify", "--scope", "all", "--format", "json", "-o", str(out)]) == 0
+    reports = json.loads(out.read_text())
+    ids = [r["claim_id"] for r in reports]
+    assert len(set(ids)) == len(ids) == 159
+    assert Counter(i.split("/")[0] for i in ids) == {
+        "edgestates": 60, "limits": 9, "iso": 78, "selfiso": 12}
+    assert hashlib.sha256("\n".join(ids).encode()).hexdigest() == (
+        "7f1a9e636ad8d3bfa687da2fe392a88cb4a435f3b56d3e64a3ac5506081534e3")
+    assert all(r["passed"] for r in reports)

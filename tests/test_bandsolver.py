@@ -189,6 +189,17 @@ class TestPeriodicPotential:
         a, b = (bs.PeriodicPotential(2 * math.pi, np.cos) for _ in range(2))
         assert a == b
 
+    def test_grid_of_another_period_is_read_by_eval(self):
+        # a grid whose period is not bit-equal to the potential's is read
+        # through its interpolant, one shift a row
+        g = GridFunction.from_function(np.cos, 2 * math.pi, 64)
+        pot = bs.PeriodicPotential(2 * math.pi * (1 + 2e-16), g)
+        assert pot.period != g.period
+        shifts = np.array([0.0, 0.5])
+        x = np.add.outer(shifts, np.arange(8)) * (pot.period / 8)
+        assert np.array_equal(pot.sample(8, shifts), g.eval(x))
+        assert np.max(np.abs(pot.sample(8) - np.cos(x[0]))) <= 1e-12
+
     def test_scalar_only_evaluator_is_refused(self):
         with pytest.raises(DomainError, match="array of points"):
             bs.PeriodicPotential(period=2.0, evaluator=lambda x: math.cos(math.pi * x))
@@ -946,6 +957,32 @@ class TestHiddenCells:
         assert [(n, d) for n, _, d in edges] == [(n, n > 0) for n in range(count)]
         want = (0.0,) + tuple(t for t in hidden for _ in (0, 1))
         assert max(abs(e - w) for (_, e, _), w in zip(edges, want)) <= 1e-12
+        # the cut cell's grid is the window's on DEFAULT_SCAN cells, so the
+        # edges are bit for bit those of a scan begun there
+        fine = dict(splits=0, dirichlet_rounds=0, crossing_rounds=0, rescans=0)
+        assert edges == bs._scan_edges(free_particle(), -1.0, e_max, bs.DEFAULT_SCAN, count, fine)
+
+    def test_split_cell_whose_pieces_fall_short_is_cut(self, monkeypatch):
+        # a first count two edges too high at the window's top leaves the
+        # one cell, split at the touch at 1, short of its rise: it is cut
+        # into DEFAULT_SCAN cells, and there, counted truly, the touch's
+        # own cell is split
+        edges_below, grids = bs._edges_below, []
+
+        def high_at_first(k, res):
+            below = edges_below(k, res)
+            below[-1] += 2 * (not grids)
+            grids.append(below.size)
+            return below
+
+        monkeypatch.setattr(bs, "_edges_below", high_at_first)
+        stats = dict(splits=0, dirichlet_rounds=0, crossing_rounds=0, rescans=0)
+        edges = bs._scan_edges(free_particle(), -1.0, 2.0, 1, 3, stats)
+        assert grids == [2, bs.DEFAULT_SCAN + 1]
+        assert stats["rescans"] == 1 and stats["splits"] == 2
+        want = bs.galerkin_edges(free_particle(), 3)
+        assert [(n, d) for n, _, d in edges] == [(e.n, e.degenerate) for e in want]
+        assert max(abs(e - w.energy) for (_, e, _), w in zip(edges, want)) <= 1e-12
 
     def test_piece_above_mu_holds_two_crossings(self):
         # one cell from band 0 of the uneven V to inside gap 2, below that

@@ -42,6 +42,13 @@ class TestGridFunction:
         assert isinstance(g.eval(0.3), float)
         assert g.eval(0.3) == pytest.approx(math.cos(0.3), abs=1e-12)
 
+    def test_eval_keeps_the_shape_of_its_points(self):
+        # the points are summed flat and the values reshaped to them
+        g = GridFunction.from_function(trig_poly, 2 * math.pi, 128)
+        pts = np.linspace(0.05, 6.0, 24)
+        for shape in ((2, 12), (2, 3, 4), (24, 1)):
+            assert np.array_equal(g.eval(pts.reshape(shape)), g.eval(pts).reshape(shape))
+
     def test_callable_is_eval(self):
         g = GridFunction.from_function(trig_poly, 2 * math.pi, 128)
         pts = np.linspace(0.05, 6.0, 77)
