@@ -54,10 +54,10 @@ same four for the release job, counted over the last verify round
 them (``galerkin_problems_split``, ``galerkin_problems``), the shifts the
 two ``selfiso_distance`` scans evaluate (``selfiso_shifts_evaluated``),
 and the lines of the measured package's modules (``src_lines``).  The
-products are counted by wrapping ``bandsolver._product``, with the steps
-``_step_coefficients`` keeps, and the rounds by wrapping the residual of
-``bandsolver._root_batch``, so no count depends on the text of a log
-record.
+Floquet counts are those the engine keeps for each ``band_edges`` call
+on its potential (``V._magnus["counts"]``), summed over the calls by
+wrapping the public ``bandsolver.band_edges``, so no count depends on
+the text of a log record or on a copy of the engine's rules.
 
 Run:  PYTHONPATH=<tree>/src python scripts/bench.py [--repeat N] [--tier1]
 with N rounds (default 7), on the ``lamesusy`` package that PYTHONPATH
@@ -67,11 +67,11 @@ suite once, after the rounds, as ROADMAP.md gives it (pytest -q
 first on PYTHONPATH), and adds its wall time ``tier1_s`` and the last
 line of its report ``tier1_summary``.  Times are wall-clock seconds of
 this process, on one BLAS thread, not rescaled for the machine's speed:
-to compare two source trees, run this one script alternately with each
-tree's ``src`` on PYTHONPATH.  Two trees' raw layer seconds compare after
-dividing each by its run's ``calib_s``, not by ``jacobi_points_per_s``:
-``jacobi`` is package code, which a change may move, and it does not
-follow the machine's drift as the kernel does.
+to compare two source trees that keep that record, run this one script
+alternately with each tree's ``src`` on PYTHONPATH.  Two trees' raw layer
+seconds compare after dividing each by its run's ``calib_s``, not by
+``jacobi_points_per_s``: ``jacobi`` is package code, which a change may
+move, and it does not follow the machine's drift as the kernel does.
 """
 
 import argparse
@@ -83,6 +83,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -167,31 +168,30 @@ def _selfiso_pairs():
 
 @contextlib.contextmanager
 def _counting():
-    """Within ``with``, counts the Magnus products formed, their steps x
-    energies, those over the half period and the root solver's rounds
-    into the array it yields: a wrapper of bandsolver._product that reads
-    the steps _step_coefficients keeps (cached, so formed once either
-    way), and one of bandsolver._root_batch that counts the calls of its
-    residual, one a round."""
-    formed = np.zeros(4, dtype=int)
-    product, root_batch = bandsolver._product, bandsolver._root_batch
+    """Within ``with``, sums the counts that every bandsolver.band_edges
+    call keeps on its potential into the Counter it yields."""
+    total, band_edges = Counter(), bandsolver.band_edges
 
-    def counted(V, n, E, *rows):
-        steps = bandsolver._step_coefficients(V, n)[1].shape[0]
-        formed[:3] += (1, steps * np.size(E), steps < n)
-        return product(V, n, E, *rows)
+    def counted(V, count):
+        try:
+            return band_edges(V, count)
+        finally:
+            total.update(V._magnus["counts"])
 
-    def counted_roots(residual, *ends):
-        def rounded(x, i):
-            formed[3] += 1
-            return residual(x, i)
-        return root_batch(rounded, *ends)
-
-    bandsolver._product, bandsolver._root_batch = counted, counted_roots
+    bandsolver.band_edges = counted
     try:
-        yield formed
+        yield total
     finally:
-        bandsolver._product, bandsolver._root_batch = product, root_batch
+        bandsolver.band_edges = band_edges
+
+
+def _reported(prefix, counts):
+    """A _counting total's products, steps x energies, half-period products
+    and root rounds, named after ``prefix``."""
+    return {prefix + "products": counts["products"],
+            prefix + "steps_x_energies": counts["steps_x_energies"],
+            prefix + "half_period_products": counts["half_period_products"],
+            prefix + "root_rounds": counts["dirichlet_rounds"] + counts["crossing_rounds"]}
 
 
 def _verify_round():
@@ -258,19 +258,13 @@ def run(repeat=7, tier1=False):
             rounds.setdefault(name, []).append(value)
     with _counting() as grid:
         _band_edges_grid()
-    products, steps, half, root_rounds = (int(c) for c in grid)
     split, problems = _galerkin_split()
     shifts = sum(int(np.isfinite(verify._scan_distance(*pair, verify.SHIFT_SAMPLES)).sum())
                  for pair in pairs)
     return {name: statistics.median(values) for name, values in rounds.items()} | {
         "quartiles": {name: np.percentile(values, [25, 75]).tolist()
                       for name, values in rounds.items()},
-        "band_edges_products": products, "band_edges_steps_x_energies": steps,
-        "band_edges_half_period_products": half, "band_edges_root_rounds": root_rounds,
-        "release_band_edges_products": int(release[0]),
-        "release_band_edges_steps_x_energies": int(release[1]),
-        "release_band_edges_half_period_products": int(release[2]),
-        "release_band_edges_root_rounds": int(release[3]),
+        **_reported("band_edges_", grid), **_reported("release_band_edges_", release),
         "galerkin_problems_split": split, "galerkin_problems": problems,
         "selfiso_shifts_evaluated": shifts, "repeat": repeat,
         "src_lines": sum(len(p.read_text().splitlines())

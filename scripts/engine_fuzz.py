@@ -25,9 +25,10 @@ family: cases, unsettled, raises, wrong answers, the worst disagreement
 with a settled Galerkin, the cells ``band_edges`` scanned again
 (``rescans``) and the steps x energies of its Magnus products (``steps``),
 and the cases whose every Magnus product ran over the half period
-(``half``), the route of an even V.  The superlattice
-and multiwell families are cosine sums, so even, and take it; a modes
-case with a sine part takes the whole period.  It exits 1 when any case
+(``half``), the route of an even V; these three come from the counts
+``band_edges`` keeps per call on its potential.  The superlattice and
+multiwell families are cosine sums, so even, and take the half period;
+a modes case with a sine part takes the whole period.  It exits 1 when any case
 is wrong or raises, else 0, so a job can gate on it.  At seed 0 no
 family has a wrong answer or a raise.
 """
@@ -91,9 +92,9 @@ def check(terms):
     """One potential: a dict with the Floquet engine's ``error`` (None
     unless it raised), whether Galerkin is ``settled`` and the Floquet
     ``distance`` to it (None when unsettled or raised), and from the
-    counts ``band_edges`` keeps on the potential the cells scanned again
-    (``rescans``), the ``steps`` x energies of the products formed and
-    whether every one ran over the ``half`` period."""
+    counts ``band_edges`` keeps on the potential (``V._magnus["counts"]``)
+    the cells scanned again (``rescans``), the ``steps`` x energies of the
+    products formed and whether every one ran over the ``half`` period."""
     pot = potential(terms)
     row = {"terms": terms, "error": None, "settled": False, "distance": None, "half": False}
     coarse = bandsolver.galerkin_edges(pot, COUNT, 256)
@@ -105,9 +106,9 @@ def check(terms):
         row["error"] = f"{type(exc).__name__}: {exc}"
         return row
     finally:
-        products, steps, half = pot._magnus["formed"]
-        row["half"] = bool(products) and half == products
-        row["rescans"], row["steps"] = pot._magnus["scan"]["rescans"], int(steps)
+        counts = pot._magnus["counts"]
+        row["half"] = counts["half_period_products"] == counts["products"] > 0
+        row["rescans"], row["steps"] = counts["rescans"], counts["steps_x_energies"]
     if row["settled"]:
         row["distance"] = _distance(edges, fine)
     return row

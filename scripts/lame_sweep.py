@@ -18,9 +18,12 @@ cases returned a touch, and its worst errors.
 
 Run:  python scripts/lame_sweep.py
 for j = 1..10 and m in {1e-6, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999, 1 - 1e-6}.
+It exits 1 when any case raises or leaves the boundary pattern, else 0,
+so a job can gate on it.
 """
 
 import os
+import sys
 import time
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -67,6 +70,8 @@ def _worst(rows, kind):
 
 
 def main(j_list=range(1, 11), m_list=M_LIST):
+    """Both engines over j_list x m_list; prints the table and the
+    summaries and returns the rows (``check``'s, with ``time_s``)."""
     rows = []
     print(f"{'engine':>8} {'j':>2} {'m':>9} {'time_s':>7} {'pattern':>7} "
           f"{'non-touch':>9} {'touch':>9}")
@@ -95,7 +100,8 @@ def main(j_list=range(1, 11), m_list=M_LIST):
             worst = _worst(mine, kind)
             print(f"   worst {label} error: " + ("none" if worst is None else
                                                  f"{worst[0]:.3e} (j={worst[1]}, m={worst[2]:.6g})"))
+    return rows
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(any(r["error"] or not r["boundaries_ok"] for r in main()))

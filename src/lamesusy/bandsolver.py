@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -56,6 +57,7 @@ from .errors import (
     InvalidGroundStateError,
     NumericalError,
     _positive_int,
+    _real,
 )
 from .grid import GridFunction, spectrum
 
@@ -104,7 +106,7 @@ class PeriodicPotential:
 
     period: float
     evaluator: Callable
-    # the Magnus engine's caches, and the last band_edges call's counts ("formed", "scan")
+    # the Magnus engine's caches, and the last band_edges call's counts ("counts")
     _magnus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -121,14 +123,14 @@ class PeriodicPotential:
         """V at (i + shift) * period / n, i = 0..n-1, a row per shift of an array:
         by one FFT resample when V is a grid, else in one evaluator call.
         DomainError if the evaluator maps no array of points to one of its
-        shape, or names the x where V is not finite."""
+        shape and to real numbers (_real), or names the x where V is not finite."""
         xs = np.add.outer(shift, np.arange(n)) * (self.period / n)
         f = self.evaluator
         if isinstance(f, GridFunction) and f.period == self.period:
             out = f.resample(n, shift)
         else:
             try:
-                out = np.asarray(f(xs), dtype=float)
+                out = np.asarray(_real(f(xs), "the evaluator's values"), dtype=float)
             except TypeError as exc:
                 raise DomainError(f"evaluator does not take an array of points: {exc}") from exc
             if out.shape != xs.shape:
@@ -334,8 +336,8 @@ def _product(V: PeriodicPotential, n: int, E: np.ndarray, rows: int = 4) -> tupl
     for lo in range(0, E.size, per):
         part = slice(lo, lo + per)
         M[:, part], scale[part] = _tree_product(_step_propagators(coef, E[part], rows))
-    # products, steps x energies, products over the half period
-    V._magnus.setdefault("formed", np.zeros(3, dtype=int))[:] += (1, steps * E.size, steps < n)
+    V._magnus.setdefault("counts", Counter()).update(
+        products=1, steps_x_energies=steps * E.size, half_period_products=int(steps < n))
     return _unfold(M, scale) if steps < n else (M, scale)
 
 
@@ -358,14 +360,12 @@ def _energy_range(V: PeriodicPotential, E: np.ndarray) -> np.ndarray:
     return np.ceil(np.log2(np.maximum(waves, 1.0))).astype(int)
 
 
-def _probe_product(V: PeriodicPotential, r: int, n: int) -> tuple:
-    """The n-step _product at the _PROBES energies of range r, cached, so
-    that every tolerance's step-count search reuses the products formed."""
+def _probe_product(V: PeriodicPotential, E: np.ndarray, r: int, n: int) -> tuple:
+    """The n-step _product at the probe energies E of range r, cached by r
+    and n, so that every tolerance's step-count search reuses the products."""
     key = ("probes", r, n)
     if key not in V._magnus:
-        vmin, vmax = _span(V)
-        top = vmax + (2.0 ** r * math.pi * _RANGE_WAVES / V.period) ** 2
-        V._magnus[key] = _product(V, n, np.linspace(vmin - 1.0, top, _PROBES))
+        V._magnus[key] = _product(V, n, E)
     return V._magnus[key]
 
 
@@ -378,23 +378,27 @@ def _step_count(V: PeriodicPotential, tol: float, r: int) -> int:
     final-matrix norm would demand accuracy below roundoff where the
     entries cancel).  The count depends on V, tol and r only.  A probe
     product that is not finite raises NumericalError at once: more steps
-    cannot bring back solutions that overflow float64.
+    cannot bring back solutions that overflow float64.  So does a range
+    that MAX_STEPS steps do not resolve, naming the range's top energy.
     """
     key = ("count", tol, r)
     if key not in V._magnus:
+        E = np.linspace(_span(V)[0] - 1.0,
+                        _span(V)[1] + (2.0 ** r * math.pi * _RANGE_WAVES / V.period) ** 2, _PROBES)
         n = MIN_STEPS if r == 0 else _step_count(V, tol, r - 1)
-        coarse, scale = _probe_product(V, r, n)
+        coarse, scale = _probe_product(V, E, r, n)
         while True:
             if not np.isfinite(scale).all():
                 raise NumericalError(f"the solutions overflow float64 over one period at {n} "
                                      "steps; galerkin_edges solves so deep a potential")
-            fine, fine_scale = _probe_product(V, r, 2 * n)
+            fine, fine_scale = _probe_product(V, E, r, 2 * n)
             err = np.max(np.abs(fine - coarse) / np.maximum(scale, fine_scale))
             if err <= tol:
                 break
             if 2 * n > MAX_STEPS:
                 raise NumericalError(f"monodromy error {err:.2g} exceeds {tol:g} at {MAX_STEPS} "
-                                     "steps; the potential is too rough for the Floquet route")
+                                     f"steps up to E = {E[-1]:.6g}; the potential is too rough, "
+                                     "or the energies too high, for the Floquet route")
             n, coarse, scale = 2 * n, fine, fine_scale
         V._magnus[key] = n
     return V._magnus[key]
@@ -404,8 +408,8 @@ def _monodromy(V: PeriodicPotential, energies, tol: float = TOL,
                refined: bool = False, rows: int = 4) -> tuple:
     """Monodromy entries and scales for a batch of E, with rows = 5 and the
     half-turn count of (m12, m22) in row 4, over the settled step count;
-    ``refined`` doubles it, for error estimates."""
-    E = np.atleast_1d(np.asarray(energies, dtype=float))
+    ``refined`` doubles it, for error estimates.  E real and finite, else DomainError."""
+    E = np.atleast_1d(np.asarray(_real(energies, "energies"), dtype=float))
     if not np.all(np.isfinite(E)):
         raise DomainError("energies must be finite")
     M = np.empty((rows, E.size))
@@ -481,9 +485,10 @@ def _root_batch(residual, lo, hi, f_lo, f_hi):
     along a flat end, e.g. next to a narrow gap's extremum), and one that
     has not halved in 2 _STALL steps is bisected.  A bracket closes at a
     width of 4 eps max(1, |E|) or on a residual of exactly 0, so every
-    root lies inside its bracket; brackets never interact.  Raises
-    NumericalError if an end pair has no sign change or a bracket never
-    closes.
+    root lies inside its bracket; brackets never interact.  Returns the
+    roots and the rounds taken, one batch evaluation of the residual each.
+    Raises NumericalError if an end pair has no sign change or a bracket
+    never closes.
     """
     a, b, fa, fb = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
     if np.any(fa * fb > 0):
@@ -492,13 +497,13 @@ def _root_batch(residual, lo, hi, f_lo, f_hi):
     kept = np.zeros(a.size, dtype=int)  # end kept by the last step: -1 low, +1 high
     halved = b - a                      # width at the last halving
     stall = np.zeros(a.size, dtype=int)
-    for _ in range(_ROOT_STEPS):
+    for rounds in range(_ROOT_STEPS):
         stop = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
         closed = np.isnan(root) & (b - a <= stop)
         root[closed] = 0.5 * (a[closed] + b[closed])
         i = np.nonzero(np.isnan(root))[0]
         if i.size == 0:
-            return root
+            return root, rounds
         ai, bi, w = a[i], b[i], b[i] - a[i]
         margin = np.where(stall[i] >= _STALL, w / 64.0, 0.5 * stop[i])
         x = np.clip(ai + w * (fa[i] / (fa[i] - fb[i])), ai + margin, bi - margin)
@@ -592,12 +597,6 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     Returns the edges found as (index, energy, degenerate) triples sorted
     by index, a touch as two degenerate ones.  Counts go into ``stats``.
     """
-    def counted(key, residual):  # a residual for _root_batch that counts its rounds
-        def rounds(x, i):
-            stats[key] += 1
-            return residual(x, i)
-        return rounds
-
     Es = np.linspace(e_min, e_max, n_cells + 1)
     while True:
         M, scale = _monodromy(V, Es, SCAN_TOL, rows=5)
@@ -620,8 +619,9 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
         cells = np.nonzero((jump > (above[:, :-1] != above[:, 1:]).sum(axis=0))
                            & (below[:-1] < count))[0]
         lo = cells[k[cells] - k[cells + 1] == 1]  # one Dirichlet eigenvalue in the cell
-        xe = _root_batch(counted("dirichlet_rounds", lambda x, i: _monodromy(V, x)[0][1]),
-                         Es[lo], Es[lo + 1], m12[lo], m12[lo + 1])
+        xe, rounds = _root_batch(lambda x, i: _monodromy(V, x)[0][1],
+                                 Es[lo], Es[lo + 1], m12[lo], m12[lo + 1])
+        stats["dirichlet_rounds"] += rounds
         M, scale = _monodromy(V, xe)
         gap = -1 - k[lo + 1].astype(int)  # mu is gap g's Dirichlet eigenvalue
         sign, own, cols, err = np.sign(M[0]), _row(2 * gap), np.arange(xe.size), TOL * scale
@@ -658,8 +658,9 @@ def _scan_edges(V, e_min, e_max, n_cells, count, stats):
     E_all, res_all = np.insert(Es, at, np.repeat(xe, 2)), np.insert(res, at, ends, axis=1)
     above = res_all >= 0.0
     row, i = np.nonzero(above[:, :-1] != above[:, 1:])
-    found = _root_batch(counted("crossing_rounds", _crossing(V, _TARGETS[row])), E_all[i],
-                        E_all[i + 1], res_all[row, i], res_all[row, i + 1])
+    found, rounds = _root_batch(_crossing(V, _TARGETS[row]), E_all[i], E_all[i + 1],
+                                res_all[row, i], res_all[row, i + 1])
+    stats["crossing_rounds"] += rounds
     index = base[i] + (row != _row(base[i]))
     # a split gap's edges are those indexed 2g - 1 and 2g
     slot = np.full(base.max(initial=0) + 2, -1)
@@ -696,10 +697,8 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
     naming them.  Each call sends one DEBUG record to this module's logger
     when ``logging`` is loaded.
     """
+    stats = V._magnus["counts"] = Counter()  # this call's counts, _product's among them
     count = _positive_int(count, "count")
-    stats = V._magnus["scan"] = dict(splits=0, dirichlet_rounds=0, brackets=0,
-                                     crossing_rounds=0, rescans=0)  # this call's counts
-    V._magnus["formed"] = np.zeros(3, dtype=int)  # products, steps x energies, half-period ones
     e_min = _span(V)[0] - 1.0
     e_max = _first_window(V, count)
     try:
@@ -714,14 +713,14 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
             f"{sorted({n for n in indices if indices.count(n) > 1})} doubled below "
             f"E={e_max!r}: " + ", ".join(f"{e.n}:{e.energy:.6g}" for e in found))
     finally:
-        products, units, half = V._magnus["formed"]
+        products, half = stats["products"], stats["half_period_products"]
         route = "half" if half == products > 0 else "full" if half == 0 else "mixed"
         _debug(__name__, "band_edges: %d Dirichlet splits in %d root rounds, %d Magnus products "
                "of %d steps x energies, %s-period route with %d products over L/2 (asymmetry %.3g "
                "against %g eps max|V|), %d edges counted below the window's top, %d crossing "
                "brackets in %d root rounds, %d rescans", stats["splits"],
-               stats["dirichlet_rounds"], products, units, route, half,
-               V._magnus.get("asymmetry", math.nan), _EVEN, stats.get("top", 0),
+               stats["dirichlet_rounds"], products, stats["steps_x_energies"], route, half,
+               V._magnus.get("asymmetry", math.nan), _EVEN, stats["top"],
                stats["brackets"], stats["crossing_rounds"], stats["rescans"])
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, _real
 
 AGM_MAX_ITER = 40
 
@@ -89,11 +89,12 @@ def jacobi(x, m: float) -> JacobiTriple:
     the error grows as |x| eps, with eps the machine epsilon of the dtype
     (at m = 0.5 in float64, ~5e-13 at |x| = 1e4 and ~1e-4 at 1e12).
     Where one float step of x spans a whole period, |x| eps >= 4K for
-    m < 1, the value is noise, so that raises DomainError.
+    m < 1, the value is noise, so that raises DomainError, as does an x
+    that is not real: complex, a string or any other non-numeric dtype.
     """
     m = _check_m(m)
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    xa = np.asarray(x)
+    xa = _real(x, "argument x")
     if not np.issubdtype(xa.dtype, np.floating):
         xa = xa.astype(float)
     if not np.all(np.isfinite(xa)):

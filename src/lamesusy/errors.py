@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the package, and its integer check."""
+"""Exception hierarchy shared across the package, and its integer and real-number checks."""
 
 import operator
+
+import numpy as np
 
 
 class LamesusyError(Exception):
@@ -38,3 +40,13 @@ def _positive_int(value, name: str, low: int = 1) -> int:
         kind = "a positive integer" if low == 1 else f"an integer >= {low}"
         raise DomainError(f"{name} must be {kind}, got {value!r}")
     return index
+
+
+def _real(values, name: str) -> np.ndarray:
+    """``values`` as an array of integers or floats; DomainError for any
+    other dtype, so that a complex value is not cast to its real part nor
+    a string parsed."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be real, got dtype {values.dtype}")
+    return values

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, _positive_int
+from .errors import DomainError, _positive_int, _real
 
 MIN_SAMPLES = 64
 
@@ -70,7 +70,7 @@ class GridFunction:
     samples: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
+        samples = np.asarray(_real(self.samples, "GridFunction samples"), dtype=float)
         if samples.ndim != 1 or samples.size < MIN_SAMPLES:
             raise DomainError(
                 f"GridFunction needs a 1-d array of at least {MIN_SAMPLES} samples"
@@ -84,7 +84,7 @@ class GridFunction:
     @classmethod
     def from_function(cls, f, period: float, n: int) -> "GridFunction":
         x = np.arange(n) * (period / n)
-        return cls(period=period, samples=np.asarray(f(x), dtype=float))
+        return cls(period=period, samples=f(x))
 
     @property
     def n(self) -> int:
@@ -92,8 +92,9 @@ class GridFunction:
 
     def eval(self, pts) -> np.ndarray:
         """Evaluate the trigonometric interpolant at arbitrary points: a float
-        for a scalar, else an array of the points' shape."""
-        pts = np.asarray(pts, dtype=float)
+        for a scalar, else an array of the points' shape; DomainError for
+        points that are not real (_real)."""
+        pts = np.asarray(_real(pts, "points"), dtype=float)
         out = series_sum(spectrum(self.samples), self.n, self.period, pts.ravel())
         return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 

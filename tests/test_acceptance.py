@@ -168,12 +168,18 @@ def test_criterion_8_property_suites_and_full_verify():
     announce(8, "property suites and full verification run")
 
 
-def test_release_job_claim_ids_are_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def release_reports(tmp_path_factory):
+    """The release job's reports, from one in-process verify --scope all."""
+    out = tmp_path_factory.mktemp("release") / "verify.json"
+    assert cli.main(["verify", "--scope", "all", "--format", "json", "-o", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_release_job_claim_ids_are_pinned(release_reports):
     # the release job's 159 claims by id, in output order, all passing: a
     # suite that drops, renames or reorders a claim changes the digest
-    out = tmp_path / "verify.json"
-    assert cli.main(["verify", "--scope", "all", "--format", "json", "-o", str(out)]) == 0
-    reports = json.loads(out.read_text())
+    reports = release_reports
     ids = [r["claim_id"] for r in reports]
     assert len(set(ids)) == len(ids) == 159
     assert Counter(i.split("/")[0] for i in ids) == {
@@ -181,3 +187,31 @@ def test_release_job_claim_ids_are_pinned(tmp_path):
     assert hashlib.sha256("\n".join(ids).encode()).hexdigest() == (
         "7f1a9e636ad8d3bfa687da2fe392a88cb4a435f3b56d3e64a3ac5506081534e3")
     assert all(r["passed"] for r in reports)
+
+
+# Engine accuracy per kind of release claim, far inside the claims' own
+# tolerances (1e-6): the largest value today, then the margin to the bound.
+# A sampled V off by 1e-7, closed-form energies off by 1e-8 or a numeric V+
+# off by 1e-7 max|V| pass every claim but exceed these bounds 1000-fold or more.
+RELEASE_MARGINS = {
+    "energy": 1e-12,                # 5.95e-14, 17x
+    "solvers_agree_minus": 1e-11,   # 4.1e-13, 24x
+    "solvers_agree_plus": 1e-10,    # 5.9e-12, 17x
+    "edges_match j<=3": 1e-10,      # 6.0e-12, 17x
+    "edges_match j>3": 1e-9,        # 1.7e-11, 59x
+    "self_isospectral": 1e-12,      # 3.2e-15, 310x
+}
+
+
+def test_release_job_margins(release_reports):
+    # every claim of these kinds holds to engine accuracy, not only to its
+    # tolerance
+    worst = dict.fromkeys(RELEASE_MARGINS, -1.0)
+    for r in release_reports:
+        kind = r["claim_id"].split("/")[-1]
+        if kind == "edges_match":
+            kind += " j<=3" if r["context"]["j"] <= 3 else " j>3"
+        if kind in worst:
+            worst[kind] = max(worst[kind], r["measured"])
+    assert all(value >= 0.0 for value in worst.values()), worst
+    assert {k: v for k, v in worst.items() if v > RELEASE_MARGINS[k]} == {}

@@ -263,6 +263,17 @@ class TestPeriodicPotential:
             bs._step_coefficients(pot, n)
         assert calls == [(3, 64), (3, 128)]
 
+    def test_complex_potential_raises_domain_error(self):
+        # 50 exp(2 pi i x) is refused when built: cast to its real part it
+        # would take the band edges of 50 cos 2 pi x
+        with pytest.raises(DomainError, match="evaluator's values must be real, got dtype complex"):
+            bs.PeriodicPotential(1.0, lambda x: 50.0 * np.exp(2j * np.pi * np.asarray(x)))
+        # nor is the trace taken at the real part of a complex energy
+        pot = bs.PeriodicPotential(1.0, lambda x: 10.0 * np.cos(2 * np.pi * np.asarray(x)))
+        for E in (3.0 + 5j, np.array([3.0 + 5j]), "3.0"):
+            with pytest.raises(DomainError, match="energies must be real"):
+                bs.monodromy_trace(pot, E)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_potential_raises_domain_error(self, bad):
         # a V non-finite at the construction check's points is refused when
@@ -346,6 +357,19 @@ class TestMonodromyTrace:
             evaluator=lambda x: 50.0 * np.sign(np.sin(2 * np.pi * (np.asarray(x) - 0.1234))))
         with pytest.raises(NumericalError, match="too rough"):
             bs.monodromy_trace(rough, 3.0)
+
+    def test_step_cap_names_the_energy(self, monkeypatch):
+        # a smooth V whose energies lie too high for the cap: the error
+        # names the top of the range that hit it: range 3, whose top lies
+        # 2^3 x 16 half-waves per period above max V, is the first that
+        # 128 steps do not resolve
+        monkeypatch.setattr(bs, "MAX_STEPS", 128)
+        pot = lame_pot(Family.RAW_LAME, 1, 0.5)
+        top = bs._span(pot)[1] + (8.0 * math.pi * bs._RANGE_WAVES / pot.period) ** 2
+        with pytest.raises(NumericalError, match=(
+                f"at 128 steps up to E = {top:.6g}; the potential is too rough, "
+                "or the energies too high, for the Floquet route")):
+            bs.band_edges(pot, 400)
 
     def test_overshoot_separates_closed_from_narrow_open_gap(self):
         # the free particle's gaps at E = 1, 4 are closed (M = -I, +I); the
@@ -469,8 +493,10 @@ class TestHalfPeriod:
         even = cos_series(terms)
         near = bs.PeriodicPotential(1.0, lambda x: even(x) + 1e-9 * np.sin(2 * np.pi * x))
         found = [bs.band_edges(pot, 11) for pot in (even, near)]
-        assert even._magnus["formed"][2] == even._magnus["formed"][0] > 0
-        assert near._magnus["formed"][2] == 0 and near._magnus["asymmetry"] > 1e5
+        assert (even._magnus["counts"]["half_period_products"]
+                == even._magnus["counts"]["products"] > 0)
+        assert (near._magnus["counts"]["half_period_products"] == 0
+                and near._magnus["asymmetry"] > 1e5)
         for got, want, other in zip(found[1], bs.galerkin_edges(near, 11, 256), found[0]):
             assert got.n == want.n == other.n
             assert got.energy == pytest.approx(want.energy, abs=1e-9 * max(1.0, abs(want.energy)))
@@ -481,7 +507,8 @@ class TestHalfPeriod:
         # FFT-resampled node samples are even to their rounding
         plus = verify.partner_pair(4, 0.5)[1]
         edges = bs.band_edges(plus, 9)
-        assert plus._magnus["formed"][2] == plus._magnus["formed"][0] > 0
+        assert (plus._magnus["counts"]["half_period_products"]
+                == plus._magnus["counts"]["products"] > 0)
         assert plus._magnus["asymmetry"] <= bs._EVEN
         for got, want in zip(edges, band_edge_energies(4, 0.5)):
             assert got.energy == pytest.approx(want, abs=1e-9)
@@ -825,7 +852,7 @@ class TestStepCount:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="overflow float64.*galerkin_edges"):
                 bs.band_edges(deep, 5)
-        assert deep._magnus["formed"][0] <= 2
+        assert deep._magnus["counts"]["products"] <= 2
         assert [e.energy for e in bs.galerkin_edges(deep, 5, basis_n=512)] == pytest.approx(
             [-995559.5858, -995559.5858, -986683.7006, -986683.7006, -977817.7097], abs=1e-3)
 
@@ -855,15 +882,15 @@ class TestRootBatch:
         pot = lame_pot(Family.V_MINUS, 3, 0.5)
         brackets = self.brackets(pot)
         lo, hi, target, f_lo, f_hi = brackets
-        batch = bs._root_batch(bs._crossing(pot, target), lo, hi, f_lo, f_hi)
-        single = [bs._root_batch(bs._crossing(pot, [t]), [a], [b], [fa], [fb])[0]
+        batch, _ = bs._root_batch(bs._crossing(pot, target), lo, hi, f_lo, f_hi)
+        single = [bs._root_batch(bs._crossing(pot, [t]), [a], [b], [fa], [fb])[0][0]
                   for a, b, t, fa, fb in zip(*brackets)]
         assert batch.tolist() == single
 
     def test_roots_inside_their_brackets(self):
         pot = lame_pot(Family.V_MINUS, 3, 0.5)
         lo, hi, target, f_lo, f_hi = self.brackets(pot)
-        roots = bs._root_batch(bs._crossing(pot, target), lo, hi, f_lo, f_hi)
+        roots, _ = bs._root_batch(bs._crossing(pot, target), lo, hi, f_lo, f_hi)
         assert np.all((lo <= roots) & (roots <= hi))
         assert np.max(np.abs(roots - np.array(band_edge_energies(3, 0.5)))) <= 1e-11
 
@@ -892,7 +919,8 @@ class TestRootBatch:
             values.append(float(fx[0]))
             return fx
 
-        root = bs._root_batch(residual, [lo], [hi], f(np.array([lo])), f(np.array([hi])))
+        root, rounds = bs._root_batch(residual, [lo], [hi], f(np.array([lo])), f(np.array([hi])))
+        assert rounds == len(values)
         return root[0], values
 
     @pytest.mark.parametrize("f, lo, hi, want, rounds", [
@@ -1005,16 +1033,13 @@ class TestHiddenCells:
         # three cells of each scan are split, each at a mu in the closure of
         # gap g of the Galerkin edges; the touch judge measures the middle
         # of the returned edges indexed 2g - 1 and 2g, at gap g's target
-        pot, mus, judged = pot(), [], []
+        pot, batches, judged = pot(), [], []
         root_batch, overshoot = bs._root_batch, bs._overshoot
         stats = dict(splits=0, dirichlet_rounds=0, crossing_rounds=0, rescans=0)
 
-        def record_mu(residual, *ends):  # a batch that counts Dirichlet rounds solves mu
-            before = stats["dirichlet_rounds"]
-            roots = root_batch(residual, *ends)
-            if stats["dirichlet_rounds"] > before:
-                mus.extend(roots.tolist())
-            return roots
+        def record_mu(residual, *ends):  # every batch but the last, the crossings', solves mu
+            batches.append(root_batch(residual, *ends))
+            return batches[-1]
 
         def record_judge(V, mid, targets):
             judged.extend(zip(mid.tolist(), targets.tolist()))
@@ -1026,6 +1051,7 @@ class TestHiddenCells:
         edges = bs._scan_edges(pot, bs._span(pot)[0] - 1.0, bs._first_window(pot, count),
                                cells, count, stats)
         got = {n: e for n, e, _ in edges}
+        mus = [mu for roots, _ in batches[:-1] for mu in roots.tolist()]
         gaps = [g for mu in mus for g in range(1, count // 2 + 1)
                 if ref[2 * g - 1] - 1e-9 <= mu <= ref[2 * g] + 1e-9]
         assert stats["splits"] == len(gaps) == len(mus) == 3
@@ -1039,7 +1065,7 @@ class TestHiddenCells:
         pot = uneven_trig()
         want = [e.energy for e in bs.galerkin_edges(pot, 5)]
         mu = bs._root_batch(lambda x, i: bs._monodromy(pot, x)[0][1], [want[1]], [want[2]],
-                            *bs._monodromy(pot, want[1:3])[0][1].reshape(2, 1))[0]
+                            *bs._monodromy(pot, want[1:3])[0][1].reshape(2, 1))[0][0]
         Es = np.linspace(mu - 0.02, mu + 0.02, 3)
         M, scale = bs._monodromy(pot, Es, bs.SCAN_TOL, rows=5)
         assert abs(M[1, 1]) <= 4.0 * bs.SCAN_TOL * scale[1]
@@ -1180,25 +1206,27 @@ class TestBenchScript:
         assert all(isinstance(c, int) and c > 0 for c in counts)
 
     def test_counts_read_no_log_record(self, caplog):
-        # the products and root rounds are counted by wrapping
-        # bandsolver._product and _root_batch, not read from a log record,
-        # and match the engine's own counters
+        # the products and root rounds are summed from the counts each
+        # band_edges call keeps on its potential, read by wrapping the
+        # public band_edges, not from a log record
         script = runpy.run_path(str(self.SCRIPT))
         pot, other = lame_pot(Family.V_PLUS, 3, 0.5), fuzz_modes()
         with caplog.at_level(logging.DEBUG, logger="lamesusy.bandsolver"):
             with script["_counting"]() as formed:
                 bs.band_edges(pot, 7)
-            assert np.array_equal(formed[:3], pot._magnus["formed"])
+            assert formed == pot._magnus["counts"]
             with script["_counting"]() as other_formed:
                 bs.band_edges(other, 9)
-        assert np.array_equal(other_formed[:3], other._magnus["formed"])
-        assert other_formed[0] > 0 == other_formed[2]
+                bs.band_edges(pot, 7)
+        assert other_formed == other._magnus["counts"] + pot._magnus["counts"]
+        counts = other._magnus["counts"]
+        assert counts["products"] > 0 == counts["half_period_products"]
         # the record names the Dirichlet rounds and then the crossing rounds
         rounds = [sum(int(part.split()[0]) for part in rec.getMessage().split(" in ")[1:])
                   for rec in caplog.records if rec.name == "lamesusy.bandsolver"]
-        assert rounds == [formed[3], other_formed[3]] and min(rounds) > 0
-        assert bs._product.__name__ == "_product"
-        assert bs._root_batch.__name__ == "_root_batch"
+        reported = [script["_reported"]("", c)["root_rounds"] for c in (formed, other_formed)]
+        assert [rounds[0], rounds[1] + rounds[2]] == reported and min(rounds) > 0
+        assert bs.band_edges.__name__ == "band_edges"
 
     def test_calib_runs_no_package_code(self):
         # the speed witness is perfbench's kernel as that file defines it
@@ -1235,7 +1263,9 @@ class TestLameSweep:
         assert max(e for e in (row["plain"], row["touch"]) if e is not None) <= 1e-9
 
     def test_sweep_script_runs(self, capsys):
-        runpy.run_path(str(self.SCRIPT))["main"]([2, 3], [1e-6, 0.5])
+        rows = runpy.run_path(str(self.SCRIPT))["main"]([2, 3], [1e-6, 0.5])
+        assert len(rows) == 8
+        assert all(r["error"] is None and r["boundaries_ok"] for r in rows)
         out = capsys.readouterr().out
         assert out.count("4 of 4 cases in the boundary pattern") == 2
         # at m = 1e-6 the 7.5e-13 gap of j = 2 is below Galerkin's resolution
@@ -1494,7 +1524,7 @@ class TestNumericPartner:
         for got, want in zip(bs.band_edges(plus, 9), bs.band_edges(pot, 9)):
             assert got.n == want.n
             assert got.energy == pytest.approx(want.energy, abs=1e-9)
-        assert plus._magnus["formed"][2] == 0
+        assert plus._magnus["counts"]["half_period_products"] == 0
 
     def test_partner_of_uneven_potential_isospectral(self):
         pot = uneven_trig()

@@ -116,6 +116,12 @@ class TestJacobi:
         with pytest.raises(DomainError):
             jacobi(np.array([0.0, math.nan]), 0.5)
 
+    @pytest.mark.parametrize("x", [1 + 2j, np.array([0.5, 1j]), "1.0", np.array(["1.0"])])
+    def test_argument_that_is_not_real_rejected(self, x):
+        # neither cast to its real part nor parsed from a string
+        with pytest.raises(DomainError, match="argument x must be real"):
+            jacobi(x, 0.5)
+
     @pytest.mark.parametrize("dt", [np.float64, np.longdouble])
     @pytest.mark.parametrize("m", [0.0, 0.5, 0.9])
     def test_argument_past_float_resolution_rejected(self, dt, m):

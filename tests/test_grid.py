@@ -27,6 +27,18 @@ class TestGridFunction:
             with pytest.raises(DomainError, match="period"):
                 GridFunction(period=period, samples=np.ones(64))
 
+    def test_rejects_complex_samples(self):
+        # refused, not cast to their real part with a ComplexWarning
+        wave = lambda x: np.exp(1j * x)
+        with pytest.raises(DomainError, match="samples must be real, got dtype complex128"):
+            GridFunction(period=2 * math.pi, samples=wave(np.arange(64) * (2 * math.pi / 64)))
+        with pytest.raises(DomainError, match="must be real"):
+            GridFunction.from_function(wave, 2 * math.pi, 64)
+        g = GridFunction.from_function(np.cos, 2 * math.pi, 64)
+        for pts in (np.array([0.1 + 0.5j]), "0.1"):
+            with pytest.raises(DomainError, match="points must be real"):
+                g.eval(pts)
+
     def test_eval_reproduces_samples(self):
         g = GridFunction.from_function(trig_poly, 2 * math.pi, 128)
         x = np.arange(g.n) * (g.period / g.n)
