@@ -53,11 +53,12 @@ same four for the release job, counted over the last verify round
 ``galerkin_edges`` calls solved as cos and sin blocks, against all of
 them (``galerkin_problems_split``, ``galerkin_problems``), the shifts the
 two ``selfiso_distance`` scans evaluate (``selfiso_shifts_evaluated``),
-and the lines of the measured package's modules (``src_lines``).  The
-Floquet counts are those the engine keeps for each ``band_edges`` call
-on its potential (``V._magnus["counts"]``), summed over the calls by
-wrapping the public ``bandsolver.band_edges``, so no count depends on
-the text of a log record or on a copy of the engine's rules.
+and the lines of the measured package's modules (``src_lines``).  Each
+count is read from the engine calls' records: ``V._magnus["counts"]`` of
+every ``band_edges`` call, summed by wrapping the public
+``bandsolver.band_edges``, ``V._magnus["galerkin"]`` of every
+``galerkin_edges`` call and ``SelfIsoResult.record``; none from log text,
+a copy of an engine's rules or a re-run of its private functions.
 
 Run:  PYTHONPATH=<tree>/src python scripts/bench.py [--repeat N] [--tier1]
 with N rounds (default 7), on the ``lamesusy`` package that PYTHONPATH
@@ -140,12 +141,23 @@ def _band_edges_grid():
         bandsolver.band_edges(pot, count)
 
 
-def _galerkin_split():
-    """How many of the 42 plane-wave problems of the 21 cases split, and 42."""
-    split = [len(bandsolver._cos_sin_blocks(*bandsolver._potential_modes(pot, bandsolver.BASIS_N),
-                                            pot.period, periodic)[0]) == 2
-             for pot, _ in _grid() for periodic in (True, False)]
-    return sum(split), len(split)
+def _galerkin_grid():
+    """The 21 galerkin_edges calls at the default basis; returns their records."""
+    records = []
+    for pot, count in _grid():
+        bandsolver.galerkin_edges(pot, count)
+        records.append(pot._magnus["galerkin"])
+    return records
+
+
+def _recorded(pairs):
+    """The split and all problems of _galerkin_grid, and the shifts that
+    selfiso_distance evaluates on ``pairs``, read from the calls' records."""
+    problems = [p["blocks"] for r in _galerkin_grid() for p in r.values()]  # 2 where split, else 1
+    selfiso = [verify.selfiso_distance(*pair).record for pair in pairs]
+    return {"galerkin_problems_split": problems.count(2), "galerkin_problems": len(problems),
+            "selfiso_shifts_evaluated": sum(r["unreflected_shifts"] + r["reflected_shifts"]
+                                            for r in selfiso)}
 
 
 def _partners():
@@ -242,8 +254,7 @@ def run(repeat=7, tier1=False):
         "band_edges_s": lambda: _timed(_band_edges_grid, 1),
         "band_edges_uneven_s": lambda: _timed(
             lambda: bandsolver.band_edges(FUZZ["potential"](UNEVEN_TERMS), FUZZ["COUNT"]), 1),
-        "galerkin_edges_s": lambda: _timed(
-            lambda: [bandsolver.galerkin_edges(*case) for case in _grid()], 1),
+        "galerkin_edges_s": lambda: _timed(_galerkin_grid, 1),
         "numeric_partner_s": lambda: _timed(_partners, 1),
         "selfiso_distance_s": lambda: _timed(
             lambda: [verify.selfiso_distance(*pair) for pair in pairs], 1),
@@ -258,15 +269,11 @@ def run(repeat=7, tier1=False):
             rounds.setdefault(name, []).append(value)
     with _counting() as grid:
         _band_edges_grid()
-    split, problems = _galerkin_split()
-    shifts = sum(int(np.isfinite(verify._scan_distance(*pair, verify.SHIFT_SAMPLES)).sum())
-                 for pair in pairs)
     return {name: statistics.median(values) for name, values in rounds.items()} | {
         "quartiles": {name: np.percentile(values, [25, 75]).tolist()
                       for name, values in rounds.items()},
         **_reported("band_edges_", grid), **_reported("release_band_edges_", release),
-        "galerkin_problems_split": split, "galerkin_problems": problems,
-        "selfiso_shifts_evaluated": shifts, "repeat": repeat,
+        **_recorded(pairs), "repeat": repeat,
         "src_lines": sum(len(p.read_text().splitlines())
                          for p in Path(verify.__file__).parent.glob("*.py"))} | (
         _tier1() if tier1 else {})

@@ -78,12 +78,14 @@ _GAUSS = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10
 _EVEN = 256.0        # an even V's node samples match their mirror images to _EVEN eps max|V|
 
 
-def _debug(logger: str, msg: str, *args):
-    """A DEBUG record on the named logger, sent only when ``logging`` is
-    loaded: unloaded, it has no handler to reach."""
+def _debug(logger: str, what: str, record: dict):
+    """One engine call's DEBUG line on the named logger, its record as
+    ``what: key value, ...``, keys sorted, values as their repr; rendered
+    only where ``logging`` is loaded and that logger takes DEBUG."""
     logging = sys.modules.get("logging")
-    if logging:
-        logging.getLogger(logger).debug(msg, *args)
+    log = logging and logging.getLogger(logger)
+    if log and log.isEnabledFor(logging.DEBUG):
+        log.debug("%s: %s", what, ", ".join(f"{key} {record[key]!r}" for key in sorted(record)))
 
 
 def _row(n):
@@ -106,7 +108,7 @@ class PeriodicPotential:
 
     period: float
     evaluator: Callable
-    # the Magnus engine's caches, and the last band_edges call's counts ("counts")
+    # engine caches, and each engine's last-call record ("counts", "galerkin", "partner")
     _magnus: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -214,7 +216,7 @@ def _step_coefficients(V: PeriodicPotential, n: int) -> tuple:
         v = V.sample(n, _GAUSS)
         peak, mirror = np.max(np.abs(v)), np.max(np.abs(v - v[::-1, ::-1]))
         ratio = mirror / (np.finfo(float).eps * peak) if peak > 0.0 else 0.0
-        V._magnus["asymmetry"] = max(V._magnus.get("asymmetry", 0.0), ratio)
+        V._magnus["asymmetry"] = max(V._magnus.get("asymmetry", 0.0), float(ratio))
         steps = n // 2 if ratio <= _EVEN else n
         V._magnus[key] = _coefficients(v[:, _bit_reversed(steps)], V.period / n)
     return V._magnus[key]
@@ -423,8 +425,9 @@ def _monodromy(V: PeriodicPotential, energies, tol: float = TOL,
 
 
 def monodromy_trace(V: PeriodicPotential, E):
-    """Trace of the one-period monodromy matrix of -y'' + V y = E y: a
-    float for a scalar E, an array for an array of energies."""
+    """Trace of the one-period monodromy matrix of -y'' + V y = E y, a float
+    for a scalar E, else an array; its products start a new V._magnus["counts"]."""
+    V._magnus["counts"] = Counter()
     M, _ = _monodromy(V, E)
     trace = M[0] + M[3]
     return float(trace[0]) if np.ndim(E) == 0 else trace
@@ -694,8 +697,8 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
     edge is solved down to a few ulps and indexed by the edge count
     (_scan_edges, _root_batch); its boundary follows from its index.  An
     index in 0..count - 1 missing or doubled raises IncompleteSpectrumError,
-    naming them.  Each call sends one DEBUG record to this module's logger
-    when ``logging`` is loaded.
+    naming them.  The call's counts are its record, V._magnus["counts"],
+    sent with V's asymmetry as its DEBUG line (_debug).
     """
     stats = V._magnus["counts"] = Counter()  # this call's counts, _product's among them
     count = _positive_int(count, "count")
@@ -713,15 +716,7 @@ def band_edges(V: PeriodicPotential, count: int) -> list:
             f"{sorted({n for n in indices if indices.count(n) > 1})} doubled below "
             f"E={e_max!r}: " + ", ".join(f"{e.n}:{e.energy:.6g}" for e in found))
     finally:
-        products, half = stats["products"], stats["half_period_products"]
-        route = "half" if half == products > 0 else "full" if half == 0 else "mixed"
-        _debug(__name__, "band_edges: %d Dirichlet splits in %d root rounds, %d Magnus products "
-               "of %d steps x energies, %s-period route with %d products over L/2 (asymmetry %.3g "
-               "against %g eps max|V|), %d edges counted below the window's top, %d crossing "
-               "brackets in %d root rounds, %d rescans", stats["splits"],
-               stats["dirichlet_rounds"], products, stats["steps_x_energies"], route, half,
-               V._magnus.get("asymmetry", math.nan), _EVEN, stats["top"],
-               stats["brackets"], stats["crossing_rounds"], stats["rescans"])
+        _debug(__name__, "band_edges", {**stats, "asymmetry": V._magnus.get("asymmetry", math.nan)})
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +768,8 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = BASIS_N) -> 
     theorem), and by Courant-Fischer that eigenvalue is the Ritz upper
     bound of exactly that edge.  The two edges of a gap, eigenvalues i - 1
     and i of one problem, that the eigenvalues do not resolve apart are
-    flagged degenerate, a closed gap.  One DEBUG record per call.
+    flagged degenerate, a closed gap.  The record V._magnus["galerkin"] of
+    blocks and ||cs||_F against its bound per boundary is its DEBUG line.
     """
     count = _positive_int(count, "count")
     basis_n = _positive_int(basis_n, "basis_n")
@@ -787,8 +783,10 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = BASIS_N) -> 
                    for blocks, _, _ in problems]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Galerkin eigenproblem failed: {exc}") from exc
-    _debug(__name__, "galerkin_edges: %d, %d blocks; ||cs|| %.2g against %.2g, %.2g against %.2g",
-           *(len(p[0]) for p in problems), *(x for p in problems for x in p[1:]))
+    record = V._magnus["galerkin"] = {
+        name: {"blocks": len(blocks), "coupling": coupling, "bound": bound}
+        for name, (blocks, coupling, bound) in zip(("periodic", "antiperiodic"), problems)}
+    _debug(__name__, "galerkin_edges", record)
     # eigvalsh resolves eigenvalues to a small multiple of eps ||H||
     resolved = float(16.0 * np.finfo(float).eps * max(np.abs(ev).max() for ev in spectra))
     E = [float(spectra[_row(n)][n // 2]) for n in range(count + 1)]
@@ -801,9 +799,10 @@ def galerkin_edges(V: PeriodicPotential, count: int, basis_n: int = BASIS_N) -> 
 # ---------------------------------------------------------------------------
 
 def _reject_nodal(psi: np.ndarray):
-    """Raise if the sampled state changes sign anywhere."""
-    if np.any(psi[:-1] * psi[1:] < 0):
-        raise InvalidGroundStateError("ground state changes sign; partner undefined")
+    """Raise unless the sampled state, its peak +1, is positive everywhere:
+    a sample at or below 0 is a node, which log psi cannot take."""
+    if np.any(psi <= 0.0):
+        raise InvalidGroundStateError("ground state has a node; partner undefined")
 
 
 def _ground_solve(V: PeriodicPotential, solver):
@@ -836,10 +835,10 @@ def numeric_partner(V: PeriodicPotential) -> PeriodicPotential:
     takes band_edges' half-period route and galerkin_edges' split, as V
     does.  A V with a sine part keeps its partner whole.
 
-    Each call sends one DEBUG record (BASIS_N, the ground energy, the
-    block it came from, the odd part removed as max|p - p(-x)| / max|p|,
-    and min psi_0 / max psi_0, the range log psi_0 must resolve) to this
-    module's logger when ``logging`` is loaded.
+    The record V._magnus["partner"] on V, its DEBUG line also where psi_0
+    has a node, holds BASIS_N, the ground energy, whether it came from the
+    cos block, the odd part removed, max|p - p(-x)| / max|p| (nan if none),
+    and min psi_0 / max psi_0, the range log psi_0 must resolve.
     """
     L = V.period
     w, U = _ground_solve(V, np.linalg.eigh)
@@ -848,7 +847,9 @@ def numeric_partner(V: PeriodicPotential) -> PeriodicPotential:
     psi = np.fft.irfft(np.concatenate(([math.sqrt(2.0) * c[0]],
                                        c[1 : BASIS_N + 1] - 1j * c[BASIS_N + 1 :])), PARTNER_N)
     psi = psi / psi[int(np.argmax(np.abs(psi)))]  # peak at +1
-    even, odd = len(U) <= BASIS_N + 1, math.nan
+    even = len(U) <= BASIS_N + 1
+    record = V._magnus["partner"] = dict(basis_n=BASIS_N, ground_energy=float(w[0]), cos_block=even,
+                                         odd_part=math.nan, min_psi=float(psi.min()))
     try:
         _reject_nodal(psi)
         u2 = GridFunction(period=L, samples=np.log(psi)).derivative(2).samples
@@ -856,11 +857,8 @@ def numeric_partner(V: PeriodicPotential) -> PeriodicPotential:
         if even:  # keep the even part: partner(-x_i) = partner(x_(N - i))
             mirror = np.roll(partner[::-1], 1)
             peak = np.max(np.abs(partner))
-            odd = float(np.max(np.abs(partner - mirror)) / peak) if peak > 0.0 else 0.0
-            partner = 0.5 * (partner + mirror)
+            odd = np.max(np.abs(partner - mirror)) / peak if peak > 0.0 else 0.0
+            record["odd_part"], partner = float(odd), 0.5 * (partner + mirror)
     finally:
-        _debug(__name__, "numeric_partner: basis_n %d, ground energy %.17g of the %s, odd part "
-               "removed %s, min/max psi_0 %.3g", BASIS_N, w[0],
-               ("whole problem", "cos block")[even],
-               f"{odd:.3g} max|V+|" if even else "none", psi.min())
+        _debug(__name__, "numeric_partner", record)
     return PeriodicPotential(period=L, evaluator=GridFunction(period=L, samples=partner))

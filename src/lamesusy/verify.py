@@ -57,11 +57,12 @@ def claim(claim_id: str, measured: float, tolerance: float, **context) -> ClaimR
 
 @dataclass(frozen=True)
 class SelfIsoResult:
-    """Best match of V+ against transformed copies of V-."""
+    """Best match of V+ against transformed copies of V-, and the call's record."""
 
     best_shift: float
     reflected: bool
     distance: float
+    record: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def verdict(self) -> str:
@@ -85,7 +86,7 @@ def _scan_grid(vp: GridFunction, vm: GridFunction, count: int) -> tuple:
     ``count`` >= 8n, and a bound delta on twice the interpolants' rounding."""
     fine = count * -(-_SUP_OVERSAMPLE * vm.n // count)
     weighted = _mode_weights(vm.n) * (np.abs(spectrum(vp.samples)) + np.abs(spectrum(vm.samples)))
-    return fine, 64.0 * np.finfo(float).eps * math.log2(fine) * float(np.sum(weighted))
+    return fine, float(64.0 * np.finfo(float).eps * math.log2(fine) * np.sum(weighted))
 
 
 def _sine_bound(vm: GridFunction) -> float:
@@ -268,9 +269,9 @@ def _newton(at, x: np.ndarray, a: float, lo: float, hi: float) -> tuple:
 
 
 def _refine_shift(survey, at, a0: float, step: float) -> tuple:
-    """((distance, shift), stats) of the sup-norm optimum in [a0 - step,
-    a0 + step]; stats are the arguments of the DEBUG record from the
-    active-peak count on.
+    """((distance, shift), record) of the sup-norm optimum in [a0 - step,
+    a0 + step]; the record gives the last solve's active peaks, the Newton
+    steps, exchanges, bisections, the stop reason and whether a0 was kept.
 
     A minimax optimum in one parameter has two active peaks, equal with
     opposite slopes in the shift, or one, stationary in it (Watson,
@@ -309,7 +310,8 @@ def _refine_shift(survey, at, a0: float, step: float) -> tuple:
         a = shift
         d, xs = survey(a)
         best = min(best, (d, a))
-    return best, (n_active, newton, max(solves - 1, 0), bisections, stop, best[1] == a0)
+    return best, dict(active_peaks=n_active, newton_steps=newton, exchanges=max(solves - 1, 0),
+                      bisections=bisections, stop=stop, coarse_shift_kept=bool(best[1] == a0))
 
 
 def selfiso_distance(vp: GridFunction, vm: GridFunction) -> SelfIsoResult:
@@ -326,10 +328,11 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction) -> SelfIsoResult:
     coarse minimum is smaller by more than the scan's rounding allowance
     delta (_scan_grid), so on a tie to rounding, as an even vm ties the
     two, the unreflected one wins; where vm's sine bound is within delta
-    the reflected row is not scanned at all.  One DEBUG record gives the
-    shifts evaluated in each orientation, whether the reflected row was
-    scanned, with the sine bound against delta, and how the refinement
-    went.
+    the reflected row is not scanned at all, and a sup within delta is
+    rounding, where the refinement keeps the scanned shift.  The result's
+    record, the call's DEBUG line, gives the shifts evaluated in each
+    orientation, whether the reflected row was scanned, with the sine bound
+    against delta, and how the refinement went (_refine_shift).
     """
     if vp.n != vm.n:
         raise DomainError("grids must share the sample count")
@@ -343,16 +346,13 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction) -> SelfIsoResult:
     i = np.argmin(d, axis=1)
     reflect = bool(d[1, i[1]] < d[0, i[0]] - delta)
     a0 = int(i[int(reflect)]) * step
-    floor = 1e-12 * max(1.0, float(np.abs(vm.samples).max()))  # roundoff of the difference
-    (dist, a_best), stats = _refine_shift(*_exact_distance(vp, vm, reflect, floor), a0, step)
-    evaluated = np.isfinite(d).sum(axis=1)
-    bandsolver._debug(
-        __name__, "selfiso scan: %d unreflected and %d reflected of %d shifts evaluated, "
-        "reflected row %s (sine bound %.3g against delta %.3g); refinement: Newton on %d active "
-        "peak(s), %d steps, %d exchanges, %d bisections, stopped: %s; coarse shift kept: %s",
-        evaluated[0], evaluated[1], SHIFT_SAMPLES, "scanned" if sine > delta else "skipped",
-        sine, delta, *stats)
-    return SelfIsoResult(best_shift=float(a_best % L), reflected=bool(reflect), distance=dist)
+    (dist, a_best), record = _refine_shift(*_exact_distance(vp, vm, reflect, delta), a0, step)
+    unreflected, reflected = np.isfinite(d).sum(axis=1).tolist()
+    record |= {"unreflected_shifts": unreflected, "reflected_shifts": reflected,
+               "reflected_scanned": sine > delta, "sine_bound": sine, "delta": delta}
+    bandsolver._debug(__name__, "selfiso_distance", record)
+    return SelfIsoResult(best_shift=float(a_best % L), reflected=bool(reflect), distance=dist,
+                         record=record)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import runpy
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,20 @@ class TestMonodromyTrace:
         with pytest.raises(DomainError, match="energies must be finite"):
             bs.monodromy_trace(lame_pot(Family.V_MINUS, 2, 0.5), E)
 
+    def test_trace_starts_its_own_record(self):
+        # a trace after band_edges counts its own product in a new record,
+        # and leaves band_edges' record as that call left it
+        pot = lame_pot(Family.V_MINUS, 2, 0.5)
+        bs.band_edges(pot, 5)
+        edges_record = pot._magnus["counts"]
+        kept = Counter(edges_record)
+        bs.monodromy_trace(pot, np.array([0.1, 0.2, 0.3]))
+        assert pot._magnus["counts"] is not edges_record and edges_record == kept
+        # V- is even: one product over the half of the settled steps
+        half = bs._step_count(pot, bs.TOL, 0) // 2
+        assert pot._magnus["counts"] == Counter(products=1, steps_x_energies=3 * half,
+                                                half_period_products=1)
+
     def test_discriminant_band_gap_dichotomy(self):
         # |trace| <= 2 inside allowed bands, >= 2 inside gaps
         pot = lame_pot(Family.V_MINUS, 2, 0.5)
@@ -596,51 +611,40 @@ class TestBandEdges:
         for got, want in zip(edges, band_edge_energies(2, 1e-9)):
             assert abs(got.energy - want) <= 1e-15
 
-    def test_scan_logged_at_debug(self, caplog, monkeypatch):
-        logger = "lamesusy.bandsolver"
-        with caplog.at_level(logging.DEBUG, logger=logger):
-            bs.band_edges(free_particle(), 5)
-            bs.band_edges(free_particle(), 121)
-            monkeypatch.setattr(bs, "_scan_edges", short_scan([]))
-            with pytest.raises(IncompleteSpectrumError):
-                bs.band_edges(lame_pot(Family.V_MINUS, 2, 0.5), 5)
-        messages = [rec.getMessage() for rec in caplog.records if rec.name == logger]
-        assert len(messages) == 3
+    def test_scan_logged_at_debug(self, monkeypatch):
+        few, many, stub = free_particle(), free_particle(), lame_pot(Family.V_MINUS, 2, 0.5)
+        bs.band_edges(few, 5)
+        bs.band_edges(many, 121)
+        monkeypatch.setattr(bs, "_scan_edges", short_scan([]))
+        with pytest.raises(IncompleteSpectrumError):
+            bs.band_edges(stub, 5)
+        counts = [pot._magnus["counts"] for pot in (few, many, stub)]
         # the free particle's cells at its touches 1 and 4 are split at
         # their Dirichlet eigenvalues, so each touch is two crossing
         # brackets beside the ground edge's one, and 7 edges (0, 1, 1, 4,
         # 4, 9, 9) lie below 11, the top of its window
-        assert messages[0].startswith("band_edges: 2 Dirichlet splits in ")
+        assert [counts[0][key] for key in ("splits", "top", "brackets", "rescans")] == [2, 7, 5, 0]
+        assert counts[0]["dirichlet_rounds"] > 0 and counts[0]["crossing_rounds"] > 0
         # V = 0 is even: every product is formed over the half period
-        products = messages[0].split(" root rounds, ")[1].split()[0]
-        assert (f"half-period route with {products} products over L/2 (asymmetry 0 against "
-                "256 eps max|V|)") in messages[0]
-        assert ", 7 edges counted below the window's top, 5 crossing brackets in " in messages[0]
-        assert messages[0].endswith(" root rounds, 0 rescans")
+        assert counts[0]["half_period_products"] == counts[0]["products"] > 0
+        assert few._magnus["asymmetry"] == 0.0
         # with 121 edges the lowest touches share cells of window/256, and
         # each cell that hides more than one is scanned again; the top,
         # 2 + 61^2, lies above the 123 edges up to 61^2, and the scans
         # bracket the 121 edges up to 60^2
-        assert ", 123 edges counted below the window's top, 121 crossing brackets in " in messages[1]
-        assert messages[1].endswith(" root rounds, 2 rescans")
+        assert [counts[1][key] for key in ("top", "brackets", "rescans")] == [123, 121, 2]
         # the stand-in scan reports one root, counts nothing, samples no
         # step, solves nothing and scans nothing again
-        assert messages[2] == ("band_edges: 0 Dirichlet splits in 0 root rounds, 0 Magnus products "
-                               "of 0 steps x energies, full-period route with 0 products over L/2 "
-                               "(asymmetry nan against 256 eps max|V|), 0 edges counted below "
-                               "the window's top, 1 crossing brackets in 0 root rounds, 0 rescans")
+        assert dict(counts[2]) == {"brackets": 1} and "asymmetry" not in stub._magnus
 
-    def test_products_logged_repeat_on_a_fresh_build(self, caplog):
+    def test_products_logged_repeat_on_a_fresh_build(self):
         # products are counted where they are formed, so a fresh build of one
         # potential forms the same ones; a second call on a used one reuses
         # its cached probe products
-        logger = "lamesusy.bandsolver"
-        used = lame_pot(Family.V_PLUS, 3, 0.9)
-        with caplog.at_level(logging.DEBUG, logger=logger):
-            for pot in (lame_pot(Family.V_PLUS, 3, 0.9), used, used):
-                bs.band_edges(pot, 7)
-        counts = [[int(w) for w in rec.getMessage().split(" root rounds, ")[1].split()[:5:4]]
-                  for rec in caplog.records if rec.name == logger]
+        used, counts = lame_pot(Family.V_PLUS, 3, 0.9), []
+        for pot in (lame_pot(Family.V_PLUS, 3, 0.9), used, used):
+            bs.band_edges(pot, 7)
+            counts.append([pot._magnus["counts"][key] for key in ("products", "steps_x_energies")])
         assert counts[0] == counts[1] and counts[0][0] > 0
         assert counts[2][0] < counts[1][0]
 
@@ -945,17 +949,14 @@ class TestRootBatch:
         assert abs(root - 1.324717957244746) <= 4.0 * np.finfo(float).eps * root
         assert len(values) <= 12
 
-    def test_rounds_of_v_minus_pinned(self, caplog):
+    def test_rounds_of_v_minus_pinned(self):
         # V- (j = 5, m = 0.9) has no split cell; its 11 crossing brackets
         # closed in 10 rounds with Illinois' halving, 8 with the
         # Anderson-Bjorck weight
-        logger = "lamesusy.bandsolver"
-        with caplog.at_level(logging.DEBUG, logger=logger):
-            bs.band_edges(lame_pot(Family.V_MINUS, 5, 0.9), 11)
-        message, = [rec.getMessage() for rec in caplog.records if rec.name == logger]
-        dirichlet = int(message.split(" root rounds, ")[0].split()[-1])
-        crossing = int(message.split(" crossing brackets in ")[1].split()[0])
-        assert dirichlet + crossing <= 8
+        pot = lame_pot(Family.V_MINUS, 5, 0.9)
+        bs.band_edges(pot, 11)
+        counts = pot._magnus["counts"]
+        assert counts["dirichlet_rounds"] + counts["crossing_rounds"] <= 8
 
 
 class TestHiddenCells:
@@ -1205,28 +1206,43 @@ class TestBenchScript:
         assert quartiles == {name: [value, value] for name, value in result.items()}
         assert all(isinstance(c, int) and c > 0 for c in counts)
 
-    def test_counts_read_no_log_record(self, caplog):
+    def test_counts_read_no_log_record(self):
         # the products and root rounds are summed from the counts each
         # band_edges call keeps on its potential, read by wrapping the
         # public band_edges, not from a log record
         script = runpy.run_path(str(self.SCRIPT))
         pot, other = lame_pot(Family.V_PLUS, 3, 0.5), fuzz_modes()
-        with caplog.at_level(logging.DEBUG, logger="lamesusy.bandsolver"):
-            with script["_counting"]() as formed:
-                bs.band_edges(pot, 7)
-            assert formed == pot._magnus["counts"]
-            with script["_counting"]() as other_formed:
-                bs.band_edges(other, 9)
-                bs.band_edges(pot, 7)
+        with script["_counting"]() as formed:
+            bs.band_edges(pot, 7)
+        assert formed == pot._magnus["counts"]
+        first = pot._magnus["counts"]
+        with script["_counting"]() as other_formed:
+            bs.band_edges(other, 9)
+            bs.band_edges(pot, 7)
         assert other_formed == other._magnus["counts"] + pot._magnus["counts"]
         counts = other._magnus["counts"]
         assert counts["products"] > 0 == counts["half_period_products"]
-        # the record names the Dirichlet rounds and then the crossing rounds
-        rounds = [sum(int(part.split()[0]) for part in rec.getMessage().split(" in ")[1:])
-                  for rec in caplog.records if rec.name == "lamesusy.bandsolver"]
+        # each call's record holds its Dirichlet rounds and its crossing rounds
+        rounds = [c["dirichlet_rounds"] + c["crossing_rounds"]
+                  for c in (first, counts, pot._magnus["counts"])]
         reported = [script["_reported"]("", c)["root_rounds"] for c in (formed, other_formed)]
         assert [rounds[0], rounds[1] + rounds[2]] == reported and min(rounds) > 0
         assert bs.band_edges.__name__ == "band_edges"
+
+    def test_recorded_counts_match_a_direct_count(self):
+        # the split problems and the shifts bench.py reads from the calls'
+        # records, against the blocks and the scan formed here directly
+        script = runpy.run_path(str(self.SCRIPT))
+        pairs = script["_selfiso_pairs"]()
+        split = sum(len(bs._cos_sin_blocks(*bs._potential_modes(pot, bs.BASIS_N), pot.period,
+                                           periodic)[0]) == 2
+                    for pot, _ in script["_grid"]() for periodic in (True, False))
+        shifts = sum(int(np.isfinite(verify._scan_distance(*pair, verify.SHIFT_SAMPLES)).sum())
+                     for pair in pairs)
+        assert script["_recorded"](pairs) == {"galerkin_problems_split": split,
+                                              "galerkin_problems": 42,
+                                              "selfiso_shifts_evaluated": shifts}
+        assert 0 < split and 0 < shifts
 
     def test_calib_runs_no_package_code(self):
         # the speed witness is perfbench's kernel as that file defines it
@@ -1240,6 +1256,40 @@ class TestBenchScript:
         cp = subprocess.run([sys.executable, str(self.SCRIPT), "--help"],
                             capture_output=True, text=True)
         assert cp.returncode == 0 and "--tier1" in cp.stdout
+
+
+class TestRecords:
+    """Each engine call keeps one record, and its one DEBUG line is that
+    record rendered: ``what: key value, ...``, keys sorted, values as their
+    repr."""
+
+    @staticmethod
+    def rendered(what, record):
+        values = [v for r in record.values() for v in (r.values() if type(r) is dict else [r])]
+        assert all(type(v) in (bool, int, float, str) for v in values)
+        return f"{what}: " + ", ".join(f"{key} {record[key]!r}" for key in sorted(record))
+
+    def test_one_debug_line_per_engine_call_is_its_record(self, caplog):
+        vm, deep = lame_pot(Family.V_MINUS, 2, 0.5), lame_pot(Family.V_MINUS, 5, 1.0 - 1e-6)
+        with caplog.at_level(logging.DEBUG, logger="lamesusy"):
+            bs.band_edges(vm, 5)
+            want = [self.rendered("band_edges", {**vm._magnus["counts"],
+                                                 "asymmetry": vm._magnus["asymmetry"]})]
+            bs.monodromy_trace(vm, 0.5)  # no engine call of its own: no line
+            bs.galerkin_edges(vm, 5)
+            want.append(self.rendered("galerkin_edges", vm._magnus["galerkin"]))
+            vp = bs.numeric_partner(vm)
+            want.append(self.rendered("numeric_partner", vm._magnus["partner"]))
+            with pytest.raises(InvalidGroundStateError):  # a rejected ground state logs too
+                bs.numeric_partner(deep)
+            want.append(self.rendered("numeric_partner", deep._magnus["partner"]))
+            result = verify.selfiso_distance(verify._grid_of(vp), verify._grid_of(vm))
+            want.append(self.rendered("selfiso_distance", result.record))
+        got = [rec.getMessage() for rec in caplog.records if rec.name.startswith("lamesusy")]
+        assert got == want
+        assert [rec.name for rec in caplog.records] == ["lamesusy.bandsolver"] * 4 + [
+            "lamesusy.verify"]
+        assert deep._magnus["partner"]["min_psi"] < 0.0 and vm._magnus["partner"]["min_psi"] > 0.0
 
 
 class TestLameSweep:
@@ -1420,17 +1470,13 @@ class TestGalerkinEdges:
             resolved = 16.0 * np.finfo(float).eps * np.abs(want).max()
             assert np.max(np.abs(split - want)) <= resolved
 
-    def test_blocks_logged_at_debug(self, caplog):
-        logger = "lamesusy.bandsolver"
-        with caplog.at_level(logging.DEBUG, logger=logger):
-            bs.galerkin_edges(lame_pot(Family.V_MINUS, 3, 0.5), 7)
-            bs.galerkin_edges(uneven_trig(), 7)
-        messages = [rec.getMessage() for rec in caplog.records if rec.name == logger]
-        assert len(messages) == 2
-        for message, blocks in zip(messages, ("2, 2 blocks", "1, 1 blocks")):
-            assert message.startswith(f"galerkin_edges: {blocks}; ||cs|| ")
-            pairs = [p.split(" against ") for p in message.split("||cs|| ")[1].split(", ")]
-            assert [float(c) <= float(b) for c, b in pairs] == [blocks[0] == "2"] * 2
+    def test_blocks_logged_at_debug(self):
+        for pot, blocks in ((lame_pot(Family.V_MINUS, 3, 0.5), 2), (uneven_trig(), 1)):
+            bs.galerkin_edges(pot, 7)
+            problems = pot._magnus["galerkin"]
+            assert sorted(problems) == ["antiperiodic", "periodic"]
+            assert [p["blocks"] for p in problems.values()] == [blocks] * 2
+            assert [p["coupling"] <= p["bound"] for p in problems.values()] == [blocks == 2] * 2
 
     def test_basis_size_validation(self):
         with pytest.raises(DomainError, match="basis_n"):
@@ -1488,6 +1534,14 @@ class TestNumericPartner:
         assert not np.any(g.samples[:-1] * g.samples[1:] < 0)
         with pytest.raises(InvalidGroundStateError):
             bs._reject_nodal(samples)
+
+    def test_zero_sample_rejected(self):
+        # a state that only touches 0, or changes sign only across the
+        # period's end, has a node too; log psi would be -inf or nan there
+        for psi in ([1.0, 0.5, 0.0, 0.5], [1.0, 0.5, 0.25, -1e-13]):
+            with pytest.raises(InvalidGroundStateError):
+                bs._reject_nodal(np.array(psi))
+        bs._reject_nodal(np.array([1.0, 0.5, 1e-300, 0.5]))
 
     def test_partner_pipeline_script_runs(self, capsys):
         script = Path(__file__).resolve().parents[1] / "scripts" / "partner_pipeline.py"
@@ -1560,26 +1614,20 @@ class TestNumericPartner:
     # log psi_0 resolves so little that it is a tenth of max|V+|
     @pytest.mark.parametrize("j, m, lo, hi, odd_max", [(2, 0.5, 3e-6, 1.0, 1e-9),
                                                        (10, 0.99, 0.0, 1.1e-7, 1.0)])
-    def test_ground_state_range_logged_at_debug(self, caplog, j, m, lo, hi, odd_max):
-        logger = "lamesusy.bandsolver"
+    def test_ground_state_range_logged_at_debug(self, j, m, lo, hi, odd_max):
         raw = lame_pot(Family.RAW_LAME, j, m)
-        with caplog.at_level(logging.DEBUG, logger=logger):
-            bs.numeric_partner(raw)
-        messages = [rec.getMessage() for rec in caplog.records if rec.name == logger]
-        assert len(messages) == 1
-        assert messages[0].startswith("numeric_partner: basis_n 64, ground energy ")
-        assert " of the cos block, " in messages[0]
-        assert lo <= float(messages[0].rsplit(" ", 1)[1]) <= hi
+        bs.numeric_partner(raw)
+        record = raw._magnus["partner"]
+        assert record["basis_n"] == 64 and record["cos_block"] is True
+        assert lo <= record["min_psi"] <= hi
         # the odd part removed, relative to max|V+|: noise of u''
-        odd = float(messages[0].split("odd part removed ")[1].split(" max|V+|")[0])
-        assert 0.0 < odd <= odd_max
+        assert 0.0 < record["odd_part"] <= odd_max
 
-    def test_uneven_ground_state_logged_from_the_whole_problem(self, caplog):
-        logger = "lamesusy.bandsolver"
-        with caplog.at_level(logging.DEBUG, logger=logger):
-            bs.numeric_partner(uneven_trig())
-        messages = [rec.getMessage() for rec in caplog.records if rec.name == logger]
-        assert len(messages) == 1 and " of the whole problem, odd part removed none," in messages[0]
+    def test_uneven_ground_state_logged_from_the_whole_problem(self):
+        pot = uneven_trig()
+        bs.numeric_partner(pot)
+        record = pot._magnus["partner"]
+        assert record["cos_block"] is False and math.isnan(record["odd_part"])
 
     def test_even_ground_state_has_no_sine_part(self, monkeypatch):
         # psi_0 comes from the cos block, padded with sine coefficients

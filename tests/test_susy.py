@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamesusy import bandsolver
+from lamesusy import bandsolver, susy
 from lamesusy.elliptic import complete_k, jacobi
 from lamesusy.errors import DomainError
 from lamesusy.susy import (
@@ -26,6 +26,26 @@ from lamesusy.susy import (
 )
 
 DELTA_HALF = math.sqrt(0.75)  # delta at m = 0.5
+
+# raw energies of _lame's matrices in edge order, their 50-digit eigenvalues
+# (mpmath.eig at mp.dps = 50) rounded once to float64: the smallest modulus
+# of lame_sweep.py and the two cases where eig alone erred most (1.5e-13 and
+# 5.2e-13 relative to max(1, |E|))
+LAME_TABLE = {
+    (3, 1e-6): (5.9999962499981246e-06, 1.0000024999995312, 1.0000084999995313, 4.000004,
+                4.00000400000375, 9.000001500000469, 9.000001500000469),
+    (8, 0.99): (7.959892318048071, 7.959892318048071, 22.884670223918654, 22.884670223918654,
+                35.81942174698745, 35.81942174698893, 46.76410488699218, 46.764104888394584,
+                55.7186126691174, 55.71861335599423, 62.682514826420565, 62.68267878218829,
+                67.64630047276701, 67.66207257896876, 70.4687100626686, 70.82854610549848,
+                71.65577279308006),
+    (10, 0.999): (9.99499867989542, 9.99499867989542, 28.985495990182333, 28.985495990182333,
+                  45.976993119575184, 45.976993119575184, 60.969489836063, 60.969489836063,
+                  73.9629856892713, 73.9629856892713, 84.9574797033873, 84.95747970338745,
+                  93.95296940113151, 93.95296940154269, 100.9494463742055, 100.94944697808164,
+                  105.94668170521112, 105.94705310971541, 108.91808809616187, 108.97308749228559,
+                  109.94537140491546),
+}
 
 
 def grid(m, n=512):
@@ -254,6 +274,12 @@ class TestBandEdges:
         gal = bandsolver.galerkin_edges(pot, 7)
         for want, got in zip(e, gal):
             assert got.energy == pytest.approx(want, abs=1e-6)
+
+    @pytest.mark.parametrize("j, m", sorted(LAME_TABLE))
+    def test_lame_energies_against_high_precision(self, j, m):
+        # eig's energies refined by Newton on the continuant in longdouble
+        got = [e for e, _, _ in susy._lame(j, m)]
+        assert max(abs(g - w) / max(1.0, abs(w)) for g, w in zip(got, LAME_TABLE[j, m])) <= 1e-15
 
     def test_boundary_pattern(self):
         assert [bandsolver.expected_boundary(n) for n in range(7)] == [

@@ -1,7 +1,6 @@
 """Tests for the verification suites and the transform-group distance."""
 
 import json
-import logging
 import math
 import runpy
 import tracemalloc
@@ -461,20 +460,15 @@ class TestShiftRefinement:
             verify.selfiso_distance(*pair)
             assert len(calls) <= 8
 
-    def test_refinement_logged_at_debug(self, caplog, capsys):
+    def test_refinement_logged_at_debug(self, capsys):
         pair = pair_grids(2, 0.5)
-        with caplog.at_level(logging.DEBUG, logger="lamesusy.verify"):
-            verify.selfiso_distance(*pair)
-        messages = [rec.getMessage() for rec in caplog.records if rec.name == "lamesusy.verify"]
-        assert len(messages) == 1 and "stopped: converged" in messages[0]
+        record = verify.selfiso_distance(*pair).record
+        assert record["stop"] == "converged"
         kept = np.isfinite(verify._scan_distance(*pair, verify.SHIFT_SAMPLES)).sum(axis=1)
-        assert (f"{kept[0]} unreflected and {kept[1]} reflected of "
-                f"{verify.SHIFT_SAMPLES} shifts evaluated") in messages[0]
+        assert [record["unreflected_shifts"], record["reflected_shifts"]] == kept.tolist()
         # V- is even: its sine bound is rounding, and the reflected row is left out
-        assert kept[1] == 0 and "reflected row skipped (sine bound " in messages[0]
-        sine, delta = (float(v) for v in
-                       messages[0].split("(sine bound ")[1].split(")")[0].split(" against delta "))
-        assert sine <= delta
+        assert kept[1] == 0 and record["reflected_scanned"] is False
+        assert record["sine_bound"] <= record["delta"]
         assert capsys.readouterr().out == ""
 
 
