@@ -40,7 +40,7 @@ The line holds the median of every timing over the rounds, and under
     ``perfbench/calib.py``'s ``sample()``, a fixed kernel of interpreted
     Python and small LAPACK calls that runs no package code.
 
-Beside them, twelve counts that no timing noise moves: the Magnus
+Beside them, thirteen counts that no timing noise moves: the Magnus
 products the 21 ``band_edges`` calls form, their steps x energies, the
 products formed over the half period and the rounds of the root solver
 (``band_edges_products``, ``band_edges_steps_x_energies``,
@@ -53,8 +53,10 @@ same four for the release job, counted over the last verify round
 ``galerkin_edges`` calls solved as cos and sin blocks, against all of
 them (``galerkin_problems_split``, ``galerkin_problems``), the shifts the
 two ``selfiso_distance`` scans evaluate (``selfiso_shifts_evaluated``),
-and the lines of the measured package's modules (``src_lines``).  Each
-count is read from the engine calls' records: ``V._magnus["counts"]`` of
+the lines of the measured package's modules (``src_lines``) and those of
+them that are code, not blank, comment-only or docstring by ``ast``
+(``src_code_lines``).  Each engine count is read from the engine calls'
+records: ``V._magnus["counts"]`` of
 every ``band_edges`` call, summed by wrapping the public
 ``bandsolver.band_edges``, ``V._magnus["galerkin"]`` of every
 ``galerkin_edges`` call and ``SelfIsoResult.record``; none from log text,
@@ -76,6 +78,7 @@ move, and it does not follow the machine's drift as the kernel does.
 """
 
 import argparse
+import ast
 import contextlib
 import json
 import os
@@ -227,6 +230,21 @@ def _verify_round():
     return times
 
 
+def _code_lines(path):
+    """Lines of the module at ``path`` that are not blank, comment-only or
+    part of a module, class or function docstring."""
+    text = path.read_text()
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        body = getattr(node, "body", None)
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and body and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)):
+            docs.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return sum(line.strip() != "" and not line.strip().startswith("#") and i not in docs
+               for i, line in enumerate(text.splitlines(), 1))
+
+
 def _tier1():
     """Wall time and last report line of the measured package's Tier-1
     suite, run once."""
@@ -269,13 +287,14 @@ def run(repeat=7, tier1=False):
             rounds.setdefault(name, []).append(value)
     with _counting() as grid:
         _band_edges_grid()
+    modules = sorted(Path(verify.__file__).parent.glob("*.py"))
     return {name: statistics.median(values) for name, values in rounds.items()} | {
         "quartiles": {name: np.percentile(values, [25, 75]).tolist()
                       for name, values in rounds.items()},
         **_reported("band_edges_", grid), **_reported("release_band_edges_", release),
         **_recorded(pairs), "repeat": repeat,
-        "src_lines": sum(len(p.read_text().splitlines())
-                         for p in Path(verify.__file__).parent.glob("*.py"))} | (
+        "src_lines": sum(len(p.read_text().splitlines()) for p in modules),
+        "src_code_lines": sum(_code_lines(p) for p in modules)} | (
         _tier1() if tier1 else {})
 
 

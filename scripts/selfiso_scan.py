@@ -15,6 +15,7 @@ import sys
 
 from lamesusy import verify
 from lamesusy.elliptic import complete_k
+from lamesusy.grid import spectrum
 
 
 def main(argv=None):
@@ -27,7 +28,9 @@ def main(argv=None):
         for m in (0.1, 0.5, 0.9):
             grid_plus, grid_minus = (verify._grid_of(p, 1024)
                                      for p in reversed(verify.partner_pair(j, m)))
-            coarse = float(verify._scan_distance(grid_plus, grid_minus, shifts).min())
+            spectra = (spectrum(g.samples) for g in (grid_plus, grid_minus))
+            coarse = float(verify._scan_distance(*spectra, grid_minus.n, grid_minus.period,
+                                                 shifts)[0].min())
             res = verify.selfiso_distance(grid_plus, grid_minus)
             shift_note = res.best_shift
             if j == 1:

@@ -330,17 +330,26 @@ def _product(V: PeriodicPotential, n: int, E: np.ndarray, rows: int = 4) -> tupl
     followed by the half-turn count of (m12, m22), and their scale; for an
     even V unfolded from the product over the first n / 2 (_unfold).
     Energies go in chunks that no result depends on, of at most CHUNK
-    steps x energies, so that the live arrays keep one size."""
+    steps x energies, so that the live arrays keep one size.  A scale
+    that is not finite raises NumericalError, naming the energy and the
+    step count: more steps cannot bring back solutions that overflow
+    float64."""
     coef = _step_coefficients(V, n)
     steps = coef[1].shape[0]
     M, scale = np.empty((rows, E.size)), np.empty(E.size)
     per = max(1, CHUNK // steps)
-    for lo in range(0, E.size, per):
-        part = slice(lo, lo + per)
-        M[:, part], scale[part] = _tree_product(_step_propagators(coef, E[part], rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, E.size, per):
+            part = slice(lo, lo + per)
+            M[:, part], scale[part] = _tree_product(_step_propagators(coef, E[part], rows))
+        M, scale = _unfold(M, scale) if steps < n else (M, scale)
     V._magnus.setdefault("counts", Counter()).update(
         products=1, steps_x_energies=steps * E.size, half_period_products=int(steps < n))
-    return _unfold(M, scale) if steps < n else (M, scale)
+    if np.isfinite(scale).all():
+        return M, scale
+    raise NumericalError(f"the solutions overflow float64 over one period at E = "
+                         f"{E[~np.isfinite(scale)][0]:.6g} with {n} steps; galerkin_edges solves "
+                         "so deep a potential")
 
 
 def _span(V: PeriodicPotential) -> tuple:
@@ -378,10 +387,9 @@ def _step_count(V: PeriodicPotential, tol: float, r: int) -> int:
     2n-step product at _PROBES energies spread over the range, entry by
     entry, relative to the largest partial product along the way (a
     final-matrix norm would demand accuracy below roundoff where the
-    entries cancel).  The count depends on V, tol and r only.  A probe
-    product that is not finite raises NumericalError at once: more steps
-    cannot bring back solutions that overflow float64.  So does a range
-    that MAX_STEPS steps do not resolve, naming the range's top energy.
+    entries cancel).  The count depends on V, tol and r only.  A range
+    that MAX_STEPS steps do not resolve raises NumericalError, naming the
+    range's top energy, as an overflowing product does (_product).
     """
     key = ("count", tol, r)
     if key not in V._magnus:
@@ -390,9 +398,6 @@ def _step_count(V: PeriodicPotential, tol: float, r: int) -> int:
         n = MIN_STEPS if r == 0 else _step_count(V, tol, r - 1)
         coarse, scale = _probe_product(V, E, r, n)
         while True:
-            if not np.isfinite(scale).all():
-                raise NumericalError(f"the solutions overflow float64 over one period at {n} "
-                                     "steps; galerkin_edges solves so deep a potential")
             fine, fine_scale = _probe_product(V, E, r, 2 * n)
             err = np.max(np.abs(fine - coarse) / np.maximum(scale, fine_scale))
             if err <= tol:

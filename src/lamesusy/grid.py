@@ -93,8 +93,10 @@ class GridFunction:
     def eval(self, pts) -> np.ndarray:
         """Evaluate the trigonometric interpolant at arbitrary points: a float
         for a scalar, else an array of the points' shape; DomainError for
-        points that are not real (_real)."""
+        points that are not real (_real) or not finite."""
         pts = np.asarray(_real(pts, "points"), dtype=float)
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("points must be finite")
         out = series_sum(spectrum(self.samples), self.n, self.period, pts.ravel())
         return float(out[0]) if pts.ndim == 0 else out.reshape(pts.shape)
 

@@ -81,29 +81,21 @@ _NEWTON_STEPS = 8        # steps a shift refinement's Newton solve may take
 SHIFT_SAMPLES = 512      # translations of the coarse distance scan
 
 
-def _scan_grid(vp: GridFunction, vm: GridFunction, count: int) -> tuple:
-    """(F, delta) of the coarse shift scan: F points, the least multiple of
-    ``count`` >= 8n, and a bound delta on twice the interpolants' rounding."""
-    fine = count * -(-_SUP_OVERSAMPLE * vm.n // count)
-    weighted = _mode_weights(vm.n) * (np.abs(spectrum(vp.samples)) + np.abs(spectrum(vm.samples)))
-    return fine, float(64.0 * np.finfo(float).eps * math.log2(fine) * np.sum(weighted))
+def _scan_distance(cp: np.ndarray, c: np.ndarray, n: int, L: float, count: int) -> tuple:
+    """(D, (s, reflected), record) of the coarse shift scan of vp against
+    vm, the n-sample interpolants of period L with spectra cp and c.
 
-
-def _sine_bound(vm: GridFunction) -> float:
-    """2 sum_k w_k |Im c_k| of vm's spectrum c, a bound on |vm(y) - vm(-y)|:
-    the sine part of the interpolant, which reflection turns over."""
-    return 2.0 * float(np.sum(_mode_weights(vm.n) * np.abs(spectrum(vm.samples).imag)))
-
-
-def _scan_distance(vp: GridFunction, vm: GridFunction, count: int) -> np.ndarray:
-    """D(s, r) = max_i |vp(x_i) - vm(r(x_i - a))| for the shifts a = s*L/count,
-    row r = 0 unreflected and r = 1 reflected; +inf at each shift that
-    provably cannot hold the minimum over both rows, and so was skipped,
-    and over all of row 1 where vm's sine bound (_sine_bound) is at most
-    the rounding allowance delta (_scan_grid).  Reflection then moves no
-    value of vm by more than delta, so the reflected row could beat the
-    unreflected one only by a tie to rounding, which selfiso_distance
-    gives to the unreflected row anyway: only that row is scanned.
+    D(s, r) = max_i |vp(x_i) - vm(r(x_i - a))| for the shifts a = s*L/count,
+    row r = 0 unreflected and r = 1 reflected, is +inf at each shift that
+    provably cannot hold the minimum over both rows, and so was skipped.
+    The pick is row 0's first minimum unless row 1's is smaller by more
+    than delta = 64 eps log2(F) sum_k w_k (|cp_k| + |c_k|), a bound on
+    twice the interpolants' rounding: on a tie to rounding, as an even vm
+    ties the rows, the unreflected one wins.  Where vm's sine bound
+    2 sum_k w_k |Im c_k|, a bound on |vm(y) - vm(-y)|, is at most delta,
+    row 1 could win only by such a tie, so it is not scanned.  The record
+    gives the shifts evaluated per row, whether row 1 was scanned, the
+    sine bound and delta.
 
     The fine grid has F points, the least multiple of ``count`` that is
     >= 8n, so shift s rolls the upsampled vm by s*F/count points and one
@@ -121,20 +113,20 @@ def _scan_distance(vp: GridFunction, vm: GridFunction, count: int) -> np.ndarray
     Anal. 9:379, 1972).  Best first, in blocks of _SCAN_ROWS, every
     shift whose bound is <= min*(1 + 1e-12) + delta, min the running
     minimum over both rows, is evaluated as a full scan evaluates it.
-    A skipped shift then lies strictly above the minimum, so the
-    minimum, the row that holds it (both rows on a tie) and its first
-    index there are those of the full scan of the rows scanned.
+    A skipped shift then lies strictly above the minimum, and a row's
+    minimum within delta of it is evaluated, so the pick is that of the
+    full scan of the rows scanned.
     """
-    n, L = vm.n, vm.period
-    fine, delta = _scan_grid(vp, vm, count)
-    cp, c = spectrum(vp.samples), spectrum(vm.samples)
+    fine = count * -(-_SUP_OVERSAMPLE * n // count)
+    w = _mode_weights(n)
+    delta = float(64.0 * np.finfo(float).eps * math.log2(fine)
+                  * np.sum(w * (np.abs(cp) + np.abs(c))))
+    sine = 2.0 * float(np.sum(w * np.abs(c.imag)))
     a_vals = on_fine_grid(cp, n, fine)
-    orientations = (c, np.conj(c))[: 1 if _sine_bound(vm) <= delta else 2]
-    # row s of each orientation is the window of [B, B] that starts at F - s*F/count
+    # row s of each orientation scanned is the window of [B, B] that starts at F - s*F/count
     rolled = [np.lib.stride_tricks.sliding_window_view(
         np.tile(on_fine_grid(b, n, fine), 2), fine)[fine:0:-(fine // count)]
-        for b in orientations]
-    w = _mode_weights(n)
+        for b in (c, np.conj(c))[: 1 if sine <= delta else 2]]
     lam = float(np.sum(w * (2.0 * np.pi / L) * np.arange(c.size) * np.abs(c)))
 
     peak, dist = np.full((2, count), np.nan), np.full((2, count), np.inf)
@@ -173,11 +165,18 @@ def _scan_distance(vp: GridFunction, vm: GridFunction, count: int) -> np.ndarray
             break
         evaluate(block)
         best = min(best, dist.flat[block].min())
-    return dist
+    i = np.argmin(dist, axis=1)
+    reflect = bool(dist[1, i[1]] < dist[0, i[0]] - delta)
+    unreflected, reflected = np.isfinite(dist).sum(axis=1).tolist()
+    return dist, (int(i[int(reflect)]), reflect), {
+        "unreflected_shifts": unreflected, "reflected_shifts": reflected,
+        "reflected_scanned": len(rolled) == 2, "sine_bound": sine, "delta": delta}
 
 
-def _exact_distance(vp: GridFunction, vm: GridFunction, reflect: bool, floor: float):
-    """f(x, a) = vp(x) - vm(r(x - a)) from the spectra of both inputs.
+def _exact_distance(cp: np.ndarray, c: np.ndarray, n: int, L: float, reflect: bool,
+                    floor: float):
+    """f(x, a) = vp(x) - vm(r(x - a)) of the n-sample interpolants of
+    period L with spectra cp and c.
 
     Returns ``survey(a)``: sup_x |f(x, a)| to ~1e-11 and the local maxima
     of |f(., a)| on the 8x oversampled grid, highest first, those within
@@ -187,9 +186,7 @@ def _exact_distance(vp: GridFunction, vm: GridFunction, reflect: bool, floor: fl
     f_a and f_xa at the points xs, each an O(n) sum.  Shifting by a
     brings down -ik where d/dx brings down ik, so f_aa = -f_xa.
     """
-    n, L = vm.n, vm.period
     fine = _SUP_OVERSAMPLE * n
-    cp, c = spectrum(vp.samples), spectrum(vm.samples)
     c = np.conj(c) if reflect else c  # x -> -x
     ik = 2j * np.pi / L * np.arange(c.size)  # d/dx of e^{ikx} brings down ik
     h = L / fine
@@ -318,40 +315,33 @@ def selfiso_distance(vp: GridFunction, vm: GridFunction) -> SelfIsoResult:
     """Minimal sup-norm distance between the interpolants of vp and vm
     over translations and reflection, D(a, r) = sup_x |vp(x) - vm(r(x - a))|.
 
-    A coarse scan over SHIFT_SAMPLES translations of both
-    orientations feeds a Newton solve for the active peaks of the
-    difference at the optimal translation near the best scanned one
-    (_refine_shift), never worse than that shift.  The scan evaluates
-    only the shifts a Lipschitz bound from every 16th one cannot rule
-    out (_scan_distance), and returns the minimum, shift and orientation
-    a full scan returns.  The reflected orientation is taken only if its
-    coarse minimum is smaller by more than the scan's rounding allowance
-    delta (_scan_grid), so on a tie to rounding, as an even vm ties the
-    two, the unreflected one wins; where vm's sine bound is within delta
-    the reflected row is not scanned at all, and a sup within delta is
-    rounding, where the refinement keeps the scanned shift.  The result's
-    record, the call's DEBUG line, gives the shifts evaluated in each
-    orientation, whether the reflected row was scanned, with the sine bound
-    against delta, and how the refinement went (_refine_shift).
+    One spectrum of each input serves both stages.  A coarse scan over
+    SHIFT_SAMPLES translations (_scan_distance) evaluates only the
+    shifts a Lipschitz bound from every 16th one cannot rule out, and
+    decides the orientation and the shift to refine, with the rounding
+    allowance delta that decides them: on a tie within delta, as an even
+    vm ties the two, the unreflected orientation wins.  A Newton solve
+    for the active peaks of the difference at the optimal translation
+    near that shift (_refine_shift) follows, never worse than that
+    shift; a sup within delta is rounding, where the refinement keeps
+    the scanned shift.  The result's record, the call's DEBUG line, is
+    the scan's record (shifts evaluated per orientation, whether the
+    reflected row was scanned, the sine bound and delta) merged with the
+    refinement's.
     """
     if vp.n != vm.n:
         raise DomainError("grids must share the sample count")
     if abs(vp.period - vm.period) > 1e-12 * max(vp.period, vm.period):
         raise DomainError("grids must share the period")
-    L = vm.period
+    n, L = vm.n, vm.period
     step = L / SHIFT_SAMPLES
-
-    d = _scan_distance(vp, vm, SHIFT_SAMPLES)
-    delta, sine = _scan_grid(vp, vm, SHIFT_SAMPLES)[1], _sine_bound(vm)
-    i = np.argmin(d, axis=1)
-    reflect = bool(d[1, i[1]] < d[0, i[0]] - delta)
-    a0 = int(i[int(reflect)]) * step
-    (dist, a_best), record = _refine_shift(*_exact_distance(vp, vm, reflect, delta), a0, step)
-    unreflected, reflected = np.isfinite(d).sum(axis=1).tolist()
-    record |= {"unreflected_shifts": unreflected, "reflected_shifts": reflected,
-               "reflected_scanned": sine > delta, "sine_bound": sine, "delta": delta}
+    cp, c = spectrum(vp.samples), spectrum(vm.samples)
+    _, (s, reflect), scan = _scan_distance(cp, c, n, L, SHIFT_SAMPLES)
+    (dist, a_best), record = _refine_shift(*_exact_distance(cp, c, n, L, reflect, scan["delta"]),
+                                           s * step, step)
+    record |= scan
     bandsolver._debug(__name__, "selfiso_distance", record)
-    return SelfIsoResult(best_shift=float(a_best % L), reflected=bool(reflect), distance=dist,
+    return SelfIsoResult(best_shift=float(a_best % L), reflected=reflect, distance=dist,
                          record=record)
 
 

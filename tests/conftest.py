@@ -1,14 +1,17 @@
-"""One BLAS/OpenMP thread for the whole test run, the repository's
-package for every child process it starts, and the frozen
-self-isospectrality distances that more than one test file pins.
+"""One BLAS/OpenMP thread for the whole test run, the suite's warning
+policy and the repository's package for every child process it starts,
+and the frozen self-isospectrality distances that more than one test
+file pins.
 
 The thread count is set before numpy is first imported, which happens
 after pytest loads this file: threaded BLAS oversubscribes a small
-machine as soon as a second numpy process runs beside the tests.  A
-value already in the environment is kept.  The repository's ``src`` goes
-first on PYTHONPATH, since pyproject's ``pythonpath`` reaches only the
-pytest process, not the CLI and scripts that tests start, so the suite
-runs from a checkout without installing.
+machine as soon as a second numpy process runs beside the tests.
+PYTHONWARNINGS=error::RuntimeWarning gives the CLI and script processes
+that tests start pyproject's ``filterwarnings``, which reaches the pytest
+process only.  A value already in the environment is kept.  The
+repository's ``src`` goes first on PYTHONPATH, since pyproject's
+``pythonpath`` reaches only the pytest process too, so the suite runs
+from a checkout without installing.
 """
 
 import os
@@ -17,6 +20,7 @@ from pathlib import Path
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+os.environ.setdefault("PYTHONWARNINGS", "error::RuntimeWarning")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 

@@ -23,7 +23,7 @@ from lamesusy.errors import (
     InvalidGroundStateError,
     NumericalError,
 )
-from lamesusy.grid import GridFunction
+from lamesusy.grid import GridFunction, spectrum
 from lamesusy.susy import (
     Family,
     PotentialSpec,
@@ -303,6 +303,18 @@ class TestMonodromyTrace:
         pot = free_particle()
         want = 2.0 * math.cosh(math.sqrt(2.0) * pot.period)
         assert bs.monodromy_trace(pot, -2.0) == pytest.approx(want, rel=1e-9)
+
+    def test_overflow_far_below_the_potential_raises(self):
+        # cosh(1000) overflows float64: the trace at E = -1e6 is refused,
+        # naming the first such energy of the batch, not returned as inf
+        # beside the finite trace at E = 5
+        pot = free_particle(period=1.0)
+        with pytest.raises(NumericalError, match=(
+                r"overflow float64 over one period at E = -1e\+06 with \d+ steps; "
+                "galerkin_edges")):
+            bs.monodromy_trace(pot, np.array([-1e6, -2e6, 5.0]))
+        assert bs.monodromy_trace(pot, 5.0) == pytest.approx(2.0 * math.cos(math.sqrt(5.0)),
+                                                              abs=1e-9)
 
     def test_constant_potential_shear(self):
         pot = bs.PeriodicPotential(period=2.0,
@@ -853,9 +865,8 @@ class TestStepCount:
         # one period, so the first probe product is not finite; more steps
         # cannot help, while Galerkin solves this V
         deep = bs.PeriodicPotential(1.0, lambda x: 1e6 * np.cos(2 * np.pi * np.asarray(x)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="overflow float64.*galerkin_edges"):
-                bs.band_edges(deep, 5)
+        with pytest.raises(NumericalError, match="overflow float64.*galerkin_edges"):
+            bs.band_edges(deep, 5)
         assert deep._magnus["counts"]["products"] <= 2
         assert [e.energy for e in bs.galerkin_edges(deep, 5, basis_n=512)] == pytest.approx(
             [-995559.5858, -995559.5858, -986683.7006, -986683.7006, -977817.7097], abs=1e-3)
@@ -1184,7 +1195,8 @@ class TestBenchScript:
                                               "band_edges_half_period_products",
                                               "release_band_edges_half_period_products",
                                               "band_edges_root_rounds",
-                                              "release_band_edges_root_rounds")]
+                                              "release_band_edges_root_rounds",
+                                              "src_code_lines")]
         # every case of the grid is even: each of its 42 problems splits,
         # and each of its products runs over the half period
         assert counts[2:4] == [42, 42]
@@ -1193,6 +1205,8 @@ class TestBenchScript:
         assert counts[9] == counts[6]
         # every root round forms at least one product, and the scans form more
         assert counts[10] < counts[0] and counts[11] < counts[6]
+        # code lines leave out blank, comment-only and docstring lines
+        assert counts[12] < counts[5]
         assert sorted(result) == ["band_edges_s", "band_edges_uneven_s", "calib_s",
                                   "galerkin_edges_s", "jacobi_points_per_s",
                                   "numeric_partner_s", "scan_257_energies_per_s",
@@ -1237,8 +1251,9 @@ class TestBenchScript:
         split = sum(len(bs._cos_sin_blocks(*bs._potential_modes(pot, bs.BASIS_N), pot.period,
                                            periodic)[0]) == 2
                     for pot, _ in script["_grid"]() for periodic in (True, False))
-        shifts = sum(int(np.isfinite(verify._scan_distance(*pair, verify.SHIFT_SAMPLES)).sum())
-                     for pair in pairs)
+        scans = [verify._scan_distance(spectrum(vp.samples), spectrum(vm.samples), vm.n,
+                                       vm.period, verify.SHIFT_SAMPLES)[0] for vp, vm in pairs]
+        shifts = sum(int(np.isfinite(d).sum()) for d in scans)
         assert script["_recorded"](pairs) == {"galerkin_problems_split": split,
                                               "galerkin_problems": 42,
                                               "selfiso_shifts_evaluated": shifts}

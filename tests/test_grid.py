@@ -54,6 +54,15 @@ class TestGridFunction:
         assert isinstance(g.eval(0.3), float)
         assert g.eval(0.3) == pytest.approx(math.cos(0.3), abs=1e-12)
 
+    def test_eval_rejects_points_that_are_not_finite(self):
+        # refused, as jacobi and monodromy_trace refuse them, not summed to
+        # nan or to a warning of cos
+        g = GridFunction.from_function(np.cos, 2 * math.pi, 64)
+        for pts in (math.nan, math.inf, -math.inf, np.array([0.1, math.nan, 0.2]),
+                    np.array([[0.1, 0.2], [math.inf, 0.3]])):
+            with pytest.raises(DomainError, match="points must be finite"):
+                g.eval(pts)
+
     def test_eval_keeps_the_shape_of_its_points(self):
         # the points are summed flat and the values reshaped to them
         g = GridFunction.from_function(trig_poly, 2 * math.pi, 128)

@@ -22,6 +22,12 @@ def pair_grids(j, m, n=512):
     return verify._grid_of(pp, n), verify._grid_of(pm, n)
 
 
+def scan(vp, vm, count=verify.SHIFT_SAMPLES):
+    """_scan_distance of the grids vp and vm: (D, (shift, reflected), record)."""
+    return verify._scan_distance(spectrum(vp.samples), spectrum(vm.samples), vm.n, vm.period,
+                                 count)
+
+
 class TestSelfIsoDistance:
     def test_identical_inputs_distance_zero(self):
         g = GridFunction.from_function(lambda x: np.sin(x) + 0.3 * np.cos(2 * x),
@@ -150,30 +156,33 @@ def brute_scan(vp, vm, count):
                      for vals in (on_fine_grid(b, n, fine) for b in (c, np.conj(c)))])
 
 
-def scan_pick(d):
+def scan_pick(d, delta=0.0):
     """(distance, shift index, reflected) of a scan's minimum: the first
     index within an orientation, and the reflected orientation only when
-    strictly smaller."""
+    smaller by more than ``delta``."""
     i = np.argmin(d, axis=1)
-    r = int(d[1, i[1]] < d[0, i[0]])
+    r = int(d[1, i[1]] < d[0, i[0]] - delta)
     return float(d[r, i[r]]), int(i[r]), bool(r)
 
 
-def assert_scan_exact(vp, vm, count, got, rows=(0, 1), scanned=2):
-    """The pruned scan ``got`` of its first ``scanned`` rows against the
+def assert_scan_exact(vp, vm, count, result, rows=(0, 1), scanned=2):
+    """The pruned scan ``result`` of its first ``scanned`` rows against the
     full one: every evaluated shift has the value the full scan gives it,
     and in ``rows`` the value of ``scan_reference`` to 1e-12; every
-    skipped shift lies above the minimum; and the minimum, its shift and
-    orientation are the full scan's.  A row not scanned is +inf
-    throughout, and the full scan's minimum there lies no more than the
-    rounding allowance delta below the scanned row's, so the tie rule of
-    selfiso_distance would not have taken it."""
+    skipped shift lies above the minimum; the minimum, its shift and
+    orientation are the full scan's; and the scan's pick is the full
+    scan's under the tie rule, with the rounding allowance delta of its
+    record.  A row not scanned is +inf throughout, and the full scan's
+    minimum there lies no more than delta below the scanned row's, so
+    the tie rule would not have taken it."""
+    got, pick, record = result
     full = brute_scan(vp, vm, count)
     kept = np.isfinite(got)
     assert got.shape == (2, count) and kept[:scanned, ::16].all() and not kept[scanned:].any()
+    assert record["reflected_scanned"] is (scanned == 2)
+    assert pick == scan_pick(full, record["delta"])[1:]
     if scanned == 1:
-        delta = verify._scan_grid(vp, vm, count)[1]
-        assert full[1].min() >= full[0].min() - delta
+        assert full[1].min() >= full[0].min() - record["delta"]
         full[1] = np.inf
     assert np.array_equal(got[kept], full[kept])
     assert np.all(full[:scanned][~kept[:scanned]] > got.min())
@@ -185,13 +194,19 @@ def assert_scan_exact(vp, vm, count, got, rows=(0, 1), scanned=2):
         assert np.all(want[~kept[r]] > got.min())
 
 
-def two_row_reference(monkeypatch, vp, vm):
+def two_row_reference(vp, vm):
     """selfiso_distance with both rows of its scan evaluated whatever vm's
-    sine bound: the result the one-row scan must reproduce."""
-    with monkeypatch.context() as patch:
-        patch.setattr(verify, "_sine_bound", lambda vm: np.inf)
-        assert np.isfinite(verify._scan_distance(vp, vm, verify.SHIFT_SAMPLES)[1]).any()
-        return verify.selfiso_distance(vp, vm)
+    sine bound: the full scan of both rows picked under the tie rule with
+    the scan's delta, then refined as selfiso_distance refines it; the
+    result the one-row scan must reproduce."""
+    n, L = vm.n, vm.period
+    step = L / verify.SHIFT_SAMPLES
+    delta = scan(vp, vm)[2]["delta"]
+    _, s, reflect = scan_pick(brute_scan(vp, vm, verify.SHIFT_SAMPLES), delta)
+    cp, c = spectrum(vp.samples), spectrum(vm.samples)
+    (dist, a), _ = verify._refine_shift(*verify._exact_distance(cp, c, n, L, reflect, delta),
+                                        s * step, step)
+    return verify.SelfIsoResult(best_shift=float(a % L), reflected=reflect, distance=dist)
 
 
 def sine_pair(ratio, n=512):
@@ -203,9 +218,9 @@ def sine_pair(ratio, n=512):
     t = 0.0
     for _ in range(4):  # delta moves with t only in its last digits
         vm = GridFunction(even.period, even.samples + t * np.sin(2 * np.pi * x / even.period))
-        delta = verify._scan_grid(vp, vm, verify.SHIFT_SAMPLES)[1]
+        record = scan(vp, vm)[2]
         # the sine adds 2 t to the bound, the rest of it is even's rounding
-        t += 0.5 * (ratio * delta - verify._sine_bound(vm))
+        t += 0.5 * (ratio * record["delta"] - record["sine_bound"])
     return vp, vm
 
 
@@ -232,14 +247,13 @@ class TestCoarseScan:
         # white-noise samples carry a full-size Nyquist mode, which a shift
         # off the sample grid turns partly into a sine
         vp, vm = noise_grids(n, n + count)
-        got = verify._scan_distance(vp, vm, count)
-        assert_scan_exact(vp, vm, count, got, rows=(int(reflect),))
+        assert_scan_exact(vp, vm, count, scan(vp, vm, count), rows=(int(reflect),))
 
     @pytest.mark.parametrize("count", [64, 512])
     @pytest.mark.parametrize("case", ["eps=0", "eps=1e-14", "eps=1e-8", "eps=1e-3",
                                       "odd n", "even pair", "j=10 m=0.99", "noise",
                                       "sine above delta"])
-    def test_exact_on_adversarial_pairs(self, monkeypatch, case, count):
+    def test_exact_on_adversarial_pairs(self, case, count):
         # an even vm (the partner pairs) scans the unreflected row alone,
         # with the result of both rows; every other vm scans both
         if case.startswith("eps="):
@@ -255,21 +269,37 @@ class TestCoarseScan:
         else:
             vp, vm = sine_pair(1.01)
         even = case in ("odd n", "even pair", "j=10 m=0.99")
-        assert_scan_exact(vp, vm, count, verify._scan_distance(vp, vm, count),
+        assert_scan_exact(vp, vm, count, scan(vp, vm, count),
                           rows=(0,) if even else (0, 1), scanned=1 if even else 2)
         if even:
-            assert verify.selfiso_distance(vp, vm) == two_row_reference(monkeypatch, vp, vm)
+            assert verify.selfiso_distance(vp, vm) == two_row_reference(vp, vm)
 
     @pytest.mark.parametrize("ratio, scanned", [(0.99, 1), (1.01, 2)])
-    def test_reflected_row_turns_on_at_delta(self, monkeypatch, ratio, scanned):
+    def test_reflected_row_turns_on_at_delta(self, ratio, scanned):
         # a sine part just below the rounding allowance leaves the
         # reflected row out, one just above it scans both rows
         vp, vm = sine_pair(ratio)
-        delta = verify._scan_grid(vp, vm, verify.SHIFT_SAMPLES)[1]
-        assert verify._sine_bound(vm) == pytest.approx(ratio * delta, rel=1e-3)
-        d = verify._scan_distance(vp, vm, verify.SHIFT_SAMPLES)
+        d, _, record = scan(vp, vm)
+        assert record["sine_bound"] == pytest.approx(ratio * record["delta"], rel=1e-3)
         assert np.isfinite(d).any(axis=1).tolist() == [True, scanned == 2]
-        assert verify.selfiso_distance(vp, vm) == two_row_reference(monkeypatch, vp, vm)
+        assert record["reflected_scanned"] is (scanned == 2)
+        assert verify.selfiso_distance(vp, vm) == two_row_reference(vp, vm)
+
+    @pytest.mark.parametrize("case", ["even pair", "sine above delta"])
+    def test_record_holds_delta_and_sine_bound_by_definition(self, case):
+        # delta = 64 eps log2(F) sum_k w_k (|cp_k| + |c_k|) on the F-point
+        # fine grid, and the sine bound 2 sum_k w_k |Im c_k|, c = rfft / n
+        vp, vm = pair_grids(2, 0.5) if case == "even pair" else sine_pair(1.01)
+        n = vm.n
+        cp, c = np.fft.rfft(vp.samples) / n, np.fft.rfft(vm.samples) / n
+        k = np.arange(c.size)
+        w = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+        fine = verify.SHIFT_SAMPLES * -(-8 * n // verify.SHIFT_SAMPLES)
+        record = verify.selfiso_distance(vp, vm).record
+        assert record["delta"] == float(64.0 * np.finfo(float).eps * math.log2(fine)
+                                        * np.sum(w * (np.abs(cp) + np.abs(c))))
+        assert record["sine_bound"] == 2.0 * float(np.sum(w * np.abs(c.imag)))
+        assert record["reflected_scanned"] is (case != "even pair")
 
     def test_sine_bound_caps_the_reflection(self):
         # |vm(y) - vm(-y)| on a dense grid never exceeds the bound, and
@@ -279,23 +309,24 @@ class TestCoarseScan:
                    GridFunction.from_function(lambda y: 0.3 * np.sin(2 * np.pi * y / 2.7),
                                               2.7, 256)):
             gap = np.max(np.abs(vm.eval(x) - vm.eval(-x)))
-            assert gap <= verify._sine_bound(vm) * (1.0 + 1e-12)
-        assert gap == pytest.approx(verify._sine_bound(vm), rel=1e-6)
+            sine = scan(vm, vm)[2]["sine_bound"]
+            assert gap <= sine * (1.0 + 1e-12)
+        assert gap == pytest.approx(sine, rel=1e-6)
 
-    def test_orientations_tie_for_even_partners(self, monkeypatch):
+    def test_orientations_tie_for_even_partners(self):
         # V+ and V- are even, so reflection is a symmetry of the whole
         # scan: in the full scan both minima tie, and the one-row scan
         # keeps the unreflected row's minimum and the two-row result
         vp, vm = pair_grids(2, 0.5)
         full = brute_scan(vp, vm, 512)
         assert abs(full[0].min() - full[1].min()) <= 1e-12
-        d = verify._scan_distance(vp, vm, 512)
+        d, pick, _ = scan(vp, vm, 512)
         assert np.isinf(d[1]).all() and d[0].min() == full[0].min()
-        assert not scan_pick(d)[2]
-        assert verify.selfiso_distance(vp, vm) == two_row_reference(monkeypatch, vp, vm)
+        assert not scan_pick(d)[2] and not pick[1]
+        assert verify.selfiso_distance(vp, vm) == two_row_reference(vp, vm)
 
     def test_prunes_most_shifts_of_a_partner_pair(self):
-        kept = np.isfinite(verify._scan_distance(*pair_grids(3, 0.5), 512))
+        kept = np.isfinite(scan(*pair_grids(3, 0.5), 512)[0])
         assert kept.sum() <= 0.25 * kept.size
 
     def test_repeated_calls_identical(self):
@@ -345,7 +376,8 @@ class TestTrueTranslate:
     def test_exact_distance_is_sup_of_translate(self):
         vp, vm = self.noise_pair()
         L, n = vm.period, vm.n
-        survey, at = verify._exact_distance(vp, vm, False, 0.0)
+        survey, at = verify._exact_distance(spectrum(vp.samples), spectrum(vm.samples), n, L,
+                                            False, 0.0)
         for a in (0.3 * L / n, 7 * L / 300):
             assert survey(a)[0] == pytest.approx(self.dense_sup(vp, vm, a), abs=1e-9)
             xs = np.linspace(0.0, L, 97)
@@ -359,7 +391,7 @@ class TestTrueTranslate:
         fine = count * -(-8 * vm.n // count)
         x = np.arange(fine) * (L / fine)
         top = vp.eval(x)
-        got = verify._scan_distance(vp, vm, count)
+        got = scan(vp, vm, count)[0]
         row = got[int(reflect)]
         for s in range(1, count, 13):
             y = x - s * (L / count)
@@ -379,7 +411,7 @@ def golden_reference(vp, vm, shift_samples=512):
     Returns (distance, shift)."""
     n, L = vm.n, vm.period
     step = L / shift_samples
-    _, i, reflect = scan_pick(verify._scan_distance(vp, vm, shift_samples))
+    _, i, reflect = scan_pick(scan(vp, vm, shift_samples)[0])
     a0 = i * step
     fine = 8 * n
     cp, c = np.fft.rfft(vp.samples), np.fft.rfft(vm.samples)
@@ -450,22 +482,28 @@ class TestShiftRefinement:
 
     def test_inverse_ffts_per_call_bounded(self, monkeypatch):
         # the scan takes four 8n-point inverse FFTs; the refinement one at
-        # the best scanned shift and one at the Newton point
+        # the best scanned shift and one at the Newton point; one forward
+        # FFT per input and one set of mode weights serve both stages
         pairs = (pair_grids(3, 0.9), pair_grids(4, 0.5), one_peak_pair(512))
         calls = []
-        irfft = np.fft.irfft
-        monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: calls.append(1) or irfft(*a, **kw))
+        for module, name in ((np.fft, "irfft"), (np.fft, "rfft"), (verify, "_mode_weights")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, name=name, fn=fn, **kw:
+                                calls.append(name) or fn(*a, **kw))
         for pair in pairs:
             calls.clear()
             verify.selfiso_distance(*pair)
-            assert len(calls) <= 8
+            assert calls.count("irfft") <= 8
+            assert calls.count("rfft") == 2 and calls.count("_mode_weights") == 1
 
     def test_refinement_logged_at_debug(self, capsys):
         pair = pair_grids(2, 0.5)
         record = verify.selfiso_distance(*pair).record
         assert record["stop"] == "converged"
-        kept = np.isfinite(verify._scan_distance(*pair, verify.SHIFT_SAMPLES)).sum(axis=1)
+        d, _, scanned = scan(*pair)
+        kept = np.isfinite(d).sum(axis=1)
         assert [record["unreflected_shifts"], record["reflected_shifts"]] == kept.tolist()
+        assert scanned.items() <= record.items()
         # V- is even: its sine bound is rounding, and the reflected row is left out
         assert kept[1] == 0 and record["reflected_scanned"] is False
         assert record["sine_bound"] <= record["delta"]
